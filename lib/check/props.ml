@@ -993,6 +993,203 @@ let prop_channel_grid =
   Runner.cell ~cost:2 ~name:"channel-grid-equiv" ~print:channel_print
     channel_gen channel_grid_law
 
+(* ------------------------------------------------------------------ *)
+(* OLSR flat-array routes vs the Hashtbl/Queue oracle: one agent and one
+   Olsr_oracle receive the same HELLO/TC stream at random times, and after
+   every step each dst's next hop, the route_entries gauge and the MPR set
+   must agree exactly, as must every HELLO the agent's own timer emits.
+   Small id spaces make equal-length routes (the BFS tie-breaks) common;
+   [tick] steps deliver nothing, so they read the table computed at the
+   last control message after its entries may have expired.
+
+   Mutation drill (re-run whenever Olsr.recompute_routes or select_mprs
+   changes; last run with this change, --max-cases 200 --seed 7):
+   - reversing the ring's seed order in recompute_routes fails case 2 and
+     shrinks in 16 steps to nodes=5 me=0 steps=[+0.0 hello 4 [3s; 0];
+     +0.0 hello 1 me [3s]] (next_hop dst=3: agent 4, oracle 1);
+   - letting the last of equal-cover MPR candidates win ([cover >
+     !best_cover] -> [cover > 0 && cover >= !best_cover]) fails case 2,
+     shrunk in 19 steps to a two-HELLO case (MPR set [2], oracle [0]);
+   - recomputing on every next_hop (dropping the stale-table contract)
+     fails case 0, shrunk in 20 steps to a neighbour that expires at
+     t=6.00 with no control message since.
+   Reversing the adjacency prepend order ([dest :: adj.(x)] ->
+   [adj.(x) @ [dest]]) passes, and must: it is an equivalent mutant,
+   since order inside an adjacency list cannot move a next hop (see the
+   seed comment in Olsr.recompute_routes); the 100-node golden run is
+   byte-identical under it too. Restore and re-run green. *)
+
+type olsr_msg =
+  | O_hello of { origin : int; about_me : int; links : (int * bool) list }
+      (** [about_me]: 0 = we are not listed, 1 = listed, 2 = listed as MPR *)
+  | O_tc of { from : int; origin : int; ansn : int; advertised : int list }
+  | O_tick
+
+type olsr_case = {
+  onodes : int;
+  ome : int;
+  osteps : (int * olsr_msg) list;  (** (gap in half-seconds, message) *)
+}
+
+let olsr_gen =
+  Gen.bind
+    (Gen.frequency [ (4, Gen.int_range 3 8); (1, Gen.int_range 9 24) ])
+    (fun onodes ->
+      let id = Gen.int_range 0 (onodes - 1) in
+      Gen.bind id (fun ome ->
+          (* a radio never hears its own frames: HELLO senders and TC last
+             hops are the other nodes *)
+          let other =
+            Gen.map
+              (fun k -> if k >= ome then k + 1 else k)
+              (Gen.int_range 0 (onodes - 2))
+          in
+          let hello =
+            Gen.map
+              (fun (origin, about_me, links) ->
+                O_hello { origin; about_me; links })
+              (Gen.triple other (Gen.int_range 0 2)
+                 (Gen.list_size (Gen.int_range 0 5) (Gen.pair id Gen.bool)))
+          in
+          let tc =
+            Gen.map
+              (fun ((from, origin), ansn, advertised) ->
+                O_tc { from; origin; ansn; advertised })
+              (Gen.triple (Gen.pair other id) (Gen.int_range 0 3)
+                 (Gen.list_size (Gen.int_range 0 5) id))
+          in
+          let msg =
+            Gen.frequency [ (5, hello); (4, tc); (1, Gen.pure O_tick) ]
+          in
+          Gen.map
+            (fun osteps -> { onodes; ome; osteps })
+            (Gen.list_size (Gen.int_range 1 60)
+               (Gen.pair (Gen.int_range 0 6) msg))))
+
+let pp_semis pp =
+  Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ") pp
+
+let pp_olsr_ids = pp_semis Format.pp_print_int
+
+let olsr_print c =
+  asprintf "nodes=%d me=%d steps=[%a]" c.onodes c.ome
+    (pp_semis (fun ppf (gap, m) ->
+         Format.fprintf ppf "+%.1f " (0.5 *. float_of_int gap);
+         match m with
+         | O_hello { origin; about_me; links } ->
+             Format.fprintf ppf "hello %d%s [%a]" origin
+               (match about_me with 0 -> "" | 1 -> " me" | _ -> " me-mpr")
+               (pp_semis (fun ppf (id, sym) ->
+                    Format.fprintf ppf "%d%s" id (if sym then "s" else "")))
+               links
+         | O_tc { from; origin; ansn; advertised } ->
+             Format.fprintf ppf "tc %d<-%d#%d [%a]" origin from ansn
+               pp_olsr_ids advertised
+         | O_tick -> Format.pp_print_string ppf "tick"))
+    c.osteps
+
+let olsr_oracle_law c =
+  let module Olsr = Protocols.Olsr in
+  let engine = Des.Engine.create () in
+  let failure = ref None in
+  let fail fmt =
+    Printf.ksprintf
+      (fun msg ->
+        if !failure = None then
+          failure :=
+            Some (Printf.sprintf "t=%.2f: %s" (Des.Engine.now engine) msg))
+      fmt
+  in
+  let on_hello = ref (fun (_ : Olsr.hello) -> ()) in
+  let ctx =
+    {
+      Protocols.Routing_intf.id = c.ome;
+      node_count = c.onodes;
+      engine;
+      rng = Des.Rng.create 5L;
+      trace = Trace.null;
+      mac_send =
+        (fun frame ->
+          match frame.Wireless.Frame.payload with
+          | Olsr.Hello h -> !on_hello h
+          | _ -> ());
+      deliver = ignore;
+      drop_data = (fun _ ~reason:_ -> ());
+    }
+  in
+  let t, agent = Olsr.create_full ctx in
+  let oracle = Olsr_oracle.create ctx in
+  let compare_mprs () =
+    if Olsr.mprs t <> Olsr_oracle.mprs oracle then
+      fail "MPR set [%s], oracle [%s]"
+        (asprintf "%a" pp_olsr_ids (Olsr.mprs t))
+        (asprintf "%a" pp_olsr_ids (Olsr_oracle.mprs oracle))
+  in
+  (on_hello :=
+     fun h ->
+       let links = Olsr_oracle.hello_links oracle in
+       compare_mprs ();
+       if h.Olsr.h_links <> links then
+         fail "HELLO link list differs from the oracle's");
+  let opt = function None -> "none" | Some v -> string_of_int v in
+  let compare_state () =
+    let gauge () = (agent.Protocols.Routing_intf.gauges ()).route_entries in
+    if gauge () <> Olsr_oracle.route_entries oracle then
+      fail "stale route_entries %d, oracle %d" (gauge ())
+        (Olsr_oracle.route_entries oracle);
+    compare_mprs ();
+    (* -1 and onodes probe the out-of-range guard *)
+    for dst = -1 to c.onodes do
+      let got = Olsr.next_hop t ~dst and want = Olsr_oracle.next_hop oracle ~dst in
+      if got <> want then
+        fail "next_hop dst=%d: agent %s, oracle %s" dst (opt got) (opt want)
+    done;
+    if gauge () <> Olsr_oracle.route_entries oracle then
+      fail "route_entries %d, oracle %d" (gauge ())
+        (Olsr_oracle.route_entries oracle)
+  in
+  let deliver = function
+    | O_hello { origin; about_me; links } ->
+        let hello =
+          {
+            Olsr.h_origin = origin;
+            h_links =
+              (if about_me > 0 then [ (c.ome, true, about_me = 2) ] else [])
+              @ List.map (fun (id, sym) -> (id, sym, false)) links;
+          }
+        in
+        agent.receive ~src:origin
+          (Wireless.Frame.make ~src:origin ~dst:Wireless.Frame.Broadcast
+             ~size:20 ~payload:(Olsr.Hello hello));
+        Olsr_oracle.handle_hello oracle hello
+    | O_tc { from; origin; ansn; advertised } ->
+        let tc =
+          { Olsr.t_origin = origin; t_ansn = ansn; t_advertised = advertised }
+        in
+        agent.receive ~src:from
+          (Wireless.Frame.make ~src:from ~dst:Wireless.Frame.Broadcast
+             ~size:24 ~payload:(Olsr.Tc tc));
+        Olsr_oracle.handle_tc oracle tc
+    | O_tick -> ()
+  in
+  let horizon =
+    List.fold_left
+      (fun at (gap, m) ->
+        let at = at +. (0.5 *. float_of_int gap) in
+        ignore
+          (Des.Engine.schedule_at engine ~time:at (fun () ->
+               deliver m;
+               compare_state ()));
+        at)
+      0.0 c.osteps
+  in
+  Des.Engine.run engine ~until:(horizon +. 0.5);
+  match !failure with Some m -> Error m | None -> Ok ()
+
+let prop_olsr_oracle =
+  Runner.cell ~name:"olsr-routes-oracle" ~print:olsr_print olsr_gen
+    olsr_oracle_law
+
 let all =
   [
     prop_mediant;
@@ -1013,6 +1210,7 @@ let all =
     prop_heap_drain;
     prop_heap_fifo;
     prop_channel_grid;
+    prop_olsr_oracle;
   ]
   (* scenario workload models: mobility / traffic invariants *)
   @ Workload.props

@@ -48,13 +48,23 @@ type t = {
   ctx : Routing_intf.ctx;
   config : config;
   neighbors : (int, neighbor) Hashtbl.t;
-  (* (advertising originator = last hop, destination) -> expiry *)
+  (* (advertising originator = last hop, destination) -> expiry. Never
+     purged: expired entries are skipped, not removed. Its iteration order
+     only orders adjacency lists, which cannot move a next hop (see
+     [recompute_routes]), so a purge should be output-neutral; it still
+     changes what every OLSR run allocates and must be re-pinned against
+     the goldens on its own. *)
   topology : (int * int, topo_edge) Hashtbl.t;
   seen_tc : Seen_cache.t;
   mutable mpr_set : int list;
   mutable ansn : int;
   mutable route_dirty : bool;
-  mutable routes : (int, int) Hashtbl.t;  (** dst -> next hop *)
+  (* flat arrays indexed by node id, [||] until [ensure_arrays] *)
+  mutable routes : int array;  (** dst -> next hop, [-1] = no route *)
+  mutable route_count : int;  (** entries of [routes] that are set *)
+  mutable adj : int list array;  (** BFS adjacency; empty between BFSs *)
+  mutable ring : int array;  (** BFS queue *)
+  mutable mark : int array;  (** MPR selection: see [m_sym] and friends *)
 }
 
 let now t = Des.Engine.now t.ctx.Routing_intf.engine
@@ -67,45 +77,81 @@ let sym_neighbors t =
 
 let mprs t = t.mpr_set
 
+(* Allocate the flat arrays on first use rather than in [create_full]: a
+   world build creates every agent, and touching four fresh arrays each
+   shows in set-up time. *)
+let ensure_arrays t =
+  if Array.length t.routes = 0 then begin
+    let n = t.ctx.Routing_intf.node_count in
+    t.routes <- Array.make n (-1);
+    t.adj <- Array.make n [];
+    t.ring <- Array.make n 0;
+    t.mark <- Array.make n 0
+  end
+
+(* MPR selection marks; 0 is any other id *)
+let m_sym = 1
+let m_uncovered = 2
+let m_mpr = 3
+
+let rec count_uncovered mark acc = function
+  | [] -> acc
+  | h :: rest ->
+      count_uncovered mark (if mark.(h) = m_uncovered then acc + 1 else acc) rest
+
 (* Greedy MPR selection: cover every strict 2-hop neighbour with the fewest
-   1-hop symmetric neighbours, preferring the ones covering the most. *)
+   1-hop symmetric neighbours, preferring the ones covering the most. Ties
+   go to the earliest candidate in [Hashtbl.fold] order, and a two-hop node
+   listed twice counts twice. *)
 let select_mprs t =
+  ensure_arrays t;
+  let mark = t.mark in
+  Array.fill mark 0 (Array.length mark) 0;
   let time = now t in
   let me = t.ctx.Routing_intf.id in
   let nbrs =
     Hashtbl.fold
-      (fun id n acc -> if n.sym && n.expiry > time then (id, n) :: acc else acc)
+      (fun id nb acc ->
+        if nb.sym && nb.expiry > time then (id, nb) :: acc else acc)
       t.neighbors []
   in
-  let nbr_ids = List.map fst nbrs in
-  let uncovered = Hashtbl.create 16 in
+  List.iter (fun (id, _) -> mark.(id) <- m_sym) nbrs;
+  let uncovered = ref 0 in
   List.iter
-    (fun (_, n) ->
+    (fun (_, nb) ->
       List.iter
         (fun h ->
-          if h <> me && not (List.mem h nbr_ids) then
-            Hashtbl.replace uncovered h ())
-        n.two_hop)
+          if h <> me && mark.(h) = 0 then begin
+            mark.(h) <- m_uncovered;
+            incr uncovered
+          end)
+        nb.two_hop)
     nbrs;
   let mpr = ref [] in
-  while Hashtbl.length uncovered > 0 do
-    let best = ref None in
+  while !uncovered > 0 do
+    (* some unchosen neighbour covers each uncovered node, so [best] is
+       always found *)
+    let best = ref (-1) and best_cover = ref 0 and best_hops = ref [] in
     List.iter
-      (fun (id, n) ->
-        if not (List.mem id !mpr) then begin
-          let cover =
-            List.length (List.filter (Hashtbl.mem uncovered) n.two_hop)
-          in
-          match !best with
-          | Some (_, c) when c >= cover -> ()
-          | _ -> if cover > 0 then best := Some ((id, n), cover)
+      (fun (id, nb) ->
+        if mark.(id) <> m_mpr then begin
+          let cover = count_uncovered mark 0 nb.two_hop in
+          if cover > !best_cover then begin
+            best := id;
+            best_cover := cover;
+            best_hops := nb.two_hop
+          end
         end)
       nbrs;
-    match !best with
-    | None -> Hashtbl.reset uncovered
-    | Some ((id, n), _) ->
-        mpr := id :: !mpr;
-        List.iter (Hashtbl.remove uncovered) n.two_hop
+    mpr := !best :: !mpr;
+    mark.(!best) <- m_mpr;
+    List.iter
+      (fun h ->
+        if mark.(h) = m_uncovered then begin
+          mark.(h) <- 0;
+          decr uncovered
+        end)
+      !best_hops
   done;
   t.mpr_set <- !mpr
 
@@ -113,47 +159,64 @@ let select_mprs t =
 (* Routing table: BFS over symmetric links + learned topology edges     *)
 
 let recompute_routes t =
+  ensure_arrays t;
+  let routes = t.routes and adj = t.adj and ring = t.ring in
+  let n = Array.length routes in
+  Array.fill routes 0 n (-1);
   let time = now t in
-  let routes = Hashtbl.create 32 in
-  let queue = Queue.create () in
-  List.iter
-    (fun n ->
-      Hashtbl.replace routes n n;
-      Queue.add n queue)
-    (sym_neighbors t);
+  let me = t.ctx.Routing_intf.id in
   (* adjacency from TC entries (last_hop -> destinations) plus the two-hop
      neighbourhood learned from HELLOs *)
-  let adj = Hashtbl.create 64 in
-  let add_edge from dest =
-    Hashtbl.replace adj from
-      (dest :: Option.value ~default:[] (Hashtbl.find_opt adj from))
-  in
   Hashtbl.iter
     (fun (last_hop, dest) edge ->
-      if edge.t_expiry > time then add_edge last_hop dest)
+      if edge.t_expiry > time then adj.(last_hop) <- dest :: adj.(last_hop))
     t.topology;
+  (* Symmetric neighbours seed the queue in [sym_neighbors] order, the
+     reverse of iteration order: fill the ring backwards from its end. This
+     order is the only tie-break: children inherit their parent's first
+     hop and enter the queue together, so every BFS level stays sorted by
+     seed rank and a node's first hop is the earliest seed among its
+     shortest paths, whatever the order inside an adjacency list. *)
+  let start = ref n in
   Hashtbl.iter
-    (fun id n ->
-      if n.sym && n.expiry > time then List.iter (add_edge id) n.two_hop)
+    (fun id nb ->
+      if nb.sym && nb.expiry > time then begin
+        decr start;
+        ring.(!start) <- id;
+        routes.(id) <- id;
+        List.iter (fun h -> adj.(id) <- h :: adj.(id)) nb.two_hop
+      end)
     t.neighbors;
-  while not (Queue.is_empty queue) do
-    let node = Queue.pop queue in
-    let via = Hashtbl.find routes node in
+  (* every id enters the ring at most once, so [n] slots never overrun *)
+  let start = !start in
+  let slot i = if start + i >= n then start + i - n else start + i in
+  let pushed = ref (n - start) and popped = ref 0 in
+  while !popped < !pushed do
+    let node = ring.(slot !popped) in
+    incr popped;
+    let via = routes.(node) in
     List.iter
       (fun dest ->
-        if dest <> t.ctx.Routing_intf.id && not (Hashtbl.mem routes dest)
-        then begin
-          Hashtbl.replace routes dest via;
-          Queue.add dest queue
+        if dest <> me && routes.(dest) < 0 then begin
+          routes.(dest) <- via;
+          ring.(slot !pushed) <- dest;
+          incr pushed
         end)
-      (Option.value ~default:[] (Hashtbl.find_opt adj node))
+      adj.(node)
   done;
-  t.routes <- routes;
+  (* drop the lists now so a minor GC never promotes them *)
+  Array.fill adj 0 n [];
+  t.route_count <- !pushed;
   t.route_dirty <- false
 
+(* Recomputes only after a HELLO or a new TC: between control messages the
+   last table is served even once entries in it expire. *)
 let next_hop t ~dst =
   if t.route_dirty then recompute_routes t;
-  Hashtbl.find_opt t.routes dst
+  if dst < 0 || dst >= Array.length t.routes then None
+  else
+    let hop = t.routes.(dst) in
+    if hop < 0 then None else Some hop
 
 (* ------------------------------------------------------------------ *)
 (* Control traffic                                                     *)
@@ -166,7 +229,7 @@ let send_hello t =
   let links =
     Hashtbl.fold
       (fun id n acc ->
-        if n.expiry > time then (id, n.sym, List.mem id t.mpr_set) :: acc
+        if n.expiry > time then (id, n.sym, t.mark.(id) = m_mpr) :: acc
         else acc)
       t.neighbors []
   in
@@ -229,7 +292,7 @@ let handle_hello t hello =
       n.selected_us <- is_mpr
   | None ->
       (* asymmetric (it does not list us yet) *)
-      n.sym <- n.sym && false);
+      n.sym <- false);
   n.two_hop <-
     List.filter_map
       (fun (id, sym, _) -> if sym && id <> me then Some id else None)
@@ -345,7 +408,11 @@ let create_full ?(config = default_config) ctx =
       mpr_set = [];
       ansn = 0;
       route_dirty = true;
-      routes = Hashtbl.create 32;
+      routes = [||];
+      route_count = 0;
+      adj = [||];
+      ring = [||];
+      mark = [||];
     }
   in
   (* desynchronise the very first beacons across nodes *)
@@ -373,7 +440,7 @@ let create_full ?(config = default_config) ctx =
           (* last computed table; recomputing here would hide staleness *)
           {
             Routing_intf.no_gauges with
-            Routing_intf.route_entries = Hashtbl.length t.routes;
+            Routing_intf.route_entries = t.route_count;
           });
     } )
 

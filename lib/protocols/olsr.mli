@@ -49,4 +49,9 @@ val sym_neighbors : t -> int list
 (** Current MPR set. *)
 val mprs : t -> int list
 
+(** The route table is recomputed only after a HELLO or a new TC; between
+    control messages the last table is served, even past its entries'
+    expiry. [None] for any [dst] without a route, including the agent's
+    own id and ids outside [\[0, ctx.node_count)]. Node ids carried by
+    HELLO/TC messages must lie in that range. *)
 val next_hop : t -> dst:int -> int option

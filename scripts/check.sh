@@ -57,6 +57,12 @@ dune exec bin/manet_sim.exe -- campaign --nodes 20 --duration 10 \
   > "$tmp/campaign_j4.txt" 2> /dev/null
 cmp "$tmp/campaign_j4.json" scripts/golden/campaign_default.json
 cmp "$tmp/campaign_j4.txt" scripts/golden/campaign_default.txt
+# ... and a dense OLSR world (100 nodes, 60 s), where equal-length routes
+# are common and the BFS tie-break decides every data hop, must reproduce
+# its committed golden stdout byte for byte
+dune exec bin/manet_sim.exe -- run --protocol olsr --nodes 100 --duration 60 \
+  --seed 3 > "$tmp/run_olsr100.txt" 2> /dev/null
+cmp "$tmp/run_olsr100.txt" scripts/golden/run_olsr100.txt
 for set in farey bigfrac lex; do
   dune exec bin/manet_sim.exe -- campaign --nodes 20 --duration 10 \
     --trials 1 --flows 3 --quiet -j 2 --labels "$set" \

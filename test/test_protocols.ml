@@ -947,6 +947,42 @@ let test_olsr_neighbor_expiry () =
   agent.RI.receive ~src:2 (hello ~origin:2 [ (9, true, false) ]);
   Alcotest.(check (option int)) "route gone" None (Olsr.next_hop t ~dst:10)
 
+(* The stale-table contract: routes are recomputed only after a HELLO or a
+   new TC, so between control messages the last table is served even once
+   the neighbour it goes through has expired. *)
+let test_olsr_stale_table () =
+  let h = harness () in
+  let t, agent = Olsr.create_full h.ctx in
+  agent.RI.receive ~src:1
+    (hello ~origin:1 [ (0, true, false); (10, true, false) ]);
+  Alcotest.(check (option int)) "route up" (Some 1) (Olsr.next_hop t ~dst:10);
+  Des.Engine.run h.engine ~until:7.0;
+  Alcotest.(check (list int)) "neighbour expired" [] (Olsr.sym_neighbors t);
+  Alcotest.(check (option int)) "stale route still served" (Some 1)
+    (Olsr.next_hop t ~dst:10);
+  Alcotest.(check int) "stale table size" 2
+    (agent.RI.gauges ()).RI.route_entries;
+  agent.RI.receive ~src:2 (hello ~origin:2 [ (9, true, false) ]);
+  Alcotest.(check (option int)) "next HELLO drops it" None
+    (Olsr.next_hop t ~dst:10);
+  Alcotest.(check int) "table emptied" 0 (agent.RI.gauges ()).RI.route_entries
+
+let test_olsr_next_hop_bounds () =
+  let h = harness ~id:3 () in
+  let t, agent = Olsr.create_full h.ctx in
+  let none label dst =
+    Alcotest.(check (option int)) label None (Olsr.next_hop t ~dst)
+  in
+  none "own id, no table yet" 3;
+  none "node_count, no table yet" 16;
+  agent.RI.receive ~src:1
+    (hello ~origin:1 [ (3, true, false); (10, true, false) ]);
+  Alcotest.(check (option int)) "route up" (Some 1) (Olsr.next_hop t ~dst:10);
+  none "own id" 3;
+  none "node_count" 16;
+  none "far above node_count" 1000;
+  none "negative id" (-1)
+
 let test_ldr_request_strengthening () =
   let h = harness ~id:7 () in
   let _, agent = Ldr.create_full h.ctx in
@@ -1152,6 +1188,10 @@ let () =
             test_dsr_ignores_looping_rreq;
           Alcotest.test_case "OLSR neighbour expiry" `Quick
             test_olsr_neighbor_expiry;
+          Alcotest.test_case "OLSR stale table until next control message"
+            `Quick test_olsr_stale_table;
+          Alcotest.test_case "OLSR next_hop for own and out-of-range ids"
+            `Quick test_olsr_next_hop_bounds;
           Alcotest.test_case "LDR request strengthening" `Quick
             test_ldr_request_strengthening;
         ] );
