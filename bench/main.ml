@@ -276,6 +276,32 @@ let micro_channel () =
              Wireless.Grid.rebuild g ~now:!rebuild_now));
     ]
 
+(* Trace encoding (E13): one record into a JSONL sink on the null
+   device, so the cost is the encoder plus one buffered write. A record at
+   the previous record's time reuses the sink's rendering of it; a fresh
+   time is printed anew. *)
+let micro_trace () =
+  let open Bechamel in
+  let oc = open_out_bin Filename.null in
+  let now = ref 37.25 in
+  let t = Trace.jsonl ~clock:(fun () -> !now) oc in
+  Format.printf "@.=== micro: trace encoding (E7, E13) ===@.";
+  run_micro_tests
+    [
+      Test.make ~name:"ctl-rx, repeated t"
+        (Staged.stage (fun () -> Trace.ctl_rx t ~node:17 ~kind:"rreq" ~from:42));
+      Test.make ~name:"ctl-rx, fresh t"
+        (Staged.stage (fun () ->
+             now := !now +. 7.3e-6;
+             Trace.ctl_rx t ~node:17 ~kind:"rreq" ~from:42));
+      Test.make ~name:"mac-collision"
+        (Staged.stage (fun () -> Trace.mac_collision t ~node:17));
+      Test.make ~name:"Json.float_str"
+        (Staged.stage (fun () -> ignore (J.float_str 37.2512345678)));
+    ];
+  Trace.close t;
+  close_out oc
+
 (* ------------------------------------------------------------------ *)
 (* Ablations (E8) *)
 
@@ -673,7 +699,8 @@ let () =
   end;
   if wants opts "micro" then begin
     micro_labels ();
-    micro_channel ()
+    micro_channel ();
+    micro_trace ()
   end;
   if wants opts "ablation" then begin
     ablation_farey ();

@@ -7,28 +7,35 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
+(* The C primitive that Printf's %g and %f conversions end in: the same
+   bytes, without interpreting a format string on every call. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let float_str f =
   match Float.classify_float f with
   | FP_nan | FP_infinite -> "null"
   | _ ->
-      if Float.is_integer f && Float.abs f < 1e15 then
-        Printf.sprintf "%.1f" f
-      else Printf.sprintf "%.12g" f
+      if Float.is_integer f && Float.abs f < 1e15 then format_float "%.1f" f
+      else format_float "%.12g" f
+
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
 
 let escape_to buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  if not (String.exists needs_escape s) then Buffer.add_string buf s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
   Buffer.add_char buf '"'
 
 let rec to_buffer buf = function
@@ -48,13 +55,16 @@ let rec to_buffer buf = function
   | Obj members ->
       Buffer.add_char buf '{';
       List.iteri
-        (fun i (key, value) ->
+        (fun i member ->
           if i > 0 then Buffer.add_char buf ',';
-          escape_to buf key;
-          Buffer.add_char buf ':';
-          to_buffer buf value)
+          member_to buf member)
         members;
       Buffer.add_char buf '}'
+
+and member_to buf (key, value) =
+  escape_to buf key;
+  Buffer.add_char buf ':';
+  to_buffer buf value
 
 let to_string json =
   let buf = Buffer.create 256 in

@@ -15,11 +15,16 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-(** Canonical float rendering: integral values as ["%.1f"], everything
-    else as ["%.12g"]; non-finite values encode as [null]. *)
+(** Canonical float rendering: integral values below 1e15 in magnitude
+    as ["%.1f"], everything else as ["%.12g"] (so [1e15] is ["1e+15"]);
+    non-finite values encode as [null]. *)
 val float_str : float -> string
 
 val to_buffer : Buffer.t -> t -> unit
+
+(** [member_to buf (key, value)] writes one object member, ["key":value],
+    exactly as {!to_buffer} writes it inside an [Obj]. *)
+val member_to : Buffer.t -> string * t -> unit
 
 val to_string : t -> string
 

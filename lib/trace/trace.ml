@@ -50,10 +50,21 @@ type ring_state = {
   mutable filled : bool;
 }
 
+type jsonl_state = {
+  oc : out_channel;
+  scratch : Buffer.t;
+  (* a one-entry memo of the last timestamp's rendering: most records
+     carry the same time as the one before (one event emits several). It
+     is keyed on the float's bits, because 0.0 and -0.0 are equal but
+     print differently; it starts at (nan, "null"), a true entry. *)
+  mutable last_time : float;
+  mutable last_time_str : string;
+}
+
 type sink =
   | Null
   | Ring of ring_state
-  | Jsonl of { oc : out_channel; scratch : Buffer.t }
+  | Jsonl of jsonl_state
   | Callback of (record -> unit)
 
 type t = { sink : sink; mutable clock : unit -> float }
@@ -78,7 +89,17 @@ let jsonl ~clock oc =
      still leave a valid JSONL prefix: flush whatever was emitted. The
      channel may already be closed by then — that flush failure is fine. *)
   at_exit (fun () -> try flush oc with Sys_error _ -> ());
-  { sink = Jsonl { oc; scratch = Buffer.create 256 }; clock }
+  {
+    sink =
+      Jsonl
+        {
+          oc;
+          scratch = Buffer.create 256;
+          last_time = Float.nan;
+          last_time_str = Json.float_str Float.nan;
+        };
+    clock;
+  }
 
 let callback ~clock f = { sink = Callback f; clock }
 
@@ -155,6 +176,30 @@ let record_to_json { time; node; ev } =
     :: ("ev", Json.String name)
     :: fields)
 
+(* The bytes of [Json.to_string (record_to_json r)], written straight into
+   the scratch buffer without building the tree. *)
+let jsonl_to_scratch s { time; node; ev } =
+  let buf = s.scratch in
+  if Int64.bits_of_float time <> Int64.bits_of_float s.last_time then begin
+    s.last_time <- time;
+    s.last_time_str <- Json.float_str time
+  end;
+  Buffer.add_string buf "{\"t\":";
+  Buffer.add_string buf s.last_time_str;
+  Buffer.add_string buf ",\"node\":";
+  Buffer.add_string buf (string_of_int node);
+  let name, fields = ev_fields ev in
+  (* kind names are plain literals: nothing to escape *)
+  Buffer.add_string buf ",\"ev\":\"";
+  Buffer.add_string buf name;
+  Buffer.add_char buf '"';
+  List.iter
+    (fun member ->
+      Buffer.add_char buf ',';
+      Json.member_to buf member)
+    fields;
+  Buffer.add_char buf '}'
+
 (* --prof: time spent writing trace records, and JSONL record sizes *)
 let span_sink = Obs.span "trace.sink"
 let jsonl_record_bytes = Obs.histogram "trace.jsonl_record_bytes"
@@ -169,12 +214,12 @@ let push_body sink r =
         ring.next <- 0;
         ring.filled <- true
       end
-  | Jsonl { oc; scratch } ->
-      Buffer.clear scratch;
-      Json.to_buffer scratch (record_to_json r);
-      Buffer.add_char scratch '\n';
-      Obs.observe jsonl_record_bytes (Buffer.length scratch);
-      Buffer.output_buffer oc scratch
+  | Jsonl s ->
+      Buffer.clear s.scratch;
+      jsonl_to_scratch s r;
+      Buffer.add_char s.scratch '\n';
+      Obs.observe jsonl_record_bytes (Buffer.length s.scratch);
+      Buffer.output_buffer s.oc s.scratch
   | Callback f -> f r
 
 let push sink r =

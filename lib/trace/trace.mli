@@ -97,6 +97,9 @@ val ring_contents : t -> record list
 (** Flush buffered output (JSONL sink); no-op otherwise. *)
 val close : t -> unit
 
+(** The JSON tree of one record. A JSONL sink writes exactly
+    [Json.to_string (record_to_json r)] as each line, without building
+    the tree. *)
 val record_to_json : record -> Json.t
 
 (** One emission helper per event shape; all are no-ops when disabled. *)

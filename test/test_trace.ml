@@ -42,7 +42,32 @@ let test_json_float_format () =
   Alcotest.(check string) "negative zero" "-0.0" (J.float_str (-0.0));
   Alcotest.(check string) "nan is null" "null" (J.float_str Float.nan);
   Alcotest.(check string) "inf is null" "null" (J.float_str Float.infinity);
-  Alcotest.(check string) "short decimal" "0.25" (J.float_str 0.25)
+  Alcotest.(check string) "short decimal" "0.25" (J.float_str 0.25);
+  (* what Printf's %.1f / %.12g print, not string_of_float, which would
+     append a dot ("123456789012.") *)
+  List.iter
+    (fun (f, expected) ->
+      Alcotest.(check string) (Printf.sprintf "%h" f) expected (J.float_str f))
+    [
+      (123456789012.4, Printf.sprintf "%.12g" 123456789012.4);
+      (1234567.000001, Printf.sprintf "%.12g" 1234567.000001);
+      (1e15, Printf.sprintf "%.12g" 1e15);
+      (999999999999999.0, Printf.sprintf "%.1f" 999999999999999.0);
+      (5e-324, Printf.sprintf "%.12g" 5e-324);
+      (1e-7, Printf.sprintf "%.12g" 1e-7);
+      (-2.5, Printf.sprintf "%.12g" (-2.5));
+    ];
+  Alcotest.(check string) "1e15 leaves %.1f" "1e+15" (J.float_str 1e15)
+
+let test_json_string_escapes () =
+  let enc s = J.to_string (J.String s) in
+  Alcotest.(check string) "every control character, quote and backslash"
+    "\"\\u0000\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007\\u0008\\t\\n\\u000b\\u000c\\r\\u000e\\u000f\\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017\\u0018\\u0019\\u001a\\u001b\\u001c\\u001d\\u001e\\u001f\\\"\\\\\""
+    (enc (String.init 32 Char.chr ^ "\"\\"));
+  Alcotest.(check string) "nothing to escape: bytes copied"
+    "\"rreq caf\xc3\xa9 \x7f /\"" (enc "rreq caf\xc3\xa9 \x7f /");
+  Alcotest.(check string) "escapes amid plain bytes" "\"a\\\"b\\nc\""
+    (enc "a\"b\nc")
 
 let test_json_roundtrip () =
   let j =
@@ -249,6 +274,46 @@ let test_trace_has_lifecycle_events () =
       "pkt-deliver"; "ctl-tx"; "ctl-rx"; "route-add"; "mac-backoff"; "gauge";
     ]
 
+(* The bytes themselves, not only their repeatability: an encoder change
+   that moves a single byte of the JSONL must fail here. SRP under the
+   hostile fault plan with the sampler armed, so the pinned stream holds
+   every family of record. Gauge records report process-wide counters
+   (journal lines, supervisor retries and quarantines), so this case is
+   registered ahead of the journal group, while they are still zero. *)
+let pinned_trace_digest = "c8a0f8bcfad348c0a45efde51ebda3c1"
+
+let test_trace_bytes_pinned () =
+  Alcotest.(check (list int))
+    "process-wide gauge counters untouched" [ 0; 0; 0 ]
+    [
+      Trace.Journal.lines_flushed ();
+      Sim.Supervisor.retries_total ();
+      Sim.Supervisor.quarantined_total ();
+    ];
+  let hostile = Option.get (Sim.Scenario.find "hostile") in
+  let config = Sim.Scenario.apply hostile (quick_config C.Srp) in
+  let _, bytes = jsonl_of_run config in
+  let kinds =
+    List.filter_map
+      (fun line ->
+        match J.parse line with
+        | Ok json -> (
+            match J.member "ev" json with
+            | Some (J.String ev) -> Some ev
+            | _ -> None)
+        | Error msg -> Alcotest.fail (line ^ ": " ^ msg))
+      (String.split_on_char '\n' (String.trim bytes))
+  in
+  let has prefix =
+    List.exists (String.starts_with ~prefix) kinds
+  in
+  List.iter
+    (fun prefix ->
+      Alcotest.(check bool) (prefix ^ " present") true (has prefix))
+    [ "fault"; "gauge"; "label-split"; "pkt-"; "ctl-"; "route-"; "mac-" ];
+  Alcotest.(check string) "JSONL digest" pinned_trace_digest
+    (Digest.to_hex (Digest.string bytes))
+
 (* ------------------------------------------------------------------ *)
 (* JSON export of results *)
 
@@ -282,6 +347,7 @@ let () =
         [
           Alcotest.test_case "encode" `Quick test_json_encode;
           Alcotest.test_case "float format" `Quick test_json_float_format;
+          Alcotest.test_case "string escapes" `Quick test_json_string_escapes;
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "parse errors" `Quick test_json_parse_errors;
           Alcotest.test_case "path" `Quick test_json_path;
@@ -290,6 +356,8 @@ let () =
         [
           Alcotest.test_case "ring keeps last" `Quick test_ring_keeps_last;
           Alcotest.test_case "null disabled" `Quick test_null_is_disabled;
+          Alcotest.test_case "pinned JSONL bytes" `Slow
+            test_trace_bytes_pinned;
         ] );
       ( "journal",
         [
