@@ -6,7 +6,10 @@
    Run with: dune exec examples/multipath_insertion.exe *)
 
 module F = Slr.Fraction
-module Net = Slr.Simple_net.Make (Slr.Ordinal.Bounded_fraction)
+module L = Slr.Label
+module Net = Slr.Simple_net
+
+let labels = (module L.Mediant : L.S)
 
 (* Part 1: splice fresh relays into a live path, one per round. The path
    endpoint labels never change; each newcomer squeezes strictly between
@@ -16,12 +19,12 @@ let insertion_demo () =
   let rounds = 8 in
   let nodes = rounds + 3 in
   (* 0 = destination T, 1 = first relay A, 2 = endpoint Q, 3.. = splices *)
-  let net = Net.create ~nodes ~dest:0 in
+  let net = Net.create ~labels ~nodes ~dest:0 in
   Net.add_link net 0 1;
   Net.add_link net 1 2;
   (match Net.request net ~src:2 with Net.Routed _ -> () | _ -> assert false);
-  Format.printf "initial chain: Q=%a -> A=%a -> T=%a@." F.pp (Net.label net 2)
-    F.pp (Net.label net 1) F.pp (Net.label net 0);
+  Format.printf "initial chain: Q=%a -> A=%a -> T=%a@." L.pp (Net.label net 2)
+    L.pp (Net.label net 1) L.pp (Net.label net 0);
   let q_before = Net.label net 2 in
   let current_successor = ref 1 in
   for round = 0 to rounds - 1 do
@@ -37,24 +40,26 @@ let insertion_demo () =
     | Ok () -> ()
     | Error e -> failwith e);
     Format.printf "round %d: new relay gets label %a (Q still %a, A still %a)@."
-      (round + 1) F.pp (Net.label net k) F.pp (Net.label net 2) F.pp
+      (round + 1) L.pp (Net.label net k) L.pp (Net.label net 2) L.pp
       (Net.label net 1);
     current_successor := k
   done;
-  assert (F.equal q_before (Net.label net 2));
-  Format.printf "Q's label never moved: %a.@.@." F.pp (Net.label net 2)
+  assert (L.equal q_before (Net.label net 2));
+  Format.printf "Q's label never moved: %a.@.@." L.pp (Net.label net 2)
 
 (* Part 2: multipath. Give Q two disjoint feasible successors; both stay in
    its successor set, per §II "SLR inherently provides multiple paths". *)
 let multipath_demo () =
   Format.printf "=== multipath successor sets ===@.";
   (* 0 = T, 1 = P1, 2 = P2, 3 = Q;  T-P1, T-P2, Q adjacent to both *)
-  let net = Net.create ~nodes:4 ~dest:0 in
+  let net = Net.create ~labels ~nodes:4 ~dest:0 in
   Net.add_link net 0 1;
   Net.add_link net 0 2;
   Net.add_link net 1 3;
   (match Net.request net ~src:3 with Net.Routed _ -> () | _ -> assert false);
-  (* now bring up the second path and route once more *)
+  (* now bring up the second path and route once more; P2 relabels with
+     Q's 2/3 as the cached minimum, so Algorithm 1 line 7 splits 0/1 and
+     2/3 into 2/4 *)
   Net.break_link net 1 3;
   Net.add_link net 2 3;
   (match Net.request net ~src:3 with Net.Routed _ -> () | _ -> assert false);
@@ -64,7 +69,8 @@ let multipath_demo () =
   Format.printf "Q's successor set: %s@."
     (String.concat ", "
        (List.map
-          (fun (i, l) -> Format.asprintf "node %d with label %a" i F.pp l)
+          (fun (i, o) ->
+            Format.asprintf "node %d with label %a" i L.pp o.Slr.Ordering.label)
           succs));
   Format.printf "losing either successor leaves a working route — no new \
                  route computation needed.@.@."

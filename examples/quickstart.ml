@@ -4,7 +4,7 @@
 
    Run with: dune exec examples/quickstart.exe *)
 
-module Net = Slr.Simple_net.Make (Slr.Ordinal.Bounded_fraction)
+module Net = Slr.Simple_net
 
 (* Node numbering used throughout: T=0 A=1 B=2 C=3 D=4 E=5 F=6 G=7 H=8 *)
 let name = [| "T"; "A"; "B"; "C"; "D"; "E"; "F"; "G"; "H" |]
@@ -12,14 +12,18 @@ let name = [| "T"; "A"; "B"; "C"; "D"; "E"; "F"; "G"; "H" |]
 let print_labels net ids =
   List.iter
     (fun i ->
-      Format.printf "  %s: %a%s@." name.(i) Slr.Fraction.pp (Net.label net i)
+      Format.printf "  %s: %a%s@." name.(i) Slr.Label.pp (Net.label net i)
         (if Net.has_route net i then "" else "  (no route)"))
     ids
+
+let labels = (module Slr.Label.Mediant : Slr.Label.S)
+
+let frac num den = Slr.Label.Frac (Slr.Fraction.make ~num ~den)
 
 let () =
   Format.printf "=== Example 1 (Fig. 1): initial labeling of a line ===@.";
   (* T - A - B - C - D - E *)
-  let net = Net.create ~nodes:9 ~dest:0 in
+  let net = Net.create ~labels ~nodes:9 ~dest:0 in
   List.iter
     (fun (a, b) -> Net.add_link net a b)
     [ (0, 1); (1, 2); (2, 3); (3, 4); (4, 5) ];
@@ -39,7 +43,7 @@ let () =
   Format.printf "@.=== Example 2 (Fig. 2): inserting nodes F, G, H ===@.";
   (* F, G, H once knew routes to T, so they carry labels but no successors.
      The paper gives them labels 2/3, 2/3 and 3/4. *)
-  let net2 = Net.create ~nodes:9 ~dest:0 in
+  let net2 = Net.create ~labels ~nodes:9 ~dest:0 in
   List.iter
     (fun (a, b) -> Net.add_link net2 a b)
     [ (0, 1); (1, 2); (2, 6); (6, 7); (7, 8) ];
@@ -49,9 +53,9 @@ let () =
   | _ -> assert false);
   (* F, G and H "once knew a route to T, so they have node labels" —
      seed the stale labels Fig. 2 starts from *)
-  Net.seed_label net2 6 (Slr.Fraction.make ~num:2 ~den:3);
-  Net.seed_label net2 7 (Slr.Fraction.make ~num:2 ~den:3);
-  Net.seed_label net2 8 (Slr.Fraction.make ~num:3 ~den:4);
+  Net.seed_label net2 6 (frac 2 3);
+  Net.seed_label net2 7 (frac 2 3);
+  Net.seed_label net2 8 (frac 3 4);
   Format.printf "stale labels before H's request:@.";
   print_labels net2 [ 8; 7; 6; 2; 1; 0 ];
   (match Net.request net2 ~src:8 with

@@ -380,10 +380,10 @@ let abstract_print c =
        Topo.pp_op)
     c.ops
 
-let abstract_law (type l) (module L : Slr.Ordinal.S with type t = l)
-    ~exhaustion_ok c =
-  let module Net = Slr.Simple_net.Make (L) in
-  let net = Net.create ~nodes:c.graph.Topo.nodes ~dest:c.dest in
+module Net = Slr.Simple_net
+
+let abstract_law labels ~exhaustion_ok c =
+  let net = Net.create ~labels ~nodes:c.graph.Topo.nodes ~dest:c.dest in
   List.iter (fun (a, b) -> Net.add_link net a b) c.graph.Topo.edges;
   let step i op =
     (match op with
@@ -415,15 +415,22 @@ let abstract_law (type l) (module L : Slr.Ordinal.S with type t = l)
   in
   run 0 c.ops
 
-let prop_abstract_bounded =
-  Runner.cell ~cost:2 ~name:"abstract-loop-freedom" ~print:abstract_print
-    abstract_gen
-    (abstract_law (module Slr.Ordinal.Bounded_fraction) ~exhaustion_ok:true)
-
-let prop_abstract_unbounded =
-  Runner.cell ~cost:2 ~name:"abstract-loop-freedom-unbounded"
+(* One cell per registered label set. The bounded sets may run out of
+   labels (SRP answers with a sequence-number reset); the dense ones must
+   not. The mediant and bigfrac cells keep their original names, and with
+   them their fixed-seed case streams. *)
+let prop_abstract id =
+  let suffix, exhaustion_ok =
+    match id with
+    | Slr.Label_set.Mediant -> ("", true)
+    | Slr.Label_set.Farey -> ("-farey", true)
+    | Slr.Label_set.Bigfrac -> ("-unbounded", false)
+    | Slr.Label_set.Lex -> ("-lex", false)
+  in
+  Runner.cell ~cost:2
+    ~name:("abstract-loop-freedom" ^ suffix)
     ~print:abstract_print abstract_gen
-    (abstract_law (module Slr.Ordinal.Unbounded_fraction) ~exhaustion_ok:false)
+    (abstract_law (Slr.Label_set.instance id) ~exhaustion_ok)
 
 (* ------------------------------------------------------------------ *)
 (* Protocol caches under randomized clocks. Times are multiples of 0.25 s
@@ -1463,16 +1470,17 @@ let all =
     prop_neworder_bigfrac;
     prop_neworder_lex;
     prop_neworder_agreement;
-    prop_abstract_bounded;
-    prop_abstract_unbounded;
-    prop_seen_cache;
-    prop_pending;
-    prop_wire_model;
-    prop_heap_drain;
-    prop_heap_fifo;
-    prop_channel_grid;
-    prop_olsr_oracle;
-    prop_jsonl_encoder;
   ]
+  @ List.map prop_abstract Slr.Label_set.all
+  @ [
+      prop_seen_cache;
+      prop_pending;
+      prop_wire_model;
+      prop_heap_drain;
+      prop_heap_fifo;
+      prop_channel_grid;
+      prop_olsr_oracle;
+      prop_jsonl_encoder;
+    ]
   (* scenario workload models: mobility / traffic invariants *)
   @ Workload.props

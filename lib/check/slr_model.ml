@@ -8,13 +8,10 @@ type snapshot = {
   succs : (int * Slr.Ordering.t) list;
 }
 
-(* Per destination we mirror each node's last reported ordering and
-   successor id set; the orderings drive the monotonicity check, the id
-   sets the global acyclicity check. *)
-type dst_state = {
-  orders : Ordering.t option array;  (** last finite-world report per node *)
-  succ_ids : int list array;
-}
+(* Per destination we mirror each node's last reported ordering and stored
+   successor orderings; the orderings drive the Eq. 3 history check, and
+   the whole mirror is what the loop verdict runs on. *)
+type dst_state = (Ordering.t * (int * Ordering.t) list) option array
 
 type t = {
   nodes : int;
@@ -29,9 +26,7 @@ let dst_state t dst =
   match Hashtbl.find_opt t.dsts dst with
   | Some s -> s
   | None ->
-      let s =
-        { orders = Array.make t.nodes None; succ_ids = Array.make t.nodes [] }
-      in
+      let s = Array.make t.nodes None in
       Hashtbl.replace t.dsts dst s;
       s
 
@@ -48,23 +43,10 @@ let monotonic ~prev ~next =
   || (prev.Ordering.sn = next.Ordering.sn
      && Label.compare next.Ordering.label prev.Ordering.label <= 0)
 
-let check_edges snap =
-  let rec go = function
-    | [] -> Ok ()
-    | (b, ob) :: rest ->
-        if Ordering.precedes snap.order ob then go rest
-        else
-          Error
-            (Format.asprintf
-               "dst %d: node %d keeps successor %d out of order: %a not ⊑ %a"
-               snap.dst snap.node b Ordering.pp snap.order Ordering.pp ob)
-  in
-  go snap.succs
-
-let check_monotonic state snap =
-  match state.orders.(snap.node) with
+let check_monotonic prev snap =
+  match prev with
   | None -> Ok ()
-  | Some prev ->
+  | Some (prev, _) ->
       if
         Ordering.is_unassigned prev
         || Ordering.is_unassigned snap.order
@@ -73,22 +55,8 @@ let check_monotonic state snap =
       then Ok ()
       else
         Error
-          (Format.asprintf
-             "dst %d: node %d raised its label: %a then %a (Eq. 3)" snap.dst
+          (Format.asprintf "node %d raised its label: %a then %a (Eq. 3)"
              snap.node Ordering.pp prev Ordering.pp snap.order)
-
-let check_acyclic t state dst =
-  match
-    Slr.Dag.acyclic ~successors:(fun i -> state.succ_ids.(i)) t.nodes
-  with
-  | Ok () -> Ok ()
-  | Error cycle ->
-      Error
-        (Format.asprintf "dst %d: successor cycle %a" dst
-           (Format.pp_print_list
-              ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "->")
-              Format.pp_print_int)
-           cycle)
 
 let observe t snap =
   if snap.node < 0 || snap.node >= t.nodes then
@@ -96,23 +64,12 @@ let observe t snap =
   t.observations <- t.observations + 1;
   t.edges <- t.edges + List.length snap.succs;
   let state = dst_state t snap.dst in
-  let result =
-    match check_edges snap with
+  let prev = state.(snap.node) in
+  (* record even a violating report: replays of the same trace keep
+     reporting from the first violation on *)
+  state.(snap.node) <- Some (snap.order, snap.succs);
+  Result.map_error
+    (Printf.sprintf "dst %d: %s" snap.dst)
+    (match check_monotonic prev snap with
     | Error _ as e -> e
-    | Ok () -> (
-        match check_monotonic state snap with
-        | Error _ as e -> e
-        | Ok () ->
-            (* record first so the cycle check sees the new edge set *)
-            state.orders.(snap.node) <- Some snap.order;
-            state.succ_ids.(snap.node) <- List.map fst snap.succs;
-            check_acyclic t state snap.dst)
-  in
-  (match result with
-  | Ok () -> ()
-  | Error _ ->
-      (* keep the offending state recorded: replays of the same trace keep
-         reporting from the first violation on *)
-      state.orders.(snap.node) <- Some snap.order;
-      state.succ_ids.(snap.node) <- List.map fst snap.succs);
-  result
+    | Ok () -> Slr.Dag.check_graph t.nodes (Array.get state))

@@ -18,6 +18,9 @@
     - {b acyclicity} (Theorem 3): the per-destination successor graph,
       rebuilt from the snapshots alone, has no cycle.
 
+    The first and last are {!Slr.Dag.check_graph} over the mirrored
+    snapshots, the same verdict [Sim.Loopcheck] applies to live state.
+
     The model never reads protocol state directly, so a bookkeeping bug in
     SRP cannot hide itself from the oracle. *)
 

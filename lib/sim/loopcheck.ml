@@ -1,8 +1,10 @@
 let span_check = Obs.span "event.loopcheck"
 
-module Ordering = Slr.Ordering
-
 exception Violation of string
+
+let require ~dst = function
+  | Ok () -> ()
+  | Error m -> raise (Violation (Printf.sprintf "dst %d: %s" dst m))
 
 let run (config : Config.t) ~interval =
   if config.protocol <> Config.Srp then
@@ -12,40 +14,23 @@ let run (config : Config.t) ~interval =
   let sweeps = ref 0 in
   let edges = ref 0 in
   (* one whole-network invariant sweep: every destination's successor
-     graph must descend in label order and be acyclic *)
+     graph must descend in the successors' current orderings and be
+     acyclic *)
   let sweep () =
     incr sweeps;
     let srp i = Option.get srps.(i) in
     for dst = 0 to nodes - 1 do
-      let successor_ids = Array.make nodes [] in
-      for a = 0 to nodes - 1 do
-        if a <> dst then begin
+      let state a =
+        if a = dst then None
+        else begin
           let own = Protocols.Srp.ordering (srp a) ~dst in
           let succs = Protocols.Srp.successor_orderings (srp a) ~dst in
-          successor_ids.(a) <- List.map fst succs;
-          List.iter
-            (fun (b, _) ->
-              incr edges;
-              let b_now = Protocols.Srp.ordering (srp b) ~dst in
-              if not (Ordering.precedes own b_now) then
-                raise
-                  (Violation
-                     (Format.asprintf
-                        "dst %d: edge %d->%d out of order: %a not ⊑ %a" dst a
-                        b Ordering.pp own Ordering.pp b_now)))
-            succs
+          edges := !edges + List.length succs;
+          let current (b, _) = (b, Protocols.Srp.ordering (srp b) ~dst) in
+          Some (own, List.map current succs)
         end
-      done;
-      match Slr.Dag.acyclic ~successors:(fun i -> successor_ids.(i)) nodes with
-      | Ok () -> ()
-      | Error cycle ->
-          raise
-            (Violation
-               (Format.asprintf "dst %d: successor cycle %a" dst
-                  (Format.pp_print_list
-                     ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "->")
-                     Format.pp_print_int)
-                  cycle))
+      in
+      require ~dst (Slr.Dag.check_graph nodes state)
     done
   in
   try
@@ -86,43 +71,28 @@ let run_online (config : Config.t) ~interval =
   (* destinations whose graph mutated since the last amortized global pass *)
   let dirty : (int, unit) Hashtbl.t = Hashtbl.create 64 in
   let srp i = Option.get srps.(i) in
-  (* the local invariant at [a]: a's own label strictly precedes every
-     stored successor label for [dst] (Theorem 3's per-edge condition) *)
-  let local_check a ~dst =
+  (* a live node's orderings: its own, then its stored successor orderings
+     for [dst] (Theorem 3's per-edge condition compares the two) *)
+  let state a ~dst =
     incr checks;
+    (* [ordering] before [successor_orderings]: both may expire route
+       state, so their order decides what each returns *)
     let own = Protocols.Srp.ordering (srp a) ~dst in
-    List.iter
-      (fun (b, s_order) ->
-        incr edges;
-        if not (Ordering.precedes own s_order) then
-          raise
-            (Violation
-               (Format.asprintf
-                  "dst %d: node %d holds successor %d out of order: %a not ⊑ %a"
-                  dst a b Ordering.pp own Ordering.pp s_order)))
-      (Protocols.Srp.successor_orderings (srp a) ~dst)
+    let succs = Protocols.Srp.successor_orderings (srp a) ~dst in
+    edges := !edges + List.length succs;
+    (own, succs)
+  in
+  (* the local invariant at [a], checked the moment its table mutates *)
+  let local_check a ~dst =
+    let own, succs = state a ~dst in
+    require ~dst (Slr.Dag.check_node ~node:a own succs)
   in
   (* the global pass for one destination: every live node's local invariant
      plus acyclicity of the whole successor graph *)
   let sweep_dst dst =
-    let successor_ids = Array.make nodes [] in
-    for a = 0 to nodes - 1 do
-      if a <> dst && !node_up a then begin
-        local_check a ~dst;
-        successor_ids.(a) <-
-          List.map fst (Protocols.Srp.successor_orderings (srp a) ~dst)
-      end
-    done;
-    match Slr.Dag.acyclic ~successors:(fun i -> successor_ids.(i)) nodes with
-    | Ok () -> ()
-    | Error cycle ->
-        raise
-          (Violation
-             (Format.asprintf "dst %d: successor cycle %a" dst
-                (Format.pp_print_list
-                   ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "->")
-                   Format.pp_print_int)
-                cycle))
+    require ~dst
+      (Slr.Dag.check_graph nodes (fun a ->
+           if a <> dst && !node_up a then Some (state a ~dst) else None))
   in
   try
     let result =

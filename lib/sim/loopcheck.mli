@@ -4,7 +4,7 @@
     and, every [interval] simulated seconds, asserts for every destination
     that (a) every live successor edge descends in the Ordering Criteria
     sense — [O_A ⊑ O_B] for each successor B of A — and (b) the global
-    successor graph is acyclic.
+    successor graph is acyclic ({!Slr.Dag.check_graph}).
 
     Returns [Ok (metrics, sweeps, edges)] — the run's metrics, the number
     of whole-network invariant sweeps, and the total successor edges

@@ -252,16 +252,14 @@ let run_adversarial ~protocol =
         in
         let ts = Array.map fst pairs in
         let cycle () =
-          (* the loop-freedom theorem: the feasible-successor graph toward
-             the destination is a DAG at every instant *)
+          (* Theorem 3: every node precedes its stored successors, and the
+             feasible-successor graph toward the destination is a DAG *)
           Result.is_error
-            (Slr.Dag.acyclic
-               ~successors:(fun i ->
-                 if i = d then []
+            (Slr.Dag.check_graph vg_nodes (fun i ->
+                 if i = d then None
                  else
-                   List.map fst
-                     (Protocols.Srp.successor_orderings ts.(i) ~dst:d))
-               vg_nodes)
+                   let own = Protocols.Srp.ordering ts.(i) ~dst:d in
+                   Some (own, Protocols.Srp.successor_orderings ts.(i) ~dst:d)))
         in
         let forge =
           Some

@@ -1,17 +1,3 @@
-let topological_order ~compare ~label ~successors n =
-  let rec check_node i =
-    if i >= n then Ok ()
-    else
-      let rec check_edges = function
-        | [] -> check_node (i + 1)
-        | j :: rest ->
-            if compare (label j) (label i) < 0 then check_edges rest
-            else Error (i, j)
-      in
-      check_edges (successors i)
-  in
-  check_node 0
-
 type mark = White | Grey | Black
 
 let acyclic ~successors n =
@@ -39,14 +25,35 @@ let acyclic ~successors n =
     Ok ()
   with Cycle c -> Error c
 
-let reaches ~successors ~src ~dst n =
-  let seen = Array.make n false in
-  let rec go i =
-    i = dst
-    || if seen.(i) then false
-       else begin
-         seen.(i) <- true;
-         List.exists go (successors i)
-       end
+let check_node ~node order succs =
+  match List.find_opt (fun (_, o) -> not (Ordering.precedes order o)) succs with
+  | None -> Ok ()
+  | Some (s, o) ->
+      Error
+        (Format.asprintf "node %d holds successor %d out of order: %a not ⊑ %a"
+           node s Ordering.pp order Ordering.pp o)
+
+let check_graph n state =
+  let ids = Array.make n [] in
+  let rec nodes i =
+    if i < n then
+      match state i with
+      | None -> nodes (i + 1)
+      | Some (order, succs) -> (
+          match check_node ~node:i order succs with
+          | Error _ as e -> e
+          | Ok () ->
+              ids.(i) <- List.map fst succs;
+              nodes (i + 1))
+    else
+      match acyclic ~successors:(Array.get ids) n with
+      | Ok () -> Ok ()
+      | Error cycle ->
+          Error
+            (Format.asprintf "successor cycle %a"
+               (Format.pp_print_list
+                  ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "->")
+                  Format.pp_print_int)
+               cycle)
   in
-  go src
+  nodes 0

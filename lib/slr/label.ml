@@ -78,41 +78,18 @@ let encode = function
           Buffer.contents buf)
 
 (* ------------------------------------------------------------------ *)
-(* The abstract label-set interface *)
+(* The abstract label-set interface, documented in label.mli *)
 
 module type S = sig
   val name : string
-
-  (** Least element — the destination's own label. *)
   val zero : t
-
-  (** Greatest element — the unassigned sentinel. *)
   val one : t
-
   val compare : t -> t -> int
-
-  (** Next-element operator (Eq. 2): a label strictly greater than the
-      argument; [None] on overflow or for the greatest element. *)
   val next : t -> t option
-
-  (** [split ~lo ~hi] mints a label strictly inside ([lo], [hi]) —
-      Algorithm 1 lines 7/12. Requires [lo < hi]; [None] when the set
-      cannot represent one (overflow). *)
   val split : lo:t -> hi:t -> t option
-
-  (** Eq. 11's reset-required test: no representable label lies strictly
-      between the two (order of arguments irrelevant). *)
   val would_overflow : t -> t -> bool
-
-  (** The §V solicitation lie: a label slightly below the argument so only
-      strictly better-ordered nodes reply. Must never reach {!zero};
-      returns the argument unchanged when it cannot be lowered. *)
   val understate : k:int -> t -> t
-
-  (** MAX_DENOM-style width threshold triggering a D-bit probe reset.
-      Unbounded sets never reset. *)
   val over_reset_threshold : max_denom:int -> t -> bool
-
   val width_bits : t -> int
   val encode : t -> string
   val pp : Format.formatter -> t -> unit

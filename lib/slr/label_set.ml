@@ -22,12 +22,3 @@ let instance : id -> (module Label.S) = function
   | Farey -> (module Label.Farey)
   | Bigfrac -> (module Label.Bigfrac_set)
   | Lex -> (module Label.Lex)
-
-let of_string s =
-  match of_name s with
-  | Some id -> instance id
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Label_set.of_string: unknown label set %S (expected %s)"
-           s
-           (String.concat "|" (List.map name all)))

@@ -17,7 +17,3 @@ val name : id -> string
 val of_name : string -> id option
 
 val instance : id -> (module Label.S)
-
-(** [of_string s] resolves a CLI name directly to its instance.
-    @raise Invalid_argument on an unknown name. *)
-val of_string : string -> (module Label.S)

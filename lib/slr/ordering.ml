@@ -46,8 +46,6 @@ let add t f =
   | Label.Big _ | Label.Lex _ ->
       invalid_arg "Ordering.add: not a bounded-fraction label"
 
-let next t = add t Fraction.one
-
 let split_would_overflow a b = Fraction.would_overflow (frac a) (frac b)
 
 let pp ppf t = Format.fprintf ppf "(%d, %a)" t.sn Label.pp t.label

@@ -8,7 +8,7 @@
     in-order successor for a": a fresher sequence number, or a smaller
     label at the same freshness, is closer to the destination.
 
-    The fraction-named helpers ({!make}, {!frac}, {!add}, {!next},
+    The fraction-named helpers ({!make}, {!frac}, {!add},
     {!split_would_overflow}, {!unassigned}, {!destination}) are the
     bounded-mediant back-compat surface; instance-generic code uses {!v},
     {!unassigned_of} and {!destination_of} with a first-class
@@ -63,10 +63,6 @@ val equal : t -> t -> bool
     [None] when a component would overflow 32 bits. Requires [t] finite and
     fraction-labelled. *)
 val add : t -> Fraction.t -> t option
-
-(** [next t] is [t + 1/1], the next-element used by Theorem 5 and
-    Algorithm 1 line 5; [None] on overflow. Bounded fractions only. *)
-val next : t -> t option
 
 (** [split_would_overflow a b] mirrors Eq. 11's overflow test for the
     mediant instance: [true] when the fraction mediant of [a] and [b]

@@ -1,206 +1,157 @@
 module IntSet = Set.Make (Int)
 
-module Make (L : Ordinal.S) = struct
-  module Rules = Split_label.Make (L)
+type t = {
+  labels : (module Label.S);
+  dest : int;
+  orders : Ordering.t array;
+  adjacency : IntSet.t array;
+  succs : (int * Ordering.t) list array;
+}
 
-  type t = {
-    nodes : int;
-    dest : int;
-    labels : L.t array;
-    adjacency : IntSet.t array;
-    succs : (int * L.t) list array;
+(* the single destination sequence number every assigned ordering carries *)
+let sn = 1
+
+let create ~labels ~nodes ~dest =
+  if nodes <= 0 then invalid_arg "Simple_net.create: need at least one node";
+  if dest < 0 || dest >= nodes then invalid_arg "Simple_net.create: bad dest";
+  let orders = Array.make nodes (Ordering.unassigned_of labels) in
+  orders.(dest) <- Ordering.destination_of labels ~sn;
+  {
+    labels;
+    dest;
+    orders;
+    adjacency = Array.make nodes IntSet.empty;
+    succs = Array.make nodes [];
   }
 
-  let create ~nodes ~dest =
-    if nodes <= 0 then invalid_arg "Simple_net.create: need at least one node";
-    if dest < 0 || dest >= nodes then invalid_arg "Simple_net.create: bad dest";
-    let labels = Array.make nodes L.greatest in
-    labels.(dest) <- L.least;
-    {
-      nodes;
-      dest;
-      labels;
-      adjacency = Array.make nodes IntSet.empty;
-      succs = Array.make nodes [];
-    }
+let check_node t i name =
+  if i < 0 || i >= Array.length t.orders then
+    invalid_arg ("Simple_net: bad node in " ^ name)
 
-  let node_count t = t.nodes
+let add_link t a b =
+  check_node t a "add_link";
+  check_node t b "add_link";
+  if a = b then invalid_arg "Simple_net.add_link: self-link";
+  t.adjacency.(a) <- IntSet.add b t.adjacency.(a);
+  t.adjacency.(b) <- IntSet.add a t.adjacency.(b)
 
-  let dest t = t.dest
+let linked t a b = IntSet.mem b t.adjacency.(a)
 
-  let check_node t i name =
-    if i < 0 || i >= t.nodes then invalid_arg ("Simple_net: bad node in " ^ name)
+let label t i =
+  check_node t i "label";
+  t.orders.(i).Ordering.label
 
-  let add_link t a b =
-    check_node t a "add_link";
-    check_node t b "add_link";
-    if a = b then invalid_arg "Simple_net.add_link: self-link";
-    t.adjacency.(a) <- IntSet.add b t.adjacency.(a);
-    t.adjacency.(b) <- IntSet.add a t.adjacency.(b)
+let successors t i =
+  check_node t i "successors";
+  t.succs.(i)
 
-  let remove_link t a b =
-    check_node t a "remove_link";
-    check_node t b "remove_link";
-    t.adjacency.(a) <- IntSet.remove b t.adjacency.(a);
-    t.adjacency.(b) <- IntSet.remove a t.adjacency.(b)
+let has_route t i = i = t.dest || successors t i <> []
 
-  let linked t a b = IntSet.mem b t.adjacency.(a)
+type outcome =
+  | Routed of { replier : int; reply_path : int list }
+  | No_route
+  | Label_exhausted of int
 
-  let label t i =
-    check_node t i "label";
-    t.labels.(i)
+(* Breadth-first flood carrying the running minimum ordering; [carried.(i)]
+   is C_i, the minimum predecessor ordering as received. The requester's
+   own entry keeps its initial unassigned ordering, its cache per §II.
+   Returns the replier and the parent map of the flood tree. *)
+let flood t ~src =
+  let nodes = Array.length t.orders in
+  let visited = Array.make nodes false in
+  let parent = Array.make nodes (-1) in
+  let carried = Array.make nodes (Ordering.unassigned_of t.labels) in
+  visited.(src) <- true;
+  let queue = Queue.create () in
+  (* the requester places its current ordering in the request *)
+  Queue.add (src, t.orders.(src)) queue;
+  let replier = ref None in
+  (try
+     while not (Queue.is_empty queue) do
+       let node, request = Queue.pop queue in
+       let relayed = Ordering.min t.orders.(node) request in
+       IntSet.iter
+         (fun neighbour ->
+           if not visited.(neighbour) then begin
+             visited.(neighbour) <- true;
+             parent.(neighbour) <- node;
+             carried.(neighbour) <- relayed;
+             if
+               neighbour = t.dest
+               || (Ordering.precedes relayed t.orders.(neighbour)
+                  && t.succs.(neighbour) <> [])
+             then begin
+               replier := Some neighbour;
+               raise Exit
+             end
+             else Queue.add (neighbour, relayed) queue
+           end)
+         t.adjacency.(node)
+     done
+   with Exit -> ());
+  (!replier, parent, carried)
 
-  let successors t i =
-    check_node t i "successors";
-    t.succs.(i)
+let request t ~src =
+  check_node t src "request";
+  if src = t.dest then Routed { replier = src; reply_path = [] }
+  else begin
+    match flood t ~src with
+    | None, _, _ -> No_route
+    | Some replier, parent, carried ->
+        (* the reply retraces the flood tree back to the requester *)
+        let rec walk node adv acc =
+          if node = src then
+            Routed { replier; reply_path = List.rev (node :: acc) }
+          else
+            let next = parent.(node) in
+            match
+              New_order.compute_with ~labels:t.labels
+                ~current:t.orders.(next) ~cached:carried.(next) ~adv
+            with
+            | { New_order.case = Infinite; _ } -> Label_exhausted next
+            | { order; _ } ->
+                t.orders.(next) <- order;
+                t.succs.(next) <-
+                  New_order.filter_successors ~order
+                    ((node, adv) :: List.remove_assoc node t.succs.(next));
+                walk next order (node :: acc)
+        in
+        walk replier t.orders.(replier) []
+  end
 
-  let has_route t i = i = t.dest || successors t i <> []
+let seed_label t i label =
+  check_node t i "seed_label";
+  t.orders.(i) <- Ordering.v ~sn ~label
 
-  type outcome =
-    | Routed of { replier : int; reply_path : int list }
-    | No_route
-    | Label_exhausted of int
+let break_link t a b =
+  check_node t a "break_link";
+  check_node t b "break_link";
+  t.adjacency.(a) <- IntSet.remove b t.adjacency.(a);
+  t.adjacency.(b) <- IntSet.remove a t.adjacency.(b);
+  t.succs.(a) <- List.remove_assoc b t.succs.(a);
+  t.succs.(b) <- List.remove_assoc a t.succs.(b)
 
-  let lt a b = L.compare a b < 0
+let check_invariants t =
+  let current (j, _) = (j, t.orders.(j)) in
+  Dag.check_graph (Array.length t.orders) (fun i ->
+      Some (t.orders.(i), List.map current t.succs.(i)))
 
-  let min_label a b = if lt a b then a else b
-
-  (* Labels are non-increasing with time (Eq. 3); enforce it here so any
-     rule violation trips immediately rather than as a distant loop. *)
-  let set_label t i g =
-    assert (L.compare g t.labels.(i) <= 0);
-    t.labels.(i) <- g
-
-  let adopt_successor t i ~via ~adv =
-    let others = List.remove_assoc via t.succs.(i) in
-    t.succs.(i) <- (via, adv) :: others
-
-  (* Breadth-first flood carrying the running minimum label; [carried.(i)]
-     is M_i, the minimum predecessor label as received (the requester's own
-     cache is the greatest element per §II). Returns the replier and the
-     parent map of the flood tree. *)
-  let flood t ~src =
-    let visited = Array.make t.nodes false in
-    let parent = Array.make t.nodes (-1) in
-    let carried = Array.make t.nodes L.greatest in
-    visited.(src) <- true;
-    let queue = Queue.create () in
-    (* the requester places its current label in the request *)
-    Queue.add (src, t.labels.(src)) queue;
-    let replier = ref None in
-    (try
-       while not (Queue.is_empty queue) do
-         let node, request_label = Queue.pop queue in
-         let relayed = min_label request_label t.labels.(node) in
-         IntSet.iter
-           (fun neighbour ->
-             if not visited.(neighbour) then begin
-               visited.(neighbour) <- true;
-               parent.(neighbour) <- node;
-               carried.(neighbour) <- relayed;
-               if
-                 neighbour = t.dest
-                 || (lt t.labels.(neighbour) relayed
-                    && t.succs.(neighbour) <> [])
-               then begin
-                 replier := Some neighbour;
-                 raise Exit
-               end
-               else Queue.add (neighbour, relayed) queue
-             end)
-           t.adjacency.(node)
-       done
-     with Exit -> ());
-    (!replier, parent, carried)
-
-  let request t ~src =
-    check_node t src "request";
-    if src = t.dest then Routed { replier = src; reply_path = [] }
+let route_to_dest t ~src =
+  let rec follow node acc steps =
+    if node = t.dest then Some (List.rev (node :: acc))
+    else if steps > Array.length t.orders then None
     else begin
-      match flood t ~src with
-      | None, _, _ -> No_route
-      | Some replier, parent, carried ->
-          (* reply retraces the flood tree back to the requester *)
-          let rec walk node adv acc =
-            if node = src then Ok (List.rev (node :: acc))
-            else
-              let next = parent.(node) in
-              assert (next >= 0);
-              let cached =
-                if next = src then L.greatest else carried.(next)
-              in
-              match
-                Rules.choose_label ~current:t.labels.(next)
-                  ~cached_min:cached ~adv
-              with
-              | None -> Error next
-              | Some g ->
-                  set_label t next g;
-                  adopt_successor t next ~via:node ~adv;
-                  t.succs.(next) <-
-                    Rules.filter_successors ~label:g t.succs.(next);
-                  walk next g (node :: acc)
+      match t.succs.(node) with
+      | [] -> None
+      | first :: rest ->
+          (* pick the least-labelled successor *)
+          let best, _ =
+            List.fold_left
+              (fun (b, bo) (s, so) ->
+                if Ordering.precedes bo so then (s, so) else (b, bo))
+              first rest
           in
-          let adv = t.labels.(replier) in
-          (match walk replier adv [] with
-          | Ok path -> Routed { replier; reply_path = path }
-          | Error node -> Label_exhausted node)
+          follow best (node :: acc) (steps + 1)
     end
-
-  let seed_label t i l =
-    check_node t i "seed_label";
-    t.labels.(i) <- l
-
-  let break_link t a b =
-    remove_link t a b;
-    t.succs.(a) <- List.remove_assoc b t.succs.(a);
-    t.succs.(b) <- List.remove_assoc a t.succs.(b)
-
-  let check_invariants t =
-    let succ_ids i = List.map fst t.succs.(i) in
-    match
-      Dag.topological_order ~compare:L.compare
-        ~label:(fun i -> t.labels.(i))
-        ~successors:succ_ids t.nodes
-    with
-    | Error (i, j) ->
-        Error
-          (Format.asprintf "edge (%d -> %d) violates label order: %a >= %a" i
-             j L.pp t.labels.(j) L.pp t.labels.(i))
-    | Ok () -> (
-        match Dag.acyclic ~successors:succ_ids t.nodes with
-        | Error cycle ->
-            Error
-              (Format.asprintf "successor cycle: %a"
-                 (Format.pp_print_list
-                    ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " -> ")
-                    Format.pp_print_int)
-                 cycle)
-        | Ok () -> Ok ())
-
-  let route_to_dest t ~src =
-    let rec follow node acc steps =
-      if node = t.dest then Some (List.rev (node :: acc))
-      else if steps > t.nodes then None
-      else begin
-        match t.succs.(node) with
-        | [] -> None
-        | (first, first_label) :: rest ->
-            (* pick the least-labelled successor *)
-            let best, _ =
-              List.fold_left
-                (fun (b, bl) (s, sl) -> if lt sl bl then (s, sl) else (b, bl))
-                (first, first_label) rest
-            in
-            follow best (node :: acc) (steps + 1)
-      end
-    in
-    follow src [] 0
-
-  let pp_labels ppf t =
-    Format.pp_print_list
-      ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-      (fun ppf i -> Format.fprintf ppf "%d:%a" i L.pp t.labels.(i))
-      ppf
-      (List.init t.nodes Fun.id)
-end
+  in
+  follow src [] 0

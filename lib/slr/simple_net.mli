@@ -1,67 +1,65 @@
 (** An abstract, message-less executor for SLR route computations over a
     static graph (paper §II): request floods breadth-first, a reply walks the
-    reverse path, and each node relabels with {!Split_label.Make.choose_label}.
+    reverse path, and each node relabels with Algorithm 1
+    ({!New_order.compute_with}) over any {!Label.S}.
+
+    Every node holds one {!Ordering.t} toward a single destination at a
+    single sequence number: the destination [(1, zero)], every other node
+    unassigned [(0, one)] until a reply labels it.
 
     This is the idealised protocol used to state Theorems 1–4; the full
     message-passing implementation with losses and mobility is SRP
     (see [Protocols.Srp]). The executor reproduces the paper's Examples 1–2
     exactly and backs the loop-freedom property tests. *)
 
-module Make (L : Ordinal.S) : sig
-  type t
+type t
 
-  (** [create ~nodes ~dest] — all nodes unlabeled (greatest label) except
-      [dest], which takes the least label. No links, no successor paths. *)
-  val create : nodes:int -> dest:int -> t
+(** [create ~labels ~nodes ~dest] — all nodes unassigned except [dest],
+    which holds the destination ordering. No links, no successor paths. *)
+val create : labels:(module Label.S) -> nodes:int -> dest:int -> t
 
-  val node_count : t -> int
+(** Bidirectional link. Self-links are rejected. *)
+val add_link : t -> int -> int -> unit
 
-  val dest : t -> int
+val linked : t -> int -> int -> bool
 
-  (** Bidirectional link management. Self-links are rejected. *)
-  val add_link : t -> int -> int -> unit
+(** The node's current label (the unassigned one until a reply reaches it). *)
+val label : t -> int -> Label.t
 
-  val remove_link : t -> int -> int -> unit
+(** Successor entries with the advertised ordering recorded at adoption. *)
+val successors : t -> int -> (int * Ordering.t) list
 
-  val linked : t -> int -> int -> bool
+(** A node has an active route iff its successor set is non-empty. *)
+val has_route : t -> int -> bool
 
-  val label : t -> int -> L.t
+type outcome =
+  | Routed of { replier : int; reply_path : int list }
+      (** [reply_path] runs from the replier to the requester inclusive. *)
+  | No_route  (** the flood reached no node able to reply *)
+  | Label_exhausted of int
+      (** Algorithm 1 returned the infinite ordering at this node — for a
+          bounded label set, SRP's cue for a sequence-number path reset *)
 
-  (** Successor entries with the advertised label recorded at adoption. *)
-  val successors : t -> int -> (int * L.t) list
+(** [request t ~src] runs one route computation for [src] toward the
+    destination. No-op ([Routed] with an empty path) when [src] is the
+    destination itself. *)
+val request : t -> src:int -> outcome
 
-  (** A node has an active route iff its successor set is non-empty. *)
-  val has_route : t -> int -> bool
+(** [break_link t a b] removes the link and both nodes' successor entries
+    through it. *)
+val break_link : t -> int -> int -> unit
 
-  type outcome =
-    | Routed of { replier : int; reply_path : int list }
-        (** [reply_path] runs from the replier to the requester inclusive. *)
-    | No_route  (** the flood reached no node able to reply *)
-    | Label_exhausted of int
-        (** the bounded label set could not be split at this node —
-            SRP's cue for a sequence-number path reset *)
+(** [seed_label t i l] forces a node's label at the destination's sequence
+    number, bypassing the protocol — for tests and demos that re-create the
+    paper's figures, where nodes "once knew a route" and carry stale labels.
+    Never use it mid-request. *)
+val seed_label : t -> int -> Label.t -> unit
 
-  (** [request t ~src] runs one route computation for [src] toward the
-      destination. No-op ([Routed] with an empty path) when [src] is the
-      destination itself. *)
-  val request : t -> src:int -> outcome
+(** Theorem 3 ({!Dag.check_graph}): every node's ordering strictly precedes
+    its successors' current orderings, and the successor graph is
+    acyclic. *)
+val check_invariants : t -> (unit, string) result
 
-  (** [break_link t a b] removes the link and both nodes' successor entries
-      through it. *)
-  val break_link : t -> int -> int -> unit
-
-  (** [seed_label t i l] forces a node's label, bypassing the protocol —
-      for tests and demos that re-create the paper's figures, where nodes
-      "once knew a route" and carry stale labels. Never use it mid-request. *)
-  val seed_label : t -> int -> L.t -> unit
-
-  (** Checks Theorem 3's invariants: every successor edge descends in label
-      order, and the successor graph is acyclic. *)
-  val check_invariants : t -> (unit, string) result
-
-  (** Follow least-label successors from [src]; [None] when no route. For
-      demos and tests. *)
-  val route_to_dest : t -> src:int -> int list option
-
-  val pp_labels : Format.formatter -> t -> unit
-end
+(** Follow least-label successors from [src]; [None] when no route. For
+    demos and tests. *)
+val route_to_dest : t -> src:int -> int list option

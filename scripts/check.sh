@@ -8,13 +8,24 @@ cd "$(dirname "$0")/.."
 dune build @all
 dune runtest
 
-dune exec bin/manet_sim.exe -- check --nodes 50 --duration 60 --faults
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+dune exec bin/manet_sim.exe -- check --nodes 50 --duration 60 --faults \
+  > "$tmp/check_online.txt"
+
+# loop-verdict goldens: the online monitor above, the periodic sweeps and
+# the paper's Examples 1-2 on the abstract executor must reproduce their
+# committed stdout byte for byte (verdicts and edge counts included)
+cmp "$tmp/check_online.txt" scripts/golden/check_online.txt
+dune exec bin/manet_sim.exe -- check --nodes 30 --duration 40 \
+  > "$tmp/check_sweeps.txt"
+cmp "$tmp/check_sweeps.txt" scripts/golden/check_sweeps.txt
+dune exec examples/quickstart.exe > "$tmp/quickstart.txt"
+cmp "$tmp/quickstart.txt" scripts/golden/quickstart.txt
 
 # telemetry smoke: a traced run must emit parseable JSONL and a --json
 # result file with the documented keys, and same-seed traces must agree
 # byte for byte
-tmp="$(mktemp -d)"
-trap 'rm -rf "$tmp"' EXIT
 dune exec bin/manet_sim.exe -- run --nodes 30 --duration 30 \
   --trace-file "$tmp/a.jsonl" --sample-every 5 --json "$tmp/run.json" \
   > "$tmp/out_a.txt" 2> /dev/null

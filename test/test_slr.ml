@@ -1,6 +1,6 @@
 (* Tests for the SLR core: fractions, big naturals, orderings, Algorithm 1,
-   Farey interpolation, the abstract split-label rules, and the paper's
-   worked examples on the abstract executor. *)
+   Farey interpolation, the paper's worked examples on the abstract
+   executor, and the loop-freedom verdict. *)
 
 module F = Slr.Fraction
 module O = Slr.Ordering
@@ -218,25 +218,25 @@ let prop_lexlabel_between_top =
       | None -> false)
 
 (* the whole abstract protocol runs on string labels too *)
-module LexNet = Slr.Simple_net.Make (Slr.Ordinal.Lex_string)
+module Net = Slr.Simple_net
 
 let test_lexlabel_network () =
-  let net = LexNet.create ~nodes:6 ~dest:0 in
-  List.iter (fun (a, b) -> LexNet.add_link net a b)
+  let net = Net.create ~labels:(module Slr.Label.Lex) ~nodes:6 ~dest:0 in
+  List.iter (fun (a, b) -> Net.add_link net a b)
     [ (0, 1); (1, 2); (2, 3); (3, 4); (4, 5) ];
-  (match LexNet.request net ~src:5 with
-  | LexNet.Routed _ -> ()
+  (match Net.request net ~src:5 with
+  | Net.Routed _ -> ()
   | _ -> Alcotest.fail "no route");
-  (match LexNet.check_invariants net with
+  (match Net.check_invariants net with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   (* repair after a mid-chain break *)
-  LexNet.break_link net 2 3;
-  LexNet.add_link net 1 3;
-  (match LexNet.request net ~src:5 with
-  | LexNet.Routed _ -> ()
+  Net.break_link net 2 3;
+  Net.add_link net 1 3;
+  (match Net.request net ~src:5 with
+  | Net.Routed _ -> ()
   | _ -> Alcotest.fail "no repair");
-  match LexNet.check_invariants net with
+  match Net.check_invariants net with
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
@@ -473,35 +473,17 @@ let prop_farey_never_wider_than_mediant =
       | None, _ -> false)
 
 (* ------------------------------------------------------------------ *)
-(* Split_label rules + Simple_net (the paper's worked examples) *)
+(* Simple_net (the paper's worked examples) *)
 
-module Rules = Slr.Split_label.Make (Slr.Ordinal.Bounded_fraction)
-module Net = Slr.Simple_net.Make (Slr.Ordinal.Bounded_fraction)
+let mediant = (module Slr.Label.Mediant : Slr.Label.S)
 
-let test_choose_label () =
-  (* infeasible: advertisement not below the current label *)
-  Alcotest.(check (option check_frac)) "infeasible" None
-    (Rules.choose_label ~current:(frac 1 2) ~cached_min:F.one ~adv:(frac 2 3));
-  (* keep current when it already satisfies Eq. 4 *)
-  Alcotest.(check (option check_frac)) "keep" (Some (frac 1 2))
-    (Rules.choose_label ~current:(frac 1 2) ~cached_min:(frac 2 3)
-       ~adv:(frac 1 3));
-  (* next element when it fits below the cached minimum *)
-  Alcotest.(check (option check_frac)) "next" (Some (frac 1 2))
-    (Rules.choose_label ~current:F.one ~cached_min:F.one ~adv:F.zero);
-  (* split when the next element does not fit *)
-  Alcotest.(check (option check_frac)) "split" (Some (frac 3 5))
-    (Rules.choose_label ~current:(frac 2 3) ~cached_min:(frac 2 3)
-       ~adv:(frac 1 2))
+let check_label = Alcotest.testable Slr.Label.pp Slr.Label.equal
 
-let test_successor_max () =
-  Alcotest.check check_frac "empty -> least" F.zero (Rules.successor_max []);
-  Alcotest.check check_frac "max" (frac 2 3)
-    (Rules.successor_max [ (1, frac 1 2); (2, frac 2 3); (3, frac 1 3) ])
+let lfrac num den = Slr.Label.Frac (frac num den)
 
 let test_example1 () =
   (* Fig. 1: T-A-B-C-D-E, request from E *)
-  let net = Net.create ~nodes:6 ~dest:0 in
+  let net = Net.create ~labels:mediant ~nodes:6 ~dest:0 in
   List.iter (fun (a, b) -> Net.add_link net a b)
     [ (0, 1); (1, 2); (2, 3); (3, 4); (4, 5) ];
   (match Net.request net ~src:5 with
@@ -509,48 +491,48 @@ let test_example1 () =
   | _ -> Alcotest.fail "no route");
   List.iteri
     (fun i expected ->
-      Alcotest.check check_frac
+      Alcotest.check check_label
         (Printf.sprintf "label of node %d" i)
         expected (Net.label net i))
-    [ frac 0 1; frac 1 2; frac 2 3; frac 3 4; frac 4 5; frac 5 6 ];
+    [ lfrac 0 1; lfrac 1 2; lfrac 2 3; lfrac 3 4; lfrac 4 5; lfrac 5 6 ];
   match Net.check_invariants net with
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
 let test_example2 () =
   (* Fig. 2: stale nodes F, G, H relabel via splitting *)
-  let net = Net.create ~nodes:9 ~dest:0 in
+  let net = Net.create ~labels:mediant ~nodes:9 ~dest:0 in
   List.iter (fun (a, b) -> Net.add_link net a b)
     [ (0, 1); (1, 2); (2, 6); (6, 7); (7, 8) ];
   (match Net.request net ~src:2 with Net.Routed _ -> () | _ -> assert false);
-  Net.seed_label net 6 (frac 2 3);
-  Net.seed_label net 7 (frac 2 3);
-  Net.seed_label net 8 (frac 3 4);
+  Net.seed_label net 6 (lfrac 2 3);
+  Net.seed_label net 7 (lfrac 2 3);
+  Net.seed_label net 8 (lfrac 3 4);
   (match Net.request net ~src:8 with
   | Net.Routed { replier; _ } -> Alcotest.(check int) "A replies" 1 replier
   | _ -> Alcotest.fail "no route");
   List.iter
     (fun (i, expected) ->
-      Alcotest.check check_frac
+      Alcotest.check check_label
         (Printf.sprintf "label of node %d" i)
         expected (Net.label net i))
-    [ (8, frac 3 4); (7, frac 2 3); (6, frac 5 8); (2, frac 3 5);
-      (1, frac 1 2); (0, frac 0 1) ];
+    [ (8, lfrac 3 4); (7, lfrac 2 3); (6, lfrac 5 8); (2, lfrac 3 5);
+      (1, lfrac 1 2); (0, lfrac 0 1) ];
   match Net.check_invariants net with
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
 let test_simple_net_no_route () =
-  let net = Net.create ~nodes:4 ~dest:0 in
+  let net = Net.create ~labels:mediant ~nodes:4 ~dest:0 in
   Net.add_link net 2 3;
   (match Net.request net ~src:3 with
   | Net.No_route -> ()
   | _ -> Alcotest.fail "expected No_route");
   Alcotest.(check bool) "still unlabeled" true
-    (F.is_one (Net.label net 3))
+    (Slr.Label.is_one (Net.label net 3))
 
 let test_simple_net_break_and_repair () =
-  let net = Net.create ~nodes:5 ~dest:0 in
+  let net = Net.create ~labels:mediant ~nodes:5 ~dest:0 in
   (* diamond: 0-1-3, 0-2-3, plus 3-4 *)
   List.iter (fun (a, b) -> Net.add_link net a b)
     [ (0, 1); (0, 2); (1, 3); (2, 3); (3, 4) ];
@@ -569,6 +551,73 @@ let test_simple_net_break_and_repair () =
   match Net.check_invariants net with
   | Ok () -> ()
   | Error e -> Alcotest.fail e
+
+(* Algorithm 1 line 7 on the executor: an unassigned relay whose cached
+   solicitation minimum already carries the advertisement's sequence number
+   splits (adv, cached). §II's narrative took the next element here (1/2);
+   Algorithm 1 takes the mediant of 0/1 and 2/3, written 2/4. *)
+let test_relay_splits_toward_cache () =
+  (* T=0, P1=1, P2=2, Q=3: Q routes through P1 first, then through P2 *)
+  let net = Net.create ~labels:mediant ~nodes:4 ~dest:0 in
+  List.iter (fun (a, b) -> Net.add_link net a b) [ (0, 1); (0, 2); (1, 3) ];
+  ignore (Net.request net ~src:3);
+  Net.break_link net 1 3;
+  Net.add_link net 2 3;
+  (match Net.request net ~src:3 with
+  | Net.Routed { replier; _ } -> Alcotest.(check int) "T replies" 0 replier
+  | _ -> Alcotest.fail "no route through P2");
+  let encoded i = Slr.Label.encode (Net.label net i) in
+  Alcotest.(check string) "P2 splits (0/1, 2/3)" "2/4" (encoded 2);
+  Alcotest.(check string) "Q keeps its label" "2/3" (encoded 3);
+  match Net.check_invariants net with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e
+
+(* Examples 1 and 2 in the shape the paper gives them, on every registered
+   label set: labels ascend away from T along the line, and the stale
+   nodes nearest the requester keep their labels while the rest split. *)
+let test_examples_every_label_set () =
+  List.iter
+    (fun id ->
+      let labels = Slr.Label_set.instance id in
+      let (module L : Slr.Label.S) = labels in
+      let lt a b = L.compare a b < 0 in
+      let check what ok =
+        Alcotest.(check bool) (Slr.Label_set.name id ^ ": " ^ what) true ok
+      in
+      let verified net =
+        check "loop-free" (Result.is_ok (Net.check_invariants net))
+      in
+      (* Example 1: T-A-B-C-D-E, request from E *)
+      let net = Net.create ~labels ~nodes:6 ~dest:0 in
+      List.iter (fun (a, b) -> Net.add_link net a b)
+        [ (0, 1); (1, 2); (2, 3); (3, 4); (4, 5) ];
+      ignore (Net.request net ~src:5);
+      for i = 1 to 5 do
+        check "line ascends" (lt (Net.label net (i - 1)) (Net.label net i))
+      done;
+      check "E assigned" (lt (Net.label net 5) L.one);
+      verified net;
+      (* Example 2: T-A-B-F-G-H; F and G stale at B's label, H above it *)
+      let net = Net.create ~labels ~nodes:6 ~dest:0 in
+      List.iter (fun (a, b) -> Net.add_link net a b)
+        [ (0, 1); (1, 2); (2, 3); (3, 4); (4, 5) ];
+      ignore (Net.request net ~src:2);
+      let a = Net.label net 1 and b = Net.label net 2 in
+      let h = Option.get (L.next b) in
+      Net.seed_label net 3 b;
+      Net.seed_label net 4 b;
+      Net.seed_label net 5 h;
+      (match Net.request net ~src:5 with
+      | Net.Routed { replier; _ } -> check "A replies" (replier = 1)
+      | _ -> check "routed" false);
+      check "H keeps" (L.compare (Net.label net 5) h = 0);
+      check "G keeps" (L.compare (Net.label net 4) b = 0);
+      check "B splits above A" (lt a (Net.label net 2) && lt (Net.label net 2) b);
+      check "F splits above B" (lt (Net.label net 2) (Net.label net 3));
+      check "F below G" (lt (Net.label net 3) b);
+      verified net)
+    Slr.Label_set.all
 
 (* Theorem 3 on the abstract machine: arbitrary graphs and random
    request/break schedules never violate topological order or create a
@@ -593,7 +642,7 @@ let prop_simple_net_loop_free =
       in
       return (nodes, edges, ops))
     (fun (nodes, edges, ops) ->
-      let net = Net.create ~nodes ~dest:0 in
+      let net = Net.create ~labels:mediant ~nodes ~dest:0 in
       List.iter (fun (a, b) -> if a <> b then Net.add_link net a b) edges;
       List.for_all
         (fun op ->
@@ -604,8 +653,6 @@ let prop_simple_net_loop_free =
         ops)
 
 (* Same property on the unbounded label set. *)
-module UNet = Slr.Simple_net.Make (Slr.Ordinal.Unbounded_fraction)
-
 let prop_unbounded_net_loop_free =
   QCheck2.Test.make ~name:"unbounded SLR is loop-free under random schedules"
     ~count:50
@@ -614,16 +661,18 @@ let prop_unbounded_net_loop_free =
       let* requests = list_size (int_range 5 30) (int_range 0 (nodes - 1)) in
       return (nodes, requests))
     (fun (nodes, requests) ->
-      let net = UNet.create ~nodes ~dest:0 in
+      let net =
+        Net.create ~labels:(module Slr.Label.Bigfrac_set) ~nodes ~dest:0
+      in
       (* ring plus chords *)
       for i = 0 to nodes - 1 do
-        UNet.add_link net i ((i + 1) mod nodes)
+        Net.add_link net i ((i + 1) mod nodes)
       done;
-      UNet.add_link net 0 (nodes / 2);
+      Net.add_link net 0 (nodes / 2);
       List.for_all
         (fun src ->
-          ignore (UNet.request net ~src);
-          match UNet.check_invariants net with
+          ignore (Net.request net ~src);
+          match Net.check_invariants net with
           | Ok () -> true
           | Error _ -> false)
         requests)
@@ -637,35 +686,43 @@ let test_dag () =
   | Ok () -> ()
   | Error _ -> Alcotest.fail "acyclic graph reported cyclic");
   let cyclic = function 0 -> [ 1 ] | 1 -> [ 2 ] | _ -> [ 0 ] in
-  (match Slr.Dag.acyclic ~successors:cyclic 3 with
+  match Slr.Dag.acyclic ~successors:cyclic 3 with
   | Ok () -> Alcotest.fail "cycle not detected"
   | Error cycle ->
       Alcotest.(check bool) "witness closes" true
-        (List.length cycle >= 2 && List.hd cycle = List.hd (List.rev cycle)));
-  Alcotest.(check bool) "reaches" true
-    (Slr.Dag.reaches ~successors ~src:3 ~dst:0 4);
-  Alcotest.(check bool) "does not reach" false
-    (Slr.Dag.reaches ~successors ~src:0 ~dst:3 4)
+        (List.length cycle >= 2 && List.hd cycle = List.hd (List.rev cycle))
 
-let test_topological_order () =
-  let labels = [| 0; 5; 3; 7 |] in
-  let successors = function 1 -> [ 2 ] | 2 -> [ 0 ] | 3 -> [ 1 ] | _ -> [] in
-  (match
-     Slr.Dag.topological_order ~compare:Int.compare
-       ~label:(fun i -> labels.(i))
-       ~successors 4
-   with
+(* Theorem 3's verdict: descent at every node, then acyclicity. *)
+let test_loop_verdict () =
+  let o = ord 1 in
+  let verdict orders succs =
+    Slr.Dag.check_graph (Array.length orders) (fun i ->
+        Some (orders.(i), List.map (fun j -> (j, orders.(j))) succs.(i)))
+  in
+  (* 3 -> 1 -> 2 -> 0 with orderings descending toward 0 *)
+  let orders = [| o 0 1; o 2 3; o 1 2; o 3 4 |] in
+  (match verdict orders [| []; [ 2 ]; [ 0 ]; [ 1 ] |] with
   | Ok () -> ()
-  | Error _ -> Alcotest.fail "valid order rejected");
-  let bad = function 2 -> [ 1 ] | _ -> [] in
-  match
-    Slr.Dag.topological_order ~compare:Int.compare
-      ~label:(fun i -> labels.(i))
-      ~successors:bad 4
-  with
-  | Ok () -> Alcotest.fail "violation not caught"
-  | Error (i, j) ->
-      Alcotest.(check (pair int int)) "offending edge" (2, 1) (i, j)
+  | Error m -> Alcotest.fail ("descending DAG rejected: " ^ m));
+  (* the edge 2 -> 1 climbs from 1/2 to 2/3 *)
+  (match verdict orders [| []; []; [ 1 ]; [] |] with
+  | Ok () -> Alcotest.fail "out-of-order edge accepted"
+  | Error m ->
+      Alcotest.(check string) "names node and successor"
+        "node 2 holds successor 1 out of order: (1, 1/2) not ⊑ (1, 2/3)" m);
+  (* stale stored orderings: nodes 1 and 2 each hold the other at an
+     ordering below their own, so every stored edge descends, yet the
+     edges form a loop that only the acyclicity step catches (dropping
+     that step from [Dag.check_graph] fails this case) *)
+  let stale = function
+    | 1 -> Some (o 1 2, [ (2, o 1 3) ])
+    | 2 -> Some (o 1 2, [ (1, o 1 3) ])
+    | _ -> None
+  in
+  match Slr.Dag.check_graph 3 stale with
+  | Ok () -> Alcotest.fail "cycle of stale orderings accepted"
+  | Error m ->
+      Alcotest.(check string) "cycle witness" "successor cycle 1->2->1" m
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -727,11 +784,6 @@ let () =
           qtest prop_farey_minimal;
           qtest prop_farey_never_wider_than_mediant;
         ] );
-      ( "split-label",
-        [
-          Alcotest.test_case "choose_label" `Quick test_choose_label;
-          Alcotest.test_case "successor_max" `Quick test_successor_max;
-        ] );
       ( "simple-net",
         [
           Alcotest.test_case "paper Example 1 (Fig. 1)" `Quick test_example1;
@@ -741,9 +793,16 @@ let () =
           qtest prop_simple_net_loop_free;
           qtest prop_unbounded_net_loop_free;
         ] );
+      ( "label-split",
+        [
+          Alcotest.test_case "relay splits toward its cache" `Quick
+            test_relay_splits_toward_cache;
+          Alcotest.test_case "paper examples on every label set" `Quick
+            test_examples_every_label_set;
+        ] );
       ( "dag",
         [
           Alcotest.test_case "acyclicity" `Quick test_dag;
-          Alcotest.test_case "topological order" `Quick test_topological_order;
+          Alcotest.test_case "loop verdict" `Quick test_loop_verdict;
         ] );
     ]
