@@ -276,6 +276,73 @@ let micro_channel () =
              Wireless.Grid.rebuild g ~now:!rebuild_now));
     ]
 
+(* The channel among 1000 mobile nodes (E14): the 1k preset's terrain and
+   waypoint scripts (pause 0), a grid at the runner's 0.25 s epoch, and a
+   clock that moves between calls, so every call looks positions up afresh
+   and the grid goes stale between rebuilds as it does in a run. The gaps
+   follow the 1k world's rates: a transmit every 59 us, a backoff expiry
+   (one [busy_until]) every 7 us, and ~17 frames in the air. *)
+let micro_channel_mobile () =
+  let open Bechamel in
+  let scale = Option.get (Sim.Config.scale_of_name "1k") in
+  let config = Sim.Config.apply_scale scale Sim.Config.reproduction in
+  let nodes = config.Sim.Config.nodes in
+  let scripts =
+    Wireless.Mobility.generate config.Sim.Config.mobility
+      ~terrain:config.Sim.Config.terrain ~rng:(Des.Rng.create 42L) ~nodes
+      ~pause:0.0 ~speed_min:config.Sim.Config.speed_min
+      ~speed_max:config.Sim.Config.speed_max ~duration:900.0
+  in
+  let position i time = Wireless.Waypoint.position scripts.(i) time in
+  let radio = config.Sim.Config.radio in
+  let make_channel () =
+    let engine = Des.Engine.create () in
+    let ch =
+      Wireless.Channel.create
+        ~grid:{ Wireless.Channel.max_speed = config.Sim.Config.speed_max; epoch = 0.25 }
+        engine ~nodes ~position ~range:radio.Wireless.Radio.range
+        ~cs_range:radio.Wireless.Radio.cs_range
+    in
+    (engine, ch)
+  in
+  let advance engine dt =
+    Des.Engine.run engine ~until:(Des.Engine.now engine +. dt)
+  in
+  (* consecutive senders scattered over the terrain *)
+  let next src = (src + 337) mod nodes in
+  let transmit_case =
+    let engine, ch = make_channel () in
+    let src = ref 0 in
+    fun () ->
+      advance engine 59e-6;
+      Wireless.Channel.transmit ch ~src:!src ~duration:1e-3 ();
+      src := next !src
+  in
+  let busy_until_case =
+    let engine, ch = make_channel () in
+    (* 17 frames that never end; [neighbors] rebuilds a stale grid the way
+       the world's transmits do *)
+    for k = 0 to 16 do
+      Wireless.Channel.transmit ch ~src:(k * 59) ~duration:1e9 ()
+    done;
+    let node = ref 0 and built = ref 0.0 in
+    fun () ->
+      advance engine 7e-6;
+      let now = Des.Engine.now engine in
+      if now -. !built > 0.25 then begin
+        ignore (Wireless.Channel.neighbors ch !node);
+        built := now
+      end;
+      ignore (Wireless.Channel.busy_until ch !node);
+      node := next !node
+  in
+  Format.printf "@.=== micro: channel among %d mobile nodes (E14) ===@." nodes;
+  run_micro_tests
+    [
+      Test.make ~name:"Channel.transmit (grid)" (Staged.stage transmit_case);
+      Test.make ~name:"Channel.busy_until" (Staged.stage busy_until_case);
+    ]
+
 (* Trace encoding (E13): one record into a JSONL sink on the null
    device, so the cost is the encoder plus one buffered write. A record at
    the previous record's time reuses the sink's rendering of it; a fresh
@@ -700,6 +767,7 @@ let () =
   if wants opts "micro" then begin
     micro_labels ();
     micro_channel ();
+    micro_channel_mobile ();
     micro_trace ()
   end;
   if wants opts "ablation" then begin

@@ -852,8 +852,17 @@ let prop_heap_fifo =
 (* Spatial grid vs naive channel scan: the grid's candidate set must be a
    superset of the exact in-range set, and a channel backed by it must be
    observationally identical to the full O(N) sweep — same deliveries,
-   same collisions, in the same engine order. Mobile nodes exercise the
-   staleness slack (radius inflated by max_speed since the last rebuild). *)
+   same collisions, in the same engine order, and the same carrier sense
+   ([busy], [busy_until]) at every node at each transmission's start,
+   mid-frame and just past its 60 us idle guard. Mobile nodes exercise
+   the staleness slack (max_speed since the last rebuild) that every grid
+   pruning bound adds; carrier sense never rebuilds, so its probes read
+   grids older than the epoch. Mutation drills it catches (`manet_sim
+   fuzz --prop channel-grid-equiv --seed 42`): the channel's pruning
+   bound without its slack term (case 1: carrier sense diverges),
+   [Grid.iter]'s disc filter without it (case 117: a candidate is
+   missed), and the quiet-candidate skip without its empty-reception-list
+   condition (case 0: deliveries diverge). *)
 
 type channel_case = {
   cnodes : int;
@@ -946,13 +955,35 @@ let channel_grid_law c =
              (fun () ->
                Wireless.Channel.transmit ch ~src ~duration:tx_durations.(d) k)))
       c.ctx;
+    (* carrier-sense probes, scheduled after every transmission so a probe
+       at a frame's start sees that frame in the air *)
+    let sense = ref [] in
+    let probe () =
+      let now = Des.Engine.now engine in
+      for i = 0 to c.cnodes - 1 do
+        sense :=
+          ( now,
+            i,
+            Wireless.Channel.busy ch i,
+            Wireless.Channel.busy_until ch i )
+          :: !sense
+      done
+    in
+    List.iter
+      (fun (_, q, d) ->
+        let start = 0.25 *. float_of_int q and airtime = tx_durations.(d) in
+        List.iter
+          (fun time -> ignore (Des.Engine.schedule_at engine ~time probe))
+          [ start; start +. (airtime /. 2.0); start +. airtime +. 61e-6 ])
+      c.ctx;
     Des.Engine.run_all engine;
     ( List.rev !log,
       Wireless.Channel.collisions ch,
-      List.init c.cnodes (Wireless.Channel.collisions_at ch) )
+      List.init c.cnodes (Wireless.Channel.collisions_at ch),
+      List.rev !sense )
   in
-  let log_n, coll_n, per_n = run None in
-  let log_g, coll_g, per_g =
+  let log_n, coll_n, per_n, sense_n = run None in
+  let log_g, coll_g, per_g, sense_g =
     run (Some { Wireless.Channel.max_speed; epoch = 0.25 })
   in
   if log_n <> log_g then
@@ -962,6 +993,12 @@ let channel_grid_law c =
   else if coll_n <> coll_g then
     Error (Printf.sprintf "collision totals diverge: %d vs %d" coll_n coll_g)
   else if per_n <> per_g then Error "per-node collision counts diverge"
+  else if sense_n <> sense_g then
+    (* both runs probe the same (time, node) pairs in the same order *)
+    let (now, i, _, _), _ =
+      List.find (fun (n, g) -> n <> g) (List.combine sense_n sense_g)
+    in
+    Error (Printf.sprintf "carrier sense diverges at t=%.6f, node %d" now i)
   else begin
     (* candidate-superset oracle on a standalone grid, queried at each
        transmission instant against the brute-force in-range set *)

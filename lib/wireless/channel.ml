@@ -35,6 +35,10 @@ type 'a t = {
   collision_at : int array;
   (* spatial index pruning the per-frame neighbour scan; None = full scan *)
   grid : Grid.t option;
+  (* the grid's bucketed coordinates ([||] without a grid), read in place
+     by the pruning tests below *)
+  bucket_x : float array;
+  bucket_y : float array;
   (* per-(node, time) position memo: one frame event looks the same nodes
      up at the same instant many times, and Waypoint.position is a binary
      search per call. Flat x/y arrays keep the floats unboxed and the
@@ -78,6 +82,8 @@ let create ?(trace = Trace.null) ?grid engine ~nodes ~position ~range ~cs_range 
     collision_count = 0;
     collision_at = Array.make nodes 0;
     grid;
+    bucket_x = (match grid with Some g -> Grid.bucketed_x g | None -> [||]);
+    bucket_y = (match grid with Some g -> Grid.bucketed_y g | None -> [||]);
     pos_at = Array.make (Stdlib.max nodes 1) nan;
     pos_x = Array.make (Stdlib.max nodes 1) 0.0;
     pos_y = Array.make (Stdlib.max nodes 1) 0.0;
@@ -154,11 +160,45 @@ let within t a b ~radius =
 
 let in_range t a b = within t a b ~radius:t.range
 
+(* Pruning without a position lookup. A node is within [slack] of the
+   position the grid bucketed it under, so a bucketed distance above
+   [radius] plus the slack once per bucketed end, plus the grid's rounding
+   margin, proves the exact distance is above [radius]. The reach is
+   infinite on a naive channel and before the grid's first build: then
+   nothing is pruned and the bucket arrays are never read. *)
+let reach ~slack ~radius ~ends = radius +. (ends *. slack) +. Grid.margin
+
+(* exact point (x, y) against node [j]'s bucketed position; both tests are
+   inlined because a call would box their float arguments on every
+   candidate *)
+let[@inline] beyond t j ~x ~y ~reach =
+  reach < infinity
+  &&
+  let dx = t.bucket_x.(j) -. x and dy = t.bucket_y.(j) -. y in
+  (dx *. dx) +. (dy *. dy) > reach *. reach
+
+(* two bucketed positions: [reach] must count the slack twice *)
+let[@inline] apart t a b ~reach =
+  reach < infinity
+  &&
+  let dx = t.bucket_x.(a) -. t.bucket_x.(b)
+  and dy = t.bucket_y.(a) -. t.bucket_y.(b) in
+  (dx *. dx) +. (dy *. dy) > reach *. reach
+
+(* Carrier sense reads the grid as last built and never rebuilds it, so
+   [grid_rebuilds] counts only the sweeps that would rebuild anyway. *)
+let sense_reach t time =
+  let slack =
+    match t.grid with None -> infinity | Some g -> Grid.slack g ~now:time
+  in
+  reach ~slack ~radius:t.cs_range ~ends:2.0
+
 let busy t i =
   if transmitting t i then true
   else begin
     prune t;
     let time = now t in
+    let far = sense_reach t time in
     let found = ref false in
     let k = ref 0 in
     while (not !found) && !k < t.air_len do
@@ -166,6 +206,7 @@ let busy t i =
       if
         src <> i
         && t.air_until.(!k) +. t.idle_guard > time
+        && (not (apart t i src ~reach:far))
         && within t i src ~radius:t.cs_range
       then found := true
       else incr k
@@ -178,10 +219,14 @@ let busy_until t i =
   let time = now t in
   let horizon = ref time in
   if t.tx_until.(i) > !horizon then horizon := t.tx_until.(i);
+  let far = sense_reach t time in
   for k = 0 to t.air_len - 1 do
     let src = t.air_src.(k) in
     let guarded = t.air_until.(k) +. t.idle_guard in
-    if src <> i && guarded > !horizon && within t i src ~radius:t.cs_range
+    if
+      src <> i && guarded > !horizon
+      && (not (apart t i src ~reach:far))
+      && within t i src ~radius:t.cs_range
     then horizon := guarded
   done;
   !horizon
@@ -234,11 +279,40 @@ let clash t j ~rx_a ~rx_b =
 let interfere t j rx ~interferer_dist =
   if rx.dist *. t.capture_ratio > interferer_dist then corrupt t j rx
 
+(* Top-level loops over a node's receptions: a [List.iter] or
+   [List.exists] would allocate a closure on every swept candidate. *)
+let rec corrupt_all t j = function
+  | [] -> ()
+  | rx :: rest ->
+      corrupt t j rx;
+      corrupt_all t j rest
+
+let rec clash_all t j rx = function
+  | [] -> ()
+  | other :: rest ->
+      clash t j ~rx_a:rx ~rx_b:other;
+      clash_all t j rx rest
+
+let rec interfere_all t j ~interferer_dist = function
+  | [] -> ()
+  | rx :: rest ->
+      interfere t j rx ~interferer_dist;
+      interfere_all t j ~interferer_dist rest
+
+let rec any_ended time = function
+  | [] -> false
+  | r :: rest -> r.rx_end <= time || any_ended time rest
+
+(* the list without [rx], in order *)
+let rec without rx = function
+  | [] -> []
+  | r :: rest -> if r == rx then rest else r :: without rx rest
+
 (* [List.filter] allocates a fresh list even when nothing is removed;
    most sweeps find no expired reception, so test before rebuilding *)
 let prune_rx t j time =
   let l = t.rx_active.(j) in
-  if List.exists (fun r -> r.rx_end <= time) l then
+  if any_ended time l then
     t.rx_active.(j) <- List.filter (fun r -> r.rx_end > time) l
 
 let transmit_body t ~src ~duration pdu =
@@ -249,9 +323,20 @@ let transmit_body t ~src ~duration pdu =
   if tx_end > t.tx_until.(src) then t.tx_until.(src) <- tx_end;
   (* half duplex: starting a transmission ruins any reception in progress *)
   prune_rx t src time;
-  List.iter (corrupt t src) t.rx_active.(src);
+  corrupt_all t src t.rx_active.(src);
   let pos_src = pos t src time in
   let sx = pos_src.Vec2.x and sy = pos_src.Vec2.y in
+  let slack =
+    match t.grid with
+    | None -> infinity
+    | Some g ->
+        (* the sweep below would rebuild stale buckets on its way in; do
+           it first, so this slack belongs to the buckets the sweep reads *)
+        Grid.ensure g ~now:time;
+        Grid.slack g ~now:time
+  in
+  (* air entries past this are too far from a receiver to interfere *)
+  let cs_reach = reach ~slack ~radius:t.cs_range ~ends:1.0 in
   let touch j =
     if j <> src then begin
       refresh_pos t j time;
@@ -266,12 +351,14 @@ let transmit_body t ~src ~duration pdu =
           let rx = { corrupted = false; rx_end = tx_end; dist = d } in
           prune_rx t j time;
           (* overlap with receptions already in progress: capture decides *)
-          List.iter (fun other -> clash t j ~rx_a:rx ~rx_b:other)
-            t.rx_active.(j);
+          clash_all t j rx t.rx_active.(j);
           (* interferers already in the air but too far to decode *)
           for k = 0 to t.air_len - 1 do
             let other_src = t.air_src.(k) in
-            if other_src <> src && other_src <> j && t.air_until.(k) > time
+            if
+              other_src <> src && other_src <> j
+              && t.air_until.(k) > time
+              && not (beyond t other_src ~x:jx ~y:jy ~reach:cs_reach)
             then begin
               refresh_pos t other_src time;
               let dxo = t.pos_x.(other_src) -. jx
@@ -285,8 +372,7 @@ let transmit_body t ~src ~duration pdu =
           ignore
             (Des.Engine.schedule ~span:span_rx t.engine ~delay:duration
                (fun () ->
-                 t.rx_active.(j) <-
-                   List.filter (fun r -> r != rx) t.rx_active.(j);
+                 t.rx_active.(j) <- without rx t.rx_active.(j);
                  if
                    (not rx.corrupted)
                    && (not (transmitting t j))
@@ -301,8 +387,7 @@ let transmit_body t ~src ~duration pdu =
       else if d <= t.cs_range then begin
         (* interference zone: undecodable, but can stomp receptions *)
         prune_rx t j time;
-        List.iter (fun rx -> interfere t j rx ~interferer_dist:d)
-          t.rx_active.(j)
+        interfere_all t j ~interferer_dist:d t.rx_active.(j)
       end
     end
   in
@@ -313,7 +398,15 @@ let transmit_body t ~src ~duration pdu =
       for j = 0 to t.nodes - 1 do
         touch j
       done
-  | Some g -> Grid.iter g ~now:time ~center:pos_src ~radius:t.cs_range touch
+  | Some g ->
+      (* beyond [range] the body only stomps receptions in progress: a
+         candidate with none that is provably out of range is skipped
+         before its position is looked up *)
+      let quiet_reach = reach ~slack ~radius:t.range ~ends:1.0 in
+      Grid.iter g ~now:time ~center:pos_src ~radius:t.cs_range (fun j ->
+          match t.rx_active.(j) with
+          | [] when beyond t j ~x:sx ~y:sy ~reach:quiet_reach -> ()
+          | _ -> touch j)
 
 let transmit t ~src ~duration pdu =
   if Obs.enabled () then begin

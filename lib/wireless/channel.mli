@@ -4,22 +4,34 @@
     The channel is polymorphic in the PDU it carries (the MAC instantiates
     it with its own frame type). Reception of a PDU succeeds iff, for the
     whole airtime, the receiver is (a) within [range] of the sender at
-    transmission start, (b) not transmitting itself, and (c) not hit by any
-    overlapping transmission from another in-range sender — otherwise the
-    PDU is corrupted and silently lost (a collision). Carrier sense reports
-    busy when any in-range node is transmitting. Node positions come from a
-    mobility lookup evaluated at transmission start (frame airtimes are
-    microseconds; node displacement within one frame is negligible). *)
+    transmission start, (b) not transmitting itself, and (c) not corrupted
+    by an overlapping transmission — otherwise the PDU is silently lost (a
+    collision). For (c), two overlapping receptions at one node are
+    weighed by capture: the one whose sender is at least [capture_ratio]
+    (3) times closer survives and the other is corrupted; without that
+    margin both are. A frame from a sender beyond [range] but within
+    [cs_range] (the interference zone) cannot be decoded, and it corrupts
+    a reception unless that reception's sender is at least
+    [capture_ratio] times closer. Carrier sense at a node reports busy
+    while the node itself transmits, or while a frame from another sender
+    within [cs_range] of it is in the air or ended less than an idle guard
+    (60 us) ago; the guard lets SIFS-spaced replies win the medium over
+    DIFS-spaced contenders. Node positions come from a mobility lookup
+    evaluated at transmission start (frame airtimes are microseconds; node
+    displacement within one frame is negligible). *)
 
 type 'a t
 
 (** Enables the spatial-grid hot path: neighbour scans in [transmit] and
-    [neighbors] sweep only hash-grid buckets covering the query disc
-    instead of all N nodes. [max_speed] must bound every node's speed and
-    [epoch] is the maximum grid staleness before a lazy rebuild; the two
-    together size the query slack that keeps the candidate set a superset
-    of the exact in-range set, so results are identical to the naive scan
-    (enforced by the [channel-grid-equiv] property). *)
+    [neighbors] sweep only the nodes whose bucketed position lies near the
+    query disc instead of all N nodes, and every sweep and carrier-sense
+    query skips a node's exact position lookup when its bucketed position
+    alone proves the outcome (see {!Grid}). [max_speed] must bound every
+    node's speed and [epoch] is the maximum grid staleness before a lazy
+    rebuild; the two together size the slack that keeps every pruning
+    conservative, so results are identical to the naive scan (enforced by
+    the [channel-grid-equiv] property). Carrier sense reads the grid as
+    last built and never rebuilds it. *)
 type grid = { max_speed : float; epoch : float }
 
 (** @raise Invalid_argument when [cs_range < range]. [trace] records a
@@ -48,7 +60,8 @@ val set_filter : 'a t -> (src:int -> dst:int -> bool) -> unit
 (** [transmit t ~src ~duration pdu] starts a transmission now. *)
 val transmit : 'a t -> src:int -> duration:float -> 'a -> unit
 
-(** Carrier sense at a node: is any in-range node (or itself) mid-airtime? *)
+(** Carrier sense at a node: is it transmitting, or is a frame from
+    another sender within [cs_range] in the air or inside its idle guard? *)
 val busy : 'a t -> int -> bool
 
 (** [busy_until t i] is the absolute time when the medium around [i] goes

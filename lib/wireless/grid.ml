@@ -103,23 +103,40 @@ let ensure t ~now =
 
 let clampi v lo hi = if v < lo then lo else if v > hi then hi else v
 
+(* metres every pruning bound adds: interpolated positions round far
+   below this, so a pruned node is out of reach by a wide gap *)
+let margin = 1.0
+
+let slack t ~now =
+  if now >= t.built_at then t.max_speed *. (now -. t.built_at) else infinity
+
+let bucketed_x t = t.xs
+
+let bucketed_y t = t.ys
+
 let iter t ~now ~center ~radius f =
   if t.nodes > 0 then begin
     ensure t ~now;
-    (* every node is at most max_speed * (now - built_at) away from the
-       position it was bucketed under, so inflating the radius by that
-       much makes the bucket sweep a guaranteed superset *)
-    let r = radius +. (t.max_speed *. (now -. t.built_at)) in
-    let bx0 = clampi (int_of_float ((center.Vec2.x -. r -. t.ox) /. t.cell)) 0 (t.cols - 1) in
-    let bx1 = clampi (int_of_float ((center.Vec2.x +. r -. t.ox) /. t.cell)) 0 (t.cols - 1) in
-    let by0 = clampi (int_of_float ((center.Vec2.y -. r -. t.oy) /. t.cell)) 0 (t.rows - 1) in
-    let by1 = clampi (int_of_float ((center.Vec2.y +. r -. t.oy) /. t.cell)) 0 (t.rows - 1) in
+    (* every node is at most [slack] away from the position it was
+       bucketed under, so a bucketed position outside the disc inflated by
+       that much (plus the rounding margin) is outside [radius] now *)
+    let r = radius +. slack t ~now +. margin in
+    let r2 = r *. r in
+    let cx = center.Vec2.x and cy = center.Vec2.y in
+    let near j =
+      let dx = t.xs.(j) -. cx and dy = t.ys.(j) -. cy in
+      (dx *. dx) +. (dy *. dy) <= r2
+    in
+    let bx0 = clampi (int_of_float ((cx -. r -. t.ox) /. t.cell)) 0 (t.cols - 1) in
+    let bx1 = clampi (int_of_float ((cx +. r -. t.ox) /. t.cell)) 0 (t.cols - 1) in
+    let by0 = clampi (int_of_float ((cy -. r -. t.oy) /. t.cell)) 0 (t.rows - 1) in
+    let by1 = clampi (int_of_float ((cy +. r -. t.oy) /. t.cell)) 0 (t.rows - 1) in
     if bx0 = 0 && by0 = 0 && bx1 = t.cols - 1 && by1 = t.rows - 1 then
       (* the query disc covers the whole occupied area (common when
-         cs_range rivals the terrain diagonal): skip the gather, every
-         node is a candidate *)
+         cs_range rivals the terrain diagonal): skip the gather and filter
+         the nodes in order *)
       for j = 0 to t.nodes - 1 do
-        f j
+        if near j then f j
       done
     else begin
     let m = ref 0 in
@@ -127,8 +144,11 @@ let iter t ~now ~center ~radius f =
       for bx = bx0 to bx1 do
         let b = (by * t.cols) + bx in
         for k = t.off.(b) to t.off.(b + 1) - 1 do
-          t.gather.(!m) <- t.ids.(k);
-          incr m
+          let j = t.ids.(k) in
+          if near j then begin
+            t.gather.(!m) <- j;
+            incr m
+          end
         done
       done
     done;
@@ -169,27 +189,6 @@ let iter t ~now ~center ~radius f =
       done
     end
     end
-  end
-
-(* candidate sweep without the ascending-order guarantee: carrier-sense
-   queries fold the candidates commutatively, so the sort (and the gather
-   pass feeding it) is pure overhead there *)
-let iter_unordered t ~now ~center ~radius f =
-  if t.nodes > 0 then begin
-    ensure t ~now;
-    let r = radius +. (t.max_speed *. (now -. t.built_at)) in
-    let bx0 = clampi (int_of_float ((center.Vec2.x -. r -. t.ox) /. t.cell)) 0 (t.cols - 1) in
-    let bx1 = clampi (int_of_float ((center.Vec2.x +. r -. t.ox) /. t.cell)) 0 (t.cols - 1) in
-    let by0 = clampi (int_of_float ((center.Vec2.y -. r -. t.oy) /. t.cell)) 0 (t.rows - 1) in
-    let by1 = clampi (int_of_float ((center.Vec2.y +. r -. t.oy) /. t.cell)) 0 (t.rows - 1) in
-    for by = by0 to by1 do
-      for bx = bx0 to bx1 do
-        let b = (by * t.cols) + bx in
-        for k = t.off.(b) to t.off.(b + 1) - 1 do
-          f t.ids.(k)
-        done
-      done
-    done
   end
 
 let rebuilds t = t.rebuild_count

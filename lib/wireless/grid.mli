@@ -2,13 +2,16 @@
 
     The grid buckets every node by its position at the last rebuild and
     answers radius queries with a {e superset} of the nodes currently
-    within the radius: because nodes move at most [max_speed] and the grid
-    is rebuilt whenever a query arrives more than [epoch] seconds after the
-    last build, a query inflates its radius by [max_speed * (now -
-    built_at)] and is guaranteed to cover every node whose {e current}
-    distance to the centre is within the requested radius. Callers re-check
-    exact distances; the grid only prunes the candidate set, so swapping it
-    in for a full scan cannot change observable behaviour (the
+    within the radius. The bound behind it: a node moves at most
+    [max_speed], so at [now] it is within {!slack} [= max_speed * (now -
+    built_at)] of the position it was bucketed under. A bucketed position
+    farther than [radius + slack + margin] from an exact centre therefore
+    proves the node is beyond [radius] now ({!margin} absorbs float
+    rounding); when both ends are bucketed positions the slack counts
+    twice. The grid is rebuilt whenever a query arrives more than [epoch]
+    seconds after the last build, which keeps the slack small. Callers
+    re-check exact distances; the grid only prunes the candidate set, so
+    swapping it in for a full scan cannot change observable behaviour (the
     [channel-grid-equiv] property and the wireless unit tests enforce
     exactly this).
 
@@ -35,17 +38,38 @@ val create :
     this lazily; exposed for benchmarks and tests). *)
 val rebuild : t -> now:float -> unit
 
-(** [iter t ~now ~center ~radius f] calls [f j] for every node [j] in the
-    candidate buckets, in ascending node order — a superset of [{ j |
-    dist(center, position j now) <= radius }]. The querying node itself is
-    included when it falls in range; callers skip it. *)
+(** [ensure t ~now] rebuilds when the buckets were never built, are more
+    than [epoch] old, or were built after [now]; {!iter} starts with it.
+    A caller that combines {!slack} with an {!iter} at the same [now]
+    calls [ensure] before {!slack}, so the slack it reads belongs to the
+    buckets {!iter} uses. *)
+val ensure : t -> now:float -> unit
+
+(** [iter t ~now ~center ~radius f] calls [f j], in ascending node order,
+    for every node [j] whose bucketed position lies within [radius +
+    slack t ~now + margin] of [center] (an exact position) — a superset
+    of [{ j | dist(center, position j now) <= radius }]. Runs {!ensure}
+    first. The querying node itself is included when it falls in range;
+    callers skip it. *)
 val iter : t -> now:float -> center:Vec2.t -> radius:float -> (int -> unit) -> unit
 
-(** Like {!iter} but with no ordering guarantee (bucket order, duplicates
-    impossible): skips the gather-and-sort pass, for commutative folds
-    such as carrier-sense queries. *)
-val iter_unordered :
-  t -> now:float -> center:Vec2.t -> radius:float -> (int -> unit) -> unit
+(** [slack t ~now] is [max_speed * (now - built_at)]: no node is farther
+    than this from its bucketed position at [now]. [infinity] before the
+    first build and when [now] precedes the last build, so a bound built
+    from it prunes nothing. Reads the grid as last built; never rebuilds. *)
+val slack : t -> now:float -> float
+
+(** Metres every pruning bound adds on top of the slack, for float
+    rounding in the position lookups and distance arithmetic. *)
+val margin : float
+
+(** The x and y coordinates each node was bucketed under at the last
+    build, indexed by node. These are the grid's own arrays, allocated
+    once and overwritten in place by each rebuild: read them, never write
+    them. Meaningful only while {!slack} is finite. *)
+val bucketed_x : t -> float array
+
+val bucketed_y : t -> float array
 
 (** Number of rebuilds performed so far (lazy and forced). *)
 val rebuilds : t -> int

@@ -18,7 +18,10 @@ let dist a b = sqrt (dist_sq a b)
 
 let norm v = sqrt ((v.x *. v.x) +. (v.y *. v.y))
 
-let lerp a b ~frac = add a (scale frac (sub b a))
+(* add a (scale frac (sub b a)) as one record: the same float expression,
+   so the same bits, without the two intermediate vectors *)
+let lerp a b ~frac =
+  { x = a.x +. (frac *. (b.x -. a.x)); y = a.y +. (frac *. (b.y -. a.y)) }
 
 let equal a b = a.x = b.x && a.y = b.y
 

@@ -165,6 +165,32 @@ let test_srp_farey_splits_variant () =
     true
     (farey.Sim.Metrics.max_denominator <= mediant.Sim.Metrics.max_denominator)
 
+(* The grid channel against its oracle, the naive full scan, in whole
+   worlds: a kilonode SRP world (dense grid, heavy carrier sense) and a
+   100-node world under the hostile fault plan. Results hold nan floats,
+   so their JSON is compared rather than the records. *)
+let test_grid_matches_naive () =
+  let kilo =
+    let scale = Option.get (C.scale_of_name "1k") in
+    let config =
+      C.apply_scale scale { C.reproduction with protocol = C.Srp; pause = 0.0 }
+    in
+    { config with C.traffic_start = 0.5; duration = 2.0 }
+  in
+  let hostile =
+    Sim.Scenario.apply
+      (Option.get (Sim.Scenario.find "hostile"))
+      { C.paper with duration = 15.0; traffic_start = 4.0; seed = 2 }
+  in
+  List.iter
+    (fun (name, config) ->
+      let result channel =
+        Trace.Json.to_string
+          (Sim.Metrics.result_json (Sim.Runner.run (C.with_channel config channel)))
+      in
+      Alcotest.(check string) name (result C.Naive) (result C.Grid))
+    [ ("1k-node SRP", kilo); ("hostile, 100 nodes", hostile) ]
+
 let test_srp_farey_loop_free () =
   let config =
     C.with_labels
@@ -554,6 +580,8 @@ let () =
           Alcotest.test_case "SRP zero seqno" `Slow test_srp_zero_seqno_static;
           Alcotest.test_case "Farey-split variant (§VI)" `Slow
             test_srp_farey_splits_variant;
+          Alcotest.test_case "grid channel matches naive" `Slow
+            test_grid_matches_naive;
         ] );
       ( "loop-freedom",
         [

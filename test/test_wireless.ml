@@ -21,6 +21,27 @@ let test_vec2 () =
   Alcotest.(check (float 1e-9)) "lerp x" 2.5 m.V.x;
   Alcotest.(check (float 1e-9)) "lerp y" 5.0 m.V.y
 
+(* lerp builds one record from the expression the composed form
+   evaluates, so the bits must match, not just the values *)
+let test_lerp_bits () =
+  let rng = Des.Rng.create 8L in
+  let point () =
+    vec
+      (Des.Rng.uniform rng ~lo:(-5000.0) ~hi:5000.0)
+      (Des.Rng.uniform rng ~lo:(-5000.0) ~hi:5000.0)
+  in
+  let fracs =
+    [ 0.0; 1.0; 0.5; 1.0 /. 3.0 ] @ List.init 1000 (fun _ -> Des.Rng.float rng 1.0)
+  in
+  List.iter
+    (fun frac ->
+      let a = point () and b = point () in
+      let got = V.lerp a b ~frac and want = V.add a (V.scale frac (V.sub b a)) in
+      let bits f = Int64.bits_of_float f in
+      Alcotest.(check int64) "x bits" (bits want.V.x) (bits got.V.x);
+      Alcotest.(check int64) "y bits" (bits want.V.y) (bits got.V.y))
+    fracs
+
 let test_terrain () =
   let t = T.make ~width:100.0 ~height:50.0 in
   Alcotest.(check bool) "contains inside" true (T.contains t (vec 50.0 25.0));
@@ -269,6 +290,66 @@ let test_grid_ascending_order () =
         [ 100.0; 300.0; 550.0; 2000.0 ])
     points
 
+(* The pruning bound at its edge. Node 1 is bucketed 555 m from node 0 at
+   t = 0 and moves straight at it at max_speed (20 m/s), so at t = 0.25,
+   one epoch later, it is exactly 550 m away: on the carrier-sense rim.
+   Only the slack (20 m/s x 0.25 s) keeps it from being pruned. *)
+let edge_scripts =
+  [|
+    W.stationary (vec 0.0 0.0);
+    W.of_legs ~initial:(vec 555.0 0.0)
+      [
+        {
+          W.depart = 0.0;
+          arrive = 0.5;
+          from_p = vec 555.0 0.0;
+          to_p = vec 545.0 0.0;
+        };
+      ];
+  |]
+
+let edge_position i t = W.position edge_scripts.(i) t
+
+let test_grid_bound_edge () =
+  Alcotest.(check (float 0.0)) "550 m apart at t = 0.25" 550.0
+    (V.dist (edge_position 0 0.25) (edge_position 1 0.25));
+  let g =
+    Wireless.Grid.create ~nodes:2 ~position:edge_position ~cell:275.0
+      ~max_speed:20.0 ~epoch:0.25
+  in
+  Wireless.Grid.rebuild g ~now:0.0;
+  let seen = ref [] in
+  Wireless.Grid.iter g ~now:0.25 ~center:(edge_position 0 0.25) ~radius:550.0
+    (fun j -> seen := j :: !seen);
+  Alcotest.(check (list int)) "still a candidate" [ 0; 1 ] (List.rev !seen);
+  Alcotest.(check int) "buckets one epoch old are reused" 1
+    (Wireless.Grid.rebuilds g)
+
+let test_carrier_sense_bound_edge () =
+  let e = Des.Engine.create () in
+  let ch =
+    Ch.create
+      ~grid:{ Ch.max_speed = 20.0; epoch = 0.25 }
+      e ~nodes:2 ~position:edge_position ~range:250.0 ~cs_range:550.0
+  in
+  (* node 1's frame builds the grid with both nodes 555 m apart *)
+  Ch.transmit ch ~src:1 ~duration:0.3 ();
+  Alcotest.(check bool) "idle at 555 m" false (Ch.busy ch 0);
+  let probe time ~busy_until =
+    ignore
+      (Des.Engine.schedule_at e ~time (fun () ->
+           Alcotest.(check bool) (Printf.sprintf "busy at t = %g" time) true
+             (Ch.busy ch 0);
+           Alcotest.(check (float 0.0)) "busy until the guard ends" busy_until
+             (Ch.busy_until ch 0)))
+  in
+  (* on the rim, then inside it with the grid past its epoch *)
+  probe 0.25 ~busy_until:(0.3 +. 60e-6);
+  probe 0.28 ~busy_until:(0.3 +. 60e-6);
+  Des.Engine.run_all e;
+  Alcotest.(check int) "carrier sense never rebuilds the grid" 1
+    (Ch.grid_rebuilds ch)
+
 let test_grid_channel_equivalence () =
   (* the same broadcast schedule through a naive and a grid channel:
      delivery logs and collision counters must agree exactly *)
@@ -431,6 +512,7 @@ let () =
       ( "geometry",
         [
           Alcotest.test_case "vec2" `Quick test_vec2;
+          Alcotest.test_case "lerp bits" `Quick test_lerp_bits;
           Alcotest.test_case "terrain" `Quick test_terrain;
         ] );
       ( "waypoint",
@@ -460,6 +542,9 @@ let () =
             test_grid_ascending_order;
           Alcotest.test_case "naive/grid channel equivalence" `Quick
             test_grid_channel_equivalence;
+          Alcotest.test_case "bound at its edge" `Quick test_grid_bound_edge;
+          Alcotest.test_case "carrier sense at the bound's edge" `Quick
+            test_carrier_sense_bound_edge;
         ] );
       ( "mac",
         [
