@@ -38,8 +38,9 @@ val cancelled : handle -> bool
 val pending : t -> int
 
 (** [run t ~until] executes events in time order until the queue is empty or
-    the next event is strictly after [until]. Afterwards [now t] is the time
-    of the last executed event, capped at [until].
+    the next event is strictly after [until]. Afterwards [now t] is [until],
+    not the time of the last executed event; a clock already past [until]
+    stays where it is.
 
     [watchdog], when given, is called every few thousand executed events —
     without scheduling anything, so event counts and outcomes are untouched.

@@ -1,4 +1,5 @@
 type reception = {
+  node : int;  (** the receiver *)
   mutable corrupted : bool;
   rx_end : float;
   dist : float;  (** sender-to-receiver distance at frame start *)
@@ -51,8 +52,13 @@ type 'a t = {
   span_transmit : Obs.span;
 }
 
-(* rx-end delivery events, distinct from the synchronous sweep above *)
+(* frame-end delivery events, one per frame however many nodes hear it,
+   distinct from the synchronous sweep above *)
 let span_rx = Obs.span "event.channel.rx"
+
+(* receptions the frame-end events walk: always on, so the per-reception
+   count survives one event handling a whole frame *)
+let receptions = Obs.counter "channel.receptions"
 
 let create ?(trace = Trace.null) ?grid engine ~nodes ~position ~range ~cs_range =
   if cs_range < range then invalid_arg "Channel.create: cs_range < range";
@@ -256,48 +262,48 @@ let neighbors t i =
       Grid.iter g ~now:time ~center:pos_i ~radius:t.range consider;
       List.rev !result
 
-let corrupt t node rx =
+let corrupt t rx =
   if not rx.corrupted then begin
     rx.corrupted <- true;
     t.collision_count <- t.collision_count + 1;
-    t.collision_at.(node) <- t.collision_at.(node) + 1;
-    Trace.mac_collision t.trace ~node
+    t.collision_at.(rx.node) <- t.collision_at.(rx.node) + 1;
+    Trace.mac_collision t.trace ~node:rx.node
   end
 
 (* Capture: a frame whose sender is [capture_ratio] times closer than a
    competing signal survives the overlap; otherwise the overlap corrupts
    it. Applied pairwise between overlapping frames and against
    non-decodable interference. *)
-let clash t j ~rx_a ~rx_b =
-  if rx_a.dist *. t.capture_ratio <= rx_b.dist then corrupt t j rx_b
-  else if rx_b.dist *. t.capture_ratio <= rx_a.dist then corrupt t j rx_a
+let clash t ~rx_a ~rx_b =
+  if rx_a.dist *. t.capture_ratio <= rx_b.dist then corrupt t rx_b
+  else if rx_b.dist *. t.capture_ratio <= rx_a.dist then corrupt t rx_a
   else begin
-    corrupt t j rx_a;
-    corrupt t j rx_b
+    corrupt t rx_a;
+    corrupt t rx_b
   end
 
-let interfere t j rx ~interferer_dist =
-  if rx.dist *. t.capture_ratio > interferer_dist then corrupt t j rx
+let interfere t rx ~interferer_dist =
+  if rx.dist *. t.capture_ratio > interferer_dist then corrupt t rx
 
 (* Top-level loops over a node's receptions: a [List.iter] or
    [List.exists] would allocate a closure on every swept candidate. *)
-let rec corrupt_all t j = function
+let rec corrupt_all t = function
   | [] -> ()
   | rx :: rest ->
-      corrupt t j rx;
-      corrupt_all t j rest
+      corrupt t rx;
+      corrupt_all t rest
 
-let rec clash_all t j rx = function
+let rec clash_all t rx = function
   | [] -> ()
   | other :: rest ->
-      clash t j ~rx_a:rx ~rx_b:other;
-      clash_all t j rx rest
+      clash t ~rx_a:rx ~rx_b:other;
+      clash_all t rx rest
 
-let rec interfere_all t j ~interferer_dist = function
+let rec interfere_all t ~interferer_dist = function
   | [] -> ()
   | rx :: rest ->
-      interfere t j rx ~interferer_dist;
-      interfere_all t j ~interferer_dist rest
+      interfere t rx ~interferer_dist;
+      interfere_all t ~interferer_dist rest
 
 let rec any_ended time = function
   | [] -> false
@@ -315,6 +321,24 @@ let prune_rx t j time =
   if any_ended time l then
     t.rx_active.(j) <- List.filter (fun r -> r.rx_end > time) l
 
+(* one receiver's end of the frame *)
+let finish t ~src pdu rx =
+  let j = rx.node in
+  t.rx_active.(j) <- without rx t.rx_active.(j);
+  if (not rx.corrupted) && (not (transmitting t j)) && deliverable t ~src ~dst:j
+  then
+    match t.receivers.(j) with Some deliver -> deliver ~src pdu | None -> ()
+
+(* [heard] lists a frame's receptions newest first; finishing the rest
+   before the head walks them oldest first, in sweep order. Returns how
+   many it walked. *)
+let rec finish_all t ~src pdu = function
+  | [] -> 0
+  | rx :: rest ->
+      let walked = finish_all t ~src pdu rest in
+      finish t ~src pdu rx;
+      walked + 1
+
 let transmit_body t ~src ~duration pdu =
   let time = now t in
   let tx_end = time +. duration in
@@ -323,7 +347,7 @@ let transmit_body t ~src ~duration pdu =
   if tx_end > t.tx_until.(src) then t.tx_until.(src) <- tx_end;
   (* half duplex: starting a transmission ruins any reception in progress *)
   prune_rx t src time;
-  corrupt_all t src t.rx_active.(src);
+  corrupt_all t t.rx_active.(src);
   let pos_src = pos t src time in
   let sx = pos_src.Vec2.x and sy = pos_src.Vec2.y in
   let slack =
@@ -337,6 +361,8 @@ let transmit_body t ~src ~duration pdu =
   in
   (* air entries past this are too far from a receiver to interfere *)
   let cs_reach = reach ~slack ~radius:t.cs_range ~ends:1.0 in
+  (* receptions this frame creates, newest first *)
+  let heard = ref [] in
   let touch j =
     if j <> src then begin
       refresh_pos t j time;
@@ -348,10 +374,10 @@ let transmit_body t ~src ~duration pdu =
         if transmitting t j then ()
           (* a transmitting node hears nothing; the frame is simply lost *)
         else begin
-          let rx = { corrupted = false; rx_end = tx_end; dist = d } in
+          let rx = { node = j; corrupted = false; rx_end = tx_end; dist = d } in
           prune_rx t j time;
           (* overlap with receptions already in progress: capture decides *)
-          clash_all t j rx t.rx_active.(j);
+          clash_all t rx t.rx_active.(j);
           (* interferers already in the air but too far to decode *)
           for k = 0 to t.air_len - 1 do
             let other_src = t.air_src.(k) in
@@ -365,35 +391,24 @@ let transmit_body t ~src ~duration pdu =
               and dyo = t.pos_y.(other_src) -. jy in
               let di = sqrt ((dxo *. dxo) +. (dyo *. dyo)) in
               if di > t.range && di <= t.cs_range then
-                interfere t j rx ~interferer_dist:di
+                interfere t rx ~interferer_dist:di
             end
           done;
           t.rx_active.(j) <- rx :: t.rx_active.(j);
-          ignore
-            (Des.Engine.schedule ~span:span_rx t.engine ~delay:duration
-               (fun () ->
-                 t.rx_active.(j) <- without rx t.rx_active.(j);
-                 if
-                   (not rx.corrupted)
-                   && (not (transmitting t j))
-                   && deliverable t ~src ~dst:j
-                 then begin
-                   match t.receivers.(j) with
-                   | Some deliver -> deliver ~src pdu
-                   | None -> ()
-                 end))
+          heard := rx :: !heard
         end
       end
       else if d <= t.cs_range then begin
         (* interference zone: undecodable, but can stomp receptions *)
         prune_rx t j time;
-        interfere_all t j ~interferer_dist:d t.rx_active.(j)
+        interfere_all t ~interferer_dist:d t.rx_active.(j)
       end
     end
   in
   (* nodes farther than cs_range are untouched by the body above, so
-     sweeping only the grid's superset of the cs_range disc is exact *)
-  match t.grid with
+     sweeping only the grid's superset of the cs_range disc is exact; both
+     sweeps visit ascending ids *)
+  (match t.grid with
   | None ->
       for j = 0 to t.nodes - 1 do
         touch j
@@ -406,7 +421,18 @@ let transmit_body t ~src ~duration pdu =
       Grid.iter g ~now:time ~center:pos_src ~radius:t.cs_range (fun j ->
           match t.rx_active.(j) with
           | [] when beyond t j ~x:sx ~y:sy ~reach:quiet_reach -> ()
-          | _ -> touch j)
+          | _ -> touch j));
+  (* One event ends the frame at every receiver. The sweep schedules
+     nothing but this event, so it takes the tie number the first
+     receiver's own event would have had, and whatever a receiver
+     schedules for that instant takes a later one: the receivers run
+     exactly as consecutive per-receiver events would. *)
+  match !heard with
+  | [] -> ()
+  | heard ->
+      ignore
+        (Des.Engine.schedule ~span:span_rx t.engine ~delay:duration (fun () ->
+             Obs.add receptions (finish_all t ~src pdu heard)))
 
 let transmit t ~src ~duration pdu =
   if Obs.enabled () then begin

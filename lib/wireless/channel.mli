@@ -57,7 +57,22 @@ val set_receiver : 'a t -> int -> (src:int -> 'a -> unit) -> unit
     collision accounting — a faulted link still radiates energy. *)
 val set_filter : 'a t -> (src:int -> dst:int -> bool) -> unit
 
-(** [transmit t ~src ~duration pdu] starts a transmission now. *)
+(** [transmit t ~src ~duration pdu] starts a transmission now.
+
+    Frame-end contract: a frame that reaches any listening node schedules
+    exactly one engine event, at [now + duration], and nothing else (no
+    event when no node in range is listening). That event handles the
+    receivers in sweep order, ascending id on both the grid and the naive
+    channel: each reception leaves the node's in-progress set, then,
+    unless it was corrupted, its receiver is transmitting or the filter
+    vetoes the pair, reaches the receiver's callback. Every receiver is
+    handled before any other event for that instant scheduled after this
+    call, including events the callbacks themselves schedule with zero
+    delay. This is the order one event per receiver would give: the sweep
+    schedules nothing else, so those events would hold one key and
+    consecutive tie numbers, and whatever a handler schedules at the same
+    time takes a later tie. The [channel.receptions] Obs counter adds up
+    the receivers these events handle. *)
 val transmit : 'a t -> src:int -> duration:float -> 'a -> unit
 
 (** Carrier sense at a node: is it transmitting, or is a frame from

@@ -168,14 +168,16 @@ if "$SIM" campaign --nodes 20 --duration 10 --trials 1 --flows 3 --quiet \
 fi
 
 # observability smoke: --prof must append a perf_profile member with the
-# expected hot-path span names, and the Prometheus export must be
-# well-formed (one # TYPE per family, no duplicate sample series)
+# expected hot-path span names and the always-on reception counter, and
+# the Prometheus export must be well-formed (one # TYPE per family, no
+# duplicate sample series)
 "$SIM" run --nodes 20 --duration 30 --prof --json "$tmp/run_prof.json" \
   --prof-out "$tmp/run_prof.prom" > "$tmp/run_prof.txt" 2> /dev/null
 "$SIM" trace "$tmp/run_prof.json" --validate --require perf_profile
 grep -q '"name":"channel.transmit.grid"' "$tmp/run_prof.json"
 grep -q '"name":"event.mac.backoff"' "$tmp/run_prof.json"
 grep -q '"name":"proto.srp.receive"' "$tmp/run_prof.json"
+grep -q '"channel.receptions":' "$tmp/run_prof.json"
 grep -q "Profile (wall-clock spans" "$tmp/run_prof.txt"
 awk '/^# TYPE /{if (seen[$3]++) {print "duplicate TYPE: " $3; exit 1}}' \
   "$tmp/run_prof.prom"

@@ -237,6 +237,70 @@ let test_channel_neighbors () =
   Alcotest.(check bool) "in_range" true (Ch.in_range ch 0 1);
   Alcotest.(check bool) "not in range" false (Ch.in_range ch 0 2)
 
+(* The frame-end contract. Node 2 broadcasts to four receivers whose
+   distances (220, 50, 150 and 100 m) do not follow their ids; on the
+   grid, node 0 sits alone in a second cell, so bucket order does not
+   follow them either. *)
+let star = [| (520.0, 300.0); (300.0, 350.0); (300.0, 300.0); (150.0, 300.0);
+               (300.0, 200.0) |]
+
+let star_channel grid =
+  let e = Des.Engine.create () in
+  let position i _ = vec (fst star.(i)) (snd star.(i)) in
+  let ch =
+    Ch.create ?grid e ~nodes:(Array.length star) ~position ~range:250.0
+      ~cs_range:550.0
+  in
+  (e, ch)
+
+let grid_static = Some { Ch.max_speed = 0.0; epoch = 0.25 }
+
+let receptions = Obs.counter "channel.receptions"
+
+let test_frame_end_one_event grid () =
+  let e, ch = star_channel grid in
+  let log = ref [] in
+  let note entry = log := entry :: !log in
+  List.iter
+    (fun i ->
+      Ch.set_receiver ch i (fun ~src:_ _ ->
+          (* every delivery runs inside the first executed event *)
+          note (Printf.sprintf "rx %d in event %d" i (Des.Engine.executed e));
+          if i = 0 then
+            ignore
+              (Des.Engine.schedule e ~delay:0.0 (fun () -> note "follow-up"))))
+    [ 0; 1; 3; 4 ];
+  let before = Obs.counter_value receptions in
+  Ch.transmit ch ~src:2 ~duration:1e-3 "x";
+  Des.Engine.run_all e;
+  Alcotest.(check (list string))
+    "ascending ids in one event, then what the first receiver scheduled"
+    [
+      "rx 0 in event 1"; "rx 1 in event 1"; "rx 3 in event 1";
+      "rx 4 in event 1"; "follow-up";
+    ]
+    (List.rev !log);
+  Alcotest.(check int) "frame end + follow-up" 2 (Des.Engine.executed e);
+  Alcotest.(check int) "four receptions counted" 4
+    (Obs.counter_value receptions - before)
+
+let test_frame_end_past_until grid () =
+  let e, ch = star_channel grid in
+  let got = ref 0 in
+  List.iter
+    (fun i -> Ch.set_receiver ch i (fun ~src:_ _ -> incr got))
+    [ 0; 1; 3; 4 ];
+  let before = Obs.counter_value receptions in
+  Ch.transmit ch ~src:2 ~duration:1e-3 "x";
+  Des.Engine.run e ~until:5e-4;
+  Alcotest.(check int) "nobody hears an unfinished frame" 0 !got;
+  Alcotest.(check int) "no reception counted" 0
+    (Obs.counter_value receptions - before);
+  Des.Engine.run_all e;
+  Alcotest.(check int) "all four once it ends" 4 !got;
+  Alcotest.(check int) "then counted once each" 4
+    (Obs.counter_value receptions - before)
+
 (* ------------------------------------------------------------------ *)
 (* Spatial hash grid *)
 
@@ -534,6 +598,14 @@ let () =
           Alcotest.test_case "half duplex" `Quick test_channel_half_duplex;
           Alcotest.test_case "carrier sense" `Quick test_channel_carrier_sense;
           Alcotest.test_case "neighbors" `Quick test_channel_neighbors;
+          Alcotest.test_case "frame end: one event, sweep order (naive)" `Quick
+            (test_frame_end_one_event None);
+          Alcotest.test_case "frame end: one event, sweep order (grid)" `Quick
+            (test_frame_end_one_event grid_static);
+          Alcotest.test_case "frame end past until (naive)" `Quick
+            (test_frame_end_past_until None);
+          Alcotest.test_case "frame end past until (grid)" `Quick
+            (test_frame_end_past_until grid_static);
         ] );
       ( "grid",
         [
