@@ -2,7 +2,9 @@
    Protocols.Olsr ran before its flat-array rewrite, kept verbatim as the
    reference for the [olsr-routes-oracle] property. Only the state those
    two computations read is modelled: the neighbour table, the topology
-   table and the TC duplicate cache. Nothing is sent. *)
+   table and the TC duplicate cache. Nothing is sent. It is also the
+   reference for the agent's topology set, which is purged as TCs merge:
+   this table is never purged. *)
 
 module Routing_intf = Protocols.Routing_intf
 module Seen_cache = Protocols.Seen_cache

@@ -1046,8 +1046,9 @@ let prop_channel_grid =
    [tick] steps deliver nothing, so they read the table computed at the
    last control message after its entries may have expired.
 
-   Mutation drill (re-run whenever Olsr.recompute_routes or select_mprs
-   changes; last run with this change, --max-cases 200 --seed 7):
+   Mutation drill (re-run whenever Olsr.recompute_routes, merge_tc or
+   select_mprs changes; last run when the topology set moved into
+   per-last-hop arrays, --max-cases 200 --seed 7):
    - reversing the ring's seed order in recompute_routes fails case 2 and
      shrinks in 16 steps to nodes=5 me=0 steps=[+0.0 hello 4 [3s; 0];
      +0.0 hello 1 me [3s]] (next_hop dst=3: agent 4, oracle 1);
@@ -1056,12 +1057,21 @@ let prop_channel_grid =
      shrunk in 19 steps to a two-HELLO case (MPR set [2], oracle [0]);
    - recomputing on every next_hop (dropping the stale-table contract)
      fails case 0, shrunk in 20 steps to a neighbour that expires at
-     t=6.00 with no control message since.
-   Reversing the adjacency prepend order ([dest :: adj.(x)] ->
-   [adj.(x) @ [dest]]) passes, and must: it is an equivalent mutant,
-   since order inside an adjacency list cannot move a next hop (see the
-   seed comment in Olsr.recompute_routes); the 100-node golden run is
-   byte-identical under it too. Restore and re-run green. *)
+     t=6.00 with no control message since;
+   - dropping the BFS's expiry test, so that only the purge in merge_tc
+     removes dead entries, fails case 1 in 33 steps: a TC entry that
+     expires at t=15.00 with no new TC from its last hop since (next_hop
+     dst=2: agent 0, oracle none);
+   - replacing the last hop's set in merge_tc instead of merging into it
+     fails case 1 in 17 steps: two TCs from last hop 0 advertise [2] and
+     then [0] (next_hop dst=2: agent none, oracle 0).
+   Two mutants pass, and must. Reading a node's edges in reverse (its TC
+   destinations last to first, before the seed's reversed two-hop list)
+   is equivalent, since that order cannot move a next hop (see the seed
+   comment in Olsr.recompute_routes). A purge that keeps entries expiring
+   exactly now ([> time] -> [>= time]) is equivalent too, since the BFS
+   tests expiry again. The 100-node golden run is byte-identical under
+   both. Restore and re-run green. *)
 
 type olsr_msg =
   | O_hello of { origin : int; about_me : int; links : (int * bool) list }

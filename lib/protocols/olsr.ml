@@ -1,4 +1,6 @@
 let span_timer = Obs.span "proto.olsr.timer"
+let route_recomputes = Obs.counter "olsr.route.recomputes"
+let topology_scanned = Obs.counter "olsr.topology.scanned"
 
 module Frame = Wireless.Frame
 
@@ -42,19 +44,25 @@ type neighbor = {
   mutable selected_us : bool;  (** we are in its MPR set *)
 }
 
-type topo_edge = { mutable t_expiry : float }
+(* One last hop's part of the topology set: the destinations its TCs
+   advertised and when each expires, in the first [count] slots. *)
+type last_hop = {
+  mutable dests : int array;
+  mutable expiries : float array;
+  mutable count : int;
+}
+
+(* Shared by every last hop no TC has come from yet. [merge_tc] swaps in a
+   fresh entry before it writes, so this one stays empty. *)
+let no_tc = { dests = [||]; expiries = [||]; count = 0 }
 
 type t = {
   ctx : Routing_intf.ctx;
   config : config;
+  (* Never purged, unlike [topology]: expired neighbours are skipped. A
+     purge would change the bucket layout, whose order seeds the BFS and so
+     breaks every tie between equal-length routes (see [recompute_routes]). *)
   neighbors : (int, neighbor) Hashtbl.t;
-  (* (advertising originator = last hop, destination) -> expiry. Never
-     purged: expired entries are skipped, not removed. Its iteration order
-     only orders adjacency lists, which cannot move a next hop (see
-     [recompute_routes]), so a purge should be output-neutral; it still
-     changes what every OLSR run allocates and must be re-pinned against
-     the goldens on its own. *)
-  topology : (int * int, topo_edge) Hashtbl.t;
   seen_tc : Seen_cache.t;
   mutable mpr_set : int list;
   mutable ansn : int;
@@ -62,18 +70,25 @@ type t = {
   (* flat arrays indexed by node id, [||] until [ensure_arrays] *)
   mutable routes : int array;  (** dst -> next hop, [-1] = no route *)
   mutable route_count : int;  (** entries of [routes] that are set *)
-  mutable adj : int list array;  (** BFS adjacency; empty between BFSs *)
+  (* The topology set by last hop (TC originator). Purged as TCs merge:
+     right after a last hop's TC its entry holds live destinations only;
+     what expires before its next TC stays until then, skipped by the BFS. *)
+  mutable topology : last_hop array;
   mutable ring : int array;  (** BFS queue *)
   mutable mark : int array;  (** MPR selection: see [m_sym] and friends *)
 }
 
 let now t = Des.Engine.now t.ctx.Routing_intf.engine
 
-let sym_neighbors t =
-  let time = now t in
+(* symmetric neighbours live at [time], with their records, in the
+   reverse of the neighbours table's iteration order *)
+let sym_entries t time =
   Hashtbl.fold
-    (fun id n acc -> if n.sym && n.expiry > time then id :: acc else acc)
+    (fun id nb acc ->
+      if nb.sym && nb.expiry > time then (id, nb) :: acc else acc)
     t.neighbors []
+
+let sym_neighbors t = List.map fst (sym_entries t (now t))
 
 let mprs t = t.mpr_set
 
@@ -84,7 +99,7 @@ let ensure_arrays t =
   if Array.length t.routes = 0 then begin
     let n = t.ctx.Routing_intf.node_count in
     t.routes <- Array.make n (-1);
-    t.adj <- Array.make n [];
+    t.topology <- Array.make n no_tc;
     t.ring <- Array.make n 0;
     t.mark <- Array.make n 0
   end
@@ -109,12 +124,7 @@ let select_mprs t =
   Array.fill mark 0 (Array.length mark) 0;
   let time = now t in
   let me = t.ctx.Routing_intf.id in
-  let nbrs =
-    Hashtbl.fold
-      (fun id nb acc ->
-        if nb.sym && nb.expiry > time then (id, nb) :: acc else acc)
-      t.neighbors []
-  in
+  let nbrs = sym_entries t time in
   List.iter (fun (id, _) -> mark.(id) <- m_sym) nbrs;
   let uncovered = ref 0 in
   List.iter
@@ -160,52 +170,53 @@ let select_mprs t =
 
 let recompute_routes t =
   ensure_arrays t;
-  let routes = t.routes and adj = t.adj and ring = t.ring in
+  Obs.incr route_recomputes;
+  let routes = t.routes and topology = t.topology and ring = t.ring in
   let n = Array.length routes in
   Array.fill routes 0 n (-1);
   let time = now t in
   let me = t.ctx.Routing_intf.id in
-  (* adjacency from TC entries (last_hop -> destinations) plus the two-hop
-     neighbourhood learned from HELLOs *)
-  Hashtbl.iter
-    (fun (last_hop, dest) edge ->
-      if edge.t_expiry > time then adj.(last_hop) <- dest :: adj.(last_hop))
-    t.topology;
-  (* Symmetric neighbours seed the queue in [sym_neighbors] order, the
-     reverse of iteration order: fill the ring backwards from its end. This
+  (* Symmetric neighbours seed the queue in [sym_neighbors] order. This
      order is the only tie-break: children inherit their parent's first
      hop and enter the queue together, so every BFS level stays sorted by
      seed rank and a node's first hop is the earliest seed among its
-     shortest paths, whatever the order inside an adjacency list. *)
-  let start = ref n in
-  Hashtbl.iter
-    (fun id nb ->
-      if nb.sym && nb.expiry > time then begin
-        decr start;
-        ring.(!start) <- id;
-        routes.(id) <- id;
-        List.iter (fun h -> adj.(id) <- h :: adj.(id)) nb.two_hop
-      end)
-    t.neighbors;
+     shortest paths, whatever order a node's edges are read in. *)
+  let seeds = sym_entries t time in
   (* every id enters the ring at most once, so [n] slots never overrun *)
-  let start = !start in
-  let slot i = if start + i >= n then start + i - n else start + i in
-  let pushed = ref (n - start) and popped = ref 0 in
+  let pushed = ref 0 in
+  List.iter
+    (fun (id, _) ->
+      routes.(id) <- id;
+      ring.(!pushed) <- id;
+      incr pushed)
+    seeds;
+  let reach via dest =
+    if dest <> me && routes.(dest) < 0 then begin
+      routes.(dest) <- via;
+      ring.(!pushed) <- dest;
+      incr pushed
+    end
+  in
+  (* A node's edges: a seed's two-hop neighbourhood from its HELLOs (the
+     seeds pop first, in [seeds] order), then the node's live TC
+     destinations, read where the topology set keeps them. *)
+  let seeds_left = ref seeds and popped = ref 0 and scanned = ref 0 in
   while !popped < !pushed do
-    let node = ring.(slot !popped) in
+    let node = ring.(!popped) in
     incr popped;
     let via = routes.(node) in
-    List.iter
-      (fun dest ->
-        if dest <> me && routes.(dest) < 0 then begin
-          routes.(dest) <- via;
-          ring.(slot !pushed) <- dest;
-          incr pushed
-        end)
-      adj.(node)
+    (match !seeds_left with
+    | (_, nb) :: rest ->
+        seeds_left := rest;
+        List.iter (reach via) nb.two_hop
+    | [] -> ());
+    let entry = topology.(node) in
+    for i = 0 to entry.count - 1 do
+      if entry.expiries.(i) > time then reach via entry.dests.(i)
+    done;
+    scanned := !scanned + entry.count
   done;
-  (* drop the lists now so a minor GC never promotes them *)
-  Array.fill adj 0 n [];
+  Obs.add topology_scanned !scanned;
   t.route_count <- !pushed;
   t.route_dirty <- false
 
@@ -299,6 +310,59 @@ let handle_hello t hello =
       hello.h_links;
   t.route_dirty <- true
 
+(* [dest]'s slot in [entry], or [entry.count] when it holds none *)
+let rec slot_of entry dest i =
+  if i = entry.count || entry.dests.(i) = dest then i
+  else slot_of entry dest (i + 1)
+
+(* Merge a new TC into its last hop's entry in place. Entries expired by
+   now are dropped first: [recompute_routes] would skip them, so a purge
+   cannot move a route, and the set stays as small as what is live plus
+   what expired since that last hop's previous TC. Then each advertised
+   destination is refreshed if held and appended if not. *)
+let merge_tc t tc =
+  ensure_arrays t;
+  let me = t.ctx.Routing_intf.id in
+  let time = now t in
+  let expiry = time +. t.config.topology_hold in
+  let entry =
+    let held = t.topology.(tc.t_origin) in
+    if held != no_tc then held
+    else begin
+      let fresh = { dests = [||]; expiries = [||]; count = 0 } in
+      t.topology.(tc.t_origin) <- fresh;
+      fresh
+    end
+  in
+  let live = ref 0 in
+  for i = 0 to entry.count - 1 do
+    if entry.expiries.(i) > time then begin
+      entry.dests.(!live) <- entry.dests.(i);
+      entry.expiries.(!live) <- entry.expiries.(i);
+      incr live
+    end
+  done;
+  entry.count <- !live;
+  List.iter
+    (fun dest ->
+      if dest <> me then begin
+        let i = slot_of entry dest 0 in
+        if i = entry.count then begin
+          if i = Array.length entry.dests then begin
+            let cap = max 4 (2 * i) in
+            let dests = Array.make cap 0 and expiries = Array.make cap 0.0 in
+            Array.blit entry.dests 0 dests 0 i;
+            Array.blit entry.expiries 0 expiries 0 i;
+            entry.dests <- dests;
+            entry.expiries <- expiries
+          end;
+          entry.dests.(i) <- dest;
+          entry.count <- i + 1
+        end;
+        entry.expiries.(i) <- expiry
+      end)
+    tc.t_advertised
+
 let handle_tc t ~from tc =
   let me = t.ctx.Routing_intf.id in
   if tc.t_origin = me then ()
@@ -306,17 +370,7 @@ let handle_tc t ~from tc =
     not (Seen_cache.witness t.seen_tc ~origin:tc.t_origin ~id:tc.t_ansn)
   then ()
   else begin
-    let expiry = now t +. t.config.topology_hold in
-    List.iter
-      (fun dest ->
-        if dest <> me then begin
-          match Hashtbl.find_opt t.topology (tc.t_origin, dest) with
-          | Some edge -> edge.t_expiry <- expiry
-          | None ->
-              Hashtbl.replace t.topology (tc.t_origin, dest)
-                { t_expiry = expiry }
-        end)
-      tc.t_advertised;
+    merge_tc t tc;
     t.route_dirty <- true;
     (* MPR flooding: relay only if the sender selected us as MPR *)
     let relay =
@@ -403,14 +457,13 @@ let create_full ?(config = default_config) ctx =
       ctx;
       config;
       neighbors = Hashtbl.create 16;
-      topology = Hashtbl.create 64;
       seen_tc = Seen_cache.create ctx.Routing_intf.engine ~ttl:30.0;
       mpr_set = [];
       ansn = 0;
       route_dirty = true;
       routes = [||];
       route_count = 0;
-      adj = [||];
+      topology = [||];
       ring = [||];
       mark = [||];
     }

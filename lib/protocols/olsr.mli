@@ -53,5 +53,6 @@ val mprs : t -> int list
     control messages the last table is served, even past its entries'
     expiry. [None] for any [dst] without a route, including the agent's
     own id and ids outside [\[0, ctx.node_count)]. Node ids carried by
-    HELLO/TC messages must lie in that range. *)
+    HELLO/TC messages must lie in that range. That includes TC originators,
+    which index the agent's topology set. *)
 val next_hop : t -> dst:int -> int option

@@ -45,6 +45,11 @@ dune exec bin/manet_sim.exe -- trace "$tmp/run.json" --validate \
 # spatial-grid/naive channel equivalence) on a fixed seed must pass with
 # zero violations
 dune exec bin/manet_sim.exe -- fuzz --max-cases 200 --seed 7
+# ... and the OLSR agent against its never-purged Hashtbl reference, deeper
+# than the catalogue's share of cases: the topology set is purged as TCs
+# merge, and expiry races show only over long message streams
+dune exec bin/manet_sim.exe -- fuzz --prop olsr-routes-oracle \
+  --max-cases 2000 --seed 11
 
 # parallel-determinism smoke: the same seeded campaign on 2 worker domains
 # must produce byte-identical stdout and JSON to the sequential run
@@ -168,7 +173,7 @@ if "$SIM" campaign --nodes 20 --duration 10 --trials 1 --flows 3 --quiet \
 fi
 
 # observability smoke: --prof must append a perf_profile member with the
-# expected hot-path span names and the always-on reception counter, and
+# expected hot-path span names and the always-on counters, and
 # the Prometheus export must be well-formed (one # TYPE per family, no
 # duplicate sample series)
 "$SIM" run --nodes 20 --duration 30 --prof --json "$tmp/run_prof.json" \
@@ -179,6 +184,11 @@ grep -q '"name":"event.mac.backoff"' "$tmp/run_prof.json"
 grep -q '"name":"proto.srp.receive"' "$tmp/run_prof.json"
 grep -q '"channel.receptions":' "$tmp/run_prof.json"
 grep -q "Profile (wall-clock spans" "$tmp/run_prof.txt"
+# ... and an OLSR run must report its route work counters
+"$SIM" run --protocol olsr --nodes 20 --duration 30 --prof \
+  --json "$tmp/run_olsr_prof.json" > /dev/null 2> /dev/null
+grep -q '"olsr.route.recomputes":' "$tmp/run_olsr_prof.json"
+grep -q '"olsr.topology.scanned":' "$tmp/run_olsr_prof.json"
 awk '/^# TYPE /{if (seen[$3]++) {print "duplicate TYPE: " $3; exit 1}}' \
   "$tmp/run_prof.prom"
 awk '!/^#/ && NF { if (seen[$1]++) { print "duplicate sample: " $1; exit 1 } }' \

@@ -811,6 +811,68 @@ let test_olsr_topology_routing () =
   Alcotest.(check (option int)) "multi-hop route to 9 via 1" (Some 1)
     (Olsr.next_hop t ~dst:9)
 
+let tc ~last_hop ~ansn advertised =
+  Frame.make ~src:1 ~dst:Frame.Broadcast ~size:24
+    ~payload:
+      (Olsr.Tc { t_origin = last_hop; t_ansn = ansn; t_advertised = advertised })
+
+let hello_1_4 = hello ~origin:1 [ (0, true, false); (4, true, false) ]
+
+(* An advertised edge lasts [topology_hold]; the next TC that carries it
+   again (a new ANSN) brings the route back after the expired entry has
+   been purged. *)
+let test_olsr_topology_expiry () =
+  let h = harness () in
+  let t, agent = Olsr.create_full h.ctx in
+  agent.RI.receive ~src:1 hello_1_4;
+  agent.RI.receive ~src:1 (tc ~last_hop:4 ~ansn:1 [ 9 ]);
+  Alcotest.(check (option int)) "route to 9 via 1" (Some 1)
+    (Olsr.next_hop t ~dst:9);
+  Des.Engine.run h.engine
+    ~until:(Olsr.default_config.topology_hold +. 0.5);
+  agent.RI.receive ~src:1 hello_1_4;
+  Alcotest.(check (option int)) "edge 4 -> 9 expired" None
+    (Olsr.next_hop t ~dst:9);
+  Alcotest.(check (option int)) "two-hop 4 still via 1" (Some 1)
+    (Olsr.next_hop t ~dst:4);
+  agent.RI.receive ~src:1 (tc ~last_hop:4 ~ansn:2 [ 9 ]);
+  Alcotest.(check (option int)) "re-advertised: via 1 again" (Some 1)
+    (Olsr.next_hop t ~dst:9)
+
+(* TCs from one last hop add to what it advertised before. *)
+let test_olsr_topology_merge () =
+  let h = harness () in
+  let t, agent = Olsr.create_full h.ctx in
+  agent.RI.receive ~src:1 hello_1_4;
+  agent.RI.receive ~src:1 (tc ~last_hop:4 ~ansn:1 [ 9 ]);
+  agent.RI.receive ~src:1 (tc ~last_hop:4 ~ansn:2 [ 8 ]);
+  Alcotest.(check (option int)) "route to 9 kept" (Some 1)
+    (Olsr.next_hop t ~dst:9);
+  Alcotest.(check (option int)) "route to 8 added" (Some 1)
+    (Olsr.next_hop t ~dst:8)
+
+let recomputes = Obs.counter "olsr.route.recomputes"
+let scanned = Obs.counter "olsr.topology.scanned"
+
+(* One recompute per control message that [next_hop] follows, however often
+   it is asked; the BFS reads the one topology entry, held by node 4. *)
+let test_olsr_work_counters () =
+  let h = harness () in
+  let t, agent = Olsr.create_full h.ctx in
+  agent.RI.receive ~src:1 hello_1_4;
+  agent.RI.receive ~src:1 (tc ~last_hop:4 ~ansn:1 [ 9 ]);
+  ignore (Olsr.next_hop t ~dst:9);
+  let counts () = (Obs.counter_value recomputes, Obs.counter_value scanned) in
+  let r0, s0 = counts () in
+  agent.RI.receive ~src:1 hello_1_4;
+  ignore (Olsr.next_hop t ~dst:9);
+  let r1, s1 = counts () in
+  Alcotest.(check (pair int int)) "one recompute, one entry read" (1, 1)
+    (r1 - r0, s1 - s0);
+  ignore (Olsr.next_hop t ~dst:9);
+  Alcotest.(check (pair int int)) "stale table served: nothing counted"
+    (r1, s1) (counts ())
+
 let test_olsr_tc_relay_gated_by_mpr () =
   let h = harness () in
   let _, agent = Olsr.create_full h.ctx in
@@ -1174,6 +1236,12 @@ let () =
           Alcotest.test_case "symmetry and neighbours" `Quick
             test_olsr_symmetry_and_mpr;
           Alcotest.test_case "topology routing" `Quick test_olsr_topology_routing;
+          Alcotest.test_case "topology expiry and re-advertisement" `Quick
+            test_olsr_topology_expiry;
+          Alcotest.test_case "topology merge, not replace" `Quick
+            test_olsr_topology_merge;
+          Alcotest.test_case "route work counters" `Quick
+            test_olsr_work_counters;
           Alcotest.test_case "MPR-gated TC relay" `Quick
             test_olsr_tc_relay_gated_by_mpr;
         ] );
