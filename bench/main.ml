@@ -1,202 +1,29 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Table I, Figs. 3-7), runs label-arithmetic and channel
-   micro-benchmarks (E7), and two ablations of design choices called out in
-   DESIGN.md (E8). Argument parsing lives in {!Bench_cli} (testable); this
-   file only drives the sections.
+(* Benchmark harness: label-arithmetic, channel and trace
+   micro-benchmarks (E7), two ablations of design choices called out in
+   DESIGN.md (E8), the label-set showdown (E9), and the work ledger CI
+   gates on. Table I and Figs. 3-7 come from [manet_sim campaign].
 
-   The campaign behind table1/fig3..fig7 runs once and is shared, farmed
-   over [-j N] domains, and its JSON twin gains a ["perf"] member (wall
-   time, engine events, events/s) used by the [--check-regression] gate. *)
+   [work] runs world 0 of each benchmark workload, a 5000-node world and
+   every micro case, and records exact counts and allocated words
+   ({!Work_ledger}) in BENCH_work.json; [work --check FILE] compares them
+   against FILE instead and fails naming every row that moved. *)
 
 module J = Trace.Json
-
-let wants opts section =
-  List.mem "all" opts.Bench_cli.sections
-  || List.mem section opts.Bench_cli.sections
-
-let wants_campaign opts =
-  List.exists (wants opts)
-    [ "campaign"; "table1"; "fig3"; "fig4"; "fig5"; "fig6"; "fig7" ]
-
-(* ------------------------------------------------------------------ *)
-(* The simulation campaign shared by Table I and Figs. 3-7 *)
-
-let base_config opts =
-  let base =
-    if opts.Bench_cli.full then { Sim.Config.paper with seed = 1 }
-    else
-      { Sim.Config.reproduction with
-        duration = opts.Bench_cli.duration;
-        flows = opts.Bench_cli.flows;
-        seed = 1;
-      }
-  in
-  let base = Sim.Config.with_channel base opts.Bench_cli.channel in
-  let base =
-    match opts.Bench_cli.scale with
-    | Some s -> Sim.Config.apply_scale s base
-    | None -> base
-  in
-  Sim.Scenario.apply opts.Bench_cli.scenario
-    (Sim.Config.with_labels base opts.Bench_cli.labels)
-
-(* The checkpoint (--resume) only arms on the measured pass: the sequential
-   reference pass of --compare-sequential must re-run every cell or its
-   wall-clock number is meaningless. *)
-let run_campaign ?checkpoint opts ~jobs =
-  let base = base_config opts in
-  let trials = if opts.Bench_cli.full then 10 else opts.Bench_cli.trials in
-  Format.printf
-    "campaign: %d nodes, %d flows, %.0f s runs, %d trials x %d pause times x \
-     %d protocols, %d job%s@."
-    base.Sim.Config.nodes base.Sim.Config.flows base.Sim.Config.duration trials
-    (List.length Sim.Config.paper_pause_times)
-    (List.length Sim.Config.all_protocols)
-    jobs
-    (if jobs = 1 then "" else "s");
-  if not opts.Bench_cli.full then
-    Format.printf
-      "(pause times scaled by %.3f to keep the paused-time fraction of the \
-       paper's 900 s runs)@."
-      (base.Sim.Config.duration /. 900.0);
-  let progress =
-    if opts.Bench_cli.quiet then fun _ -> () else prerr_endline
-  in
-  let pause_scale =
-    if opts.Bench_cli.full then 1.0 else base.Sim.Config.duration /. 900.0
-  in
-  let policy =
-    if opts.Bench_cli.fail_fast then Sim.Supervisor.fail_fast
-    else
-      {
-        Sim.Supervisor.default with
-        Sim.Supervisor.cell_timeout = opts.Bench_cli.cell_timeout;
-        retries = opts.Bench_cli.retries;
-      }
-  in
-  let started = Unix.gettimeofday () in
-  let campaign =
-    Sim.Experiment.run ~policy ?checkpoint
-      ?sabotage:(Sim.Sabotage.from_env ()) ~jobs ~pause_scale ~base
-      ~protocols:Sim.Config.all_protocols
-      ~pauses:Sim.Config.paper_pause_times ~trials ~progress ()
-  in
-  (campaign, Unix.gettimeofday () -. started)
-
-(* The throughput record appended to the campaign JSON. Normalised
-   events/s/job is what the regression gate compares: it is stable across
-   differing [-j] settings on the same machine. Since the observability
-   layer the member also carries the per-worker-domain ledger (cells run,
-   busy wall time, GC deltas) so the bench trajectory localises where a
-   speedup — or a slowdown — comes from; the gate reads only
-   [events_per_sec_per_job] and so accepts both the old and new shapes. *)
-let worker_json (w : Obs.worker) =
-  J.Obj
-    [
-      ("domain", J.Int w.Obs.w_domain);
-      ("cells", J.Int w.Obs.w_cells);
-      ("busy_seconds", J.Float (float_of_int w.Obs.w_busy_ns /. 1e9));
-      ("minor_collections", J.Int w.Obs.w_minor_collections);
-      ("major_collections", J.Int w.Obs.w_major_collections);
-      ("minor_words", J.Int w.Obs.w_minor_words);
-      ("promoted_words", J.Int w.Obs.w_promoted_words);
-      ("major_words", J.Int w.Obs.w_major_words);
-    ]
-
-let perf_member ~jobs ~wall ~sequential_wall ~workers campaign =
-  let events = campaign.Sim.Experiment.engine_events in
-  let eps = if wall > 0.0 then float_of_int events /. wall else 0.0 in
-  let sum f = List.fold_left (fun acc w -> acc + f w) 0 workers in
-  J.Obj
-    ([
-       ("jobs", J.Int jobs);
-       ("wall_seconds", J.Float wall);
-       ("engine_events", J.Int events);
-       ("events_per_sec", J.Float eps);
-       ("events_per_sec_per_job", J.Float (eps /. float_of_int jobs));
-       ("workers", J.List (List.map worker_json workers));
-       ( "gc",
-         J.Obj
-           [
-             ( "minor_collections",
-               J.Int (sum (fun w -> w.Obs.w_minor_collections)) );
-             ( "major_collections",
-               J.Int (sum (fun w -> w.Obs.w_major_collections)) );
-             ("minor_words", J.Int (sum (fun w -> w.Obs.w_minor_words)));
-             ("promoted_words", J.Int (sum (fun w -> w.Obs.w_promoted_words)));
-             ("major_words", J.Int (sum (fun w -> w.Obs.w_major_words)));
-           ] );
-     ]
-    @
-    match sequential_wall with
-    | None -> []
-    | Some sw ->
-        [
-          ("sequential_wall_seconds", J.Float sw);
-          ("speedup", J.Float (if wall > 0.0 then sw /. wall else 0.0));
-        ])
-
-let regression_gate ~baseline_path ~fresh_json =
-  let fail msg =
-    Format.eprintf "regression gate: %s@." msg;
-    exit 2
-  in
-  let contents =
-    try In_channel.with_open_text baseline_path In_channel.input_all
-    with Sys_error e -> fail e
-  in
-  let baseline =
-    match J.parse contents with
-    | Ok j -> j
-    | Error e -> fail (baseline_path ^ ": " ^ e)
-  in
-  let number path j =
-    match J.path path j with
-    | Some (J.Float x) -> x
-    | Some (J.Int n) -> float_of_int n
-    | _ -> fail (baseline_path ^ ": missing " ^ path)
-  in
-  let base_rate = number "perf.events_per_sec_per_job" baseline in
-  let fresh_rate = number "perf.events_per_sec_per_job" fresh_json in
-  let floor = 0.75 *. base_rate in
-  Format.printf
-    "regression gate: fresh %.0f events/s/job vs baseline %.0f (floor %.0f)@."
-    fresh_rate base_rate floor;
-  if fresh_rate < floor then begin
-    Format.eprintf
-      "regression gate FAILED: %.0f events/s/job is below 75%% of the \
-       committed baseline %.0f@."
-      fresh_rate base_rate;
-    exit 3
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Micro-benchmarks (E7, Bechamel) *)
 
-let run_micro_tests tests =
-  let open Bechamel in
-  List.iter
-    (fun test ->
-      let instances = [ Toolkit.Instance.monotonic_clock ] in
-      let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-      let raw = Benchmark.all cfg instances test in
-      let results =
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-          Toolkit.Instance.monotonic_clock raw
-      in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] -> Format.printf "%-30s %10.1f ns/op@." name est
-          | _ -> Format.printf "%-30s (no estimate)@." name)
-        results)
-    tests
+(* [cases] builds a group's cases afresh, so [work] counts the words of
+   the same calls whether or not [micro] timed them first. *)
+type group = {
+  key : string;  (** ledger rows are micro/KEY/CASE *)
+  title : string;
+  cases : unit -> (string * (unit -> unit)) list;
+}
 
-let micro_labels () =
+let label_cases () =
   let module F = Slr.Fraction in
   let module O = Slr.Ordering in
-  let open Bechamel in
   let a = F.make ~num:610 ~den:987 in
   let b = F.make ~num:987 ~den:1597 in
   let oa = O.make ~sn:3 ~frac:a in
@@ -205,33 +32,23 @@ let micro_labels () =
   let big_hi = F.make ~num:2_000_005 ~den:3_999_999 in
   let ba = Slr.Bigfrac.of_ints ~num:610 ~den:987 in
   let bb = Slr.Bigfrac.of_ints ~num:987 ~den:1597 in
-  Format.printf "@.=== micro: label-arithmetic costs (E7) ===@.";
-  run_micro_tests
-    [
-      Test.make ~name:"Fraction.compare"
-        (Staged.stage (fun () -> ignore (F.compare a b)));
-      Test.make ~name:"Fraction.mediant"
-        (Staged.stage (fun () -> ignore (F.mediant a b)));
-      Test.make ~name:"Ordering.precedes"
-        (Staged.stage (fun () -> ignore (O.precedes ob oa)));
-      Test.make ~name:"New_order.compute"
-        (Staged.stage (fun () ->
-             ignore (Slr.New_order.compute ~current:oa ~cached:O.unassigned ~adv:ob)));
-      Test.make ~name:"Farey.simplest_between"
-        (Staged.stage (fun () ->
-             ignore (Slr.Farey.simplest_between ~lo:big_lo ~hi:big_hi)));
-      Test.make ~name:"Bigfrac.mediant"
-        (Staged.stage (fun () -> ignore (Slr.Bigfrac.mediant ba bb)));
-    ];
-  Format.printf "worst-case mediant splits in 32 bits: %d (paper: 45)@."
-    (Slr.Fraction.max_splits ())
+  [
+    ("Fraction.compare", fun () -> ignore (F.compare a b));
+    ("Fraction.mediant", fun () -> ignore (F.mediant a b));
+    ("Ordering.precedes", fun () -> ignore (O.precedes ob oa));
+    ( "New_order.compute",
+      fun () ->
+        ignore (Slr.New_order.compute ~current:oa ~cached:O.unassigned ~adv:ob) );
+    ( "Farey.simplest_between",
+      fun () -> ignore (Slr.Farey.simplest_between ~lo:big_lo ~hi:big_hi) );
+    ("Bigfrac.mediant", fun () -> ignore (Slr.Bigfrac.mediant ba bb));
+  ]
 
 (* Channel hot path: one broadcast frame swept over 100 static nodes on the
    paper terrain, naive full scan vs spatial grid, plus the cost of a
    forced grid rebuild. Positions are static so the measurement isolates
    the neighbour sweep from mobility lookups. *)
-let micro_channel () =
-  let open Bechamel in
+let channel_cases () =
   let nodes = 100 in
   let rng = Des.Rng.create 42L in
   let points =
@@ -263,18 +80,14 @@ let micro_channel () =
       ~max_speed:0.0 ~epoch:1e9
   in
   let rebuild_now = ref 0.0 in
-  Format.printf "@.=== micro: channel hot path, %d nodes (E7) ===@." nodes;
-  run_micro_tests
-    [
-      Test.make ~name:"Channel.transmit (naive)"
-        (Staged.stage (transmit_case naive));
-      Test.make ~name:"Channel.transmit (grid)"
-        (Staged.stage (transmit_case grid));
-      Test.make ~name:"Grid.rebuild"
-        (Staged.stage (fun () ->
-             rebuild_now := !rebuild_now +. 1.0;
-             Wireless.Grid.rebuild g ~now:!rebuild_now));
-    ]
+  [
+    ("Channel.transmit (naive)", transmit_case naive);
+    ("Channel.transmit (grid)", transmit_case grid);
+    ( "Grid.rebuild",
+      fun () ->
+        rebuild_now := !rebuild_now +. 1.0;
+        Wireless.Grid.rebuild g ~now:!rebuild_now );
+  ]
 
 (* The channel among 1000 mobile nodes (E14): the 1k preset's terrain and
    waypoint scripts (pause 0), a grid at the runner's 0.25 s epoch, and a
@@ -282,8 +95,7 @@ let micro_channel () =
    and the grid goes stale between rebuilds as it does in a run. The gaps
    follow the 1k world's rates: a transmit every 59 us, a backoff expiry
    (one [busy_until]) every 7 us, and ~17 frames in the air. *)
-let micro_channel_mobile () =
-  let open Bechamel in
+let mobile_channel_cases () =
   let scale = Option.get (Sim.Config.scale_of_name "1k") in
   let config = Sim.Config.apply_scale scale Sim.Config.reproduction in
   let nodes = config.Sim.Config.nodes in
@@ -336,41 +148,83 @@ let micro_channel_mobile () =
       ignore (Wireless.Channel.busy_until ch !node);
       node := next !node
   in
-  Format.printf "@.=== micro: channel among %d mobile nodes (E14) ===@." nodes;
-  run_micro_tests
-    [
-      Test.make ~name:"Channel.transmit (grid)" (Staged.stage transmit_case);
-      Test.make ~name:"Channel.busy_until" (Staged.stage busy_until_case);
-    ]
+  [
+    ("Channel.transmit (grid)", transmit_case);
+    ("Channel.busy_until", busy_until_case);
+  ]
 
 (* Trace encoding (E13): one record into a JSONL sink on the null
    device, so the cost is the encoder plus one buffered write. A record at
    the previous record's time reuses the sink's rendering of it; a fresh
-   time is printed anew. *)
-let micro_trace () =
-  let open Bechamel in
-  let oc = open_out_bin Filename.null in
+   time is printed anew. The sink stays open for the life of the
+   process. *)
+let trace_cases () =
   let now = ref 37.25 in
-  let t = Trace.jsonl ~clock:(fun () -> !now) oc in
-  Format.printf "@.=== micro: trace encoding (E7, E13) ===@.";
-  run_micro_tests
-    [
-      Test.make ~name:"ctl-rx, repeated t"
-        (Staged.stage (fun () -> Trace.ctl_rx t ~node:17 ~kind:"rreq" ~from:42));
-      Test.make ~name:"ctl-rx, fresh t"
-        (Staged.stage (fun () ->
-             now := !now +. 7.3e-6;
-             Trace.ctl_rx t ~node:17 ~kind:"rreq" ~from:42));
-      Test.make ~name:"mac-collision"
-        (Staged.stage (fun () -> Trace.mac_collision t ~node:17));
-      Test.make ~name:"Json.float_str"
-        (Staged.stage (fun () -> ignore (J.float_str 37.2512345678)));
-    ];
-  Trace.close t;
-  close_out oc
+  let t = Trace.jsonl ~clock:(fun () -> !now) (open_out_bin Filename.null) in
+  [
+    ( "ctl-rx, repeated t",
+      fun () -> Trace.ctl_rx t ~node:17 ~kind:"rreq" ~from:42 );
+    ( "ctl-rx, fresh t",
+      fun () ->
+        now := !now +. 7.3e-6;
+        Trace.ctl_rx t ~node:17 ~kind:"rreq" ~from:42 );
+    ("mac-collision", fun () -> Trace.mac_collision t ~node:17);
+    ("Json.float_str", fun () -> ignore (J.float_str 37.2512345678));
+  ]
+
+let micro_groups =
+  [
+    { key = "labels"; title = "label-arithmetic costs (E7)";
+      cases = label_cases };
+    { key = "channel-100"; title = "channel hot path, 100 nodes (E7)";
+      cases = channel_cases };
+    { key = "channel-1k"; title = "channel among 1000 mobile nodes (E14)";
+      cases = mobile_channel_cases };
+    { key = "trace"; title = "trace encoding (E7, E13)"; cases = trace_cases };
+  ]
+
+let time_cases cases =
+  let open Bechamel in
+  List.iter
+    (fun (name, f) ->
+      let instances = [ Toolkit.Instance.monotonic_clock ] in
+      let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
+      let test = Test.make ~name (Staged.stage f) in
+      let raw = Benchmark.all cfg instances test in
+      let results =
+        Analyze.all
+          (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
+          Toolkit.Instance.monotonic_clock raw
+      in
+      Hashtbl.iter
+        (fun name result ->
+          match Analyze.OLS.estimates result with
+          | Some [ est ] -> Format.printf "%-30s %10.1f ns/op@." name est
+          | _ -> Format.printf "%-30s (no estimate)@." name)
+        results)
+    cases
+
+let micro () =
+  List.iter
+    (fun g ->
+      Format.printf "@.=== micro: %s ===@." g.title;
+      time_cases (g.cases ()))
+    micro_groups;
+  Format.printf "worst-case mediant splits in 32 bits: %d (paper: 45)@."
+    (Slr.Fraction.max_splits ())
 
 (* ------------------------------------------------------------------ *)
 (* Ablations (E8) *)
+
+(* one SRP world of the reduced campaign at pause 0, seed 1 *)
+let srp_world ~duration =
+  {
+    Sim.Config.reproduction with
+    duration;
+    seed = 1;
+    protocol = Sim.Config.Srp;
+    pause = 0.0;
+  }
 
 (* E8a: mediant vs Farey (Stern-Brocot) interpolation under random
    insertions -- the fraction-reduction direction of the paper's §VI. *)
@@ -420,12 +274,10 @@ let ablation_farey () =
   Format.printf
     "(the Farey walk keeps labels far smaller, deferring the sequence-number reset)@."
 
-(* E8b: SRP's tunables under constant mobility. *)
-let ablation_srp_knobs opts =
+(* E8b: SRP's tunables under constant mobility, on a 120 s world. *)
+let ablation_srp_knobs () =
   Format.printf "@.=== ablation: SRP heuristics at pause 0 (E8b) ===@.";
-  let base =
-    { (base_config opts) with Sim.Config.protocol = Sim.Config.Srp; pause = 0.0 }
-  in
+  let base = srp_world ~duration:120.0 in
   let run name srp =
     let r = Sim.Runner.run { base with Sim.Config.srp } in
     Format.printf "%-24s delivery %5.3f  load %7.3f  latency %6.3f  seqno %5.2f@."
@@ -448,19 +300,19 @@ let ablation_srp_knobs opts =
 
 (* ------------------------------------------------------------------ *)
 (* Label-set showdown (E9): the four dense-set instances on identical
-   constant-mobility SRP scenarios (pause 0 maximises label minting).
-   Width growth, label-driven resets — and when the first one lands — are
-   exactly where the instances differ, so they ride next to the standard
-   delivery/load/latency triple in the JSON written to --labels-out. *)
+   constant-mobility SRP scenarios (pause 0 maximises label minting),
+   2 trials of 180 s each. Width growth, label-driven resets — and when
+   the first one lands — are exactly where the instances differ, so they
+   ride next to the standard delivery/load/latency triple in the JSON
+   written to BENCH_labels.json. *)
 
-let labels_showdown opts =
+let labels_out = "BENCH_labels.json"
+
+let labels_showdown () =
   Format.printf "@.=== label-set showdown: SRP at pause 0 (E9) ===@.";
-  let base =
-    { (base_config opts) with Sim.Config.protocol = Sim.Config.Srp; pause = 0.0 }
-  in
-  let trials = max 1 opts.Bench_cli.trials in
-  Format.printf "%d trial%s x %.0f s per instance@." trials
-    (if trials = 1 then "" else "s")
+  let base = srp_world ~duration:180.0 in
+  let trials = 2 in
+  Format.printf "%d trials x %.0f s per instance@." trials
     base.Sim.Config.duration;
   let run_instance ?max_denom id =
     let splits = ref 0 and resets = ref 0 in
@@ -544,258 +396,176 @@ let labels_showdown opts =
         ("instances_tight_max_denom", J.List instances_tight);
       ]
   in
-  let oc = open_out opts.Bench_cli.labels_out in
-  output_string oc (J.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Format.printf "label-set comparison written to %s@." opts.Bench_cli.labels_out
+  Out_channel.with_open_text labels_out (fun oc ->
+      output_string oc (J.to_string json);
+      output_char oc '\n');
+  Format.printf "label-set comparison written to %s@." labels_out
 
 (* ------------------------------------------------------------------ *)
-(* Scale sweep (E11): engine throughput at the paper's 100 nodes and the
-   1k/5k kilonode presets, one SRP run per preset at pause 0. Simulated
-   horizons shrink with the preset so the sweep stays a couple of minutes
-   of wall clock while every run still executes millions of events; the
-   horizon is part of the committed JSON, so the regression gate always
-   compares like with like. *)
+(* The work ledger: world 0 of workload seed 1 of every benchmark
+   workload, exactly as Bench_suite.Workloads builds it, plus the 5000-node
+   SRP world the scale sweep ran; then every micro case. *)
 
-(* events/s at t < traffic_start would measure an idle hello mesh; pull
-   the flows in so even the shortest horizon is mostly loaded *)
-let scale_traffic_start = 5.0
+module W = Bench_suite.Workloads
 
-let scale_duration (s : Sim.Config.scale) =
-  match s.Sim.Config.scale_name with
-  | "100" -> 60.0
-  | "1k" -> 20.0
-  | _ -> 8.0
+let work_out = "BENCH_work.json"
 
-let scale_sweep opts =
-  Format.printf "@.=== scale sweep: events/s at %s nodes (E11) ===@."
-    (String.concat "/" Sim.Config.scale_names);
-  let run_preset (s : Sim.Config.scale) =
-    let config =
-      Sim.Config.apply_scale s
-        {
-          Sim.Config.reproduction with
-          duration = scale_duration s;
-          traffic_start = scale_traffic_start;
-          seed = 1;
-          pause = 0.0;
-          protocol = Sim.Config.Srp;
-          channel = opts.Bench_cli.channel;
-        }
-    in
-    let config = Sim.Config.with_labels config opts.Bench_cli.labels in
-    if not opts.Bench_cli.quiet then
-      Format.eprintf "scale %s: %d nodes, %d flows, %.0f s ...@."
-        s.Sim.Config.scale_name config.Sim.Config.nodes
-        config.Sim.Config.flows config.Sim.Config.duration;
-    let started = Unix.gettimeofday () in
-    let r = Sim.Runner.run config in
-    let wall = Unix.gettimeofday () -. started in
-    let events = r.Sim.Metrics.engine_events in
-    let eps = if wall > 0.0 then float_of_int events /. wall else 0.0 in
-    Format.printf
-      "%-4s %5d nodes  %4d flows  %5.0f s sim  %8.1f s wall  %9d events  \
-       %8.0f events/s  delivery %5.3f@."
-      s.Sim.Config.scale_name config.Sim.Config.nodes config.Sim.Config.flows
-      config.Sim.Config.duration wall events eps
-      r.Sim.Metrics.delivery_ratio;
-    J.Obj
-      [
-        ("scale", J.String s.Sim.Config.scale_name);
-        ("nodes", J.Int config.Sim.Config.nodes);
-        ("flows", J.Int config.Sim.Config.flows);
-        ("terrain_width", J.Float config.Sim.Config.terrain.Wireless.Terrain.width);
-        ("terrain_height", J.Float config.Sim.Config.terrain.Wireless.Terrain.height);
-        ("duration", J.Float config.Sim.Config.duration);
-        ("traffic_start", J.Float config.Sim.Config.traffic_start);
-        ("channel", J.String (Sim.Config.channel_name config.Sim.Config.channel));
-        ("engine_events", J.Int events);
-        ("wall_seconds", J.Float wall);
-        ("events_per_sec", J.Float eps);
-        ("delivery_ratio", J.Float r.Sim.Metrics.delivery_ratio);
-        ("network_load", J.Float r.Sim.Metrics.network_load);
-        ("latency", J.Float r.Sim.Metrics.latency);
-      ]
-  in
-  let sweep = List.map run_preset Sim.Config.scales in
-  let json = J.Obj [ ("schema", J.String "bench-scale/1"); ("scales", J.List sweep) ] in
-  let oc = open_out opts.Bench_cli.scale_out in
-  output_string oc (J.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Format.printf "scale sweep written to %s@." opts.Bench_cli.scale_out;
-  json
+(* calls per micro case; words per call is their average *)
+let micro_calls = 10_000
 
-(* per-preset twin of {!regression_gate}: every scale's fresh events/s
-   must hold 75% of its committed number — a kilonode-only slowdown must
-   not hide behind a healthy 100-node figure *)
-let scale_regression_gate ~baseline_path ~baseline_contents ~fresh_json =
-  let fail msg =
-    Format.eprintf "scale regression gate: %s@." msg;
-    exit 2
+let srp_5k =
+  W.Run
+    {
+      config =
+        Sim.Config.apply_scale
+          (Option.get (Sim.Config.scale_of_name "5k"))
+          { (srp_world ~duration:8.0) with traffic_start = 5.0 };
+      jsonl = false;
+    }
+
+let work_worlds () =
+  let seed = W.world_seed ~seed:1 0 in
+  List.map (fun (w : W.t) -> (w.name, w.job ~seed ~smoke:false)) W.all
+  @ [ ("srp-5k", srp_5k) ]
+
+(* the engine events of one job, run as the benchmark's child runs it *)
+let run_job = function
+  | W.Run { config; jsonl } ->
+      let trace =
+        if jsonl then
+          Trace.jsonl ~clock:(fun () -> 0.0) (open_out_bin Filename.null)
+        else Trace.null
+      in
+      (Sim.Runner.run ~trace config).Sim.Metrics.engine_events
+  | W.Campaign { base; protocols; pauses; pause_scale; jobs } ->
+      (Sim.Experiment.run ~policy:Sim.Supervisor.default ~jobs ~pause_scale
+         ~base ~protocols ~pauses ~trials:1 ~progress:ignore ())
+        .Sim.Experiment.engine_events
+
+(* [Gc.quick_stat] counts each domain's minor words as of that domain's
+   last minor collection. A minor collection, which every running domain
+   joins, at each end makes the delta exact; a joined domain's count is
+   final. *)
+let minor_words_of f =
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.minor_words in
+  let result = f () in
+  Gc.minor ();
+  (result, (Gc.quick_stat ()).Gc.minor_words -. before)
+
+let world_row (name, job) =
+  Obs.reset ();
+  let started = Unix.gettimeofday () in
+  let events, words = minor_words_of (fun () -> run_job job) in
+  let row =
+    {
+      Work_ledger.name;
+      counts = ("des.events", events) :: (Obs.snapshot ()).Obs.counters;
+      words;
+    }
   in
-  let baseline =
-    match J.parse baseline_contents with
-    | Ok j -> j
-    | Error e -> fail (baseline_path ^ ": " ^ e)
+  Format.printf "%-16s %10d events %12.0f minor words  (%.1f s)@." name events
+    row.words
+    (Unix.gettimeofday () -. started);
+  row
+
+let micro_row g (case, f) =
+  let before = Gc.minor_words () in
+  for _ = 1 to micro_calls do
+    f ()
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int micro_calls in
+  let name = Printf.sprintf "micro/%s/%s" g.key case in
+  Format.printf "%-44s %8.2f minor words per call@." name words;
+  { Work_ledger.name; counts = []; words }
+
+let read_ledger path =
+  match
+    Work_ledger.of_string (In_channel.with_open_text path In_channel.input_all)
+  with
+  | Ok ledger -> ledger
+  | Error e ->
+      Format.eprintf "work: %s: %s@." path e;
+      exit 1
+
+let work ~check =
+  (* a bad ledger fails before the worlds run *)
+  let committed = Option.map (fun path -> (path, read_ledger path)) check in
+  Format.printf "@.=== work: exact counts and minor words ===@.";
+  let worlds = List.map world_row (work_worlds ()) in
+  let micro =
+    List.concat_map (fun g -> List.map (micro_row g) (g.cases ())) micro_groups
   in
-  let rates who j =
-    match J.member "scales" j with
-    | Some (J.List presets) ->
-        List.filter_map
-          (fun p ->
-            match (J.member "scale" p, J.member "events_per_sec" p) with
-            | Some (J.String name), Some (J.Float eps) -> Some (name, eps)
-            | Some (J.String name), Some (J.Int eps) ->
-                Some (name, float_of_int eps)
-            | _ -> None)
-          presets
-    | _ -> fail (who ^ ": missing scales list")
+  let fresh =
+    { Work_ledger.ocaml = Sys.ocaml_version; rows = worlds @ micro }
   in
-  let base_rates = rates baseline_path baseline in
-  let fresh_rates = rates "fresh sweep" fresh_json in
-  let failed =
-    List.filter_map
-      (fun (name, base) ->
-        match List.assoc_opt name fresh_rates with
-        | None -> Some (name, base, 0.0)
-        | Some fresh ->
-            let floor = 0.75 *. base in
-            Format.printf
-              "scale regression gate: %s fresh %.0f events/s vs baseline \
-               %.0f (floor %.0f)@."
-              name fresh base floor;
-            if fresh < floor then Some (name, base, fresh) else None)
-      base_rates
-  in
-  match failed with
-  | [] -> ()
-  | (name, base, fresh) :: _ ->
-      Format.eprintf
-        "scale regression gate FAILED: %s at %.0f events/s is below 75%% of \
-         the committed baseline %.0f@."
-        name fresh base;
-      exit 3
+  match committed with
+  | Some (path, committed) -> (
+      match Work_ledger.check ~committed ~fresh with
+      | [] ->
+          Format.printf "work: all %d rows match %s@."
+            (List.length committed.Work_ledger.rows)
+            path
+      | moved ->
+          List.iter (Format.eprintf "work: %s@.") moved;
+          Format.eprintf
+            "work: %d change(s) against %s; if every one is intended, \
+             regenerate the ledger with `%s` and commit it@."
+            (List.length moved) path Work_ledger.regenerate;
+          exit 1)
+  | None ->
+      Out_channel.with_open_text work_out (fun oc ->
+          output_string oc (Work_ledger.to_string fresh));
+      Format.printf "work ledger written to %s@." work_out
 
 (* ------------------------------------------------------------------ *)
+
+let sections = [ "micro"; "ablation"; "labels"; "work" ]
+
+let main chosen check =
+  let wants s = chosen = [] || List.mem s chosen in
+  if check <> None && not (wants "work") then
+    `Error (true, "--check compares the work section's ledger; run work too")
+  else begin
+    (* same GC posture as manet_sim, so bench figures match CLI runs *)
+    Gc.set
+      { (Gc.get ()) with Gc.minor_heap_size = 2048 * 1024; space_overhead = 200 };
+    let t0 = Unix.gettimeofday () in
+    if wants "micro" then micro ();
+    if wants "ablation" then begin
+      ablation_farey ();
+      ablation_srp_knobs ()
+    end;
+    if wants "labels" then labels_showdown ();
+    if wants "work" then work ~check;
+    Format.printf "@.total wall time: %.1f s@." (Unix.gettimeofday () -. t0);
+    `Ok ()
+  end
 
 let () =
-  (* same GC posture as manet_sim, so bench figures match CLI runs *)
-  Gc.set
-    { (Gc.get ()) with Gc.minor_heap_size = 2048 * 1024; space_overhead = 200 };
-  let opts =
-    match Bench_cli.parse (List.tl (Array.to_list Sys.argv)) with
-    | Ok opts -> opts
-    | Error msg ->
-        prerr_endline ("error: " ^ msg);
-        prerr_endline Bench_cli.usage;
-        exit 2
+  let open Cmdliner in
+  let chosen =
+    Arg.(
+      value
+      & pos_all (enum (List.map (fun s -> (s, s)) sections)) []
+      & info [] ~docv:"SECTION"
+          ~doc:
+            "Sections to run, in the order micro, ablation, labels, work \
+             whatever order they are given in; all four when none is given.")
   in
-  let t0 = Unix.gettimeofday () in
-  if wants_campaign opts then begin
-    if opts.Bench_cli.prof then Obs.enable ();
-    let sequential_wall =
-      if opts.Bench_cli.compare_sequential && opts.Bench_cli.jobs > 1 then begin
-        Format.printf "sequential reference pass (-j 1):@.";
-        let _, wall = run_campaign opts ~jobs:1 in
-        Some wall
-      end
-      else None
-    in
-    (* the measured pass owns the ledger: spans, counters and per-domain
-       GC deltas accumulated by the reference pass must not bleed in *)
-    Obs.reset ();
-    let campaign, wall =
-      run_campaign ?checkpoint:opts.Bench_cli.resume opts
-        ~jobs:opts.Bench_cli.jobs
-    in
-    let snapshot = Obs.snapshot () in
-    let ppf = Format.std_formatter in
-    let section name render =
-      if wants opts name || wants opts "campaign" then begin
-        Format.printf "@.";
-        render ppf campaign
-      end
-    in
-    section "table1" Sim.Report.table1;
-    section "fig3" Sim.Report.fig3;
-    section "fig4" Sim.Report.fig4;
-    section "fig5" Sim.Report.fig5;
-    section "fig6" Sim.Report.fig6;
-    section "fig7" Sim.Report.fig7;
-    (* machine-readable twin of the tables above, for plotting scripts;
-       the perf member rides along for the regression gate but the
-       campaign members themselves are byte-identical whatever -j was *)
-    let json =
-      match Sim.Report.campaign_json campaign with
-      | J.Obj members ->
-          J.Obj
-            (members
-            @ [
-                ( "perf",
-                  perf_member ~jobs:opts.Bench_cli.jobs ~wall ~sequential_wall
-                    ~workers:snapshot.Obs.workers campaign );
-              ]
-            @
-            if opts.Bench_cli.prof then
-              [ ("perf_profile", Sim.Report.profile_json snapshot) ]
-            else [])
-      | other -> other
-    in
-    let oc = open_out opts.Bench_cli.out in
-    output_string oc (J.to_string json);
-    output_char oc '\n';
-    close_out oc;
-    Format.printf "@.campaign JSON written to %s@." opts.Bench_cli.out;
-    if opts.Bench_cli.prof then
-      Format.printf "@.%a" Sim.Report.profile snapshot;
-    Option.iter
-      (fun path -> Obs.Export.write_prometheus path snapshot)
-      opts.Bench_cli.prof_out;
-    (match sequential_wall with
-    | Some sw ->
-        Format.printf "parallel speedup at -j %d: %.2fx (%.1fs -> %.1fs)@."
-          opts.Bench_cli.jobs
-          (if wall > 0.0 then sw /. wall else 0.0)
-          sw wall
-    | None -> ());
-    match opts.Bench_cli.baseline with
-    | Some baseline_path -> regression_gate ~baseline_path ~fresh_json:json
-    | None -> ()
-  end;
-  if wants opts "micro" then begin
-    micro_labels ();
-    micro_channel ();
-    micro_channel_mobile ();
-    micro_trace ()
-  end;
-  if wants opts "ablation" then begin
-    ablation_farey ();
-    ablation_srp_knobs opts
-  end;
-  if wants opts "labels" then labels_showdown opts;
-  if wants opts "scale" then begin
-    (* snapshot the baseline before the sweep: --scale-out may point at
-       the same file, and the gate must compare against the committed
-       figures, not the bytes the sweep just wrote *)
-    let baseline =
-      Option.map
-        (fun baseline_path ->
-          match
-            try Ok (In_channel.with_open_text baseline_path In_channel.input_all)
-            with Sys_error e -> Error e
-          with
-          | Ok contents -> (baseline_path, contents)
-          | Error e ->
-              Format.eprintf "scale regression gate: %s@." e;
-              exit 2)
-        opts.Bench_cli.scale_baseline
-    in
-    let fresh_json = scale_sweep opts in
-    match baseline with
-    | Some (baseline_path, baseline_contents) ->
-        scale_regression_gate ~baseline_path ~baseline_contents ~fresh_json
-    | None -> ()
-  end;
-  Format.printf "@.total wall time: %.1f s@." (Unix.gettimeofday () -. t0)
+  let check =
+    Arg.(
+      value
+      & opt (some file) None
+      & info [ "check" ] ~docv:"FILE"
+          ~doc:
+            "Compare the work section's ledger against $(docv) instead of \
+             writing BENCH_work.json, and exit 1 naming every row that \
+             moved: a count that differs, minor words outside a 1% band \
+             either way, or another OCaml version.")
+  in
+  let doc =
+    "Micro-benchmarks, ablations, the label-set showdown and the work ledger."
+  in
+  let term = Term.(ret (const main $ chosen $ check)) in
+  exit (Cmd.eval (Cmd.v (Cmd.info "main" ~doc) term))

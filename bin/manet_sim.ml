@@ -194,10 +194,27 @@ let faults_term =
       extra = [];
     }
 
+(* A number outside its range is a usage error (exit 124), not an empty
+   world or an exception deep inside a run. *)
+let checked conv ok what =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "%s is not %s" s what))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let int_from n =
+  checked Arg.int (fun v -> v >= n) (Printf.sprintf "an integer >= %d" n)
+
+let positive = checked Arg.float (fun v -> v > 0.0) "a number > 0"
+
 let config_term =
   let open Term.Syntax in
   let+ nodes =
-    Arg.(value & opt int 100 & info [ "nodes" ] ~doc:"Number of nodes.")
+    Arg.(
+      value & opt (int_from 2) 100 & info [ "nodes" ] ~doc:"Number of nodes.")
   and+ flows =
     Arg.(
       value
@@ -209,13 +226,13 @@ let config_term =
       & info [ "pause" ] ~doc:"Random-waypoint pause time in seconds.")
   and+ duration =
     Arg.(
-      value & opt float 120.0
+      value & opt positive 120.0
       & info [ "duration" ] ~doc:"Simulated seconds (paper: 900).")
   and+ seed =
     Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Trial seed.")
   and+ packet_rate =
     Arg.(
-      value & opt float 4.0
+      value & opt positive 4.0
       & info [ "rate" ] ~doc:"Packets per second per flow.")
   and+ faults = faults_term
   and+ labels = labels_term
@@ -384,7 +401,8 @@ let campaign_cmd =
     let open Term.Syntax in
     let+ config = config_term
     and+ trials =
-      Arg.(value & opt int 3 & info [ "trials" ] ~doc:"Trials per point.")
+      Arg.(
+        value & opt (int_from 1) 3 & info [ "trials" ] ~doc:"Trials per point.")
     and+ quiet =
       Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"Suppress progress.")
     and+ json_file =

@@ -106,6 +106,17 @@ if dune exec bin/manet_sim.exe -- run --scenario no-such-scenario \
   exit 1
 fi
 grep -q "registered scenarios:" "$tmp/scenario_err.txt"
+# ... and a number outside its range must be a usage error (exit 124)
+# before any world is built
+for bad in "campaign --trials=0" "campaign --trials=-2" "run --nodes=1" \
+  "check --nodes=1" "run --duration=0" "run --rate=-1"; do
+  status=0
+  dune exec bin/manet_sim.exe -- $bad > /dev/null 2>&1 || status=$?
+  if [ "$status" -ne 124 ]; then
+    echo "check.sh: manet_sim $bad exited $status, not 124" >&2
+    exit 1
+  fi
+done
 for scenario in manhattan rpgm churn bursty convergecast flash-crowd \
   downtown hostile; do
   dune exec bin/manet_sim.exe -- campaign --scenario "$scenario" --nodes 16 \
@@ -127,31 +138,42 @@ dune exec bin/manet_sim.exe -- campaign --scenario vg-forged-rrep \
 grep -q "^AODV  LOOP" "$tmp/adversarial.txt"
 grep -q "^SRP   ok" "$tmp/adversarial.txt"
 
-# throughput regression gate: rerun the committed baseline's reduced
-# campaign (same flags as the BENCH_campaign.json snapshot) and fail when
-# perf.events_per_sec_per_job drops below 75% of the committed number
-dune exec bench/main.exe -- campaign --trials 1 --duration 20 --flows 6 \
-  --quiet -j 4 --out "$tmp/bench_fresh.json" \
-  --check-regression BENCH_campaign.json > "$tmp/bench_out.txt" 2> /dev/null
-grep "regression gate" "$tmp/bench_out.txt"
-
-# kill-and-resume smoke: SIGTERM a journaled campaign mid-sweep, resume it
-# from the checkpoint, and demand stdout and JSON byte-identical to the
-# uninterrupted reference run above (the binary is invoked directly:
+# kill-and-resume smoke: a journaled campaign that carries traffic, with
+# one cell hung, must be SIGTERMed while its journal holds the header and
+# the other 39 cells, then resume without the hang to stdout and JSON
+# byte-identical to a straight -j 1 run (the binary is invoked directly:
 # `dune exec` may not forward the signal)
 SIM=_build/default/bin/manet_sim.exe
-"$SIM" campaign --nodes 20 --duration 10 --trials 1 --flows 3 --quiet \
-  -j 2 --resume "$tmp/ckpt.jsonl" --json "$tmp/campaign_resumed.json" \
-  > "$tmp/campaign_killed.txt" 2> /dev/null &
+resume_flags="--nodes 20 --duration 40 --trials 1 --flows 3 --quiet"
+"$SIM" campaign $resume_flags -j 1 --json "$tmp/campaign_straight.json" \
+  > "$tmp/campaign_straight.txt" 2> /dev/null
+"$SIM" campaign $resume_flags -j 2 --sabotage hang:OLSR:0:0 \
+  --resume "$tmp/ckpt.jsonl" > /dev/null 2> /dev/null &
 victim=$!
-sleep 3
-kill -TERM "$victim" 2> /dev/null || true
-wait "$victim" || true
-"$SIM" campaign --nodes 20 --duration 10 --trials 1 --flows 3 --quiet \
-  -j 2 --resume "$tmp/ckpt.jsonl" --json "$tmp/campaign_resumed.json" \
-  > "$tmp/campaign_resumed.txt" 2> "$tmp/campaign_resumed.log"
-cmp "$tmp/campaign_j1.json" "$tmp/campaign_resumed.json"
-cmp "$tmp/campaign_j1.txt" "$tmp/campaign_resumed.txt"
+polls=0
+until [ -f "$tmp/ckpt.jsonl" ] && [ "$(wc -l < "$tmp/ckpt.jsonl")" -ge 40 ]; do
+  polls=$((polls + 1))
+  if [ "$polls" -gt 1200 ] || ! kill -0 "$victim" 2> /dev/null; then
+    kill -TERM "$victim" 2> /dev/null || true
+    echo "check.sh: the resume victim's journal never reached 40 lines" >&2
+    exit 1
+  fi
+  sleep 0.1
+done
+kill -TERM "$victim"
+if wait "$victim"; then
+  echo "check.sh: the resume victim finished before SIGTERM" >&2
+  exit 1
+fi
+if [ "$(wc -l < "$tmp/ckpt.jsonl")" -ne 40 ]; then
+  echo "check.sh: the interrupted journal is not 40 of 41 lines" >&2
+  exit 1
+fi
+"$SIM" campaign $resume_flags -j 2 --resume "$tmp/ckpt.jsonl" \
+  --json "$tmp/campaign_resumed.json" > "$tmp/campaign_resumed.txt" \
+  2> "$tmp/campaign_resumed.log"
+cmp "$tmp/campaign_straight.json" "$tmp/campaign_resumed.json"
+cmp "$tmp/campaign_straight.txt" "$tmp/campaign_resumed.txt"
 
 # supervision smoke: an injected crash must quarantine one cell, annotate
 # it in the report and the JSON failures list, and still exit 0 ...
@@ -195,20 +217,14 @@ awk '!/^#/ && NF { if (seen[$1]++) { print "duplicate sample: " $1; exit 1 } }' 
   "$tmp/run_prof.prom"
 grep -q '^# TYPE manet_span_seconds_total counter$' "$tmp/run_prof.prom"
 
-# ... a profiled campaign must carry the profile too (plus worker ledger),
-# while the unprofiled JSON above stays the determinism reference
+# ... a profiled campaign must carry the profile too (plus the worker
+# ledger with its per-domain GC deltas), while the unprofiled JSON above
+# stays the determinism reference
 "$SIM" campaign --nodes 20 --duration 10 --trials 1 --flows 3 --quiet \
   -j 2 --prof --json "$tmp/campaign_prof.json" > /dev/null 2> /dev/null
 "$SIM" trace "$tmp/campaign_prof.json" --validate --require perf_profile
 grep -q '"workers"' "$tmp/campaign_prof.json"
-
-# ... and bench --prof must extend the perf member with workers + gc while
-# keeping the gate-readable shape
-dune exec bench/main.exe -- campaign --trials 1 --duration 10 --flows 3 \
-  --quiet -j 2 --prof --out "$tmp/bench_prof.json" > /dev/null 2> /dev/null
-"$SIM" trace "$tmp/bench_prof.json" --validate --require perf_profile
-grep -q '"workers"' "$tmp/bench_prof.json"
-grep -q '"gc"' "$tmp/bench_prof.json"
+grep -q '"minor_words"' "$tmp/campaign_prof.json"
 
 # scale smoke: a kilonode world on a tiny horizon must complete under the
 # default grid channel, and an unknown preset must exit 2 listing the
@@ -220,12 +236,12 @@ if "$SIM" run --scale 10k > /dev/null 2> "$tmp/scale_err.txt"; then
 fi
 grep -q "scale presets:" "$tmp/scale_err.txt"
 
-# events/s regression gate: rerun the committed BENCH_scale.json sweep
-# (100/1k/5k presets, reduced horizons) and fail when any preset's
-# events_per_sec drops below 75% of its committed number
-dune exec bench/main.exe -- scale --quiet --out "$tmp/bench_scale_campaign.json" \
-  --scale-out "$tmp/bench_scale.json" \
-  --check-scale-regression BENCH_scale.json > "$tmp/scale_out.txt" 2> /dev/null
-grep "scale regression gate" "$tmp/scale_out.txt"
+# work gate: world 0 of every benchmark workload, the 5000-node world and
+# every micro case must repeat BENCH_work.json's counts exactly, keep their
+# minor words within 1% either way, and run on the same OCaml; a failure
+# names each row that moved (no wall-clock number gates CI)
+dune exec bench/main.exe -- work --check BENCH_work.json \
+  > "$tmp/work.txt"
+grep "^work:" "$tmp/work.txt"
 
 echo "check.sh: all green"

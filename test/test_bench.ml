@@ -1,179 +1,165 @@
-(* The benchmark harness's argument parser: malformed numbers and unknown
-   flags must come back as [Error] (the driver prints usage and exits 2)
-   instead of the uncaught [Failure "int_of_string"] the old parser died
-   with. *)
+(* The work ledger's comparison ([bench/main.exe work --check]) on
+   synthetic ledgers: counts must repeat exactly, words must stay within
+   the band either way, and the toolchain must match. Every failure names
+   the row that moved. *)
 
-let ok args =
-  match Bench_cli.parse args with
-  | Ok opts -> opts
-  | Error msg -> Alcotest.failf "expected Ok, got Error %S" msg
+module L = Work_ledger
 
-let err args =
-  match Bench_cli.parse args with
-  | Ok _ -> Alcotest.failf "expected Error for %s" (String.concat " " args)
-  | Error msg ->
-      Alcotest.(check bool) "non-empty message" true (String.length msg > 0);
-      msg
+let transmit = "micro/channel-1k/Channel.transmit (grid)"
 
-let test_defaults () =
-  let opts = ok [] in
-  Alcotest.(check int) "trials" 2 opts.Bench_cli.trials;
-  Alcotest.(check (float 0.0)) "duration" 120.0 opts.Bench_cli.duration;
-  Alcotest.(check int) "jobs" 1 opts.Bench_cli.jobs;
-  Alcotest.(check bool) "full" false opts.Bench_cli.full;
-  Alcotest.(check string) "out" "BENCH_campaign.json" opts.Bench_cli.out;
-  Alcotest.(check (list string)) "sections" [ "all" ] opts.Bench_cli.sections;
-  Alcotest.(check bool) "no baseline" true (opts.Bench_cli.baseline = None);
-  Alcotest.(check bool) "no resume journal" true (opts.Bench_cli.resume = None);
-  Alcotest.(check (float 0.0)) "no cell timeout" 0.0 opts.Bench_cli.cell_timeout;
-  Alcotest.(check int) "one retry" 1 opts.Bench_cli.retries;
-  Alcotest.(check bool) "supervised by default" false opts.Bench_cli.fail_fast
+let committed =
+  {
+    L.ocaml = "5.1.1";
+    rows =
+      [
+        {
+          L.name = "kilo-srp";
+          counts = [ ("des.events", 3_607_737); ("channel.receptions", 5_000) ];
+          words = 319_167_943.0;
+        };
+        { L.name = transmit; counts = []; words = 432.97 };
+      ];
+  }
 
-let test_valid_parse () =
-  let opts =
-    ok
-      [ "micro"; "campaign"; "--trials"; "3"; "--duration"; "60"; "-j"; "4";
-        "--quiet"; "--out"; "fresh.json"; "--check-regression"; "base.json";
-        "--compare-sequential" ]
-  in
-  Alcotest.(check int) "trials" 3 opts.Bench_cli.trials;
-  Alcotest.(check (float 0.0)) "duration" 60.0 opts.Bench_cli.duration;
-  Alcotest.(check int) "jobs" 4 opts.Bench_cli.jobs;
-  Alcotest.(check bool) "quiet" true opts.Bench_cli.quiet;
-  Alcotest.(check string) "out" "fresh.json" opts.Bench_cli.out;
-  Alcotest.(check bool) "baseline" true
-    (opts.Bench_cli.baseline = Some "base.json");
-  Alcotest.(check bool) "compare-sequential" true
-    opts.Bench_cli.compare_sequential;
-  Alcotest.(check (list string)) "sections in order" [ "micro"; "campaign" ]
-    opts.Bench_cli.sections
+let with_row name f =
+  {
+    committed with
+    rows =
+      List.map (fun (r : L.row) -> if r.name = name then f r else r)
+        committed.rows;
+  }
 
-let test_supervision_flags () =
-  let opts =
-    ok
-      [ "--resume"; "ckpt.jsonl"; "--cell-timeout"; "30"; "--retries"; "0";
-        "--fail-fast" ]
-  in
-  Alcotest.(check bool) "resume path" true
-    (opts.Bench_cli.resume = Some "ckpt.jsonl");
-  Alcotest.(check (float 0.0)) "cell timeout" 30.0 opts.Bench_cli.cell_timeout;
-  Alcotest.(check int) "retries may be zero" 0 opts.Bench_cli.retries;
-  Alcotest.(check bool) "fail-fast" true opts.Bench_cli.fail_fast;
-  ignore (err [ "--retries"; "-1" ]);
-  ignore (err [ "--retries"; "two" ]);
-  ignore (err [ "--cell-timeout"; "soon" ]);
-  ignore (err [ "--cell-timeout" ]);
-  ignore (err [ "--resume" ])
-
-let test_malformed_numbers () =
-  ignore (err [ "--trials"; "three" ]);
-  ignore (err [ "--trials"; "0" ]);
-  ignore (err [ "--trials"; "-2" ]);
-  ignore (err [ "--flows"; "4.5" ]);
-  ignore (err [ "--duration"; "fast" ]);
-  ignore (err [ "--duration"; "-1" ]);
-  ignore (err [ "--jobs"; "0" ]);
-  ignore (err [ "-j"; "many" ])
-
-let test_missing_argument () =
-  ignore (err [ "--trials" ]);
-  ignore (err [ "--out" ]);
-  ignore (err [ "--check-regression" ])
-
-let test_scenario_flag () =
-  Alcotest.(check string) "default scenario" "default"
-    (ok []).Bench_cli.scenario.Sim.Scenario.name;
-  let opts = ok [ "--scenario"; "downtown"; "campaign" ] in
-  Alcotest.(check string) "named workload accepted" "downtown"
-    opts.Bench_cli.scenario.Sim.Scenario.name;
-  ignore (err [ "--scenario" ]);
-  let unknown = err [ "--scenario"; "nope" ] in
-  Alcotest.(check bool) "unknown name lists the registry" true
-    (String.length unknown > 0
-    && List.for_all
-         (fun n ->
-           let nl = String.length n and hl = String.length unknown in
-           let rec scan i =
-             i + nl <= hl && (String.sub unknown i nl = n || scan (i + 1))
-           in
-           scan 0)
-         Sim.Scenario.names);
-  let adversarial = err [ "--scenario"; "vg-forged-rrep" ] in
-  Alcotest.(check bool) "adversarial entry rejected" true
-    (String.length adversarial > 0)
+let scale_words k (r : L.row) = { r with words = r.words *. k }
 
 let contains hay needle =
   let nl = String.length needle and hl = String.length hay in
-  let rec scan i = i + nl <= hl && (String.sub hay i nl = needle || scan (i + 1)) in
+  let rec scan i =
+    i + nl <= hl && (String.sub hay i nl = needle || scan (i + 1))
+  in
   scan 0
 
-let test_scale_flag () =
-  Alcotest.(check bool) "no scale overlay by default" true
-    ((ok []).Bench_cli.scale = None);
-  Alcotest.(check string) "grid is the default channel" "grid"
-    (Sim.Config.channel_name (ok []).Bench_cli.channel);
-  Alcotest.(check string) "default scale-out" "BENCH_scale.json"
-    (ok []).Bench_cli.scale_out;
-  List.iter
-    (fun (preset, nodes) ->
-      match (ok [ "--scale"; preset ]).Bench_cli.scale with
-      | Some s ->
-          Alcotest.(check string) "preset name" preset s.Sim.Config.scale_name;
-          Alcotest.(check int) "preset nodes" nodes s.Sim.Config.scale_nodes
-      | None -> Alcotest.failf "--scale %s parsed to no overlay" preset)
-    [ ("100", 100); ("1k", 1000); ("5k", 5000) ];
-  (* unknown preset: the driver exits 2 with the registered choices *)
-  let unknown = err [ "--scale"; "10k" ] in
-  Alcotest.(check bool) "names the bad preset" true (contains unknown "10k");
-  List.iter
-    (fun n ->
-      Alcotest.(check bool) ("lists choice " ^ n) true (contains unknown n))
-    Sim.Config.scale_names;
-  ignore (err [ "--scale" ]);
-  (* composes with the other campaign axes *)
-  let opts =
-    ok
-      [ "campaign"; "--scale"; "1k"; "--scenario"; "downtown"; "--labels";
-        "farey"; "--channel"; "naive"; "--scale-out"; "fresh_scale.json";
-        "--check-scale-regression"; "BENCH_scale.json" ]
-  in
-  Alcotest.(check bool) "scale survives composition" true
-    (match opts.Bench_cli.scale with
-    | Some s -> s.Sim.Config.scale_nodes = 1000
-    | None -> false);
-  Alcotest.(check string) "scenario survives composition" "downtown"
-    opts.Bench_cli.scenario.Sim.Scenario.name;
-  Alcotest.(check string) "labels survive composition" "farey"
-    (Slr.Label_set.name opts.Bench_cli.labels);
-  Alcotest.(check string) "naive oracle selectable" "naive"
-    (Sim.Config.channel_name opts.Bench_cli.channel);
-  Alcotest.(check string) "scale-out" "fresh_scale.json"
-    opts.Bench_cli.scale_out;
-  Alcotest.(check bool) "scale baseline" true
-    (opts.Bench_cli.scale_baseline = Some "BENCH_scale.json");
-  let bad_channel = err [ "--channel"; "octree" ] in
-  Alcotest.(check bool) "channel error lists both" true
-    (contains bad_channel "grid" && contains bad_channel "naive")
+(* exactly one message, mentioning every needle *)
+let fails_with fresh needles =
+  match L.check ~committed ~fresh with
+  | [ msg ] ->
+      List.iter
+        (fun n ->
+          if not (contains msg n) then
+            Alcotest.failf "%S does not mention %S" msg n)
+        needles
+  | msgs ->
+      Alcotest.failf "expected one message, got %d: %s" (List.length msgs)
+        (String.concat " | " msgs)
 
-let test_unknown_inputs () =
-  let m = err [ "--frobnicate" ] in
-  Alcotest.(check bool) "names the flag" true
-    (String.length m >= 12 && String.sub m (String.length m - 12) 12 = "--frobnicate");
-  ignore (err [ "fig9" ]);
-  ignore (err [ "table1"; "nonsense" ])
+let passes fresh =
+  Alcotest.(check (list string)) "passes" [] (L.check ~committed ~fresh)
+
+let test_equal () =
+  passes committed;
+  (* inside the band either way *)
+  passes (with_row "kilo-srp" (scale_words 1.009));
+  passes (with_row transmit (scale_words 0.991))
+
+let test_count_changed () =
+  fails_with
+    (with_row "kilo-srp" (fun r ->
+         let bump (k, v) = if k = "des.events" then (k, v + 1) else (k, v) in
+         { r with counts = List.map bump r.counts }))
+    [ "kilo-srp"; "des.events"; "3607737"; "3607738" ]
+
+let test_words_up () =
+  fails_with
+    (with_row "kilo-srp" (scale_words 1.015))
+    [ "kilo-srp"; "minor words"; "+1.50%"; "regression" ];
+  fails_with
+    (with_row transmit (scale_words 1.393))
+    [ "Channel.transmit (grid)"; "432.97"; "regression" ]
+
+let test_words_down () =
+  fails_with
+    (with_row "kilo-srp" (scale_words 0.985))
+    [ "kilo-srp"; "-1.50%"; "regenerate"; L.regenerate ]
+
+let test_toolchain () =
+  fails_with
+    { committed with ocaml = "5.2.0" }
+    [ "5.1.1"; "5.2.0"; "regenerate" ]
+
+let test_missing () =
+  fails_with
+    {
+      committed with
+      rows =
+        List.filter (fun (r : L.row) -> r.name <> "kilo-srp") committed.rows;
+    }
+    [ "kilo-srp"; "missing" ];
+  fails_with
+    (with_row "kilo-srp" (fun r ->
+         { r with counts = [ ("des.events", 3_607_737) ] }))
+    [ "kilo-srp"; "channel.receptions"; "missing" ];
+  (* the other way round: a world or counter the ledger does not hold *)
+  let extra =
+    { L.name = "srp-5k"; counts = [ ("des.events", 1) ]; words = 1.0 }
+  in
+  fails_with
+    { committed with rows = committed.rows @ [ extra ] }
+    [ "srp-5k"; "not in the ledger" ];
+  fails_with
+    (with_row "kilo-srp" (fun r ->
+         { r with counts = r.counts @ [ ("olsr.route.recomputes", 3) ] }))
+    [ "kilo-srp"; "olsr.route.recomputes"; "not in the ledger" ]
+
+let test_every_row_named () =
+  let moved (r : L.row) =
+    {
+      r with
+      counts = List.map (fun (k, v) -> (k, v + 1)) r.counts;
+      words = r.words *. 2.0;
+    }
+  in
+  let fresh = { committed with rows = List.map moved committed.rows } in
+  Alcotest.(check int) "two counts and two words moved" 4
+    (List.length (L.check ~committed ~fresh))
+
+let test_round_trip () =
+  match L.of_string (L.to_string committed) with
+  | Ok back ->
+      Alcotest.(check (list string)) "parsed ledger matches" []
+        (L.check ~committed ~fresh:back);
+      Alcotest.(check int) "rows" 2 (List.length back.L.rows)
+  | Error e -> Alcotest.failf "round trip: %s" e
+
+let test_malformed () =
+  List.iter
+    (fun text ->
+      match L.of_string text with
+      | Ok _ -> Alcotest.failf "accepted %S" text
+      | Error _ -> ())
+    [
+      "";
+      "{}";
+      {|{"ocaml":"5.1.1"}|};
+      {|{"ocaml":"5.1.1","rows":[{"name":"w"}]}|};
+      (* a count must be an integer *)
+      {|{"ocaml":"5.1.1","rows":[{"name":"w","counts":{"c":1.5},|}
+      ^ {|"minor_words":1}]}|};
+    ]
 
 let () =
   Alcotest.run "bench"
     [
-      ( "cli",
+      ( "work ledger",
         [
-          Alcotest.test_case "defaults" `Quick test_defaults;
-          Alcotest.test_case "full flag set" `Quick test_valid_parse;
-          Alcotest.test_case "supervision flags" `Quick test_supervision_flags;
-          Alcotest.test_case "malformed numbers" `Quick test_malformed_numbers;
-          Alcotest.test_case "missing argument" `Quick test_missing_argument;
-          Alcotest.test_case "unknown flag/section" `Quick test_unknown_inputs;
-          Alcotest.test_case "scenario flag" `Quick test_scenario_flag;
-          Alcotest.test_case "scale and channel flags" `Quick test_scale_flag;
+          Alcotest.test_case "equal ledger passes" `Quick test_equal;
+          Alcotest.test_case "changed count" `Quick test_count_changed;
+          Alcotest.test_case "words above the band" `Quick test_words_up;
+          Alcotest.test_case "words below the band" `Quick test_words_down;
+          Alcotest.test_case "another OCaml" `Quick test_toolchain;
+          Alcotest.test_case "missing or new row or counter" `Quick
+            test_missing;
+          Alcotest.test_case "every moved row named" `Quick
+            test_every_row_named;
+          Alcotest.test_case "JSON round trip" `Quick test_round_trip;
+          Alcotest.test_case "malformed ledger" `Quick test_malformed;
         ] );
     ]
