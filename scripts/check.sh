@@ -51,55 +51,42 @@ dune exec bin/manet_sim.exe -- fuzz --max-cases 200 --seed 7
 dune exec bin/manet_sim.exe -- fuzz --prop olsr-routes-oracle \
   --max-cases 2000 --seed 11
 
-# parallel-determinism smoke: the same seeded campaign on 2 worker domains
-# must produce byte-identical stdout and JSON to the sequential run
-dune exec bin/manet_sim.exe -- campaign --nodes 20 --duration 10 \
-  --trials 1 --flows 3 --quiet -j 1 --json "$tmp/campaign_j1.json" \
-  > "$tmp/campaign_j1.txt" 2> /dev/null
-dune exec bin/manet_sim.exe -- campaign --nodes 20 --duration 10 \
-  --trials 1 --flows 3 --quiet -j 2 --json "$tmp/campaign_j2.json" \
-  > "$tmp/campaign_j2.txt" 2> /dev/null
-cmp "$tmp/campaign_j1.json" "$tmp/campaign_j2.json"
-cmp "$tmp/campaign_j1.txt" "$tmp/campaign_j2.txt"
-
-# label-set smoke: the default (mediant) campaign must stay byte-identical
-# to the committed pre-refactor golden at -j 1 and -j 4 — the LABEL
-# abstraction is free on the paper's instance — and every other dense-set
-# instance must complete the same campaign and tag its JSON
-cmp "$tmp/campaign_j1.json" scripts/golden/campaign_default.json
-cmp "$tmp/campaign_j1.txt" scripts/golden/campaign_default.txt
-dune exec bin/manet_sim.exe -- campaign --nodes 20 --duration 10 \
-  --trials 1 --flows 3 --quiet -j 4 --json "$tmp/campaign_j4.json" \
-  > "$tmp/campaign_j4.txt" 2> /dev/null
-cmp "$tmp/campaign_j4.json" scripts/golden/campaign_default.json
-cmp "$tmp/campaign_j4.txt" scripts/golden/campaign_default.txt
-# ... and a dense OLSR world (100 nodes, 60 s), where equal-length routes
-# are common and the BFS tie-break decides every data hop, must reproduce
-# its committed golden stdout byte for byte
-dune exec bin/manet_sim.exe -- run --protocol olsr --nodes 100 --duration 60 \
-  --seed 3 > "$tmp/run_olsr100.txt" 2> /dev/null
-cmp "$tmp/run_olsr100.txt" scripts/golden/run_olsr100.txt
+# determinism smoke: one campaign fixture, whose every cell routes data
+# (traffic starts at 15 s of 40), must reproduce its committed golden
+# stdout and JSON byte for byte at -j 1, -j 2 and -j 4 and under
+# --scenario default; the kill-and-resume smoke below compares against the
+# same golden
+SIM=_build/default/bin/manet_sim.exe
+campaign_flags="--nodes 20 --duration 40 --trials 1 --flows 3 --quiet"
+golden=scripts/golden/campaign_default
+for run in "-j 1" "-j 2" "-j 4" "--scenario default"; do
+  "$SIM" campaign $campaign_flags $run --json "$tmp/campaign.json" \
+    > "$tmp/campaign.txt" 2> /dev/null
+  cmp "$tmp/campaign.json" "$golden.json"
+  cmp "$tmp/campaign.txt" "$golden.txt"
+done
+# ... and every other dense-set instance must complete the fixture's
+# campaign, tag its JSON and mint labels (a nonzero width)
 for set in farey bigfrac lex; do
-  dune exec bin/manet_sim.exe -- campaign --nodes 20 --duration 10 \
-    --trials 1 --flows 3 --quiet -j 2 --labels "$set" \
+  "$SIM" campaign $campaign_flags -j 2 --labels "$set" \
     --json "$tmp/campaign_$set.json" > /dev/null 2> /dev/null
   grep -q "\"labels\":\"$set\"" "$tmp/campaign_$set.json"
+  grep -q '"label_width_bits":[1-9]' "$tmp/campaign_$set.json"
 done
 # ... and the fixed-seed fuzz catalogue must hold with scenarios pinned to
 # a non-default instance (the identical Ordering-Criteria oracle applies)
 dune exec bin/manet_sim.exe -- fuzz --max-cases 25 --seed 7 --labels bigfrac
 
-# scenario smoke: the default scenario must reproduce the committed golden
-# bytes (the registry refactor is free on the paper's workload), an unknown
-# name must exit 2 with the registry listing, and every workload scenario
-# must complete a small campaign plus an SRP run under the online
-# loop-freedom monitor
-dune exec bin/manet_sim.exe -- campaign --scenario default --nodes 20 \
-  --duration 10 --trials 1 --flows 3 --quiet \
-  --json "$tmp/campaign_scenario.json" > "$tmp/campaign_scenario.txt" \
-  2> /dev/null
-cmp "$tmp/campaign_scenario.json" scripts/golden/campaign_default.json
-cmp "$tmp/campaign_scenario.txt" scripts/golden/campaign_default.txt
+# OLSR golden: a dense OLSR world (100 nodes, 60 s), where equal-length routes
+# are common and the BFS tie-break decides every data hop, must reproduce
+# its committed golden stdout byte for byte
+dune exec bin/manet_sim.exe -- run --protocol olsr --nodes 100 --duration 60 \
+  --seed 3 > "$tmp/run_olsr100.txt" 2> /dev/null
+cmp "$tmp/run_olsr100.txt" scripts/golden/run_olsr100.txt
+
+# scenario smoke: an unknown name must exit 2 with the registry listing,
+# and every workload scenario must complete a small campaign plus an SRP
+# run under the online loop-freedom monitor
 if dune exec bin/manet_sim.exe -- run --scenario no-such-scenario \
   > /dev/null 2> "$tmp/scenario_err.txt"; then
   echo "check.sh: unknown --scenario did not fail" >&2
@@ -138,16 +125,11 @@ dune exec bin/manet_sim.exe -- campaign --scenario vg-forged-rrep \
 grep -q "^AODV  LOOP" "$tmp/adversarial.txt"
 grep -q "^SRP   ok" "$tmp/adversarial.txt"
 
-# kill-and-resume smoke: a journaled campaign that carries traffic, with
-# one cell hung, must be SIGTERMed while its journal holds the header and
-# the other 39 cells, then resume without the hang to stdout and JSON
-# byte-identical to a straight -j 1 run (the binary is invoked directly:
-# `dune exec` may not forward the signal)
-SIM=_build/default/bin/manet_sim.exe
-resume_flags="--nodes 20 --duration 40 --trials 1 --flows 3 --quiet"
-"$SIM" campaign $resume_flags -j 1 --json "$tmp/campaign_straight.json" \
-  > "$tmp/campaign_straight.txt" 2> /dev/null
-"$SIM" campaign $resume_flags -j 2 --sabotage hang:OLSR:0:0 \
+# kill-and-resume smoke: the fixture's campaign, journaled with one cell
+# hung, must be SIGTERMed while its journal holds the header and the other
+# 39 cells, then resume without the hang to the golden stdout and JSON (the
+# binary is invoked directly: `dune exec` may not forward the signal)
+"$SIM" campaign $campaign_flags -j 2 --sabotage hang:OLSR:0:0 \
   --resume "$tmp/ckpt.jsonl" > /dev/null 2> /dev/null &
 victim=$!
 polls=0
@@ -169,11 +151,11 @@ if [ "$(wc -l < "$tmp/ckpt.jsonl")" -ne 40 ]; then
   echo "check.sh: the interrupted journal is not 40 of 41 lines" >&2
   exit 1
 fi
-"$SIM" campaign $resume_flags -j 2 --resume "$tmp/ckpt.jsonl" \
+"$SIM" campaign $campaign_flags -j 2 --resume "$tmp/ckpt.jsonl" \
   --json "$tmp/campaign_resumed.json" > "$tmp/campaign_resumed.txt" \
   2> "$tmp/campaign_resumed.log"
-cmp "$tmp/campaign_straight.json" "$tmp/campaign_resumed.json"
-cmp "$tmp/campaign_straight.txt" "$tmp/campaign_resumed.txt"
+cmp "$tmp/campaign_resumed.json" "$golden.json"
+cmp "$tmp/campaign_resumed.txt" "$golden.txt"
 
 # supervision smoke: an injected crash must quarantine one cell, annotate
 # it in the report and the JSON failures list, and still exit 0 ...

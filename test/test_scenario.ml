@@ -1,7 +1,7 @@
 (* Scenario registry: round-trip and apply semantics, per-scenario seed
    determinism (byte-identical JSONL traces), golden equivalence of the
-   default scenario against the committed pre-refactor campaign output at
-   -j 1 and -j 4, the adversarial van Glabbeek replay (AODV loops, SRP
+   default scenario against the committed campaign output at -j 1 and
+   -j 4, the adversarial van Glabbeek replay (AODV loops, SRP
    stays green), and catalogue presence of the per-model fuzz properties. *)
 
 module C = Sim.Config
@@ -100,8 +100,8 @@ let test_seed_moves_trace () =
     (trace5 = trace6)
 
 (* ------------------------------------------------------------------ *)
-(* Golden gate: the default scenario reproduces the committed
-   pre-refactor campaign bytes (scripts/golden/) at -j 1 and -j 4. *)
+(* Golden gate: the default scenario reproduces the committed campaign
+   bytes (scripts/golden/) at -j 1 and -j 4. *)
 
 (* dune runtest runs from the test build directory, dune exec from the
    workspace root — accept the golden from either vantage point *)
@@ -117,15 +117,16 @@ let read_golden name =
   | None -> Alcotest.failf "golden %s not found" name
 
 let golden_base () =
-  (* mirrors `manet_sim campaign --scenario default --nodes 20 --duration 10
-     --trials 1 --flows 3 --quiet`, the invocation that minted the goldens *)
+  (* mirrors `manet_sim campaign --scenario default --nodes 20 --duration 40
+     --trials 1 --flows 3 --quiet`, the invocation that minted the goldens;
+     traffic starts at 15 s, so every cell routes 25 s of data *)
   Sim.Config.with_labels
     {
       C.reproduction with
       C.nodes = 20;
       flows = 3;
       pause = 0.0;
-      duration = 10.0;
+      duration = 40.0;
       seed = 1;
       packet_rate = 4.0;
       faults = Faults.Spec.none;
@@ -133,20 +134,47 @@ let golden_base () =
     Slr.Label_set.default
 
 let golden_campaign ~jobs =
+  let base = Sc.apply Sc.default (golden_base ()) in
   Sim.Experiment.run ~jobs
-    ~pause_scale:(Stdlib.min 1.0 (10.0 /. 900.0))
-    ~base:(Sc.apply Sc.default (golden_base ())) ~protocols:C.all_protocols
+    ~pause_scale:(Stdlib.min 1.0 (base.C.duration /. 900.0))
+    ~base ~protocols:C.all_protocols
     ~pauses:C.paper_pause_times ~trials:1
     ~progress:(fun _ -> ())
     ()
 
+(* A determinism fixture proves something only if its worlds route data:
+   every cell delivers packets, and SRP adopts a split label (its maximum
+   denominator starts at 1). *)
+let check_routes_traffic (t : Sim.Experiment.t) =
+  List.iter
+    (fun protocol ->
+      List.iter
+        (fun pause ->
+          let c = Sim.Experiment.cell t protocol pause in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s pause %g delivers" (C.protocol_name protocol)
+               pause)
+            true
+            (Stats.Summary.mean c.Sim.Experiment.delivery > 0.0))
+        t.Sim.Experiment.pauses)
+    t.Sim.Experiment.protocols;
+  let max_denominator =
+    List.fold_left
+      (fun acc pause ->
+        Stdlib.max acc
+          (Sim.Experiment.cell t C.Srp pause).Sim.Experiment.max_denominator)
+      0 t.Sim.Experiment.pauses
+  in
+  Alcotest.(check bool) "SRP max denominator above 1" true
+    (max_denominator > 1)
+
 let test_default_matches_golden ~jobs () =
-  (* the goldens were minted before the grid became the default channel;
-     matching them from an untouched config proves the promotion changed
-     no observable byte *)
+  (* the CLI minted the goldens from an untouched config, which sweeps the
+     channel with the grid *)
   Alcotest.(check string) "campaign runs on the default grid channel" "grid"
     (C.channel_name (Sc.apply Sc.default (golden_base ())).C.channel);
   let campaign = golden_campaign ~jobs in
+  check_routes_traffic campaign;
   Alcotest.(check string) "report matches committed golden"
     (read_golden "campaign_default.txt")
     (Format.asprintf "%a@." Sim.Report.all campaign);
