@@ -331,17 +331,10 @@ let run_cmd =
         & opt (some string) None
         & info [ "json" ]
             ~doc:"Write the run's config and metrics to $(docv) as JSON.")
-    and+ jobs =
-      jobs_term
-        ~doc:
-          "Worker domains. A single run is one sequential event loop, so \
-           this is accepted for interface symmetry with $(b,campaign) and \
-           $(b,fuzz) but values above 1 change nothing here."
     and+ prof, prof_out = prof_term
     and+ scenario = scenario_term
     and+ scale = scale_term
     in
-    ignore (jobs : int);
     if prof then Obs.enable ();
     let config = { config with Sim.Config.protocol } in
     let config = apply_scale "run" scale config in
@@ -462,7 +455,7 @@ let campaign_cmd =
               "Deterministic failure injection for testing the supervisor: \
                MODE:PROTOCOL:PAUSE:TRIAL[@FAILS] with MODE crash or hang \
                (e.g. crash:AODV:0:1, or crash:SRP:0:0@1 to fail only the \
-               first attempt). Also read from MANET_SABOTAGE.")
+               first attempt).")
     and+ prof, prof_out = prof_term
     and+ scenario = scenario_term
     and+ scale = scale_term
@@ -523,14 +516,14 @@ let campaign_cmd =
         }
     in
     let sabotage =
-      match sabotage with
-      | Some spec -> (
+      Option.map
+        (fun spec ->
           match Sim.Sabotage.of_string spec with
-          | Ok t -> Some t
+          | Ok t -> t
           | Error m ->
               prerr_endline ("campaign: " ^ m);
               exit 2)
-      | None -> Sim.Sabotage.from_env ()
+        sabotage
     in
     match
       Fun.protect

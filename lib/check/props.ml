@@ -577,7 +577,6 @@ let pending_law c =
     Protocols.Pending.create ~ttl:c.pending_ttl ~engine ~capacity:c.capacity
       ~drop:(fun data ~size:_ ~reason ->
         drops := (data.Wireless.Frame.seq, reason) :: !drops)
-      ()
   in
   (* model: live entries in arrival order, and the expected drop multiset *)
   let entries : (int * float) list ref = ref [] in
@@ -1345,10 +1344,9 @@ let trace_ev_gen =
       Gen.map
         (fun (dst, via, reason) -> Trace.Route_del { dst; via; reason })
         (Gen.triple i i s);
-      Gen.map2
-        (fun (dst, sn, label) frac -> Trace.Label_split { dst; sn; label; frac })
-        (Gen.triple i i s)
-        (Gen.oneof [ Gen.pure None; Gen.map Option.some (Gen.pair i i) ]);
+      Gen.map
+        (fun (dst, sn, label) -> Trace.Label_split { dst; sn; label })
+        (Gen.triple i i s);
       Gen.map (fun seqno -> Trace.Seqno_reset { seqno }) i;
       Gen.map (fun cw -> Trace.Mac_backoff { cw }) i;
       Gen.map (fun dst -> Trace.Mac_retry_drop { dst }) i;
@@ -1397,8 +1395,7 @@ let emit_via_helper t { node; ev; _ } =
   | Ctl_rx { kind; from } -> Trace.ctl_rx t ~node ~kind ~from
   | Route_add { dst; via; dist } -> Trace.route_add t ~node ~dst ~via ~dist
   | Route_del { dst; via; reason } -> Trace.route_del t ~node ~dst ~via ~reason
-  | Label_split { dst; sn; label; frac } ->
-      Trace.label_split t ~node ~dst ~sn ~label ~frac
+  | Label_split { dst; sn; label } -> Trace.label_split t ~node ~dst ~sn ~label
   | Seqno_reset { seqno } -> Trace.seqno_reset t ~node ~seqno
   | Mac_backoff { cw } -> Trace.mac_backoff t ~node ~cw
   | Mac_collision -> Trace.mac_collision t ~node

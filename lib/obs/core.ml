@@ -1,5 +1,5 @@
 (* Performance-observability core: a typed metrics registry (monotonic
-   counters, gauges, log-bucketed histograms), wall-clock span timers for
+   counters, log-bucketed histograms), wall-clock span timers for
    hot-path profiling, and a per-domain worker ledger of campaign-cell GC
    deltas.
 
@@ -8,8 +8,8 @@
    side-state outside the DES, so a profiled run is behaviourally identical
    to an unprofiled one. When profiling is disabled (the default) every
    span/histogram operation is one atomic-flag read and allocates nothing;
-   counters and gauges stay live (they are off the hot paths and the gauge
-   sampler reads them even in unprofiled runs).
+   counters stay live (they are off the hot paths and the gauge sampler
+   reads them even in unprofiled runs).
 
    Storage is domain-local: each domain lazily registers one slot table
    (via [Domain.DLS]) and mutates only its own slots, so workers never
@@ -32,13 +32,11 @@ let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
 type span = { span_id : int; span_name : string }
 type histogram = { hist_id : int; hist_name : string }
 type counter = { ctr_id : int; ctr_name : string }
-type gauge = { gauge_id : int; gauge_name : string }
 
 let registry_mutex = Mutex.create ()
 let span_defs : span list ref = ref []
 let hist_defs : histogram list ref = ref []
 let ctr_defs : counter list ref = ref []
-let gauge_defs : gauge list ref = ref []
 
 let register defs find make =
   Mutex.protect registry_mutex (fun () ->
@@ -63,11 +61,6 @@ let counter name =
   register ctr_defs
     (fun c -> c.ctr_name = name)
     (fun id -> { ctr_id = id; ctr_name = name })
-
-let gauge name =
-  register gauge_defs
-    (fun g -> g.gauge_name = name)
-    (fun id -> { gauge_id = id; gauge_name = name })
 
 (* ------------------------------------------------------------------ *)
 (* Log-bucketed distributions. Bucket 0 holds values <= 0; bucket i >= 1
@@ -115,7 +108,6 @@ type local = {
   mutable span_slots : slot array;
   mutable hist_slots : slot array;
   mutable counter_vals : int array;
-  mutable gauge_vals : int array;
   led : ledger;
 }
 
@@ -131,7 +123,6 @@ let fresh_local () =
       span_slots = [||];
       hist_slots = [||];
       counter_vals = [||];
-      gauge_vals = [||];
       led =
         { cells = 0; busy_ns = 0; minor_collections = 0; major_collections = 0;
           minor_words = 0; promoted_words = 0; major_words = 0 };
@@ -194,18 +185,6 @@ let add c n =
   l.counter_vals.(c.ctr_id) <- l.counter_vals.(c.ctr_id) + n
 
 let incr c = add c 1
-
-let set_gauge g v =
-  let l = local () in
-  if g.gauge_id >= Array.length l.gauge_vals then
-    l.gauge_vals <- grow_ints l.gauge_vals g.gauge_id;
-  l.gauge_vals.(g.gauge_id) <- v
-
-let raise_gauge g v =
-  let l = local () in
-  if g.gauge_id >= Array.length l.gauge_vals then
-    l.gauge_vals <- grow_ints l.gauge_vals g.gauge_id;
-  if v > l.gauge_vals.(g.gauge_id) then l.gauge_vals.(g.gauge_id) <- v
 
 let counter_value c =
   let ls = Mutex.protect registry_mutex (fun () -> !locals) in
@@ -278,16 +257,15 @@ type snapshot = {
   spans : dist list;
   hists : dist list;
   counters : (string * int) list;
-  gauges : (string * int) list;
   workers : worker list;
 }
 
 let by_name a b = compare a.dist_name b.dist_name
 
 let snapshot () =
-  let span_list, hist_list, ctr_list, gauge_list, local_list =
+  let span_list, hist_list, ctr_list, local_list =
     Mutex.protect registry_mutex (fun () ->
-        (!span_defs, !hist_defs, !ctr_defs, !gauge_defs, !locals))
+        (!span_defs, !hist_defs, !ctr_defs, !locals))
   in
   let dist_of id name slots_of =
     let count = ref 0 and total = ref 0 in
@@ -339,14 +317,6 @@ let snapshot () =
            if v = 0 then None else Some (c.ctr_name, v))
          ctr_list)
   in
-  let gauges =
-    List.sort compare
-      (List.filter_map
-         (fun g ->
-           let v = sum_ints g.gauge_id (fun l -> l.gauge_vals) in
-           if v = 0 then None else Some (g.gauge_name, v))
-         gauge_list)
-  in
   let workers =
     List.sort
       (fun a b -> compare a.w_domain b.w_domain)
@@ -367,7 +337,7 @@ let snapshot () =
                })
          local_list)
   in
-  { spans; hists; counters; gauges; workers }
+  { spans; hists; counters; workers }
 
 let merge_dist a b =
   {
@@ -406,8 +376,6 @@ let merge_snapshots a b =
     hists = merge_sorted (fun d -> d.dist_name) merge_dist a.hists b.hists;
     counters =
       merge_sorted fst (fun (k, x) (_, y) -> (k, x + y)) a.counters b.counters;
-    gauges =
-      merge_sorted fst (fun (k, x) (_, y) -> (k, x + y)) a.gauges b.gauges;
     workers =
       merge_sorted (fun w -> w.w_domain) merge_worker a.workers b.workers;
   }
@@ -451,7 +419,6 @@ let reset () =
           clear l.span_slots;
           clear l.hist_slots;
           Array.fill l.counter_vals 0 (Array.length l.counter_vals) 0;
-          Array.fill l.gauge_vals 0 (Array.length l.gauge_vals) 0;
           l.led.cells <- 0;
           l.led.busy_ns <- 0;
           l.led.minor_collections <- 0;

@@ -4,9 +4,9 @@
     Determinism contract: nothing here touches simulation state — all
     timing is wall-clock side-state outside the DES. With profiling
     disabled (the default), span and histogram operations are a single
-    atomic-flag read and allocate nothing; counters and gauges are always
-    live (they sit off the hot paths and the gauge sampler reads them in
-    unprofiled runs too). *)
+    atomic-flag read and allocate nothing; counters are always live (they
+    sit off the hot paths and the gauge sampler reads them in unprofiled
+    runs too). *)
 
 val enable : unit -> unit
 val disable : unit -> unit
@@ -24,13 +24,11 @@ val now_ns : unit -> int
 type span
 type histogram
 type counter
-type gauge
 
 val span : string -> span
 val span_name : span -> string
 val histogram : string -> histogram
 val counter : string -> counter
-val gauge : string -> gauge
 
 (** {1 Hot-path operations}
 
@@ -48,11 +46,6 @@ val record_span_ns : span -> int -> unit
 val observe : histogram -> int -> unit
 val incr : counter -> unit
 val add : counter -> int -> unit
-val set_gauge : gauge -> int -> unit
-
-(** High-water update: set the gauge to [v] only when it exceeds the
-    domain-local current value. *)
-val raise_gauge : gauge -> int -> unit
 
 (** Sum of a counter across all domains. Racy while workers run (may lag
     by in-flight increments); exact once they have joined. *)
@@ -109,7 +102,6 @@ type snapshot = {
   spans : dist list;
   hists : dist list;
   counters : (string * int) list;
-  gauges : (string * int) list;  (** merged by sum *)
   workers : worker list;
 }
 

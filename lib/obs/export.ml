@@ -98,13 +98,6 @@ let prometheus (s : Core.snapshot) =
       family b ~name ~help:"Monotonic event counter." ~kind:"counter";
       buf_add b (Printf.sprintf "%s %d\n" name v))
     s.Core.counters;
-  List.iter
-    (fun (name, v) ->
-      let name = "manet_" ^ sanitize name in
-      family b ~name ~help:"Last observed value (summed across domains)."
-        ~kind:"gauge";
-      buf_add b (Printf.sprintf "%s %d\n" name v))
-    s.Core.gauges;
   if s.Core.workers <> [] then begin
     let worker_family name help value =
       family b ~name ~help ~kind:"counter";

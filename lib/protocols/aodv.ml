@@ -409,8 +409,7 @@ let create_full ?(config = default_config) ctx =
         Pending.create ~ttl:config.pending_ttl ~engine:ctx.Routing_intf.engine
           ~capacity:config.pending_capacity
           ~drop:(fun data ~size:_ ~reason ->
-            ctx.Routing_intf.drop_data data ~reason)
-          ();
+            ctx.Routing_intf.drop_data data ~reason);
       discovery = None;
       self_seqno = 0;
       next_rreq_id = 0;

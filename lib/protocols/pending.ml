@@ -5,7 +5,7 @@ type entry = { data : Wireless.Frame.data; size : int; deadline : float }
 type t = {
   capacity : int;
   ttl : float;
-  engine : Des.Engine.t option;
+  engine : Des.Engine.t;
   drop : Wireless.Frame.data -> size:int -> reason:string -> unit;
   queues : (int, entry Queue.t) Hashtbl.t;
   mutable sweep : Des.Engine.handle option;
@@ -13,11 +13,10 @@ type t = {
 
 let expiry_reason = "pending-buffer expired"
 
-let create ?(ttl = infinity) ?engine ~capacity ~drop () =
+let create ~ttl ~engine ~capacity ~drop =
   { capacity; ttl; engine; drop; queues = Hashtbl.create 16; sweep = None }
 
-let now t =
-  match t.engine with Some e -> Des.Engine.now e | None -> 0.0
+let now t = Des.Engine.now t.engine
 
 let queue_for t dst =
   match Hashtbl.find_opt t.queues dst with
@@ -54,23 +53,20 @@ let earliest_deadline t =
 (* Timer-driven expiry so a destination nobody ever asks about again still
    drains: one timer, re-armed at the earliest live deadline. *)
 let rec arm_sweep t =
-  match t.engine with
-  | None -> ()
-  | Some engine -> (
-      match t.sweep with
-      | Some h when not (Des.Engine.cancelled h) -> ()
-      | Some _ | None -> (
-          match earliest_deadline t with
-          | None -> t.sweep <- None
-          | Some deadline ->
-              let time = Stdlib.max deadline (Des.Engine.now engine) in
-              t.sweep <-
-                Some
-                  (Des.Engine.schedule_at ~span:span_timer engine ~time (fun () ->
-                       t.sweep <- None;
-                       let time = Des.Engine.now engine in
-                       Hashtbl.iter (fun _ q -> drop_expired t q ~time) t.queues;
-                       arm_sweep t))))
+  match t.sweep with
+  | Some h when not (Des.Engine.cancelled h) -> ()
+  | Some _ | None -> (
+      match earliest_deadline t with
+      | None -> t.sweep <- None
+      | Some deadline ->
+          let time = Stdlib.max deadline (now t) in
+          t.sweep <-
+            Some
+              (Des.Engine.schedule_at ~span:span_timer t.engine ~time (fun () ->
+                   t.sweep <- None;
+                   let time = now t in
+                   Hashtbl.iter (fun _ q -> drop_expired t q ~time) t.queues;
+                   arm_sweep t)))
 
 let push t ~dst data ~size =
   let q = queue_for t dst in

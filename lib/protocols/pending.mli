@@ -4,18 +4,16 @@
 
 type t
 
-(** [create ~capacity ~drop] builds a buffer. When [ttl] and [engine] are
-    both given, every entry expires [ttl] seconds after it was pushed and is
-    drained through the drop callback by an engine timer — a destination
-    whose discovery silently stalls (e.g. because the requester is in
-    holdoff) can no longer pin packets forever. Without them, entries live
-    until taken or displaced (the legacy behaviour). *)
+(** [create ~ttl ~engine ~capacity ~drop] builds a buffer. Every entry
+    expires [ttl] seconds after it was pushed and is drained through the
+    drop callback by an [engine] timer — a destination whose discovery
+    silently stalls (e.g. because the requester is in holdoff) can no
+    longer pin packets forever. *)
 val create :
-  ?ttl:float ->
-  ?engine:Des.Engine.t ->
+  ttl:float ->
+  engine:Des.Engine.t ->
   capacity:int ->
   drop:(Wireless.Frame.data -> size:int -> reason:string -> unit) ->
-  unit ->
   t
 
 (** [push t ~dst data ~size] buffers a packet; the oldest buffered packet

@@ -1,10 +1,5 @@
 let span_timer = Obs.span "proto.srp.timer"
 
-(* Always-on label telemetry: the high-water encoded label width per
-   domain, and the count of seqno resets forced by label exhaustion. *)
-let gauge_width_bits = Obs.gauge "srp.label.width_bits.max"
-let counter_label_resets = Obs.counter "srp.label.resets"
-
 module Ordering = Slr.Ordering
 module Label = Slr.Label
 module Label_set = Slr.Label_set
@@ -403,14 +398,12 @@ let set_route t ~dst ~via ~adv_order ~adv_dist ~cached ~lifetime =
       let r = route_for t dst in
       r.own <- g;
       retain_label t r;
-      (match Label.to_ints g.Ordering.label with
-      | Some (_, den) when den > t.max_denom_seen -> t.max_denom_seen <- den
-      | Some _ | None -> ());
+      (match g.Ordering.label with
+      | Label.Frac f when f.Fraction.den > t.max_denom_seen ->
+          t.max_denom_seen <- f.Fraction.den
+      | Label.Frac _ | Label.Big _ | Label.Lex _ -> ());
       let width = Label.width_bits g.Ordering.label in
-      if width > t.label_width_max then begin
-        t.label_width_max <- width;
-        Obs.raise_gauge gauge_width_bits width
-      end;
+      if width > t.label_width_max then t.label_width_max <- width;
       let trace = t.ctx.Routing_intf.trace in
       let me = t.ctx.Routing_intf.id in
       Trace.route_add trace ~node:me ~dst ~via ~dist:(adv_dist + 1);
@@ -419,7 +412,6 @@ let set_route t ~dst ~via ~adv_order ~adv_dist ~cached ~lifetime =
           if Trace.enabled trace then
             Trace.label_split trace ~node:me ~dst ~sn:g.Ordering.sn
               ~label:(Label.encode g.Ordering.label)
-              ~frac:(Label.to_ints g.Ordering.label)
       | New_order.Infinite | New_order.Fresher_next | New_order.Keep_current ->
           ());
       let entry =
@@ -517,7 +509,6 @@ let destination_reply t rreq ~last_hop =
     (* the T bit / MAX_DENOM probe path: this reset was forced by label
        exhaustion, the cost the dense-set choice trades against width *)
     t.label_resets <- t.label_resets + 1;
-    Obs.incr counter_label_resets;
     Trace.seqno_reset t.ctx.Routing_intf.trace ~node:t.ctx.Routing_intf.id
       ~seqno:t.self_seqno
   end;
@@ -858,8 +849,7 @@ let create_full ?(config = default_config) ctx =
         Pending.create ~ttl:config.pending_ttl ~engine:ctx.Routing_intf.engine
           ~capacity:config.pending_capacity
           ~drop:(fun data ~size:_ ~reason ->
-            ctx.Routing_intf.drop_data data ~reason)
-          ();
+            ctx.Routing_intf.drop_data data ~reason);
       discovery = None;
       racks = Hashtbl.create 16;
       self_seqno = 1;

@@ -149,7 +149,7 @@ let apply_scale s t =
 let to_json (t : t) =
   let module J = Trace.Json in
   J.Obj
-    ([
+    [
       ("protocol", J.String (protocol_name t.protocol));
       ("nodes", J.Int t.nodes);
       ("terrain_width", J.Float t.terrain.Wireless.Terrain.width);
@@ -167,18 +167,11 @@ let to_json (t : t) =
       ("packet_size", J.Int t.packet_size);
       ("seed", J.Int t.seed);
       ("faults", J.Bool (not (Faults.Spec.is_none t.faults)));
+      ("labels", J.String (Slr.Label_set.name t.srp.Protocols.Srp.labels));
+      ("channel", J.String (channel_name t.channel));
+      ("mobility", J.String (Wireless.Mobility.name t.mobility));
+      ("traffic", J.String (Traffic.Model.name t.traffic));
     ]
-    (* conditional members: default-instance exports stay byte-identical *)
-    @ (if t.srp.Protocols.Srp.labels = Slr.Label_set.default then []
-       else
-         [ ("labels", J.String (Slr.Label_set.name t.srp.Protocols.Srp.labels)) ])
-    @ (if t.channel = Grid then []
-       else [ ("channel", J.String (channel_name t.channel)) ])
-    @ (if t.mobility = Wireless.Mobility.default then []
-       else [ ("mobility", J.String (Wireless.Mobility.name t.mobility)) ])
-    @
-    if t.traffic = Traffic.Model.default then []
-    else [ ("traffic", J.String (Traffic.Model.name t.traffic)) ])
 
 let with_protocol t protocol = { t with protocol }
 

@@ -107,10 +107,9 @@ val apply_scale : scale -> t -> t
 
 (** Scalar scenario parameters as a flat JSON object (protocol tuning
     records are omitted; [faults] reduces to whether a plan is present;
-    ["labels"], ["channel"], ["mobility"] and ["traffic"] members name the
-    respective pluggable instances and are emitted only when not the default, so
-    default-configuration exports stay byte-identical across releases).
-    Embedded in every [--json] export so a result file is self-describing. *)
+    ["labels"], ["channel"], ["mobility"] and ["traffic"] name the
+    pluggable instances). Embedded in every [--json] export so a result
+    file is self-describing. *)
 val to_json : t -> Trace.Json.t
 
 val with_protocol : t -> protocol -> t

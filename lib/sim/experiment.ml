@@ -98,23 +98,6 @@ let jfloat name json =
   | J.Int i -> float_of_int i
   | _ -> raise (Corrupt (name ^ ": expected a number"))
 
-(* optional members: absent on journals written before (or without) the
-   label-set axis, whose results all used the default instance *)
-let jint_opt name ~default json =
-  match J.member name json with
-  | Some (J.Int i) -> i
-  | Some _ -> raise (Corrupt (name ^ ": expected an integer"))
-  | None -> default
-
-let jlabels json =
-  match J.member "labels" json with
-  | Some (J.String s) -> (
-      match Slr.Label_set.of_name s with
-      | Some id -> id
-      | None -> raise (Corrupt ("unknown label set " ^ s)))
-  | Some _ -> raise (Corrupt "labels: expected a string")
-  | None -> Slr.Label_set.default
-
 let float_fields (r : Metrics.result) =
   [
     ("delivery_ratio", r.Metrics.delivery_ratio);
@@ -183,9 +166,8 @@ let decode_result record =
     max_seqno = jint "max_seqno" rj;
     seqno_resets = jint "seqno_resets" rj;
     max_denominator = jint "max_denominator" rj;
-    labels = jlabels rj;
-    label_width_bits = jint_opt "label_width_bits" ~default:0 rj;
-    label_resets = jint_opt "label_resets" ~default:0 rj;
+    label_width_bits = jint "label_width_bits" rj;
+    label_resets = jint "label_resets" rj;
     drop_reasons =
       (match jget "drop_reasons" rj with
       | J.Obj members ->
@@ -228,7 +210,7 @@ let decode_record json =
 let header_json ~base ~protocols ~pauses ~trials ~pause_scale =
   J.Obj
     [
-      ("schema", J.String "manet-sim/journal-v1");
+      ("schema", J.String "manet-sim/journal-v2");
       ("config", Config.to_json base);
       ( "protocols",
         J.List (List.map (fun p -> J.String (Config.protocol_name p)) protocols)

@@ -43,8 +43,9 @@ type t = {
 
 (** A checkpoint journal exists but cannot drive this campaign: unreadable,
     a corrupt non-tail line, or a header recording a different
-    configuration. Resuming anyway would graft foreign results into the
-    sweep, so this is an error, not a fresh start. *)
+    configuration or schema (a journal from an older release has an older
+    [manet-sim/journal-vN] header). Resuming anyway would graft foreign
+    results into the sweep, so this is an error, not a fresh start. *)
 exception Resume_error of string
 
 (** [run ~base ~protocols ~pauses ~trials ~progress] executes the campaign.

@@ -59,7 +59,6 @@ type result = {
   max_seqno : int;
   seqno_resets : int;
   max_denominator : int;
-  labels : Slr.Label_set.id;
   label_width_bits : int;
   label_resets : int;
   drop_reasons : (string * int) list;
@@ -71,9 +70,9 @@ type result = {
   engine_events : int;
 }
 
-let finalize ?(labels = Slr.Label_set.default) (t : t) ~control_tx ~data_tx
-    ~drop_queue_full ~drop_retry ~mac_drops ~collisions ~nodes ~gauges
-    ~fault_events ~fault_frames_blocked ~engine_events =
+let finalize (t : t) ~control_tx ~data_tx ~drop_queue_full ~drop_retry
+    ~mac_drops ~collisions ~nodes ~gauges ~fault_events ~fault_frames_blocked
+    ~engine_events =
   (* one pass over the gauges with mutable accumulators instead of one
      functional fold per member; every accumulation is integral, so the
      results are bit-identical to the old per-member folds *)
@@ -121,7 +120,6 @@ let finalize ?(labels = Slr.Label_set.default) (t : t) ~control_tx ~data_tx
     max_seqno = !max_seqno;
     seqno_resets = !seqno_resets;
     max_denominator = !max_denominator;
-    labels;
     label_width_bits = !label_width_bits;
     label_resets = !label_resets;
     drop_reasons =
@@ -140,19 +138,8 @@ let finalize ?(labels = Slr.Label_set.default) (t : t) ~control_tx ~data_tx
 
 let result_json (r : result) =
   let module J = Trace.Json in
-  (* the label-set members appear only for non-default instances, so
-     default-instance exports stay byte-identical to pre-refactor output *)
-  let label_members =
-    if r.labels = Slr.Label_set.default then []
-    else
-      [
-        ("labels", J.String (Slr.Label_set.name r.labels));
-        ("label_width_bits", J.Int r.label_width_bits);
-        ("label_resets", J.Int r.label_resets);
-      ]
-  in
   J.Obj
-    ([
+    [
       ("sent", J.Int r.sent);
       ("delivered", J.Int r.delivered);
       ("delivery_ratio", J.Float r.delivery_ratio);
@@ -168,9 +155,8 @@ let result_json (r : result) =
       ("max_seqno", J.Int r.max_seqno);
       ("seqno_resets", J.Int r.seqno_resets);
       ("max_denominator", J.Int r.max_denominator);
-    ]
-    @ label_members
-    @ [
+      ("label_width_bits", J.Int r.label_width_bits);
+      ("label_resets", J.Int r.label_resets);
       ( "drop_reasons",
         J.Obj (List.map (fun (k, v) -> (k, J.Int v)) r.drop_reasons) );
       ("fault_events", J.Int r.fault_events);
@@ -179,15 +165,11 @@ let result_json (r : result) =
       ("recovery_mean", J.Float r.recovery_mean);
       ("recovery_max", J.Float r.recovery_max);
       ("engine_events", J.Int r.engine_events);
-    ])
+    ]
 
 let pp_result ppf r =
   Format.fprintf ppf
     "sent %d, delivered %d (%.3f), control %d (load %.3f), latency %.3fs, \
      mac-drops/node %.1f, collisions %d, avg-seqno %.2f"
     r.sent r.delivered r.delivery_ratio r.control_tx r.network_load r.latency
-    r.mac_drops_per_node r.collisions r.avg_seqno;
-  if r.labels <> Slr.Label_set.default then
-    Format.fprintf ppf ", labels %s (max width %d bits, %d label resets)"
-      (Slr.Label_set.name r.labels)
-      r.label_width_bits r.label_resets
+    r.mac_drops_per_node r.collisions r.avg_seqno

@@ -37,9 +37,13 @@ type result = {
   max_seqno : int;
   seqno_resets : int;
   max_denominator : int;
-  labels : Slr.Label_set.id;  (** the label-set instance the run used *)
+      (** largest denominator of a bounded-fraction label any node adopted
+          (§V's figure); SRP only *)
   label_width_bits : int;
-      (** widest encoded label any node minted (bits); SRP only *)
+      (** widest encoded label any node adopted (bits); SRP only. A
+          different fact from [max_denominator]: a fraction's width counts
+          its numerator's bits too, so the widest label need not hold the
+          largest denominator *)
   label_resets : int;
       (** label-driven resets (T-bit / MAX_DENOM probes), summed over nodes *)
   drop_reasons : (string * int) list;  (** routing-layer drops by reason *)
@@ -52,13 +56,8 @@ type result = {
 }
 
 (** [finalize t ~control_tx ~mac_drops ~collisions ~nodes ~gauges] closes
-    the books; [gauges] are the per-node protocol gauges. [?labels] names
-    the label-set instance the run was configured with (default: the
-    mediant set); non-default instances add their width/reset members to
-    {!result_json} and {!pp_result}, the default stays byte-identical to
-    pre-instance output. *)
+    the books; [gauges] are the per-node protocol gauges. *)
 val finalize :
-  ?labels:Slr.Label_set.id ->
   t ->
   control_tx:int ->
   data_tx:int ->

@@ -13,7 +13,14 @@ let run ppf (r : Metrics.result) =
   if r.Metrics.recoveries > 0 then
     Format.fprintf ppf
       "route recovery: %d outages healed, mean %.3f s, max %.3f s@."
-      r.Metrics.recoveries r.Metrics.recovery_mean r.Metrics.recovery_max
+      r.Metrics.recoveries r.Metrics.recovery_mean r.Metrics.recovery_max;
+  (* only SRP adopts labels, and any adopted label has a positive width *)
+  if r.Metrics.label_width_bits > 0 then
+    Format.fprintf ppf
+      "labels: max denominator %d, widest label %d bits, %d label-driven \
+       resets@."
+      r.Metrics.max_denominator r.Metrics.label_width_bits
+      r.Metrics.label_resets
 
 let pp_summary ppf s =
   Format.fprintf ppf "%7.3f ±%6.3f" (Stats.Summary.mean s)
@@ -93,23 +100,19 @@ let fig7 ppf t =
       "SRP max feasible-distance denominator over the campaign: %d (paper: \
        stayed under 840 million; 32-bit bound is %d)@."
       max_denom Slr.Fraction.bound;
-    (* label-set showdown metrics: printed only off the default instance,
-       so default-campaign reports stay byte-identical *)
-    if Config.labels t.Experiment.base <> Slr.Label_set.default then begin
-      let width, resets =
-        List.fold_left
-          (fun (w, r) pause ->
-            let c = Experiment.cell t Config.Srp pause in
-            ( Stdlib.max w c.Experiment.label_width_bits,
-              r + c.Experiment.label_resets ))
-          (0, 0) t.Experiment.pauses
-      in
-      Format.fprintf ppf
-        "SRP label set %s: max encoded label width %d bits, %d label-driven \
-         resets@."
-        (Slr.Label_set.name (Config.labels t.Experiment.base))
-        width resets
-    end
+    let width, resets =
+      List.fold_left
+        (fun (w, r) pause ->
+          let c = Experiment.cell t Config.Srp pause in
+          ( Stdlib.max w c.Experiment.label_width_bits,
+            r + c.Experiment.label_resets ))
+        (0, 0) t.Experiment.pauses
+    in
+    Format.fprintf ppf
+      "SRP label set %s: max encoded label width %d bits, %d label-driven \
+       resets@."
+      (Slr.Label_set.name (Config.labels t.Experiment.base))
+      width resets
   end
 
 (* Quarantined cells, printed only when there are any: a clean campaign's
@@ -155,34 +158,24 @@ let campaign_json (t : Experiment.t) =
           (fun pause ->
             let c = Experiment.cell t protocol pause in
             J.Obj
-              ([
-                 ("protocol", J.String (Config.protocol_name protocol));
-                 ("pause", J.Float pause);
-                 ("delivery_ratio", summary c.Experiment.delivery);
-                 ("network_load", summary c.Experiment.load);
-                 ("latency", summary c.Experiment.latency);
-                 ("mac_drops_per_node", summary c.Experiment.mac_drops);
-                 ("avg_seqno", summary c.Experiment.seqno);
-                 ("max_denominator", J.Int c.Experiment.max_denominator);
-               ]
-              @
-              (* per-instance members ride only on SRP cells of non-default
-                 campaigns: default exports stay byte-identical *)
-              if
-                protocol = Config.Srp
-                && Config.labels t.Experiment.base <> Slr.Label_set.default
-              then
-                [
-                  ("label_width_bits", J.Int c.Experiment.label_width_bits);
-                  ("label_resets", J.Int c.Experiment.label_resets);
-                ]
-              else []))
+              [
+                ("protocol", J.String (Config.protocol_name protocol));
+                ("pause", J.Float pause);
+                ("delivery_ratio", summary c.Experiment.delivery);
+                ("network_load", summary c.Experiment.load);
+                ("latency", summary c.Experiment.latency);
+                ("mac_drops_per_node", summary c.Experiment.mac_drops);
+                ("avg_seqno", summary c.Experiment.seqno);
+                ("max_denominator", J.Int c.Experiment.max_denominator);
+                ("label_width_bits", J.Int c.Experiment.label_width_bits);
+                ("label_resets", J.Int c.Experiment.label_resets);
+              ])
           t.Experiment.pauses)
       t.Experiment.protocols
   in
   J.Obj
     [
-      ("schema", J.String "manet-sim/campaign-v1");
+      ("schema", J.String "manet-sim/campaign-v2");
       ("config", Config.to_json t.Experiment.base);
       ( "protocols",
         J.List
@@ -317,7 +310,7 @@ let run_json config (r : Metrics.result) =
   let module J = Trace.Json in
   J.Obj
     [
-      ("schema", J.String "manet-sim/run-v1");
+      ("schema", J.String "manet-sim/run-v2");
       ("config", Config.to_json config);
       ("result", Metrics.result_json r);
     ]

@@ -18,7 +18,9 @@ val fig5 : Format.formatter -> Experiment.t -> unit
 val fig6 : Format.formatter -> Experiment.t -> unit
 
 (** Fig. 7: average node sequence number vs pause time (SRP, LDR, AODV),
-    plus SRP's maximum denominator (§V's "stayed under 840 million"). *)
+    plus, when the campaign includes SRP, its maximum denominator (§V's
+    "stayed under 840 million") and a line naming its label set with the
+    widest label's width and the label-driven resets. *)
 val fig7 : Format.formatter -> Experiment.t -> unit
 
 (** Quarantined-cell section: one header plus one line per failure
@@ -32,19 +34,21 @@ val supervision : Format.formatter -> Experiment.t -> unit
 val all : Format.formatter -> Experiment.t -> unit
 
 (** Single-run report: the paper metrics line, per-reason routing drops,
-    a fault-event line when faults were injected, and a route-recovery line
+    a fault-event line when faults were injected, a route-recovery line
     whenever any outage healed (clean runs included — mobility alone breaks
-    and restores routes). The rendering is deterministic for a given result;
-    the determinism test compares two same-seed faulted runs through it byte
-    for byte. *)
+    and restores routes), and a [labels:] line (max denominator, widest
+    label, label-driven resets) whenever the run adopted a label. The
+    rendering is deterministic for a given result; the determinism test
+    compares two same-seed faulted runs through it byte for byte. *)
 val run : Format.formatter -> Metrics.result -> unit
 
 (** [run_json config r] is the machine-readable single-run envelope
-    [{"schema":"manet-sim/run-v1","config":…,"result":…}]. *)
+    [{"schema":"manet-sim/run-v2","config":…,"result":…}]. *)
 val run_json : Config.t -> Metrics.result -> Trace.Json.t
 
-(** Whole-campaign export, [manet-sim/campaign-v1]: scenario, protocol and
-    pause axes, and per-cell metric summaries (mean / 95% CI / count). *)
+(** Whole-campaign export, [manet-sim/campaign-v2]: scenario, protocol and
+    pause axes, and per-cell metric summaries (mean / 95% CI / count) with
+    each cell's max denominator, widest label and label-driven resets. *)
 val campaign_json : Experiment.t -> Trace.Json.t
 
 (** {1 [--prof] rendering}

@@ -20,7 +20,7 @@ let dead_agent drop =
     gauges = (fun () -> Protocols.Routing_intf.no_gauges);
   }
 
-let run_custom_detailed ?(on_faults = fun (_ : Faults.Injector.t) -> ())
+let run_custom ?(on_faults = fun (_ : Faults.Injector.t) -> ())
     ?(trace = Trace.null) ?(sample_every = 0.0) ?deadline (config : Config.t)
     ~build ~on_start =
   let engine = Des.Engine.create () in
@@ -228,15 +228,8 @@ let run_custom_detailed ?(on_faults = fun (_ : Faults.Injector.t) -> ())
         let s = Faults.Injector.stats injector in
         (Faults.Injector.event_count s, s.Faults.Injector.frames_blocked)
   in
-  let labels =
-    (* only SRP mints labels; other protocols keep the default instance so
-       their results never grow label members *)
-    match config.protocol with
-    | Config.Srp -> Config.labels config
-    | _ -> Slr.Label_set.default
-  in
   let result =
-    Metrics.finalize ~labels metrics ~control_tx
+    Metrics.finalize metrics ~control_tx
       ~data_tx:(sum_stat (fun s -> s.Wireless.Mac80211.tx_data))
       ~drop_queue_full:(sum_stat (fun s -> s.Wireless.Mac80211.drop_queue_full))
       ~drop_retry:(sum_stat (fun s -> s.Wireless.Mac80211.drop_retry))
@@ -246,17 +239,9 @@ let run_custom_detailed ?(on_faults = fun (_ : Faults.Injector.t) -> ())
       ~engine_events:(Des.Engine.executed engine)
   in
   Trace.close trace;
-  (result, gauges)
-
-let run_detailed ?trace ?sample_every ?deadline config =
-  run_custom_detailed ?trace ?sample_every ?deadline config
-    ~build:(fun _ ctx -> build_agent config ctx)
-    ~on_start:(fun _ -> ())
-
-let run_custom ?on_faults ?trace ?sample_every ?deadline config ~build ~on_start =
-  fst
-    (run_custom_detailed ?on_faults ?trace ?sample_every ?deadline config
-       ~build ~on_start)
+  result
 
 let run ?trace ?sample_every ?deadline config =
-  fst (run_detailed ?trace ?sample_every ?deadline config)
+  run_custom ?trace ?sample_every ?deadline config
+    ~build:(fun _ ctx -> build_agent config ctx)
+    ~on_start:(fun _ -> ())

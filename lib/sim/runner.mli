@@ -29,14 +29,6 @@ val run :
   Config.t ->
   Metrics.result
 
-(** Like {!run} but also exposes the per-node agent gauges (for tests). *)
-val run_detailed :
-  ?trace:Trace.t ->
-  ?sample_every:float ->
-  ?deadline:float ->
-  Config.t ->
-  Metrics.result * Protocols.Routing_intf.gauges list
-
 (** [run_custom config ~build ~on_start] runs with caller-supplied agents
     ([build node_id ctx]) and a hook invoked with the engine before the
     simulation starts (for scheduling instrumentation such as the

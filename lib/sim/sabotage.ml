@@ -43,14 +43,6 @@ let to_string t =
     t.pause t.trial
     (if t.fails = max_int then "" else Printf.sprintf "@%d" t.fails)
 
-let from_env () =
-  match Sys.getenv_opt "MANET_SABOTAGE" with
-  | None | Some "" -> None
-  | Some spec -> (
-      match of_string spec with
-      | Ok t -> Some t
-      | Error m -> invalid_arg ("MANET_SABOTAGE: " ^ m))
-
 let arm spec ~protocol ~pause ~trial ~attempt ~deadline =
   match spec with
   | Some t

@@ -2,8 +2,8 @@
     {!Supervisor}. A spec names a [(protocol, pause, trial)] cell and a
     failure mode; when the experiment runner reaches that cell it raises
     (crash) or spins until the cell's deadline fires (hang) instead of
-    simulating. Gated behind an explicit CLI flag ([--sabotage]) or the
-    [MANET_SABOTAGE] environment variable; inert otherwise.
+    simulating. Gated behind an explicit CLI flag ([--sabotage]); inert
+    otherwise.
 
     Spec syntax: [MODE:PROTOCOL:PAUSE:TRIAL[@FAILS]] — e.g.
     [crash:AODV:0:1] (cell always crashes), [hang:DSR:50:0] (cell spins
@@ -23,11 +23,6 @@ type t = {
 val of_string : string -> (t, string) result
 
 val to_string : t -> string
-
-(** [MANET_SABOTAGE], parsed; [None] when unset.
-    @raise Invalid_argument on a malformed spec (fail loudly, not silently
-    un-sabotaged). *)
-val from_env : unit -> t option
 
 (** [arm spec ~protocol ~pause ~trial ~attempt ~deadline] does nothing
     unless [spec] targets this cell and [attempt <= fails]; then it raises

@@ -47,13 +47,6 @@ let width_bits = function
   | Big b -> Bigfrac.width_bits b
   | Lex l -> 8 * Lexlabel.width l
 
-(* Exact numerator/denominator as native ints, for the mediant/Farey
-   back-compat surfaces (trace num/den members, the max-denominator
-   gauge). [None] for the unbounded and lexicographic representations. *)
-let to_ints = function
-  | Frac f -> Some (f.Fraction.num, f.Fraction.den)
-  | Big _ | Lex _ -> None
-
 let pp ppf = function
   | Frac f -> Fraction.pp ppf f
   | Big b -> Bigfrac.pp ppf b

@@ -46,12 +46,6 @@ val is_one : t -> bool
     paper trades against path resets. *)
 val width_bits : t -> int
 
-(** Native-int numerator/denominator for bounded-fraction labels; [None]
-    for the unbounded and lexicographic representations. Back-compat
-    surface for the trace [num]/[den] members and the max-denominator
-    gauge. *)
-val to_ints : t -> (int * int) option
-
 (** Compact, instance-unambiguous string form ("3/5", "0x80a1", "top"),
     used by the trace encoding. *)
 val encode : t -> string

@@ -13,12 +13,7 @@ type ev =
   | Ctl_rx of { kind : string; from : int }
   | Route_add of { dst : int; via : int; dist : int }
   | Route_del of { dst : int; via : int; reason : string }
-  | Label_split of {
-      dst : int;
-      sn : int;
-      label : string;
-      frac : (int * int) option;
-    }
+  | Label_split of { dst : int; sn : int; label : string }
   | Seqno_reset of { seqno : int }
   | Mac_backoff of { cw : int }
   | Mac_collision
@@ -43,13 +38,6 @@ type ev =
 
 type record = { time : float; node : int; ev : ev }
 
-type ring_state = {
-  capacity : int;
-  buf : record array;
-  mutable next : int;
-  mutable filled : bool;
-}
-
 type jsonl_state = {
   oc : out_channel;
   scratch : Buffer.t;
@@ -63,7 +51,6 @@ type jsonl_state = {
 
 type sink =
   | Null
-  | Ring of ring_state
   | Jsonl of jsonl_state
   | Callback of (record -> unit)
 
@@ -72,17 +59,7 @@ type t = { sink : sink; mutable clock : unit -> float }
 let null = { sink = Null; clock = (fun () -> 0.0) }
 
 let enabled t =
-  match t.sink with Null -> false | Ring _ | Jsonl _ | Callback _ -> true
-
-let dummy_record = { time = 0.0; node = 0; ev = Mac_collision }
-
-let ring ~clock ~capacity =
-  if capacity <= 0 then invalid_arg "Trace.ring: non-positive capacity";
-  {
-    sink =
-      Ring { capacity; buf = Array.make capacity dummy_record; next = 0; filled = false };
-    clock;
-  }
+  match t.sink with Null -> false | Jsonl _ | Callback _ -> true
 
 let jsonl ~clock oc =
   (* abnormal exits (uncaught exception, exit on signal handlers) must
@@ -137,14 +114,9 @@ let ev_fields = function
   | Route_del { dst; via; reason } ->
       ("route-del", [ ("dst", Json.Int dst); ("via", Json.Int via);
                       ("reason", Json.String reason) ])
-  | Label_split { dst; sn; label; frac } ->
-      ( "label-split",
-        ("dst", Json.Int dst) :: ("sn", Json.Int sn)
-        :: ("label", Json.String label)
-        ::
-        (match frac with
-        | Some (num, den) -> [ ("num", Json.Int num); ("den", Json.Int den) ]
-        | None -> []) )
+  | Label_split { dst; sn; label } ->
+      ("label-split", [ ("dst", Json.Int dst); ("sn", Json.Int sn);
+                        ("label", Json.String label) ])
   | Seqno_reset { seqno } -> ("seqno-reset", [ ("seqno", Json.Int seqno) ])
   | Mac_backoff { cw } -> ("mac-backoff", [ ("cw", Json.Int cw) ])
   | Mac_collision -> ("mac-collision", [])
@@ -207,13 +179,6 @@ let jsonl_record_bytes = Obs.histogram "trace.jsonl_record_bytes"
 let push_body sink r =
   match sink with
   | Null -> ()
-  | Ring ring ->
-      ring.buf.(ring.next) <- r;
-      ring.next <- ring.next + 1;
-      if ring.next = ring.capacity then begin
-        ring.next <- 0;
-        ring.filled <- true
-      end
   | Jsonl s ->
       Buffer.clear s.scratch;
       jsonl_to_scratch s r;
@@ -231,16 +196,6 @@ let push sink r =
   else push_body sink r
 
 let emit t ~node ev = push t.sink { time = t.clock (); node; ev }
-
-let ring_contents t =
-  match t.sink with
-  | Null | Jsonl _ | Callback _ -> []
-  | Ring ring ->
-      if not ring.filled then
-        Array.to_list (Array.sub ring.buf 0 ring.next)
-      else
-        Array.to_list (Array.sub ring.buf ring.next (ring.capacity - ring.next))
-        @ Array.to_list (Array.sub ring.buf 0 ring.next)
 
 let close t = match t.sink with Jsonl { oc; _ } -> flush oc | _ -> ()
 
@@ -298,10 +253,10 @@ let route_del t ~node ~dst ~via ~reason =
   | Null -> ()
   | _ -> emit t ~node (Route_del { dst; via; reason })
 
-let label_split t ~node ~dst ~sn ~label ~frac =
+let label_split t ~node ~dst ~sn ~label =
   match t.sink with
   | Null -> ()
-  | _ -> emit t ~node (Label_split { dst; sn; label; frac })
+  | _ -> emit t ~node (Label_split { dst; sn; label })
 
 let seqno_reset t ~node ~seqno =
   match t.sink with Null -> () | _ -> emit t ~node (Seqno_reset { seqno })

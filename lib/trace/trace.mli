@@ -9,9 +9,10 @@
 
     Sinks:
     - [Null]: tracing off (the default);
-    - bounded in-memory ring buffer (keeps the last [capacity] records);
     - JSONL stream: one JSON object per record, in emission order.
-      Same seed, same bytes. *)
+      Same seed, same bytes;
+    - callback: every record handed to a function, for in-process
+      analyses. *)
 
 module Json = Json
 
@@ -37,8 +38,6 @@ type ev =
       dst : int;
       sn : int;
       label : string;  (** instance-tagged encoding ("3/5", "0x80a1") *)
-      frac : (int * int) option;
-          (** back-compat exact num/den for bounded-fraction instances *)
     }  (** NEWORDER minted a fresh label strictly between two orderings *)
   | Seqno_reset of { seqno : int }
   | Mac_backoff of { cw : int }
@@ -71,9 +70,6 @@ val null : t
 (** [enabled t] is [false] exactly for {!null}-like tracers. *)
 val enabled : t -> bool
 
-(** [ring ~clock ~capacity] keeps the last [capacity] records in memory. *)
-val ring : clock:(unit -> float) -> capacity:int -> t
-
 (** [jsonl ~clock oc] streams one JSON object per record to [oc].
     Call {!close} to flush (the channel itself is not closed). An
     [at_exit] hook also flushes [oc], so a run that dies with an uncaught
@@ -90,9 +86,6 @@ val callback : clock:(unit -> float) -> (record -> unit) -> t
     tracer before the simulation engine exists; the runner points the
     tracer at the engine's clock once it is created. No-op on {!null}. *)
 val set_clock : t -> (unit -> float) -> unit
-
-(** Records currently held by a ring tracer, oldest first ([] otherwise). *)
-val ring_contents : t -> record list
 
 (** Flush buffered output (JSONL sink); no-op otherwise. *)
 val close : t -> unit
@@ -119,17 +112,10 @@ val ctl_rx : t -> node:int -> kind:string -> from:int -> unit
 val route_add : t -> node:int -> dst:int -> via:int -> dist:int -> unit
 val route_del : t -> node:int -> dst:int -> via:int -> reason:string -> unit
 
-(** The [label]/[frac] arguments are evaluated at the call site even when
-    tracing is off — guard the call with {!enabled} to keep the disabled
-    path allocation-free. *)
-val label_split :
-  t ->
-  node:int ->
-  dst:int ->
-  sn:int ->
-  label:string ->
-  frac:(int * int) option ->
-  unit
+(** The [label] argument is evaluated at the call site even when tracing
+    is off — guard the call with {!enabled} to keep the disabled path
+    allocation-free. *)
+val label_split : t -> node:int -> dst:int -> sn:int -> label:string -> unit
 
 val seqno_reset : t -> node:int -> seqno:int -> unit
 val mac_backoff : t -> node:int -> cw:int -> unit

@@ -6,8 +6,12 @@
     exhaustion is reported upward (the "link-layer unicast loss detection"
     all on-demand protocols in the paper rely on), unacknowledged broadcast,
     a bounded interface queue, and per-node drop counters (Fig. 3's metric).
-    Not modelled: RTS/CTS (frames are below the usual threshold), NAV
-    virtual carrier sense, capture, rate adaptation.
+    A unicast frame larger than the radio's [rts_threshold] is preceded by
+    an RTS/CTS exchange — every CBR data frame is, since 532 bytes exceeds
+    the default 128 — and overheard RTS/CTS frames set the NAV (virtual
+    carrier sense). {!Channel} applies capture (a frame survives an overlap
+    when its sender is 3 times closer than the interferer). Not modelled:
+    rate adaptation.
 
     Backoff is implemented by re-sensing: a node picks a uniform backoff,
     sleeps DIFS + backoff, and transmits if the medium is free, otherwise

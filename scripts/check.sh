@@ -156,6 +156,16 @@ fi
   2> "$tmp/campaign_resumed.log"
 cmp "$tmp/campaign_resumed.json" "$golden.json"
 cmp "$tmp/campaign_resumed.txt" "$golden.txt"
+# ... and the same journal under the previous schema's header must be
+# refused as a foreign journal (exit 2), not misread
+sed '1s/journal-v2/journal-v1/' "$tmp/ckpt.jsonl" > "$tmp/ckpt_v1.jsonl"
+status=0
+"$SIM" campaign $campaign_flags --resume "$tmp/ckpt_v1.jsonl" \
+  > /dev/null 2>&1 || status=$?
+if [ "$status" -ne 2 ]; then
+  echo "check.sh: resuming a v1 journal exited $status, not 2" >&2
+  exit 1
+fi
 
 # supervision smoke: an injected crash must quarantine one cell, annotate
 # it in the report and the JSON failures list, and still exit 0 ...

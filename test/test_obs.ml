@@ -240,12 +240,10 @@ let gen_workers =
 
 let gen_snapshot =
   Gen.map2
-    (fun (spans, hists) ((counters, gauges), workers) ->
-      { Obs.spans; hists; counters; gauges; workers })
+    (fun (spans, hists) (counters, workers) ->
+      { Obs.spans; hists; counters; workers })
     (Gen.pair (gen_dists [ "s.a"; "s.b"; "s.c" ]) (gen_dists [ "h.x"; "h.y" ]))
-    (Gen.pair
-       (Gen.pair (gen_assoc [ "c.a"; "c.b" ]) (gen_assoc [ "g.a"; "g.b" ]))
-       gen_workers)
+    (Gen.pair (gen_assoc [ "c.a"; "c.b" ]) gen_workers)
 
 (* Canonical rendering for equality: covers every field, including bucket
    contents, so a merge that drops or reorders anything is caught. *)
@@ -272,8 +270,6 @@ let render s =
       String.concat ";" (List.map render_dist s.Obs.hists);
       String.concat ";"
         (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) s.Obs.counters);
-      String.concat ";"
-        (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) s.Obs.gauges);
       String.concat ";" (List.map render_worker s.Obs.workers);
     ]
 
@@ -312,7 +308,7 @@ let test_merge_associative () =
 
 let test_merge_identity () =
   let empty =
-    { Obs.spans = []; hists = []; counters = []; gauges = []; workers = [] }
+    { Obs.spans = []; hists = []; counters = []; workers = [] }
   in
   check_prop "merge-identity"
     (Runner.cell ~name:"merge-identity" ~print:render gen_snapshot (fun s ->

@@ -1109,9 +1109,9 @@ let test_seen_cache () =
 let test_pending_buffer () =
   let drops = ref 0 in
   let p =
-    Protocols.Pending.create ~capacity:2 ~drop:(fun _ ~size:_ ~reason:_ ->
-        incr drops)
-      ()
+    (* the engine never runs, so nothing expires *)
+    Protocols.Pending.create ~ttl:30.0 ~engine:(Des.Engine.create ())
+      ~capacity:2 ~drop:(fun _ ~size:_ ~reason:_ -> incr drops)
   in
   Protocols.Pending.push p ~dst:5 (mk_data ~seq:1 ()) ~size:512;
   Protocols.Pending.push p ~dst:5 (mk_data ~seq:2 ()) ~size:512;
@@ -1129,7 +1129,6 @@ let test_pending_expiry () =
   let p =
     Protocols.Pending.create ~ttl:2.0 ~engine:e ~capacity:8
       ~drop:(fun d ~size:_ ~reason -> drops := (d.Frame.seq, reason) :: !drops)
-      ()
   in
   Protocols.Pending.push p ~dst:5 (mk_data ~seq:1 ()) ~size:512;
   ignore

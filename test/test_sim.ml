@@ -575,6 +575,60 @@ let test_campaign_resume_rejects_foreign_journal () =
       | _ -> Alcotest.fail "foreign journal must raise Resume_error"
       | exception Sim.Experiment.Resume_error _ -> ())
 
+(* A journal written under the previous schema is refused, not misread:
+   rewritten as the v1 writer left it (a journal-v1 header whose config
+   lacks the instance members, cell results without the label members),
+   it no longer matches this campaign's header. *)
+let test_campaign_resume_rejects_v1_journal () =
+  let module J = Trace.Json in
+  let path = Filename.temp_file "manet_ckpt" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      ignore (run_small_campaign ~checkpoint:path ~jobs:1 ());
+      let without names = function
+        | J.Obj members ->
+            J.Obj (List.filter (fun (k, _) -> not (List.mem k names)) members)
+        | json -> json
+      in
+      let as_v1 line =
+        match J.parse line with
+        | Ok (J.Obj members) ->
+            J.to_string
+              (J.Obj
+                 (List.map
+                    (fun (k, v) ->
+                      match k with
+                      | "schema" -> (k, J.String "manet-sim/journal-v1")
+                      | "config" ->
+                          ( k,
+                            without
+                              [ "labels"; "channel"; "mobility"; "traffic" ]
+                              v )
+                      | "result" ->
+                          (k, without [ "label_width_bits"; "label_resets" ] v)
+                      | _ -> (k, v))
+                    members))
+        | _ -> Alcotest.failf "journal line is not an object: %s" line
+      in
+      let lines =
+        In_channel.with_open_text path In_channel.input_lines
+        |> List.filter (fun l -> String.trim l <> "")
+      in
+      Out_channel.with_open_text path (fun oc ->
+          List.iter
+            (fun l -> Out_channel.output_string oc (as_v1 l ^ "\n"))
+            lines);
+      match run_small_campaign ~checkpoint:path ~jobs:1 () with
+      | _ -> Alcotest.fail "a v1 journal must raise Resume_error"
+      | exception Sim.Experiment.Resume_error m ->
+          Alcotest.(check bool) "header mismatch reported" true
+            (String.ends_with
+               ~suffix:
+                 "journal header does not match this campaign's \
+                  configuration"
+               m))
+
 let test_config_presets () =
   Alcotest.(check int) "paper nodes" 100 C.paper.C.nodes;
   Alcotest.(check int) "paper flows" 30 C.paper.C.flows;
@@ -653,5 +707,7 @@ let () =
             test_campaign_resume_equivalence;
           Alcotest.test_case "foreign journal rejected" `Slow
             test_campaign_resume_rejects_foreign_journal;
+          Alcotest.test_case "v1 journal rejected" `Slow
+            test_campaign_resume_rejects_v1_journal;
         ] );
     ]
