@@ -89,25 +89,19 @@ let fig7 ppf t =
     ~protocols
     ~value:(fun c -> Stats.Summary.mean c.Experiment.seqno);
   if List.mem Config.Srp protocols then begin
-    let max_denom =
+    let max_denom, width, resets =
       List.fold_left
-        (fun acc pause ->
+        (fun (d, w, r) pause ->
           let c = Experiment.cell t Config.Srp pause in
-          Stdlib.max acc c.Experiment.max_denominator)
-        0 t.Experiment.pauses
+          ( Stdlib.max d c.Experiment.max_denominator,
+            Stdlib.max w c.Experiment.label_width_bits,
+            r + c.Experiment.label_resets ))
+        (0, 0, 0) t.Experiment.pauses
     in
     Format.fprintf ppf
       "SRP max feasible-distance denominator over the campaign: %d (paper: \
        stayed under 840 million; 32-bit bound is %d)@."
       max_denom Slr.Fraction.bound;
-    let width, resets =
-      List.fold_left
-        (fun (w, r) pause ->
-          let c = Experiment.cell t Config.Srp pause in
-          ( Stdlib.max w c.Experiment.label_width_bits,
-            r + c.Experiment.label_resets ))
-        (0, 0) t.Experiment.pauses
-    in
     Format.fprintf ppf
       "SRP label set %s: max encoded label width %d bits, %d label-driven \
        resets@."

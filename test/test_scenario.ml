@@ -142,39 +142,13 @@ let golden_campaign ~jobs =
     ~progress:(fun _ -> ())
     ()
 
-(* A determinism fixture proves something only if its worlds route data:
-   every cell delivers packets, and SRP adopts a split label (its maximum
-   denominator starts at 1). *)
-let check_routes_traffic (t : Sim.Experiment.t) =
-  List.iter
-    (fun protocol ->
-      List.iter
-        (fun pause ->
-          let c = Sim.Experiment.cell t protocol pause in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s pause %g delivers" (C.protocol_name protocol)
-               pause)
-            true
-            (Stats.Summary.mean c.Sim.Experiment.delivery > 0.0))
-        t.Sim.Experiment.pauses)
-    t.Sim.Experiment.protocols;
-  let max_denominator =
-    List.fold_left
-      (fun acc pause ->
-        Stdlib.max acc
-          (Sim.Experiment.cell t C.Srp pause).Sim.Experiment.max_denominator)
-      0 t.Sim.Experiment.pauses
-  in
-  Alcotest.(check bool) "SRP max denominator above 1" true
-    (max_denominator > 1)
-
 let test_default_matches_golden ~jobs () =
   (* the CLI minted the goldens from an untouched config, which sweeps the
      channel with the grid *)
   Alcotest.(check string) "campaign runs on the default grid channel" "grid"
     (C.channel_name (Sc.apply Sc.default (golden_base ())).C.channel);
   let campaign = golden_campaign ~jobs in
-  check_routes_traffic campaign;
+  Fixture.check_routes_traffic campaign;
   Alcotest.(check string) "report matches committed golden"
     (read_golden "campaign_default.txt")
     (Format.asprintf "%a@." Sim.Report.all campaign);

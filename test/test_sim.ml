@@ -297,32 +297,6 @@ let test_pool_propagates_exception () =
   | exception e ->
       Alcotest.failf "expected Cell_error, got %s" (Printexc.to_string e)
 
-(* A determinism fixture proves something only if its worlds route data:
-   every cell delivers packets, and SRP adopts a split label (its maximum
-   denominator starts at 1). *)
-let check_routes_traffic (t : Sim.Experiment.t) =
-  List.iter
-    (fun protocol ->
-      List.iter
-        (fun pause ->
-          let c = Sim.Experiment.cell t protocol pause in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s pause %g delivers" (C.protocol_name protocol)
-               pause)
-            true
-            (Stats.Summary.mean c.Sim.Experiment.delivery > 0.0))
-        t.Sim.Experiment.pauses)
-    t.Sim.Experiment.protocols;
-  let max_denominator =
-    List.fold_left
-      (fun acc pause ->
-        Stdlib.max acc
-          (Sim.Experiment.cell t C.Srp pause).Sim.Experiment.max_denominator)
-      0 t.Sim.Experiment.pauses
-  in
-  Alcotest.(check bool) "SRP max denominator above 1" true
-    (max_denominator > 1)
-
 (* The tentpole gate: a same-seed campaign renders byte-identical reports
    and JSON whether it ran on one domain or four. *)
 let test_campaign_parallel_equivalence () =
@@ -336,7 +310,7 @@ let test_campaign_parallel_equivalence () =
       ~progress:(fun _ -> ()) ()
   in
   let seq = campaign 1 in
-  check_routes_traffic seq;
+  Fixture.check_routes_traffic seq;
   let par = campaign 4 in
   Alcotest.(check int) "same engine event total"
     seq.Sim.Experiment.engine_events par.Sim.Experiment.engine_events;
@@ -531,7 +505,7 @@ let test_campaign_resume_equivalence () =
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
       let straight = run_small_campaign ~jobs:1 () in
-      check_routes_traffic straight;
+      Fixture.check_routes_traffic straight;
       let journaled = run_small_campaign ~checkpoint:path ~jobs:2 () in
       Alcotest.(check string) "journaled run matches straight-through"
         (campaign_fingerprint straight)
