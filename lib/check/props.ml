@@ -525,9 +525,13 @@ let prop_seen_cache =
   Runner.cell ~name:"seen-cache-model" ~print:cache_print cache_gen
     seen_cache_law
 
-(* Pending buffer: single destination so the drop order is deterministic;
-   conservation (every push is taken or dropped exactly once), no
-   resurrection past the deadline, and overflow evicting the oldest. *)
+(* Parked packets of Discovery: single destination so the drop order is
+   deterministic; conservation (every push is taken or dropped exactly
+   once), no resurrection past the deadline, and overflow evicting the
+   oldest. A push parks a packet; a take is a reply ([succeed]) whose
+   [forward] accepts every packet, a flush a relay's [flush] whose [forward]
+   refuses every one. The request's ring outlasts the horizon, so it never
+   gives up while a packet is parked. *)
 
 type pending_op = Push of float | Take of float | Flush of float
 
@@ -573,9 +577,17 @@ let pending_print c =
 let pending_law c =
   let engine = Des.Engine.create () in
   let drops : (int * string) list ref = ref [] in
+  let forwarded : int list ref = ref [] in
+  let accept = ref true in
   let buffer =
-    Protocols.Pending.create ~ttl:c.pending_ttl ~engine ~capacity:c.capacity
-      ~drop:(fun data ~size:_ ~reason ->
+    Protocols.Discovery.create engine ~ttls:[ 1_000_000 ]
+      ~capacity:c.capacity ~hold:c.pending_ttl
+      ~send:(fun ~dst:_ ~ttl:_ ~attempt:_ -> ())
+      ~give_up:(fun ~dst:_ -> ())
+      ~forward:(fun data ~size:_ ->
+        forwarded := data.Wireless.Frame.seq :: !forwarded;
+        !accept)
+      ~drop:(fun data ~reason ->
         drops := (data.Wireless.Frame.seq, reason) :: !drops)
   in
   (* model: live entries in arrival order, and the expected drop multiset *)
@@ -622,27 +634,28 @@ let pending_law c =
                    | [] -> ()
                  end;
                  entries := !entries @ [ (seq, now +. c.pending_ttl) ];
-                 Protocols.Pending.push buffer ~dst:0 (mk_data seq) ~size:512
+                 Protocols.Discovery.park buffer ~dst:0 (mk_data seq) ~size:512
              | Take _ ->
-                 let got =
-                   List.map
-                     (fun (d, _) -> d.Wireless.Frame.seq)
-                     (Protocols.Pending.take_all buffer ~dst:0)
-                 in
+                 forwarded := [];
+                 accept := true;
+                 Protocols.Discovery.succeed buffer ~dst:0;
+                 let got = List.rev !forwarded in
                  let want = List.map fst !entries in
                  entries := [];
                  if got <> want then
                    fail
-                     (Printf.sprintf "take_all at %.2f returned [%s], model [%s]"
+                     (Printf.sprintf "succeed at %.2f forwarded [%s], model [%s]"
                         now
                         (String.concat ";" (List.map string_of_int got))
                         (String.concat ";" (List.map string_of_int want)))
              | Flush _ ->
                  List.iter
-                   (fun (seq, _) -> expected := (seq, "gave-up") :: !expected)
+                   (fun (seq, _) ->
+                     expected := (seq, "no route after reply") :: !expected)
                    !entries;
                  entries := [];
-                 Protocols.Pending.drop_all buffer ~dst:0 ~reason:"gave-up")))
+                 accept := false;
+                 Protocols.Discovery.flush buffer ~dst:0)))
     c.pending_ops;
   Des.Engine.run_all engine;
   (* run_all drains the sweep timers, so everything still buffered expires *)

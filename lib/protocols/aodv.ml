@@ -4,10 +4,7 @@ module Frame = Wireless.Frame
 
 type config = {
   ttls : int list;
-  node_traversal : float;
   route_lifetime : float;
-  pending_capacity : int;
-  pending_ttl : float;
   relay_jitter : float;
   data_ttl : int;
   rreq_size : int;
@@ -19,10 +16,7 @@ type config = {
 let default_config =
   {
     ttls = [ 1; 3; 7; 16 ];
-    node_traversal = 0.04;
     route_lifetime = 10.0;
-    pending_capacity = 64;
-    pending_ttl = 30.0;
     relay_jitter = 0.01;
     data_ttl = 64;
     rreq_size = 44;
@@ -68,8 +62,7 @@ type t = {
   config : config;
   routes : (int, route) Hashtbl.t;
   seen : Seen_cache.t;
-  pending : Pending.t;
-  mutable discovery : Discovery.t option;
+  discovery : Discovery.t;
   mutable self_seqno : int;
   mutable next_rreq_id : int;
   mutable on_change : int -> unit;  (** fires with the destination id *)
@@ -270,13 +263,6 @@ let handle_rreq t ~from rreq =
     end
   end
 
-let flush_pending t ~dst =
-  List.iter
-    (fun (data, size) ->
-      if not (forward_data t data ~size) then
-        t.ctx.Routing_intf.drop_data data ~reason:"no route after reply")
-    (Pending.take_all t.pending ~dst)
-
 let handle_rrep t ~from rrep =
   let me = t.ctx.Routing_intf.id in
   let accepted =
@@ -284,12 +270,8 @@ let handle_rrep t ~from rrep =
       ~hops:(rrep.rp_hops + 1) ~next_hop:from
   in
   if rrep.rp_src = me then begin
-    if accepted || valid_route t rrep.rp_dst <> None then begin
-      (match t.discovery with
-      | Some d -> Discovery.succeed d ~dst:rrep.rp_dst
-      | None -> ());
-      flush_pending t ~dst:rrep.rp_dst
-    end
+    if accepted || valid_route t rrep.rp_dst <> None then
+      Discovery.succeed t.discovery ~dst:rrep.rp_dst
   end
   else begin
     (* forward along the reverse route toward the originator *)
@@ -339,12 +321,7 @@ let originate t data ~size =
   let dst = data.Frame.final_dst in
   if dst = t.ctx.Routing_intf.id then t.ctx.Routing_intf.deliver data
   else if forward_data t data ~size then ()
-  else begin
-    Pending.push t.pending ~dst data ~size;
-    match t.discovery with
-    | Some d -> Discovery.start d ~dst
-    | None -> ()
-  end
+  else Discovery.park t.discovery ~dst data ~size
 
 (* Link break: invalidate every route through the dead neighbour, report
    to precursors, and attempt local repair for the data in hand. *)
@@ -366,10 +343,7 @@ let unicast_failed t ~frame ~dst:next_hop =
       let dst = data.Frame.final_dst in
       (* local repair: buffer and re-discover from here *)
       lost := List.filter (fun (d, _) -> d <> dst) !lost;
-      Pending.push t.pending ~dst data ~size;
-      (match t.discovery with
-      | Some d -> Discovery.start d ~dst
-      | None -> ())
+      Discovery.park t.discovery ~dst data ~size
   | _ -> ());
   send_rerr t ~entries:!lost ~to_:Frame.Broadcast
 
@@ -395,40 +369,38 @@ let gauges t =
     label_width_bits = 0;
     label_resets = 0;
     route_entries;
-    pending_packets = Pending.total t.pending;
+    pending_packets = Discovery.parked t.discovery;
   }
 
 let create_full ?(config = default_config) ctx =
-  let t =
-    {
-      ctx;
-      config;
-      routes = Hashtbl.create 32;
-      seen = Seen_cache.create ctx.Routing_intf.engine ~ttl:30.0;
-      pending =
-        Pending.create ~ttl:config.pending_ttl ~engine:ctx.Routing_intf.engine
-          ~capacity:config.pending_capacity
-          ~drop:(fun data ~size:_ ~reason ->
-            ctx.Routing_intf.drop_data data ~reason);
-      discovery = None;
-      self_seqno = 0;
-      next_rreq_id = 0;
-      on_change = ignore;
-    }
+  (* lazy ties the knot: the request callbacks need the agent holding them *)
+  let rec t =
+    lazy
+      {
+        ctx;
+        config;
+        routes = Hashtbl.create 32;
+        seen = Seen_cache.create ctx.Routing_intf.engine ~ttl:30.0;
+        discovery =
+          Discovery.create ctx.Routing_intf.engine ~ttls:config.ttls
+            ~capacity:Discovery.capacity ~hold:Discovery.hold
+            ~send:(fun ~dst ~ttl ~attempt:_ ->
+              originate_rreq (Lazy.force t) ~dst ~ttl)
+            ~give_up:(fun ~dst ->
+              (* repair failed: notify precursors *)
+              let t = Lazy.force t in
+              match Hashtbl.find_opt t.routes dst with
+              | Some r when Hashtbl.length r.precursors > 0 ->
+                  send_rerr t ~entries:[ (dst, r.seqno) ] ~to_:Frame.Broadcast
+              | Some _ | None -> ())
+            ~forward:(fun data ~size -> forward_data (Lazy.force t) data ~size)
+            ~drop:ctx.Routing_intf.drop_data;
+        self_seqno = 0;
+        next_rreq_id = 0;
+        on_change = ignore;
+      }
   in
-  let discovery =
-    Discovery.create ctx.Routing_intf.engine ~ttls:config.ttls
-      ~node_traversal:config.node_traversal
-      ~send:(fun ~dst ~ttl ~attempt:_ -> originate_rreq t ~dst ~ttl)
-      ~give_up:(fun ~dst ->
-        (* repair failed: notify precursors and flush the buffer *)
-        (match Hashtbl.find_opt t.routes dst with
-        | Some r when Hashtbl.length r.precursors > 0 ->
-            send_rerr t ~entries:[ (dst, r.seqno) ] ~to_:Frame.Broadcast
-        | Some _ | None -> ());
-        Pending.drop_all t.pending ~dst ~reason:"route discovery failed")
-  in
-  t.discovery <- Some discovery;
+  let t = Lazy.force t in
   ( t,
     {
       Routing_intf.originate = originate t;

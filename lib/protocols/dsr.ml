@@ -5,12 +5,9 @@ module Frame = Wireless.Frame
 type config = {
   discovery_ttl : int;
   discovery_attempts : int;
-  node_traversal : float;
   cache_capacity : int;
   cache_lifetime : float;
   max_salvages : int;
-  pending_capacity : int;
-  pending_ttl : float;
   relay_jitter : float;
   data_ttl : int;
   base_control_size : int;
@@ -22,12 +19,9 @@ let default_config =
   {
     discovery_ttl = 16;
     discovery_attempts = 3;
-    node_traversal = 0.04;
     cache_capacity = 64;
     cache_lifetime = 30.0;
     max_salvages = 2;
-    pending_capacity = 64;
-    pending_ttl = 30.0;
     relay_jitter = 0.01;
     data_ttl = 64;
     base_control_size = 24;
@@ -68,8 +62,7 @@ type t = {
   config : config;
   mutable cache : cached list;
   seen : Seen_cache.t;
-  pending : Pending.t;
-  mutable discovery : Discovery.t option;
+  discovery : Discovery.t;
   mutable next_rreq_id : int;
 }
 
@@ -275,13 +268,6 @@ let handle_rreq t ~from:_ rreq =
     end
   end
 
-let flush_pending t ~dst =
-  List.iter
-    (fun (data, size) ->
-      if not (try_send t data ~size) then
-        t.ctx.Routing_intf.drop_data data ~reason:"no route after reply")
-    (Pending.take_all t.pending ~dst)
-
 (* Cache every suffix of the replied path that starts at this node. *)
 let cache_from_path t path =
   let me = t.ctx.Routing_intf.id in
@@ -303,11 +289,7 @@ let handle_rrep t ~from:_ rrep =
           match rrep.rp_path with
           | src :: _ when src = me -> (
               match List.rev rrep.rp_path with
-              | dst :: _ ->
-                  (match t.discovery with
-                  | Some d -> Discovery.succeed d ~dst
-                  | None -> ());
-                  flush_pending t ~dst
+              | dst :: _ -> Discovery.succeed t.discovery ~dst
               | [] -> ())
           | _ -> ())
       | next :: _ ->
@@ -360,12 +342,7 @@ let originate t data ~size =
   let dst = data.Frame.final_dst in
   if dst = t.ctx.Routing_intf.id then t.ctx.Routing_intf.deliver data
   else if try_send t data ~size then ()
-  else begin
-    Pending.push t.pending ~dst data ~size;
-    match t.discovery with
-    | Some d -> Discovery.start d ~dst
-    | None -> ()
-  end
+  else Discovery.park t.discovery ~dst data ~size
 
 let unicast_failed t ~frame ~dst:next_hop =
   let me = t.ctx.Routing_intf.id in
@@ -384,12 +361,9 @@ let unicast_failed t ~frame ~dst:next_hop =
               List.filteri (fun i _ -> i <= dsr.dd_idx) dsr.dd_route
             in
             send_rerr t ~broken:(me, next_hop) ~traversed;
-            if data.Frame.origin = me then begin
-              Pending.push t.pending ~dst:data.Frame.final_dst data ~size:512;
-              match t.discovery with
-              | Some d -> Discovery.start d ~dst:data.Frame.final_dst
-              | None -> ()
-            end
+            if data.Frame.origin = me then
+              Discovery.park t.discovery ~dst:data.Frame.final_dst data
+                ~size:512
             else t.ctx.Routing_intf.drop_data data ~reason:"salvage failed"
       end
       else begin
@@ -405,7 +379,7 @@ let gauges t =
   {
     Routing_intf.no_gauges with
     Routing_intf.route_entries = cache_size t;
-    pending_packets = Pending.total t.pending;
+    pending_packets = Discovery.parked t.discovery;
   }
 
 let receive t ~src frame =
@@ -421,30 +395,27 @@ let receive t ~src frame =
   | _ -> ()
 
 let create_full ?(config = default_config) ctx =
-  let t =
-    {
-      ctx;
-      config;
-      cache = [];
-      seen = Seen_cache.create ctx.Routing_intf.engine ~ttl:30.0;
-      pending =
-        Pending.create ~ttl:config.pending_ttl ~engine:ctx.Routing_intf.engine
-          ~capacity:config.pending_capacity
-          ~drop:(fun data ~size:_ ~reason ->
-            ctx.Routing_intf.drop_data data ~reason);
-      discovery = None;
-      next_rreq_id = 0;
-    }
-  in
   let ttls = List.init config.discovery_attempts (fun _ -> config.discovery_ttl) in
-  let discovery =
-    Discovery.create ctx.Routing_intf.engine ~ttls
-      ~node_traversal:config.node_traversal
-      ~send:(fun ~dst ~ttl ~attempt:_ -> originate_rreq t ~dst ~ttl)
-      ~give_up:(fun ~dst ->
-        Pending.drop_all t.pending ~dst ~reason:"route discovery failed")
+  (* lazy ties the knot: the request callbacks need the agent holding them *)
+  let rec t =
+    lazy
+      {
+        ctx;
+        config;
+        cache = [];
+        seen = Seen_cache.create ctx.Routing_intf.engine ~ttl:30.0;
+        discovery =
+          Discovery.create ctx.Routing_intf.engine ~ttls
+            ~capacity:Discovery.capacity ~hold:Discovery.hold
+            ~send:(fun ~dst ~ttl ~attempt:_ ->
+              originate_rreq (Lazy.force t) ~dst ~ttl)
+            ~give_up:(fun ~dst:_ -> ())
+            ~forward:(fun data ~size -> try_send (Lazy.force t) data ~size)
+            ~drop:ctx.Routing_intf.drop_data;
+        next_rreq_id = 0;
+      }
   in
-  t.discovery <- Some discovery;
+  let t = Lazy.force t in
   ( t,
     {
       Routing_intf.originate = originate t;

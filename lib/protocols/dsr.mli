@@ -11,12 +11,9 @@
 type config = {
   discovery_ttl : int;
   discovery_attempts : int;
-  node_traversal : float;
   cache_capacity : int;  (** max cached paths per node *)
   cache_lifetime : float;
   max_salvages : int;
-  pending_capacity : int;
-  pending_ttl : float;  (** buffered packets expire after this long, s *)
   relay_jitter : float;
   data_ttl : int;
   base_control_size : int;  (** control packet size before per-hop bytes *)

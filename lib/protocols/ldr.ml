@@ -4,10 +4,7 @@ module Frame = Wireless.Frame
 
 type config = {
   ttls : int list;
-  node_traversal : float;
   route_lifetime : float;
-  pending_capacity : int;
-  pending_ttl : float;
   relay_jitter : float;
   data_ttl : int;
   rreq_size : int;
@@ -19,10 +16,7 @@ type config = {
 let default_config =
   {
     ttls = [ 1; 3; 7; 16 ];
-    node_traversal = 0.04;
     route_lifetime = 10.0;
-    pending_capacity = 64;
-    pending_ttl = 30.0;
     relay_jitter = 0.01;
     data_ttl = 64;
     rreq_size = 48;
@@ -88,8 +82,7 @@ type t = {
   routes : (int, route) Hashtbl.t;
   engagements : (int * int, engagement) Hashtbl.t;
   seen : Seen_cache.t;
-  pending : Pending.t;
-  mutable discovery : Discovery.t option;
+  discovery : Discovery.t;
   mutable self_seqno : int;
   mutable next_rreq_id : int;
   mutable resets : int;
@@ -292,25 +285,13 @@ let handle_rreq t ~from rreq =
     end
   end
 
-let flush_pending t ~dst =
-  List.iter
-    (fun (data, size) ->
-      if not (forward_data t data ~size) then
-        t.ctx.Routing_intf.drop_data data ~reason:"no route after reply")
-    (Pending.take_all t.pending ~dst)
-
 let handle_rrep t ~from rrep =
   let me = t.ctx.Routing_intf.id in
   if rrep.rp_src = me then begin
     if
       set_route t ~dst:rrep.rp_dst ~via:from ~adv:rrep.rp_label
         ~dist:rrep.rp_dist ~lifetime:rrep.rp_lifetime
-    then begin
-      (match t.discovery with
-      | Some d -> Discovery.succeed d ~dst:rrep.rp_dst
-      | None -> ());
-      flush_pending t ~dst:rrep.rp_dst
-    end
+    then Discovery.succeed t.discovery ~dst:rrep.rp_dst
   end
   else begin
     match Hashtbl.find_opt t.engagements (rrep.rp_src, rrep.rp_id) with
@@ -327,7 +308,7 @@ let handle_rrep t ~from rrep =
           let mine = Option.get r.label in
           send_rrep t ~to_:e.e_last_hop
             { rrep with rp_label = mine; rp_dist = r.dist };
-          flush_pending t ~dst:rrep.rp_dst
+          Discovery.flush t.discovery ~dst:rrep.rp_dst
         end
         else begin
           (* infeasible here: if we still hold a valid route, advertise it;
@@ -371,12 +352,7 @@ let originate t data ~size =
   let dst = data.Frame.final_dst in
   if dst = t.ctx.Routing_intf.id then t.ctx.Routing_intf.deliver data
   else if forward_data t data ~size then ()
-  else begin
-    Pending.push t.pending ~dst data ~size;
-    match t.discovery with
-    | Some d -> Discovery.start d ~dst
-    | None -> ()
-  end
+  else Discovery.park t.discovery ~dst data ~size
 
 let unicast_failed t ~frame ~dst:next_hop =
   let lost = ref [] in
@@ -392,10 +368,7 @@ let unicast_failed t ~frame ~dst:next_hop =
       let size = frame.Frame.size - t.config.ip_overhead in
       let dst = data.Frame.final_dst in
       lost := List.filter (fun d -> d <> dst) !lost;
-      Pending.push t.pending ~dst data ~size;
-      (match t.discovery with
-      | Some d -> Discovery.start d ~dst
-      | None -> ())
+      Discovery.park t.discovery ~dst data ~size
   | _ -> ());
   send_rerr t ~dsts:!lost ~to_:Frame.Broadcast
 
@@ -421,40 +394,36 @@ let gauges t =
     label_width_bits = 0;
     label_resets = 0;
     route_entries;
-    pending_packets = Pending.total t.pending;
+    pending_packets = Discovery.parked t.discovery;
   }
 
 let create_full ?(config = default_config) ctx =
-  let t =
-    {
-      ctx;
-      config;
-      routes = Hashtbl.create 32;
-      engagements = Hashtbl.create 64;
-      seen = Seen_cache.create ctx.Routing_intf.engine ~ttl:30.0;
-      pending =
-        Pending.create ~ttl:config.pending_ttl ~engine:ctx.Routing_intf.engine
-          ~capacity:config.pending_capacity
-          ~drop:(fun data ~size:_ ~reason ->
-            ctx.Routing_intf.drop_data data ~reason);
-      discovery = None;
-      self_seqno = 0;
-      next_rreq_id = 0;
-      resets = 0;
-    }
+  (* lazy ties the knot: the request callbacks need the agent holding them *)
+  let rec t =
+    lazy
+      {
+        ctx;
+        config;
+        routes = Hashtbl.create 32;
+        engagements = Hashtbl.create 64;
+        seen = Seen_cache.create ctx.Routing_intf.engine ~ttl:30.0;
+        discovery =
+          Discovery.create ctx.Routing_intf.engine ~ttls:config.ttls
+            ~capacity:Discovery.capacity ~hold:Discovery.hold
+            ~send:(fun ~dst ~ttl ~attempt ->
+              (* the final attempt demands a destination reset: the case
+                 where feasible distances cannot be put in order *)
+              let reset = attempt >= List.length config.ttls - 1 in
+              originate_rreq (Lazy.force t) ~dst ~ttl ~reset)
+            ~give_up:(fun ~dst:_ -> ())
+            ~forward:(fun data ~size -> forward_data (Lazy.force t) data ~size)
+            ~drop:ctx.Routing_intf.drop_data;
+        self_seqno = 0;
+        next_rreq_id = 0;
+        resets = 0;
+      }
   in
-  let discovery =
-    Discovery.create ctx.Routing_intf.engine ~ttls:config.ttls
-      ~node_traversal:config.node_traversal
-      ~send:(fun ~dst ~ttl ~attempt ->
-        (* the final attempt demands a destination reset: the case where
-           feasible distances cannot be put in order *)
-        let reset = attempt >= List.length config.ttls - 1 in
-        originate_rreq t ~dst ~ttl ~reset)
-      ~give_up:(fun ~dst ->
-        Pending.drop_all t.pending ~dst ~reason:"route discovery failed")
-  in
-  t.discovery <- Some discovery;
+  let t = Lazy.force t in
   ( t,
     {
       Routing_intf.originate = originate t;

@@ -14,10 +14,7 @@
 
 type config = {
   ttls : int list;
-  node_traversal : float;
   route_lifetime : float;
-  pending_capacity : int;
-  pending_ttl : float;  (** buffered packets expire after this long, s *)
   relay_jitter : float;
   data_ttl : int;
   rreq_size : int;

@@ -9,7 +9,6 @@ module Frame = Wireless.Frame
 
 type config = {
   ttls : int list;
-  node_traversal : float;
   route_lifetime : float;
   delete_period : float;
   max_denom : int;
@@ -17,8 +16,6 @@ type config = {
   lie_k : int;
   labels : Label_set.id;
   probe_on_n : bool;
-  pending_capacity : int;
-  pending_ttl : float;
   relay_jitter : float;
   data_ttl : int;
   rack_timeout : float;
@@ -33,7 +30,6 @@ type config = {
 let default_config =
   {
     ttls = [ 1; 3; 7; 16 ];
-    node_traversal = 0.04;
     route_lifetime = 10.0;
     delete_period = 60.0;
     max_denom = 1_000_000_000;
@@ -41,8 +37,6 @@ let default_config =
     lie_k = 10_000;
     labels = Label_set.default;
     probe_on_n = false;
-    pending_capacity = 64;
-    pending_ttl = 30.0;
     relay_jitter = 0.01;
     data_ttl = 64;
     rack_timeout = 0.1;
@@ -120,8 +114,7 @@ type t = {
   routes : (int, route) Hashtbl.t;
   engagements : (int * int, engagement) Hashtbl.t;
   seen : Seen_cache.t;
-  pending : Pending.t;
-  mutable discovery : Discovery.t option;  (** set during wiring *)
+  discovery : Discovery.t;
   (* RREPs awaiting a RACK, keyed by (rreq source, rreq id, next hop) *)
   racks : (int * int * int, Des.Engine.handle) Hashtbl.t;
   mutable self_seqno : int;
@@ -639,13 +632,6 @@ let handle_rreq t ~from rreq =
 (* ------------------------------------------------------------------ *)
 (* RREP handling (Procedures 3-4)                                      *)
 
-let flush_pending t ~dst =
-  List.iter
-    (fun (data, size) ->
-      if not (forward_data t data ~size) then
-        t.ctx.Routing_intf.drop_data data ~reason:"no route after reply")
-    (Pending.take_all t.pending ~dst)
-
 let handle_rrep t ~from rrep =
   let me = t.ctx.Routing_intf.id in
   let terminus = rrep.rp_src = me in
@@ -671,10 +657,7 @@ let handle_rrep t ~from rrep =
     match adopted with
     | Adopted ->
         if terminus then begin
-          (match t.discovery with
-          | Some d -> Discovery.succeed d ~dst:rrep.rp_dst
-          | None -> ());
-          flush_pending t ~dst:rrep.rp_dst;
+          Discovery.succeed t.discovery ~dst:rrep.rp_dst;
           let own = own_ordering t rrep.rp_dst in
           let needs_reset =
             let (module L : Label.S) = t.labels in
@@ -709,7 +692,7 @@ let handle_rrep t ~from rrep =
                 }
               in
               send_rrep_reliable t ~to_:e.e_last_hop relayed;
-              flush_pending t ~dst:rrep.rp_dst
+              Discovery.flush t.discovery ~dst:rrep.rp_dst
         end
     | Rejected ->
         (* infeasible or label exhausted: re-advertise our own route if we
@@ -774,12 +757,7 @@ let originate t data ~size =
   let dst = data.Frame.final_dst in
   if dst = t.ctx.Routing_intf.id then t.ctx.Routing_intf.deliver data
   else if forward_data t data ~size then ()
-  else begin
-    Pending.push t.pending ~dst data ~size;
-    match t.discovery with
-    | Some d -> Discovery.start d ~dst
-    | None -> ()
-  end
+  else Discovery.park t.discovery ~dst data ~size
 
 let unicast_failed t ~frame ~dst:next_hop =
   let lost = drop_link t next_hop in
@@ -787,14 +765,9 @@ let unicast_failed t ~frame ~dst:next_hop =
   match frame.Frame.payload with
   | Frame.Data data ->
       let size = frame.Frame.size - t.config.ip_overhead in
-      if forward_data t data ~size then ()
-      else begin
+      if not (forward_data t data ~size) then
         (* packet cache: hold the packet and look for a new path *)
-        Pending.push t.pending ~dst:data.Frame.final_dst data ~size;
-        match t.discovery with
-        | Some d -> Discovery.start d ~dst:data.Frame.final_dst
-        | None -> ()
-      end
+        Discovery.park t.discovery ~dst:data.Frame.final_dst data ~size
   | _ -> ()
 
 let gauges t =
@@ -819,7 +792,7 @@ let gauges t =
     label_width_bits = t.label_width_max;
     label_resets = t.label_resets;
     route_entries;
-    pending_packets = Pending.total t.pending;
+    pending_packets = Discovery.parked t.discovery;
   }
 
 let receive t ~src frame =
@@ -836,49 +809,48 @@ let receive t ~src frame =
 
 let create_full ?(config = default_config) ctx =
   let labels = Label_set.instance config.labels in
-  let t =
-    {
-      ctx;
-      config;
-      labels;
-      infinite = Ordering.unassigned_of labels;
-      routes = Hashtbl.create 32;
-      engagements = Hashtbl.create 64;
-      seen = Seen_cache.create ctx.Routing_intf.engine ~ttl:config.delete_period;
-      pending =
-        Pending.create ~ttl:config.pending_ttl ~engine:ctx.Routing_intf.engine
-          ~capacity:config.pending_capacity
-          ~drop:(fun data ~size:_ ~reason ->
-            ctx.Routing_intf.drop_data data ~reason);
-      discovery = None;
-      racks = Hashtbl.create 16;
-      self_seqno = 1;
-      next_rreq_id = 0;
-      max_denom_seen = 1;
-      label_width_max = 0;
-      label_resets = 0;
-      resets = 0;
-      rack_retx = 0;
-      listener = ignore;
-    }
+  (* lazy ties the knot: the request callbacks need the agent holding them *)
+  let rec t =
+    lazy
+      {
+        ctx;
+        config;
+        labels;
+        infinite = Ordering.unassigned_of labels;
+        routes = Hashtbl.create 32;
+        engagements = Hashtbl.create 64;
+        seen =
+          Seen_cache.create ctx.Routing_intf.engine ~ttl:config.delete_period;
+        discovery =
+          Discovery.create ctx.Routing_intf.engine ~ttls:config.ttls
+            ~capacity:Discovery.capacity ~hold:Discovery.hold
+            ~send:(fun ~dst ~ttl ~attempt:_ ->
+              (* the source never demands a reset: the T bit is set only by
+                 relays that detect a fraction overflow (Eq. 11) *)
+              originate_rreq (Lazy.force t) ~dst ~ttl ~rr:false)
+            ~give_up:(fun ~dst ->
+              (* graceful give-up: tell upstream nodes the destination is
+                 gone rather than silently stalling their forwarding
+                 through us *)
+              let t = Lazy.force t in
+              match Hashtbl.find_opt t.routes dst with
+              | Some r when Hashtbl.length r.precursors > 0 ->
+                  send_rerr t ~dsts:[ dst ] ~to_:Frame.Broadcast
+              | Some _ | None -> ())
+            ~forward:(fun data ~size -> forward_data (Lazy.force t) data ~size)
+            ~drop:ctx.Routing_intf.drop_data;
+        racks = Hashtbl.create 16;
+        self_seqno = 1;
+        next_rreq_id = 0;
+        max_denom_seen = 1;
+        label_width_max = 0;
+        label_resets = 0;
+        resets = 0;
+        rack_retx = 0;
+        listener = ignore;
+      }
   in
-  let discovery =
-    Discovery.create ctx.Routing_intf.engine ~ttls:config.ttls
-      ~node_traversal:config.node_traversal
-      ~send:(fun ~dst ~ttl ~attempt:_ ->
-        (* the source never demands a reset: the T bit is set only by
-           relays that detect a fraction overflow (Eq. 11) *)
-        originate_rreq t ~dst ~ttl ~rr:false)
-      ~give_up:(fun ~dst ->
-        (* graceful give-up: tell upstream nodes the destination is gone
-           rather than silently stalling their forwarding through us *)
-        (match Hashtbl.find_opt t.routes dst with
-        | Some r when Hashtbl.length r.precursors > 0 ->
-            send_rerr t ~dsts:[ dst ] ~to_:Frame.Broadcast
-        | Some _ | None -> ());
-        Pending.drop_all t.pending ~dst ~reason:"route discovery failed")
-  in
-  t.discovery <- Some discovery;
+  let t = Lazy.force t in
   ( t,
     {
       Routing_intf.originate = originate t;

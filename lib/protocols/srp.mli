@@ -24,7 +24,6 @@
 
 type config = {
   ttls : int list;  (** expanding-ring TTL schedule *)
-  node_traversal : float;  (** per-hop latency estimate, s *)
   route_lifetime : float;  (** successor entry lifetime, s *)
   delete_period : float;  (** DELETE_PERIOD: label retention, s *)
   max_denom : int;  (** MAX_DENOM reset threshold (paper: 1e9) *)
@@ -40,8 +39,6 @@ type config = {
       (** send the D-bit probe (with an own-seqno bump) when a reply carries
           the N bit. Needed only by bidirectional workloads; off by default
           to match the paper's unidirectional CBR evaluation. *)
-  pending_capacity : int;  (** packets buffered awaiting discovery *)
-  pending_ttl : float;  (** buffered packets expire after this long, s *)
   relay_jitter : float;  (** max broadcast-relay jitter, s *)
   data_ttl : int;  (** hop guard on data packets *)
   rack_timeout : float;  (** initial RACK wait before an RREP resend, s *)

@@ -89,7 +89,12 @@ let run_custom ?(on_faults = fun (_ : Faults.Injector.t) -> ())
                 (agent i).Protocols.Routing_intf.unicast_failed ~frame ~dst);
           })
   in
-  let drop_data data ~reason =
+  (* the one emission point of a routing-layer drop, for live agents and the
+     crashed-node stand-in alike: traced, so the packet ledger (originated =
+     delivered + dropped + in-flight) balances under crashes, then counted *)
+  let drop_data i data ~reason =
+    Trace.pkt_drop trace ~node:i ~flow:data.Frame.flow ~seq:data.Frame.seq
+      ~reason;
     Metrics.on_dropped metrics ~now:(Des.Engine.now engine) data ~reason
   in
   (* crash/restart swaps the node's agent; [incarnation] fences off the old
@@ -117,13 +122,7 @@ let run_custom ?(on_faults = fun (_ : Faults.Injector.t) -> ())
               ~hops:data.Frame.hops;
             Metrics.on_delivered metrics ~now data
           end);
-      drop_data =
-        (fun data ~reason ->
-          if live () then begin
-            Trace.pkt_drop trace ~node:i ~flow:data.Frame.flow
-              ~seq:data.Frame.seq ~reason;
-            drop_data data ~reason
-          end);
+      drop_data = (fun data ~reason -> if live () then drop_data i data ~reason);
     }
   in
   for i = 0 to config.nodes - 1 do
@@ -145,14 +144,7 @@ let run_custom ?(on_faults = fun (_ : Faults.Injector.t) -> ())
           ~on_crash:(fun i ->
             incarnation.(i) <- incarnation.(i) + 1;
             Wireless.Mac80211.reset macs.(i);
-            (* trace the drop too, so the packet ledger (originated =
-               delivered + dropped + in-flight) balances under crashes *)
-            agents.(i) <-
-              Some
-                (dead_agent (fun data ~reason ->
-                     Trace.pkt_drop trace ~node:i ~flow:data.Frame.flow
-                       ~seq:data.Frame.seq ~reason;
-                     drop_data data ~reason)))
+            agents.(i) <- Some (dead_agent (drop_data i)))
           ~on_restart:(fun i ->
             (* reboot with fresh volatile state: labels, routes, MAC queue *)
             incarnation.(i) <- incarnation.(i) + 1;

@@ -83,6 +83,15 @@ dune exec bin/manet_sim.exe -- fuzz --max-cases 25 --seed 7 --labels bigfrac
 dune exec bin/manet_sim.exe -- run --protocol olsr --nodes 100 --duration 60 \
   --seed 3 > "$tmp/run_olsr100.txt" 2> /dev/null
 cmp "$tmp/run_olsr100.txt" scripts/golden/run_olsr100.txt
+# on-demand golden: faulted 30-node worlds of SRP, AODV, LDR and DSR, whose
+# drop reasons cover every fate of a packet parked awaiting a route (buffer
+# overflow, expiry, discovery failure), relay drops, DSR salvage and the
+# crashed-node stand-in's `node down`, must reproduce their committed stdout
+for p in srp aodv ldr dsr; do
+  "$SIM" run --protocol "$p" --nodes 30 --duration 60 --seed 4 --faults \
+    2> /dev/null
+done > "$tmp/run_ondemand.txt"
+cmp "$tmp/run_ondemand.txt" scripts/golden/run_ondemand.txt
 
 # scenario smoke: an unknown name must exit 2 with the registry listing,
 # and every workload scenario must complete a small campaign plus an SRP

@@ -1106,77 +1106,140 @@ let test_seen_cache () =
            (Protocols.Seen_cache.witness c ~origin:1 ~id:1)));
   Des.Engine.run_all e
 
-let test_pending_buffer () =
-  let drops = ref 0 in
-  let p =
-    (* the engine never runs, so nothing expires *)
-    Protocols.Pending.create ~ttl:30.0 ~engine:(Des.Engine.create ())
-      ~capacity:2 ~drop:(fun _ ~size:_ ~reason:_ -> incr drops)
+(* A request module on [engine] whose callbacks log, in order, every
+   request sent, give-up, forward and drop; [refuse seq] makes [forward]
+   turn a packet down. [events ()] returns the log since the last call. *)
+let discovery_log ?(ttls = [ 1 ]) ?(capacity = 8) ?(hold = 30.0)
+    ?(refuse = fun _ -> false) engine =
+  let log = ref [] in
+  let note fmt = Printf.ksprintf (fun s -> log := s :: !log) fmt in
+  let d =
+    Protocols.Discovery.create engine ~ttls ~capacity ~hold
+      ~send:(fun ~dst ~ttl ~attempt -> note "send %d ttl %d #%d" dst ttl attempt)
+      ~give_up:(fun ~dst -> note "give-up %d" dst)
+      ~forward:(fun data ~size:_ ->
+        note "forward %d" data.Frame.seq;
+        not (refuse data.Frame.seq))
+      ~drop:(fun data ~reason -> note "drop %d: %s" data.Frame.seq reason)
   in
-  Protocols.Pending.push p ~dst:5 (mk_data ~seq:1 ()) ~size:512;
-  Protocols.Pending.push p ~dst:5 (mk_data ~seq:2 ()) ~size:512;
-  Protocols.Pending.push p ~dst:5 (mk_data ~seq:3 ()) ~size:512;
-  Alcotest.(check int) "oldest dropped at capacity" 1 !drops;
-  Alcotest.(check int) "two held" 2 (Protocols.Pending.count p ~dst:5);
-  let flushed = Protocols.Pending.take_all p ~dst:5 in
-  Alcotest.(check (list int)) "arrival order" [ 2; 3 ]
-    (List.map (fun (d, _) -> d.Frame.seq) flushed);
-  Alcotest.(check int) "empty after take" 0 (Protocols.Pending.count p ~dst:5)
+  let events () =
+    let l = List.rev !log in
+    log := [];
+    l
+  in
+  (d, events)
+
+let park d seq = Protocols.Discovery.park d ~dst:5 (mk_data ~seq ()) ~size:512
+
+let test_pending_buffer () =
+  (* the engine never runs, so nothing expires and no retry fires *)
+  let d, events = discovery_log ~capacity:2 (Des.Engine.create ()) in
+  List.iter (park d) [ 1; 2; 3 ];
+  Alcotest.(check (list string)) "one request, oldest dropped at capacity"
+    [ "send 5 ttl 1 #0"; "drop 1: pending-buffer overflow" ]
+    (events ());
+  Alcotest.(check int) "two held" 2 (Protocols.Discovery.parked d);
+  Protocols.Discovery.succeed d ~dst:5;
+  Alcotest.(check (list string)) "arrival order" [ "forward 2"; "forward 3" ]
+    (events ());
+  Alcotest.(check int) "empty after succeed" 0 (Protocols.Discovery.parked d)
 
 let test_pending_expiry () =
   let e = Des.Engine.create () in
-  let drops = ref [] in
-  let p =
-    Protocols.Pending.create ~ttl:2.0 ~engine:e ~capacity:8
-      ~drop:(fun d ~size:_ ~reason -> drops := (d.Frame.seq, reason) :: !drops)
-  in
-  Protocols.Pending.push p ~dst:5 (mk_data ~seq:1 ()) ~size:512;
-  ignore
-    (Des.Engine.schedule e ~delay:1.0 (fun () ->
-         Protocols.Pending.push p ~dst:5 (mk_data ~seq:2 ()) ~size:512));
+  (* a ring long enough that the request outlives both packets *)
+  let d, events = discovery_log ~ttls:[ 1000 ] ~hold:2.0 e in
+  park d 1;
+  ignore (Des.Engine.schedule e ~delay:1.0 (fun () -> park d 2));
   (* the sweep timer drains the first packet at its 2 s deadline even
      though nobody touches the buffer again *)
   Des.Engine.run e ~until:2.5;
-  Alcotest.(check (list (pair int string)))
-    "first expired on time"
-    [ (1, "pending-buffer expired") ]
-    (List.rev !drops);
-  Alcotest.(check int) "second still held" 1 (Protocols.Pending.count p ~dst:5);
+  Alcotest.(check (list string)) "first expired on time"
+    [ "send 5 ttl 1000 #0"; "drop 1: pending-buffer expired" ]
+    (events ());
+  Alcotest.(check int) "second still held" 1 (Protocols.Discovery.parked d);
   Des.Engine.run e ~until:3.5;
-  Alcotest.(check int) "second expired" 2 (List.length !drops);
-  Alcotest.(check int) "empty" 0 (Protocols.Pending.count p ~dst:5)
+  Alcotest.(check (list string)) "second expired"
+    [ "drop 2: pending-buffer expired" ]
+    (events ());
+  Alcotest.(check int) "empty" 0 (Protocols.Discovery.parked d)
 
 let test_discovery_backoff () =
   let e = Des.Engine.create () in
-  let sends = ref [] in
-  let failures = ref 0 in
-  let d =
-    Protocols.Discovery.create e ~ttls:[ 1; 3 ] ~node_traversal:0.04
-      ~send:(fun ~dst:_ ~ttl ~attempt -> sends := (ttl, attempt) :: !sends)
-      ~give_up:(fun ~dst:_ -> incr failures)
-  in
-  Protocols.Discovery.start d ~dst:5;
+  let d, events = discovery_log ~ttls:[ 1; 3 ] e in
+  park d 1;
   Alcotest.(check bool) "active" true (Protocols.Discovery.active d ~dst:5);
-  (* a second start while active is a no-op *)
-  Protocols.Discovery.start d ~dst:5;
+  (* a second park while active sends nothing *)
+  park d 2;
   (* ttl 1 times out at 0.08 s; ttl 3 at +0.48 s; then one extra
-     network-wide retry (extra_retries = 1) at +0.96 s -> give-up 1.52 s *)
+     network-wide retry (RREQ_RETRIES = 1) at +0.96 s -> give-up 1.52 s *)
   Des.Engine.run e ~until:2.0;
-  Alcotest.(check (list (pair int int))) "ring schedule"
-    [ (1, 0); (3, 1); (3, 2) ]
-    (List.rev !sends);
-  Alcotest.(check int) "gave up once" 1 !failures;
-  (* hold-off: an immediate restart after failure is suppressed *)
-  sends := [];
-  Protocols.Discovery.start d ~dst:5;
+  Alcotest.(check (list string)) "ring schedule, then give-up"
+    [
+      "send 5 ttl 1 #0";
+      "send 5 ttl 3 #1";
+      "send 5 ttl 3 #2";
+      "give-up 5";
+      "drop 1: route discovery failed";
+      "drop 2: route discovery failed";
+    ]
+    (events ());
+  Alcotest.(check bool) "inactive" false (Protocols.Discovery.active d ~dst:5);
+  (* hold-off: a park right after the failure sends nothing *)
+  park d 3;
   Des.Engine.run e ~until:2.4;
-  Alcotest.(check (list (pair int int))) "suppressed during holdoff" []
-    (List.rev !sends);
+  Alcotest.(check (list string)) "suppressed during holdoff" [] (events ());
   (* the first-failure holdoff is one second; afterwards it runs again *)
   Des.Engine.run e ~until:2.6;
-  Protocols.Discovery.start d ~dst:5;
-  Des.Engine.run e ~until:2.7;
-  Alcotest.(check bool) "restarted after holdoff" true (!sends <> [])
+  park d 4;
+  Alcotest.(check (list string)) "restarted after holdoff"
+    [ "send 5 ttl 1 #0" ] (events ())
+
+(* What the agents used to wire by hand around a request. *)
+let test_discovery_contract () =
+  let e = Des.Engine.create () in
+  let d, events =
+    discovery_log ~hold:5.0 ~refuse:(fun seq -> seq mod 2 = 0) e
+  in
+  (* a relay's flush hands the parked packets on, dropping refusals, and
+     leaves the request running *)
+  List.iter (park d) [ 1; 2; 3 ];
+  Protocols.Discovery.flush d ~dst:5;
+  Alcotest.(check (list string)) "flush"
+    [
+      "send 5 ttl 1 #0";
+      "forward 1";
+      "forward 2";
+      "drop 2: no route after reply";
+      "forward 3";
+    ]
+    (events ());
+  Alcotest.(check bool) "still requesting" true
+    (Protocols.Discovery.active d ~dst:5);
+  (* a reply stops the request, then forwards in arrival order *)
+  List.iter (park d) [ 4; 5 ];
+  Protocols.Discovery.succeed d ~dst:5;
+  Alcotest.(check (list string)) "succeed"
+    [ "forward 4"; "drop 4: no route after reply"; "forward 5" ]
+    (events ());
+  Alcotest.(check bool) "stopped" false (Protocols.Discovery.active d ~dst:5);
+  (* give-up (0.08 s + 0.16 s) runs the agent's hook before the drops *)
+  List.iter (park d) [ 6; 7 ];
+  Des.Engine.run e ~until:0.5;
+  Alcotest.(check (list string)) "give-up"
+    [
+      "send 5 ttl 1 #0";
+      "send 5 ttl 1 #1";
+      "give-up 5";
+      "drop 6: route discovery failed";
+      "drop 7: route discovery failed";
+    ]
+    (events ());
+  (* parked during the one-second hold-off: no request, and it expires *)
+  park d 8;
+  Des.Engine.run e ~until:6.0;
+  Alcotest.(check (list string)) "held off, then expired"
+    [ "drop 8: pending-buffer expired" ]
+    (events ())
 
 let () =
   Alcotest.run "protocols"
@@ -1269,5 +1332,7 @@ let () =
           Alcotest.test_case "pending expiry" `Quick test_pending_expiry;
           Alcotest.test_case "discovery ring + backoff" `Quick
             test_discovery_backoff;
+          Alcotest.test_case "discovery contract" `Quick
+            test_discovery_contract;
         ] );
     ]
