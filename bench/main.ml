@@ -51,16 +51,17 @@ let label_cases () =
 let channel_cases () =
   let nodes = 100 in
   let rng = Des.Rng.create 42L in
-  let points =
-    Array.init nodes (fun _ -> Wireless.Terrain.random_point Wireless.Terrain.paper rng)
+  let scripts =
+    Array.init nodes (fun _ ->
+        Wireless.Waypoint.stationary
+          (Wireless.Terrain.random_point Wireless.Terrain.paper rng))
   in
-  let position i _time = points.(i) in
   let range = Wireless.Radio.default.Wireless.Radio.range in
   let cs_range = Wireless.Radio.default.Wireless.Radio.cs_range in
   let make_channel grid =
     let engine = Des.Engine.create () in
     let ch =
-      Wireless.Channel.create ?grid engine ~nodes ~position ~range ~cs_range
+      Wireless.Channel.create ?grid engine ~scripts ~range ~cs_range
     in
     (engine, ch)
   in
@@ -76,7 +77,7 @@ let channel_cases () =
     make_channel (Some { Wireless.Channel.max_speed = 0.0; epoch = 1e9 })
   in
   let g =
-    Wireless.Grid.create ~nodes ~position ~cell:(cs_range /. 2.0)
+    Wireless.Grid.create ~scripts ~cell:(cs_range /. 2.0)
       ~max_speed:0.0 ~epoch:1e9
   in
   let rebuild_now = ref 0.0 in
@@ -105,14 +106,13 @@ let mobile_channel_cases () =
       ~pause:0.0 ~speed_min:config.Sim.Config.speed_min
       ~speed_max:config.Sim.Config.speed_max ~duration:900.0
   in
-  let position i time = Wireless.Waypoint.position scripts.(i) time in
   let radio = config.Sim.Config.radio in
   let make_channel () =
     let engine = Des.Engine.create () in
     let ch =
       Wireless.Channel.create
         ~grid:{ Wireless.Channel.max_speed = config.Sim.Config.speed_max; epoch = 0.25 }
-        engine ~nodes ~position ~range:radio.Wireless.Radio.range
+        engine ~scripts ~range:radio.Wireless.Radio.range
         ~cs_range:radio.Wireless.Radio.cs_range
     in
     (engine, ch)

@@ -874,7 +874,12 @@ let prop_heap_fifo =
    bound without its slack term (case 1: carrier sense diverges),
    [Grid.iter]'s disc filter without it (case 117: a candidate is
    missed), and the quiet-candidate skip without its empty-reception-list
-   condition (case 0: deliveries diverge). *)
+   condition (case 0: deliveries diverge). The per-frame interferer pass
+   must reach [cs_range + range] past the sender, since a receiver sits
+   up to [range] from it: without the [+ range] term (`--max-cases 4000
+   --seed 13`, the depth CI runs) case 12 fails, "delivery logs diverge:
+   naive 3 entries, grid 4", and [kilo-srp] world 0 of seed 1 counts
+   1,332,779 collisions instead of 1,662,142. *)
 
 type channel_case = {
   cnodes : int;
@@ -951,8 +956,7 @@ let channel_grid_law c =
   let run grid =
     let engine = Des.Engine.create () in
     let ch =
-      Wireless.Channel.create ?grid engine ~nodes:c.cnodes ~position ~range
-        ~cs_range
+      Wireless.Channel.create ?grid engine ~scripts ~range ~cs_range
     in
     let log = ref [] in
     for i = 0 to c.cnodes - 1 do
@@ -1015,7 +1019,7 @@ let channel_grid_law c =
     (* candidate-superset oracle on a standalone grid, queried at each
        transmission instant against the brute-force in-range set *)
     let grid =
-      Wireless.Grid.create ~nodes:c.cnodes ~position ~cell:(cs_range /. 2.0)
+      Wireless.Grid.create ~scripts ~cell:(cs_range /. 2.0)
         ~max_speed ~epoch:0.25
     in
     let missing =
@@ -1048,6 +1052,175 @@ let channel_grid_law c =
 let prop_channel_grid =
   Runner.cell ~cost:2 ~name:"channel-grid-equiv" ~print:channel_print
     channel_gen channel_grid_law
+
+(* ------------------------------------------------------------------ *)
+(* The mobility segment cache against its reference: for scripts from
+   every source the simulator uses (random waypoint with long, short and
+   zero pauses, the Manhattan, RPGM and churn models, stationary nodes)
+   plus hand-laid legs with zero-length moves, teleports and a final leg
+   that never arrives (the [speed_min = 0] freeze), [Waypoint.locate]
+   must write exactly the bits [Waypoint.position] returns. Queries step
+   forward, jump back, land on a leg's exact departure or arrival, and
+   step one ulp either side of wherever they are, so every segment bound
+   is probed from both sides. Mutation drill (re-run whenever
+   [Waypoint.refill] or [locate] changes; `manet_sim fuzz --prop
+   waypoint-segment-equiv --max-cases 20000 --seed 42`):
+   - a hit test without its lower bound ([seg.(b) <= time] dropped), so
+     a backward jump reads the segment it jumped out of, fails case 0:
+     a query one ulp before a leg's arrival reads the pause after it;
+   - a pause segment that starts at its leg's departure, not at the
+     arrival, fails case 0 the same way;
+   - a moving segment that also answers at its arrival fails case 0:
+     the lerp at [frac = 1] can miss the leg's end by an ulp;
+   - segments that never end at the next departure fail case 2;
+   - a leg's segments that start at its departure even when that is the
+     first departure, which [position] still answers with the initial
+     point, fail case 44 (a hand-laid first leg that teleports).
+   One mutant passes, and must: the initial segment ending at the first
+   departure, exclusive ([Float.succ] dropped). A segment cut short is
+   equivalent, since the query past its end refills to the same answer;
+   only a segment stretched past where [position] changes branch can
+   give another position. Restore and re-run green. *)
+
+type seg_query =
+  | Step of float  (** forward by this many seconds *)
+  | Back of float  (** backward by this many seconds *)
+  | Depart of int  (** a leg's exact departure (index mod legs) *)
+  | Arrive of int  (** a leg's exact arrival, possibly infinite *)
+  | Ulp of bool  (** one float up ([true]) or down *)
+
+type segment_case = {
+  smodel : int;  (** 0-3: the Mobility models; 4: stationary; 5: hand-laid *)
+  sseed : int;
+  spause : float;
+  sspeed : float;  (** speed_max of the generated models *)
+  sslow : bool;  (** speed_min = 0 *)
+  snodes : int;
+  squeries : (int * seg_query) list;  (** (node, query) *)
+}
+
+let seg_model_names =
+  [| "waypoint"; "manhattan"; "rpgm"; "churn"; "stationary"; "hand-laid" |]
+
+let seg_query_gen =
+  Gen.frequency
+    [
+      (4, Gen.map (fun dt -> Step dt) (Gen.elements [ 0.0; 1e-9; 0.01; 0.25; 1.0; 7.5 ]));
+      (2, Gen.map (fun dt -> Back dt) (Gen.elements [ 1e-9; 0.3; 2.0; 20.0 ]));
+      (2, Gen.map (fun k -> Depart k) (Gen.int_range 0 40));
+      (2, Gen.map (fun k -> Arrive k) (Gen.int_range 0 40));
+      (2, Gen.map (fun up -> Ulp up) Gen.bool);
+    ]
+
+let segment_gen =
+  Gen.bind (Gen.int_range 1 4) (fun snodes ->
+      Gen.map2
+        (fun ((smodel, sseed), (spause, (sspeed, sslow))) squeries ->
+          { smodel; sseed; spause; sspeed; sslow; snodes; squeries })
+        (Gen.pair
+           (Gen.pair (Gen.int_range 0 5) (Gen.no_shrink (Gen.int_range 0 1_000_000)))
+           (Gen.pair
+              (Gen.elements [ 0.0; 0.5; 3.0; 60.0 ])
+              (Gen.pair (Gen.elements [ 2.0; 20.0; 50.0 ]) Gen.bool)))
+        (Gen.list_size (Gen.int_range 1 60)
+           (Gen.pair (Gen.int_range 0 (snodes - 1)) seg_query_gen)))
+
+let pp_seg_query ppf = function
+  | Step dt -> Format.fprintf ppf "+%g" dt
+  | Back dt -> Format.fprintf ppf "-%g" dt
+  | Depart k -> Format.fprintf ppf "depart %d" k
+  | Arrive k -> Format.fprintf ppf "arrive %d" k
+  | Ulp up -> Format.pp_print_string ppf (if up then "ulp+" else "ulp-")
+
+let segment_print c =
+  asprintf "model=%s seed=%d nodes=%d pause=%g speed=%g slow=%b q=[%a]"
+    seg_model_names.(c.smodel) c.sseed c.snodes c.spause c.sspeed c.sslow
+    (Format.pp_print_list
+       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
+       (fun ppf (i, q) -> Format.fprintf ppf "%d:%a" i pp_seg_query q))
+    c.squeries
+
+(* Legs laid by hand from [rng]: pauses of 0 or more, moves of zero length
+   (teleports when the end point differs) and, sometimes, a last leg
+   that never arrives. *)
+let hand_laid_script rng =
+  let module W = Wireless.Waypoint in
+  let point () =
+    Wireless.Vec2.make
+      ~x:(Des.Rng.uniform rng ~lo:0.0 ~hi:600.0)
+      ~y:(Des.Rng.uniform rng ~lo:0.0 ~hi:300.0)
+  in
+  let initial = point () in
+  let legs = Des.Rng.int rng 6 in
+  let rec lay k time from acc =
+    if k = legs then List.rev acc
+    else
+      let pause = [| 0.0; 0.0; 0.5; 3.25 |].(Des.Rng.int rng 4) in
+      let depart = time +. pause in
+      let travel =
+        match Des.Rng.int rng 5 with
+        | 0 -> 0.0
+        | 1 when k = legs - 1 -> infinity
+        | _ -> Des.Rng.uniform rng ~lo:0.1 ~hi:12.0
+      in
+      let to_p = point () in
+      let leg = { W.depart; arrive = depart +. travel; from_p = from; to_p } in
+      if travel = infinity then List.rev (leg :: acc)
+      else lay (k + 1) leg.W.arrive to_p (leg :: acc)
+  in
+  W.of_legs ~initial (lay 0 0.0 initial [])
+
+let segment_scripts c =
+  let rng = Des.Rng.create (Int64.of_int c.sseed) in
+  let terrain = Wireless.Terrain.make ~width:600.0 ~height:300.0 in
+  match c.smodel with
+  | 4 ->
+      Array.init c.snodes (fun _ ->
+          Wireless.Waypoint.stationary (Wireless.Terrain.random_point terrain rng))
+  | 5 -> Array.init c.snodes (fun _ -> hand_laid_script rng)
+  | m ->
+      Wireless.Mobility.generate
+        (List.nth Wireless.Mobility.all m)
+        ~terrain ~rng ~nodes:c.snodes ~pause:c.spause
+        ~speed_min:(if c.sslow then 0.0 else 1.0)
+        ~speed_max:c.sspeed ~duration:60.0
+
+let segment_law c =
+  let module W = Wireless.Waypoint in
+  let scripts = segment_scripts c in
+  let legs = Array.map (fun s -> Array.of_list (W.legs s)) scripts in
+  let cache = W.cache scripts in
+  let dst = [| nan; nan |] in
+  let bits = Int64.bits_of_float in
+  let rec go time = function
+    | [] -> Ok ()
+    | (i, q) :: rest ->
+        let nl = Array.length legs.(i) in
+        let time =
+          match q with
+          | Step dt -> time +. dt
+          | Back dt -> time -. dt
+          | Depart k -> if nl = 0 then time else legs.(i).(k mod nl).W.depart
+          | Arrive k -> if nl = 0 then time else legs.(i).(k mod nl).W.arrive
+          | Ulp true -> Float.succ time
+          | Ulp false -> Float.pred time
+        in
+        W.locate cache i time dst 0;
+        let want = W.position scripts.(i) time in
+        if
+          bits dst.(0) <> bits want.Wireless.Vec2.x
+          || bits dst.(1) <> bits want.Wireless.Vec2.y
+        then
+          Error
+            (Printf.sprintf "node %d at t=%h: cached (%h, %h), position (%h, %h)"
+               i time dst.(0) dst.(1) want.Wireless.Vec2.x want.Wireless.Vec2.y)
+        else go time rest
+  in
+  go 0.0 c.squeries
+
+let prop_waypoint_segment =
+  Runner.cell ~name:"waypoint-segment-equiv" ~print:segment_print segment_gen
+    segment_law
 
 (* ------------------------------------------------------------------ *)
 (* OLSR flat-array routes vs the Hashtbl/Queue oracle: one agent and one
@@ -1536,6 +1709,7 @@ let all =
       prop_heap_drain;
       prop_heap_fifo;
       prop_channel_grid;
+      prop_waypoint_segment;
       prop_olsr_oracle;
       prop_jsonl_encoder;
     ]

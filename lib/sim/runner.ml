@@ -35,7 +35,6 @@ let run_custom ?(on_faults = fun (_ : Faults.Injector.t) -> ())
       ~speed_min:config.speed_min ~speed_max:config.speed_max
       ~duration:config.duration
   in
-  let position i time = Wireless.Waypoint.position scripts.(i) time in
   let channel =
     (* mobility legs never exceed speed_max, so the grid's candidate sets
        stay supersets of the exact in-range sets and the grid-backed scan
@@ -47,7 +46,7 @@ let run_custom ?(on_faults = fun (_ : Faults.Injector.t) -> ())
           Some { Wireless.Channel.max_speed = config.speed_max; epoch = 0.25 }
       | Config.Naive -> None
     in
-    Wireless.Channel.create ~trace ?grid engine ~nodes:config.nodes ~position
+    Wireless.Channel.create ~trace ?grid engine ~scripts
       ~range:config.radio.Wireless.Radio.range
       ~cs_range:config.radio.Wireless.Radio.cs_range
   in

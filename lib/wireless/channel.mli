@@ -16,9 +16,17 @@
     while the node itself transmits, or while a frame from another sender
     within [cs_range] of it is in the air or ended less than an idle guard
     (60 us) ago; the guard lets SIFS-spaced replies win the medium over
-    DIFS-spaced contenders. Node positions come from a mobility lookup
-    evaluated at transmission start (frame airtimes are microseconds; node
-    displacement within one frame is negligible). *)
+    DIFS-spaced contenders. Node positions come from the nodes' mobility
+    scripts, evaluated at transmission start (frame airtimes are
+    microseconds; node displacement within one frame is negligible).
+
+    The frame path keeps its state in flat per-node arrays. Positions are
+    read through a {!Waypoint.cache} of each node's current segment and
+    memoised per (node, time) in one interleaved float array. Receptions
+    live in slot arrays: a per-node chain of the receptions in progress
+    (newest first), a per-frame chain (sweep order) and a free list. A
+    reception whose end the channel prunes from its node's chain keeps
+    its slot until its frame-end event, which delivers it and frees it. *)
 
 type 'a t
 
@@ -34,16 +42,17 @@ type 'a t
     last built and never rebuilds it. *)
 type grid = { max_speed : float; epoch : float }
 
-(** @raise Invalid_argument when [cs_range < range]. [trace] records a
-    [mac-collision] event at each receiver-side corruption. [grid] switches
-    the O(N)-per-frame neighbour scan to the spatial hash grid; omitted,
-    the channel scans every node (the reference behaviour). *)
+(** [create engine ~scripts ~range ~cs_range] is a channel among one
+    node per script: node [i] moves as [scripts.(i)] says.
+    @raise Invalid_argument when [cs_range < range]. [trace] records a
+    [mac-collision] event at each receiver-side corruption. [grid]
+    switches the O(N)-per-frame neighbour scan to the spatial hash grid;
+    omitted, the channel scans every node (the reference behaviour). *)
 val create :
   ?trace:Trace.t ->
   ?grid:grid ->
   Des.Engine.t ->
-  nodes:int ->
-  position:(int -> float -> Vec2.t) ->
+  scripts:Waypoint.t array ->
   range:float ->
   cs_range:float ->
   'a t
@@ -72,11 +81,23 @@ val set_filter : 'a t -> (src:int -> dst:int -> bool) -> unit
     schedules nothing else, so those events would hold one key and
     consecutive tie numbers, and whatever a handler schedules at the same
     time takes a later tie. The [channel.receptions] Obs counter adds up
-    the receivers these events handle. *)
+    the receivers these events handle.
+
+    Sweep contract: with a grid, the sweep drops a candidate beyond
+    [range] that has no reception in progress before it sorts the rest
+    (see {!Grid.iter}); such a node would only have been looked up. One
+    pass per frame picks the air entries that can corrupt a reception of
+    this frame, those within the carrier-sense reach plus [range] of the
+    sender, and each receiver's interferer loop reads only those. Each
+    call adds the air entries that pass read to the
+    [channel.interferers.scanned] Obs counter and those it picks to
+    [channel.interferers.picked]. *)
 val transmit : 'a t -> src:int -> duration:float -> 'a -> unit
 
 (** Carrier sense at a node: is it transmitting, or is a frame from
-    another sender within [cs_range] in the air or inside its idle guard? *)
+    another sender within [cs_range] in the air or inside its idle guard?
+    This and {!busy_until} add the air entries they read to the
+    [channel.sense.scanned] Obs counter, once per call. *)
 val busy : 'a t -> int -> bool
 
 (** [busy_until t i] is the absolute time when the medium around [i] goes

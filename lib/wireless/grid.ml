@@ -1,6 +1,6 @@
 type t = {
   nodes : int;
-  position : int -> float -> Vec2.t;
+  positions : Waypoint.cache;
   cell : float;
   max_speed : float;
   epoch : float;
@@ -12,8 +12,8 @@ type t = {
   (* CSR layout: bucket b holds ids.(off.(b) .. off.(b+1) - 1), ascending *)
   mutable off : int array;
   ids : int array;
-  xs : float array;
-  ys : float array;
+  (* bucketed positions, node j's x at 2 j and its y at 2 j + 1 *)
+  xy : float array;
   (* query scratch: candidates gathered here, then sorted in place *)
   gather : int array;
   (* query scratch for dense candidate sets: membership mask *)
@@ -21,13 +21,14 @@ type t = {
   mutable rebuild_count : int;
 }
 
-let create ~nodes ~position ~cell ~max_speed ~epoch =
+let create ~scripts ~cell ~max_speed ~epoch =
   if cell <= 0.0 then invalid_arg "Grid.create: cell must be positive";
   if epoch <= 0.0 then invalid_arg "Grid.create: epoch must be positive";
   if max_speed < 0.0 then invalid_arg "Grid.create: negative max_speed";
+  let nodes = Array.length scripts in
   {
     nodes;
-    position;
+    positions = Waypoint.cache scripts;
     cell;
     max_speed;
     epoch;
@@ -38,8 +39,7 @@ let create ~nodes ~position ~cell ~max_speed ~epoch =
     rows = 0;
     off = [||];
     ids = Array.make (Stdlib.max nodes 1) 0;
-    xs = Array.make (Stdlib.max nodes 1) 0.0;
-    ys = Array.make (Stdlib.max nodes 1) 0.0;
+    xy = Array.make (2 * Stdlib.max nodes 1) 0.0;
     gather = Array.make (Stdlib.max nodes 1) 0;
     mask = Array.make (Stdlib.max nodes 1) false;
     rebuild_count = 0;
@@ -57,13 +57,12 @@ let rebuild_body t ~now =
     let minx = ref infinity and miny = ref infinity in
     let maxx = ref neg_infinity and maxy = ref neg_infinity in
     for i = 0 to t.nodes - 1 do
-      let p = t.position i now in
-      t.xs.(i) <- p.Vec2.x;
-      t.ys.(i) <- p.Vec2.y;
-      if p.Vec2.x < !minx then minx := p.Vec2.x;
-      if p.Vec2.x > !maxx then maxx := p.Vec2.x;
-      if p.Vec2.y < !miny then miny := p.Vec2.y;
-      if p.Vec2.y > !maxy then maxy := p.Vec2.y
+      Waypoint.locate t.positions i now t.xy (2 * i);
+      let x = t.xy.(2 * i) and y = t.xy.((2 * i) + 1) in
+      if x < !minx then minx := x;
+      if x > !maxx then maxx := x;
+      if y < !miny then miny := y;
+      if y > !maxy then maxy := y
     done;
     t.ox <- !minx;
     t.oy <- !miny;
@@ -73,7 +72,7 @@ let rebuild_body t ~now =
     if Array.length t.off <> buckets + 1 then t.off <- Array.make (buckets + 1) 0
     else Array.fill t.off 0 (buckets + 1) 0;
     for i = 0 to t.nodes - 1 do
-      let b = bucket t t.xs.(i) t.ys.(i) in
+      let b = bucket t t.xy.(2 * i) t.xy.((2 * i) + 1) in
       t.off.(b + 1) <- t.off.(b + 1) + 1
     done;
     for b = 1 to buckets do
@@ -81,7 +80,7 @@ let rebuild_body t ~now =
     done;
     let cursor = Array.copy t.off in
     for i = 0 to t.nodes - 1 do
-      let b = bucket t t.xs.(i) t.ys.(i) in
+      let b = bucket t t.xy.(2 * i) t.xy.((2 * i) + 1) in
       t.ids.(cursor.(b)) <- i;
       cursor.(b) <- cursor.(b) + 1
     done
@@ -110,11 +109,16 @@ let margin = 1.0
 let slack t ~now =
   if now >= t.built_at then t.max_speed *. (now -. t.built_at) else infinity
 
-let bucketed_x t = t.xs
+let bucketed t = t.xy
 
-let bucketed_y t = t.ys
+(* the sweep's work, added once per query *)
+let gathered = Obs.counter "channel.grid.gathered"
 
-let iter t ~now ~center ~radius f =
+let sorted = Obs.counter "channel.grid.sorted"
+
+let keep_all (_ : int) = true
+
+let iter ?(keep = keep_all) t ~now ~center ~radius f =
   if t.nodes > 0 then begin
     ensure t ~now;
     (* every node is at most [slack] away from the position it was
@@ -124,34 +128,53 @@ let iter t ~now ~center ~radius f =
     let r2 = r *. r in
     let cx = center.Vec2.x and cy = center.Vec2.y in
     let near j =
-      let dx = t.xs.(j) -. cx and dy = t.ys.(j) -. cy in
+      let dx = t.xy.(2 * j) -. cx and dy = t.xy.((2 * j) + 1) -. cy in
       (dx *. dx) +. (dy *. dy) <= r2
     in
     let bx0 = clampi (int_of_float ((cx -. r -. t.ox) /. t.cell)) 0 (t.cols - 1) in
     let bx1 = clampi (int_of_float ((cx +. r -. t.ox) /. t.cell)) 0 (t.cols - 1) in
     let by0 = clampi (int_of_float ((cy -. r -. t.oy) /. t.cell)) 0 (t.rows - 1) in
     let by1 = clampi (int_of_float ((cy +. r -. t.oy) /. t.cell)) 0 (t.rows - 1) in
-    if bx0 = 0 && by0 = 0 && bx1 = t.cols - 1 && by1 = t.rows - 1 then
+    if bx0 = 0 && by0 = 0 && bx1 = t.cols - 1 && by1 = t.rows - 1 then begin
       (* the query disc covers the whole occupied area (common when
          cs_range rivals the terrain diagonal): skip the gather and filter
          the nodes in order *)
+      let g = ref 0 and m = ref 0 in
       for j = 0 to t.nodes - 1 do
-        if near j then f j
-      done
+        if near j then begin
+          incr g;
+          if keep j then begin
+            incr m;
+            f j
+          end
+        end
+      done;
+      Obs.add gathered !g;
+      Obs.add sorted !m
+    end
     else begin
-    let m = ref 0 in
+    (* [keep] drops candidates before the sort, so only the kept ones are
+       ordered. Its contract bars it from reading anything [f] changes
+       for another node, so filtering in bucket order decides exactly
+       what filtering inside [f] would. *)
+    let g = ref 0 and m = ref 0 in
     for by = by0 to by1 do
       for bx = bx0 to bx1 do
         let b = (by * t.cols) + bx in
         for k = t.off.(b) to t.off.(b + 1) - 1 do
           let j = t.ids.(k) in
           if near j then begin
-            t.gather.(!m) <- j;
-            incr m
+            incr g;
+            if keep j then begin
+              t.gather.(!m) <- j;
+              incr m
+            end
           end
         done
       done
     done;
+    Obs.add gathered !g;
+    Obs.add sorted !m;
     (* buckets interleave ids; visit candidates in ascending node order so
        a grid-backed scan schedules engine events in exactly the order the
        naive 0..N-1 loop does *)

@@ -20,15 +20,16 @@
 
 type t
 
-(** [create ~nodes ~position ~cell ~max_speed ~epoch]. [cell] is the
-    bucket side length (a radius-sized cell keeps queries to a 3x3
-    neighbourhood); [max_speed] bounds any node's speed; [epoch] is the
-    maximum bucket staleness before a query forces a rebuild.
+(** [create ~scripts ~cell ~max_speed ~epoch] indexes one node per
+    script; node [i] follows [scripts.(i)], read through its own
+    {!Waypoint.cache}. [cell] is the bucket side length (a radius-sized
+    cell keeps queries to a 3x3 neighbourhood); [max_speed] bounds any
+    node's speed; [epoch] is the maximum bucket staleness before a query
+    forces a rebuild.
     @raise Invalid_argument when [cell <= 0], [epoch <= 0] or
     [max_speed < 0]. *)
 val create :
-  nodes:int ->
-  position:(int -> float -> Vec2.t) ->
+  scripts:Waypoint.t array ->
   cell:float ->
   max_speed:float ->
   epoch:float ->
@@ -45,13 +46,29 @@ val rebuild : t -> now:float -> unit
     buckets {!iter} uses. *)
 val ensure : t -> now:float -> unit
 
-(** [iter t ~now ~center ~radius f] calls [f j], in ascending node order,
-    for every node [j] whose bucketed position lies within [radius +
-    slack t ~now + margin] of [center] (an exact position) — a superset
-    of [{ j | dist(center, position j now) <= radius }]. Runs {!ensure}
+(** [iter ?keep t ~now ~center ~radius f] calls [f j], in ascending
+    node order, for every node [j] whose bucketed position lies within
+    [radius + slack t ~now + margin] of [center] (an exact position) — a
+    superset of [{ j | dist(center, position j now) <= radius }] — and
+    that [keep j] accepts (by default every such node). Runs {!ensure}
     first. The querying node itself is included when it falls in range;
-    callers skip it. *)
-val iter : t -> now:float -> center:Vec2.t -> radius:float -> (int -> unit) -> unit
+    callers skip it.
+
+    [keep] runs while the candidates are gathered, in bucket order and
+    before any [f]: dropped candidates are never sorted. It must have no
+    side effects, and its answer for [j] must not depend on what [f]
+    does to any node but [j] itself; then it decides exactly what the
+    same test made first thing in [f] would. Each call adds the
+    candidates within the inflated disc to the [channel.grid.gathered]
+    Obs counter and those [keep] accepts to [channel.grid.sorted]. *)
+val iter :
+  ?keep:(int -> bool) ->
+  t ->
+  now:float ->
+  center:Vec2.t ->
+  radius:float ->
+  (int -> unit) ->
+  unit
 
 (** [slack t ~now] is [max_speed * (now - built_at)]: no node is farther
     than this from its bucketed position at [now]. [infinity] before the
@@ -63,13 +80,11 @@ val slack : t -> now:float -> float
     rounding in the position lookups and distance arithmetic. *)
 val margin : float
 
-(** The x and y coordinates each node was bucketed under at the last
-    build, indexed by node. These are the grid's own arrays, allocated
-    once and overwritten in place by each rebuild: read them, never write
-    them. Meaningful only while {!slack} is finite. *)
-val bucketed_x : t -> float array
-
-val bucketed_y : t -> float array
+(** The coordinates each node was bucketed under at the last build,
+    node [j]'s x at [2 j] and its y at [2 j + 1]. This is the grid's own
+    array, allocated once and overwritten in place by each rebuild: read
+    it, never write it. Meaningful only while {!slack} is finite. *)
+val bucketed : t -> float array
 
 (** Number of rebuilds performed so far (lazy and forced). *)
 val rebuilds : t -> int

@@ -51,35 +51,111 @@ let of_legs ~initial legs =
   check 0.0 initial legs;
   { initial; legs = Array.of_list legs; cursor = 0 }
 
+(* the last leg with [depart <= time], for [time] past the first
+   departure: resume from the cursor for the common monotone query,
+   binary-search on a backwards jump *)
+let leg_index t time =
+  let n = Array.length t.legs in
+  let i =
+    if t.legs.(t.cursor).depart <= time then begin
+      let i = ref t.cursor in
+      while !i + 1 < n && t.legs.(!i + 1).depart <= time do
+        incr i
+      done;
+      !i
+    end
+    else begin
+      let lo = ref 0 and hi = ref (n - 1) in
+      while !lo < !hi do
+        let mid = (!lo + !hi + 1) / 2 in
+        if t.legs.(mid).depart <= time then lo := mid else hi := mid - 1
+      done;
+      !lo
+    end
+  in
+  t.cursor <- i;
+  i
+
 let position t time =
   let n = Array.length t.legs in
   if n = 0 || time <= t.legs.(0).depart then t.initial
   else begin
-    (* find the last leg with depart <= time: resume from the cursor for
-       the common monotone query, binary-search on a backwards jump *)
-    let i =
-      if t.legs.(t.cursor).depart <= time then begin
-        let i = ref t.cursor in
-        while !i + 1 < n && t.legs.(!i + 1).depart <= time do
-          incr i
-        done;
-        !i
-      end
-      else begin
-        let lo = ref 0 and hi = ref (n - 1) in
-        while !lo < !hi do
-          let mid = (!lo + !hi + 1) / 2 in
-          if t.legs.(mid).depart <= time then lo := mid else hi := mid - 1
-        done;
-        !lo
-      end
-    in
-    t.cursor <- i;
-    let leg = t.legs.(i) in
+    let leg = t.legs.(leg_index t time) in
     if time >= leg.arrive then leg.to_p
     else
       let frac = (time -. leg.depart) /. (leg.arrive -. leg.depart) in
       Vec2.lerp leg.from_p leg.to_p ~frac
+  end
+
+(* Node [i]'s segment is [seg.(8 i) .. seg.(8 i + 7)]: the times [lo, hi)
+   it answers for, then [depart], [span], [x], [y], [dx], [dy]. A moving
+   segment ([span > 0]) puts the node at [x + frac * dx] with [frac =
+   (time - depart) / span], [position]'s own expression over the same
+   stored operands; a still one ([span = 0]) at [(x, y)]. *)
+type cache = { scripts : t array; seg : float array }
+
+let stride = 8
+
+(* a nan bound admits no time, so every node's first lookup refills *)
+let cache scripts =
+  { scripts; seg = Array.make (stride * Array.length scripts) nan }
+
+let refills = Obs.counter "mobility.segment.refills"
+
+let still seg b ~lo ~hi (p : Vec2.t) =
+  seg.(b) <- lo;
+  seg.(b + 1) <- hi;
+  seg.(b + 2) <- 0.0;
+  seg.(b + 3) <- 0.0;
+  seg.(b + 4) <- p.x;
+  seg.(b + 5) <- p.y;
+  seg.(b + 6) <- 0.0;
+  seg.(b + 7) <- 0.0
+
+(* Store the widest segment around [time] on which [position] takes one
+   branch: before the first departure (inclusive, hence [Float.succ]),
+   or on leg [k], which the search picks from its departure (or from
+   just past the first one) until the next leg departs. *)
+let refill c i time =
+  Obs.incr refills;
+  let s = c.scripts.(i) and seg = c.seg and b = stride * i in
+  let n = Array.length s.legs in
+  if n = 0 then still seg b ~lo:neg_infinity ~hi:infinity s.initial
+  else
+    let first = s.legs.(0).depart in
+    if time <= first then
+      still seg b ~lo:neg_infinity ~hi:(Float.succ first) s.initial
+    else begin
+      let k = leg_index s time in
+      let leg = s.legs.(k) in
+      let start = if leg.depart > first then leg.depart else Float.succ first in
+      let next = if k + 1 < n then s.legs.(k + 1).depart else infinity in
+      if time >= leg.arrive then
+        still seg b ~lo:(Float.max start leg.arrive) ~hi:next leg.to_p
+      else begin
+        seg.(b) <- start;
+        seg.(b + 1) <- leg.arrive;
+        seg.(b + 2) <- leg.depart;
+        seg.(b + 3) <- leg.arrive -. leg.depart;
+        seg.(b + 4) <- leg.from_p.x;
+        seg.(b + 5) <- leg.from_p.y;
+        seg.(b + 6) <- leg.to_p.x -. leg.from_p.x;
+        seg.(b + 7) <- leg.to_p.y -. leg.from_p.y
+      end
+    end
+
+let locate c i time dst k =
+  let seg = c.seg and b = stride * i in
+  if not (seg.(b) <= time && time < seg.(b + 1)) then refill c i time;
+  let span = seg.(b + 3) in
+  if span > 0.0 then begin
+    let frac = (time -. seg.(b + 2)) /. span in
+    dst.(k) <- seg.(b + 4) +. (frac *. seg.(b + 6));
+    dst.(k + 1) <- seg.(b + 5) +. (frac *. seg.(b + 7))
+  end
+  else begin
+    dst.(k) <- seg.(b + 4);
+    dst.(k + 1) <- seg.(b + 5)
   end
 
 let legs t = Array.to_list t.legs

@@ -46,8 +46,32 @@ val stationary : Vec2.t -> t
     @raise Invalid_argument otherwise. *)
 val of_legs : initial:Vec2.t -> leg list -> t
 
-(** Position at time [t >= 0]; constant after the script's last leg. *)
+(** Position at time [t >= 0]; constant after the script's last leg. The
+    reference for every other position lookup: {!locate} must agree with
+    it bit for bit. *)
 val position : t -> float -> Vec2.t
+
+(** Positions of many scripts, read through a per-node cache of each
+    node's current segment: the stretch of time over which {!position}
+    evaluates one expression (a pause, or the movement along one leg).
+    The segments live in one float array, 8 floats per node, so a lookup
+    inside the cached segment reads one contiguous block and allocates
+    nothing. A lookup outside it, whether the query moved past the
+    segment's end or jumped backwards, refills the segment from the
+    script first (the [mobility.segment.refills] Obs counter counts
+    these). The cache holds the scripts by reference and moves their
+    search cursors, which never change an answer. *)
+type cache
+
+(** [cache scripts] caches node [i]'s segment of [scripts.(i)]; nothing is
+    filled until the first lookup. *)
+val cache : t array -> cache
+
+(** [locate c i time dst k] writes node [i]'s position at [time] to
+    [dst.(k)] (x) and [dst.(k + 1)] (y). The two floats equal those of
+    [position scripts.(i) time] bit for bit, at any sequence of query
+    times (the [waypoint-segment-equiv] property). Allocates nothing. *)
+val locate : cache -> int -> float -> float array -> int -> unit
 
 (** The script's legs (for tests). *)
 val legs : t -> leg list

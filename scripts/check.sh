@@ -50,6 +50,14 @@ dune exec bin/manet_sim.exe -- fuzz --max-cases 200 --seed 7
 # merge, and expiry races show only over long message streams
 dune exec bin/manet_sim.exe -- fuzz --prop olsr-routes-oracle \
   --max-cases 2000 --seed 11
+# ... and the channel's flat frame path against the naive scan (2,000
+# cases: the per-frame interferer pass's reach fails case 12 of seed 13
+# without its `+ range` term), and the mobility segment cache against
+# Waypoint.position over 200,000 query streams (~4 s)
+dune exec bin/manet_sim.exe -- fuzz --prop channel-grid-equiv \
+  --max-cases 4000 --seed 13
+dune exec bin/manet_sim.exe -- fuzz --prop waypoint-segment-equiv \
+  --max-cases 200000 --seed 17
 
 # determinism smoke: one campaign fixture, whose every cell routes data
 # (traffic starts at 15 s of 40), must reproduce its committed golden
@@ -206,6 +214,11 @@ grep -q '"name":"channel.transmit.grid"' "$tmp/run_prof.json"
 grep -q '"name":"event.mac.backoff"' "$tmp/run_prof.json"
 grep -q '"name":"proto.srp.receive"' "$tmp/run_prof.json"
 grep -q '"channel.receptions":' "$tmp/run_prof.json"
+for counter in channel.grid.gathered channel.grid.sorted \
+  channel.interferers.scanned channel.interferers.picked \
+  channel.sense.scanned mobility.segment.refills; do
+  grep -q "\"$counter\":" "$tmp/run_prof.json"
+done
 grep -q "Profile (wall-clock spans" "$tmp/run_prof.txt"
 # ... and an OLSR run must report its route work counters
 "$SIM" run --protocol olsr --nodes 20 --duration 30 --prof \

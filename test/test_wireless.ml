@@ -150,10 +150,14 @@ let test_radio_durations () =
 (* ------------------------------------------------------------------ *)
 (* Channel *)
 
+(* stationary scripts at the given points *)
+let fixed points = Array.map (fun (x, y) -> W.stationary (vec x y)) points
+
 (* fixed positions: nodes on a line, 200 m apart *)
-let line_channel engine n =
-  let position i _t = vec (float_of_int i *. 200.0) 0.0 in
-  Ch.create engine ~nodes:n ~position ~range:250.0 ~cs_range:550.0
+let line_scripts n = fixed (Array.init n (fun i -> (float_of_int i *. 200.0, 0.0)))
+
+let line_channel ?grid engine n =
+  Ch.create ?grid engine ~scripts:(line_scripts n) ~range:250.0 ~cs_range:550.0
 
 let test_channel_delivery () =
   let e = Des.Engine.create () in
@@ -188,10 +192,8 @@ let test_channel_capture () =
   let e = Des.Engine.create () in
   (* receiver at 0; near sender at 50 m; far sender at 400 m: the near frame
      is >3x closer and survives the overlap *)
-  let position i _ =
-    match i with 0 -> vec 0.0 0.0 | 1 -> vec 50.0 0.0 | _ -> vec 400.0 0.0
-  in
-  let ch = Ch.create e ~nodes:3 ~position ~range:450.0 ~cs_range:990.0 in
+  let scripts = fixed [| (0.0, 0.0); (50.0, 0.0); (400.0, 0.0) |] in
+  let ch = Ch.create e ~scripts ~range:450.0 ~cs_range:990.0 in
   let got = ref [] in
   Ch.set_receiver ch 0 (fun ~src pdu -> got := (src, pdu) :: !got);
   Ch.transmit ch ~src:2 ~duration:1e-3 "far";
@@ -246,11 +248,7 @@ let star = [| (520.0, 300.0); (300.0, 350.0); (300.0, 300.0); (150.0, 300.0);
 
 let star_channel grid =
   let e = Des.Engine.create () in
-  let position i _ = vec (fst star.(i)) (snd star.(i)) in
-  let ch =
-    Ch.create ?grid e ~nodes:(Array.length star) ~position ~range:250.0
-      ~cs_range:550.0
-  in
+  let ch = Ch.create ?grid e ~scripts:(fixed star) ~range:250.0 ~cs_range:550.0 in
   (e, ch)
 
 let grid_static = Some { Ch.max_speed = 0.0; epoch = 0.25 }
@@ -301,6 +299,148 @@ let test_frame_end_past_until grid () =
   Alcotest.(check int) "then counted once each" 4
     (Obs.counter_value receptions - before)
 
+(* A frame that ends at the very instant another node starts to transmit,
+   when that transmission was scheduled first. Node 0 sends to node 1,
+   200 m away. Node 2 starts as that frame ends; node 1 lies in its
+   interference zone (400 m) and node 3 in its range. The new frame's
+   sweep prunes the ended reception from node 1's in-progress chain, so
+   the reception escapes the interference, and the frame-end event that
+   runs next still delivers it. Its slot outlives the pruning: had
+   pruning freed it, node 3's new reception would take it over and the
+   first frame would end at node 3. *)
+let test_end_meets_start grid () =
+  let e = Des.Engine.create () in
+  let scripts = fixed [| (0.0, 0.0); (200.0, 0.0); (600.0, 0.0); (800.0, 0.0) |] in
+  let ch = Ch.create ?grid e ~scripts ~range:250.0 ~cs_range:550.0 in
+  let log = ref [] in
+  for i = 0 to 3 do
+    Ch.set_receiver ch i (fun ~src pdu ->
+        log := (Des.Engine.now e, i, src, pdu) :: !log)
+  done;
+  ignore
+    (Des.Engine.schedule_at e ~time:1e-3 (fun () ->
+         Ch.transmit ch ~src:2 ~duration:1e-3 "second"));
+  Ch.transmit ch ~src:0 ~duration:1e-3 "first";
+  Des.Engine.run_all e;
+  let entry = Alcotest.(pair (pair (float 0.0) int) (pair int string)) in
+  Alcotest.(check (list entry))
+    "node 1 hears the first frame as it ends, node 3 the second"
+    [ ((1e-3, 1), (0, "first")); ((2e-3, 3), (2, "second")) ]
+    (List.rev_map (fun (t, i, src, pdu) -> ((t, i), (src, pdu))) !log);
+  Alcotest.(check int) "the ended reception escaped the interference" 0
+    (Ch.collisions ch)
+
+(* Three senders 240 m from node 0 and out of range of one another start
+   a frame each, 0.1 ms apart, at equal distance, so no capture. Each new
+   reception clashes with node 0's receptions in progress, newest first:
+   the second frame corrupts itself and the first, the third corrupts
+   itself and finds both others corrupted already. Every reception is
+   corrupted and counted once and leaves one mac-collision record. *)
+let test_overlap_clash grid () =
+  let e = Des.Engine.create () in
+  let records = ref [] in
+  let trace =
+    Trace.callback
+      ~clock:(fun () -> Des.Engine.now e)
+      (fun r ->
+        match r.Trace.ev with
+        | Trace.Mac_collision -> records := r.Trace.node :: !records
+        | _ -> ())
+  in
+  let scripts = fixed [| (0.0, 0.0); (240.0, 0.0); (-240.0, 0.0); (0.0, 240.0) |] in
+  let ch = Ch.create ~trace ?grid e ~scripts ~range:250.0 ~cs_range:550.0 in
+  let got = ref 0 in
+  Ch.set_receiver ch 0 (fun ~src:_ _ -> incr got);
+  List.iter
+    (fun src ->
+      ignore
+        (Des.Engine.schedule_at e
+           ~time:(float_of_int (src - 1) *. 1e-4)
+           (fun () -> Ch.transmit ch ~src ~duration:1e-3 src)))
+    [ 1; 2; 3 ];
+  Des.Engine.run_all e;
+  Alcotest.(check int) "nothing delivered" 0 !got;
+  Alcotest.(check int) "three collisions at node 0" 3 (Ch.collisions_at ch 0);
+  Alcotest.(check int) "and none elsewhere" 3 (Ch.collisions ch);
+  Alcotest.(check (list int)) "one record per reception" [ 0; 0; 0 ] !records
+
+let sweep_gathered = Obs.counter "channel.grid.gathered"
+
+let sweep_sorted = Obs.counter "channel.grid.sorted"
+
+(* The sweep's quiet filter at the channel level. Node 2 sends; node 0 is
+   in range, nodes 1 and 3 sit in its interference zone, and node 3 is
+   receiving node 4's frame while node 1 receives nothing. Node 5 is far
+   away, so the grid's query does not cover every bucket and gathers in
+   bucket (x) order: 4, 3, 2, 0, 1. Both channels must stomp node 3's
+   reception and deliver to node 0; the grid's sweep must drop quiet
+   node 1 before it sorts and hand over nodes 0, 2 and 3. *)
+let test_sweep_filter_channel grid () =
+  let e = Des.Engine.create () in
+  let scripts =
+    fixed
+      [| (100.0, 0.0); (400.0, 0.0); (0.0, 0.0); (-400.0, 0.0); (-600.0, 0.0);
+         (3000.0, 0.0) |]
+  in
+  let ch = Ch.create ?grid e ~scripts ~range:250.0 ~cs_range:550.0 in
+  let log = ref [] in
+  for i = 0 to 5 do
+    Ch.set_receiver ch i (fun ~src _ -> log := (i, src) :: !log)
+  done;
+  let swept = ref (0, 0) in
+  Ch.transmit ch ~src:4 ~duration:1e-3 ();
+  ignore
+    (Des.Engine.schedule_at e ~time:1e-4 (fun () ->
+         let g = Obs.counter_value sweep_gathered
+         and s = Obs.counter_value sweep_sorted in
+         Ch.transmit ch ~src:2 ~duration:1e-3 ();
+         swept :=
+           ( Obs.counter_value sweep_gathered - g,
+             Obs.counter_value sweep_sorted - s )));
+  Des.Engine.run_all e;
+  Alcotest.(check (list (pair int int))) "only node 0 hears a frame" [ (0, 2) ]
+    !log;
+  Alcotest.(check int) "node 3's reception stomped" 1 (Ch.collisions_at ch 3);
+  Alcotest.(check int) "and nothing else" 1 (Ch.collisions ch);
+  Alcotest.(check (pair int int)) "gathered 0-3, handed over all but node 1"
+    (if Option.is_some grid then (4, 3) else (0, 0))
+    !swept
+
+(* The same filter on the grid alone, on both of its sorting branches.
+   Nodes sit 10 m apart on a line, placed in a scrambled id order so
+   bucket order is not id order; [keep] rejects every third id. *)
+let test_sweep_filter_grid () =
+  let n = 100 in
+  let place j = 10.0 *. float_of_int ((j * 37) mod n) in
+  let g =
+    Wireless.Grid.create
+      ~scripts:(Array.init n (fun j -> W.stationary (vec (place j) 0.0)))
+      ~cell:50.0 ~max_speed:0.0 ~epoch:1.0
+  in
+  let keep j = j mod 3 <> 0 in
+  let query ~radius =
+    let center = vec 500.0 0.0 in
+    let asked = Hashtbl.create 16 and got = ref [] in
+    Wireless.Grid.iter g ~now:0.0 ~center ~radius
+      ~keep:(fun j ->
+        Hashtbl.replace asked j ();
+        keep j)
+      (fun j -> got := j :: !got);
+    let within j = Float.abs (place j -. 500.0) <= radius +. Wireless.Grid.margin in
+    let want = List.filter (fun j -> within j && keep j) (List.init n Fun.id) in
+    Alcotest.(check (list int))
+      (Printf.sprintf "radius %g: the kept candidates, ascending" radius)
+      want (List.rev !got);
+    Alcotest.(check bool) "every handed-over node was asked" true
+      (List.for_all (Hashtbl.mem asked) want);
+    List.length want
+  in
+  let m = query ~radius:40.0 in
+  Alcotest.(check bool) "insertion branch (m^2 <= 4n)" true (m * m <= 4 * n);
+  let m = query ~radius:200.0 in
+  Alcotest.(check bool) "mask branch (m^2 > 4n, m < n)" true
+    (m * m > 4 * n && m < n)
+
 (* ------------------------------------------------------------------ *)
 (* Spatial hash grid *)
 
@@ -308,15 +448,16 @@ let scatter ~seed n =
   let rng = Des.Rng.create (Int64.of_int seed) in
   Array.init n (fun _ -> T.random_point T.paper rng)
 
+let still points = Array.map W.stationary points
+
 let test_grid_superset () =
   (* with max_speed 0 the inflated radius equals the query radius, and the
      bucket sweep must still cover every node the exact disc contains *)
   let n = 60 in
   let points = scatter ~seed:9 n in
   let g =
-    Wireless.Grid.create ~nodes:n
-      ~position:(fun i _ -> points.(i))
-      ~cell:100.0 ~max_speed:0.0 ~epoch:1.0
+    Wireless.Grid.create ~scripts:(still points) ~cell:100.0 ~max_speed:0.0
+      ~epoch:1.0
   in
   Array.iteri
     (fun c center ->
@@ -339,9 +480,8 @@ let test_grid_ascending_order () =
   let n = 80 in
   let points = scatter ~seed:21 n in
   let g =
-    Wireless.Grid.create ~nodes:n
-      ~position:(fun i _ -> points.(i))
-      ~cell:137.5 ~max_speed:20.0 ~epoch:0.25
+    Wireless.Grid.create ~scripts:(still points) ~cell:137.5 ~max_speed:20.0
+      ~epoch:0.25
   in
   Array.iter
     (fun center ->
@@ -378,8 +518,8 @@ let test_grid_bound_edge () =
   Alcotest.(check (float 0.0)) "550 m apart at t = 0.25" 550.0
     (V.dist (edge_position 0 0.25) (edge_position 1 0.25));
   let g =
-    Wireless.Grid.create ~nodes:2 ~position:edge_position ~cell:275.0
-      ~max_speed:20.0 ~epoch:0.25
+    Wireless.Grid.create ~scripts:edge_scripts ~cell:275.0 ~max_speed:20.0
+      ~epoch:0.25
   in
   Wireless.Grid.rebuild g ~now:0.0;
   let seen = ref [] in
@@ -394,7 +534,7 @@ let test_carrier_sense_bound_edge () =
   let ch =
     Ch.create
       ~grid:{ Ch.max_speed = 20.0; epoch = 0.25 }
-      e ~nodes:2 ~position:edge_position ~range:250.0 ~cs_range:550.0
+      e ~scripts:edge_scripts ~range:250.0 ~cs_range:550.0
   in
   (* node 1's frame builds the grid with both nodes 555 m apart *)
   Ch.transmit ch ~src:1 ~duration:0.3 ();
@@ -418,11 +558,10 @@ let test_grid_channel_equivalence () =
   (* the same broadcast schedule through a naive and a grid channel:
      delivery logs and collision counters must agree exactly *)
   let n = 40 in
-  let points = scatter ~seed:33 n in
-  let position i _ = points.(i) in
+  let scripts = still (scatter ~seed:33 n) in
   let run grid =
     let e = Des.Engine.create () in
-    let ch = Ch.create ?grid e ~nodes:n ~position ~range:250.0 ~cs_range:550.0 in
+    let ch = Ch.create ?grid e ~scripts ~range:250.0 ~cs_range:550.0 in
     let log = ref [] in
     for i = 0 to n - 1 do
       Ch.set_receiver ch i (fun ~src pdu ->
@@ -453,10 +592,7 @@ type Frame.payload += Probe of int
 
 let mac_world n =
   let e = Des.Engine.create () in
-  let position i _t = vec (float_of_int i *. 200.0) 0.0 in
-  let ch =
-    Ch.create e ~nodes:n ~position ~range:250.0 ~cs_range:550.0
-  in
+  let ch = line_channel e n in
   let received = Array.make n [] in
   let failed = ref [] in
   let succeeded = ref [] in
@@ -606,12 +742,26 @@ let () =
             (test_frame_end_past_until None);
           Alcotest.test_case "frame end past until (grid)" `Quick
             (test_frame_end_past_until grid_static);
+          Alcotest.test_case "end meets start (naive)" `Quick
+            (test_end_meets_start None);
+          Alcotest.test_case "end meets start (grid)" `Quick
+            (test_end_meets_start grid_static);
+          Alcotest.test_case "overlaps clash once each (naive)" `Quick
+            (test_overlap_clash None);
+          Alcotest.test_case "overlaps clash once each (grid)" `Quick
+            (test_overlap_clash grid_static);
+          Alcotest.test_case "sweep drops quiet nodes (naive)" `Quick
+            (test_sweep_filter_channel None);
+          Alcotest.test_case "sweep drops quiet nodes (grid)" `Quick
+            (test_sweep_filter_channel grid_static);
         ] );
       ( "grid",
         [
           Alcotest.test_case "candidate superset" `Quick test_grid_superset;
           Alcotest.test_case "ascending iteration" `Quick
             test_grid_ascending_order;
+          Alcotest.test_case "sweep filter before the sort" `Quick
+            test_sweep_filter_grid;
           Alcotest.test_case "naive/grid channel equivalence" `Quick
             test_grid_channel_equivalence;
           Alcotest.test_case "bound at its edge" `Quick test_grid_bound_edge;
