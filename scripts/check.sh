@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
-# CI gate: full build, the whole test suite, then a faults-enabled smoke
-# run — a 50-node simulation with link flaps, crashes and loss bursts must
-# complete under the online loop-freedom monitor with zero violations.
+# CI gate: full build, the whole test suite (the stdout goldens are cram
+# tests under test/cram, so `dune runtest` compares them), then the smokes
+# that need a shell or are too slow for the test suite.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -10,18 +10,6 @@ dune runtest
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
-dune exec bin/manet_sim.exe -- check --nodes 50 --duration 60 --faults \
-  > "$tmp/check_online.txt"
-
-# loop-verdict goldens: the online monitor above, the periodic sweeps and
-# the paper's Examples 1-2 on the abstract executor must reproduce their
-# committed stdout byte for byte (verdicts and edge counts included)
-cmp "$tmp/check_online.txt" scripts/golden/check_online.txt
-dune exec bin/manet_sim.exe -- check --nodes 30 --duration 40 \
-  > "$tmp/check_sweeps.txt"
-cmp "$tmp/check_sweeps.txt" scripts/golden/check_sweeps.txt
-dune exec examples/quickstart.exe > "$tmp/quickstart.txt"
-cmp "$tmp/quickstart.txt" scripts/golden/quickstart.txt
 
 # telemetry smoke: a traced run must emit parseable JSONL and a --json
 # result file with the documented keys, and same-seed traces must agree
@@ -84,22 +72,6 @@ done
 # ... and the fixed-seed fuzz catalogue must hold with scenarios pinned to
 # a non-default instance (the identical Ordering-Criteria oracle applies)
 dune exec bin/manet_sim.exe -- fuzz --max-cases 25 --seed 7 --labels bigfrac
-
-# OLSR golden: a dense OLSR world (100 nodes, 60 s), where equal-length routes
-# are common and the BFS tie-break decides every data hop, must reproduce
-# its committed golden stdout byte for byte
-dune exec bin/manet_sim.exe -- run --protocol olsr --nodes 100 --duration 60 \
-  --seed 3 > "$tmp/run_olsr100.txt" 2> /dev/null
-cmp "$tmp/run_olsr100.txt" scripts/golden/run_olsr100.txt
-# on-demand golden: faulted 30-node worlds of SRP, AODV, LDR and DSR, whose
-# drop reasons cover every fate of a packet parked awaiting a route (buffer
-# overflow, expiry, discovery failure), relay drops, DSR salvage and the
-# crashed-node stand-in's `node down`, must reproduce their committed stdout
-for p in srp aodv ldr dsr; do
-  "$SIM" run --protocol "$p" --nodes 30 --duration 60 --seed 4 --faults \
-    2> /dev/null
-done > "$tmp/run_ondemand.txt"
-cmp "$tmp/run_ondemand.txt" scripts/golden/run_ondemand.txt
 
 # scenario smoke: an unknown name must exit 2 with the registry listing,
 # and every workload scenario must complete a small campaign plus an SRP
