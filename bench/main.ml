@@ -404,7 +404,8 @@ let labels_showdown () =
 (* ------------------------------------------------------------------ *)
 (* The work ledger: world 0 of workload seed 1 of every benchmark
    workload, exactly as Bench_suite.Workloads builds it, plus the 5000-node
-   SRP world the scale sweep ran; then every micro case. *)
+   SRP world the scale sweep ran; then each workload's set-up-only build;
+   then every micro case. *)
 
 module W = Bench_suite.Workloads
 
@@ -423,10 +424,9 @@ let srp_5k =
       jsonl = false;
     }
 
-let work_worlds () =
+let workload_jobs () =
   let seed = W.world_seed ~seed:1 0 in
   List.map (fun (w : W.t) -> (w.name, w.job ~seed ~smoke:false)) W.all
-  @ [ ("srp-5k", srp_5k) ]
 
 (* the engine events of one job, run as the benchmark's child runs it *)
 let run_job = function
@@ -469,6 +469,27 @@ let world_row (name, job) =
     (Unix.gettimeofday () -. started);
   row
 
+(* A workload's set-up-only build, as Bench_suite.Probe times it for
+   [setup_s]: the world itself, or a campaign's first cell. Its wall time
+   is the benchmark's noisiest metric; its allocation repeats exactly. *)
+let setup_row (name, job) =
+  let config =
+    match job with
+    | W.Run { config; _ } -> config
+    | W.Campaign { base; protocols; pauses; pause_scale; _ } ->
+        {
+          base with
+          Sim.Config.protocol = List.hd protocols;
+          pause = List.hd pauses *. pause_scale;
+        }
+  in
+  let _, words =
+    minor_words_of (fun () -> Bench_suite.Probe.setup_only config)
+  in
+  let name = "setup/" ^ name in
+  Format.printf "%-20s %12.0f minor words@." name words;
+  { Work_ledger.name; counts = []; words }
+
 let micro_row g (case, f) =
   let before = Gc.minor_words () in
   for _ = 1 to micro_calls do
@@ -492,12 +513,15 @@ let work ~check =
   (* a bad ledger fails before the worlds run *)
   let committed = Option.map (fun path -> (path, read_ledger path)) check in
   Format.printf "@.=== work: exact counts and minor words ===@.";
-  let worlds = List.map world_row (work_worlds ()) in
+  let worlds =
+    List.map world_row (workload_jobs () @ [ ("srp-5k", srp_5k) ])
+  in
+  let setups = List.map setup_row (workload_jobs ()) in
   let micro =
     List.concat_map (fun g -> List.map (micro_row g) (g.cases ())) micro_groups
   in
   let fresh =
-    { Work_ledger.ocaml = Sys.ocaml_version; rows = worlds @ micro }
+    { Work_ledger.ocaml = Sys.ocaml_version; rows = worlds @ setups @ micro }
   in
   match committed with
   | Some (path, committed) -> (

@@ -5,12 +5,15 @@
     the gate reads deterministic quantities and no wall-clock time. *)
 
 type row = {
-  name : string;  (** a world, or a micro case as [micro/GROUP/CASE] *)
+  name : string;
+      (** a world, a workload's set-up-only build as [setup/WORKLOAD], or
+          a micro case as [micro/GROUP/CASE] *)
   counts : (string * int) list;
       (** exact counts by name: [des.events] and every Obs counter for a
-          world; empty for a micro case *)
+          world; empty for a set-up build or a micro case *)
   words : float;
-      (** minor words: absolute for a world, per call for a micro case *)
+      (** minor words: absolute for a world or a set-up build, per call
+          for a micro case *)
 }
 
 type t = {
