@@ -77,8 +77,9 @@ let channel_cases () =
     make_channel (Some { Wireless.Channel.max_speed = 0.0; epoch = 1e9 })
   in
   let g =
-    Wireless.Grid.create ~scripts ~cell:(cs_range /. 2.0)
-      ~max_speed:0.0 ~epoch:1e9
+    Wireless.Grid.create
+      ~positions:(Wireless.Waypoint.cache scripts)
+      ~cell:(cs_range /. 2.0) ~max_speed:0.0 ~epoch:1e9
   in
   let rebuild_now = ref 0.0 in
   [

@@ -1019,8 +1019,9 @@ let channel_grid_law c =
     (* candidate-superset oracle on a standalone grid, queried at each
        transmission instant against the brute-force in-range set *)
     let grid =
-      Wireless.Grid.create ~scripts ~cell:(cs_range /. 2.0)
-        ~max_speed ~epoch:0.25
+      Wireless.Grid.create
+        ~positions:(Wireless.Waypoint.cache scripts)
+        ~cell:(cs_range /. 2.0) ~max_speed ~epoch:0.25
     in
     let missing =
       List.find_map

@@ -81,17 +81,18 @@ let interferers_picked = Obs.counter "channel.interferers.picked"
 let create ?(trace = Trace.null) ?grid engine ~scripts ~range ~cs_range =
   if cs_range < range then invalid_arg "Channel.create: cs_range < range";
   let nodes = Array.length scripts in
+  let positions = Waypoint.cache scripts in
   let grid =
     Option.map
       (fun { max_speed; epoch } ->
-        Grid.create ~scripts ~cell:(cs_range /. 2.0) ~max_speed ~epoch)
+        Grid.create ~positions ~cell:(cs_range /. 2.0) ~max_speed ~epoch)
       grid
   in
   {
     engine;
     trace;
     nodes;
-    positions = Waypoint.cache scripts;
+    positions;
     range;
     cs_range;
     (* ~10 dB capture threshold at path-loss exponent 2 *)

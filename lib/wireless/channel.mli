@@ -21,8 +21,9 @@
     microseconds; node displacement within one frame is negligible).
 
     The frame path keeps its state in flat per-node arrays. Positions are
-    read through a {!Waypoint.cache} of each node's current segment and
-    memoised per (node, time) in one interleaved float array. Receptions
+    read through a {!Waypoint.cache} of each node's current segment, which
+    the channel's grid shares, and memoised per (node, time) in one
+    interleaved float array. Receptions
     live in slot arrays: a per-node chain of the receptions in progress
     (newest first), a per-frame chain (sweep order) and a free list. A
     reception whose end the channel prunes from its node's chain keeps

@@ -21,14 +21,14 @@ type t = {
   mutable rebuild_count : int;
 }
 
-let create ~scripts ~cell ~max_speed ~epoch =
+let create ~positions ~cell ~max_speed ~epoch =
   if cell <= 0.0 then invalid_arg "Grid.create: cell must be positive";
   if epoch <= 0.0 then invalid_arg "Grid.create: epoch must be positive";
   if max_speed < 0.0 then invalid_arg "Grid.create: negative max_speed";
-  let nodes = Array.length scripts in
+  let nodes = Waypoint.cached positions in
   {
     nodes;
-    positions = Waypoint.cache scripts;
+    positions;
     cell;
     max_speed;
     epoch;

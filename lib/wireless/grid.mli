@@ -20,16 +20,17 @@
 
 type t
 
-(** [create ~scripts ~cell ~max_speed ~epoch] indexes one node per
-    script; node [i] follows [scripts.(i)], read through its own
-    {!Waypoint.cache}. [cell] is the bucket side length (a radius-sized
+(** [create ~positions ~cell ~max_speed ~epoch] indexes one node per
+    script that [positions] caches and reads node [i] through it; the
+    channel shares its own cache with its grid, so each segment change is
+    refilled once. [cell] is the bucket side length (a radius-sized
     cell keeps queries to a 3x3 neighbourhood); [max_speed] bounds any
     node's speed; [epoch] is the maximum bucket staleness before a query
     forces a rebuild.
     @raise Invalid_argument when [cell <= 0], [epoch <= 0] or
     [max_speed < 0]. *)
 val create :
-  scripts:Waypoint.t array ->
+  positions:Waypoint.cache ->
   cell:float ->
   max_speed:float ->
   epoch:float ->

@@ -100,6 +100,8 @@ let stride = 8
 let cache scripts =
   { scripts; seg = Array.make (stride * Array.length scripts) nan }
 
+let cached c = Array.length c.scripts
+
 let refills = Obs.counter "mobility.segment.refills"
 
 let still seg b ~lo ~hi (p : Vec2.t) =

@@ -67,6 +67,9 @@ type cache
     filled until the first lookup. *)
 val cache : t array -> cache
 
+(** Number of scripts the cache holds. *)
+val cached : cache -> int
+
 (** [locate c i time dst k] writes node [i]'s position at [time] to
     [dst.(k)] (x) and [dst.(k + 1)] (y). The two floats equal those of
     [position scripts.(i) time] bit for bit, at any sequence of query

@@ -414,7 +414,8 @@ let test_sweep_filter_grid () =
   let place j = 10.0 *. float_of_int ((j * 37) mod n) in
   let g =
     Wireless.Grid.create
-      ~scripts:(Array.init n (fun j -> W.stationary (vec (place j) 0.0)))
+      ~positions:
+        (W.cache (Array.init n (fun j -> W.stationary (vec (place j) 0.0))))
       ~cell:50.0 ~max_speed:0.0 ~epoch:1.0
   in
   let keep j = j mod 3 <> 0 in
@@ -456,8 +457,8 @@ let test_grid_superset () =
   let n = 60 in
   let points = scatter ~seed:9 n in
   let g =
-    Wireless.Grid.create ~scripts:(still points) ~cell:100.0 ~max_speed:0.0
-      ~epoch:1.0
+    Wireless.Grid.create ~positions:(W.cache (still points)) ~cell:100.0
+      ~max_speed:0.0 ~epoch:1.0
   in
   Array.iteri
     (fun c center ->
@@ -480,8 +481,8 @@ let test_grid_ascending_order () =
   let n = 80 in
   let points = scatter ~seed:21 n in
   let g =
-    Wireless.Grid.create ~scripts:(still points) ~cell:137.5 ~max_speed:20.0
-      ~epoch:0.25
+    Wireless.Grid.create ~positions:(W.cache (still points)) ~cell:137.5
+      ~max_speed:20.0 ~epoch:0.25
   in
   Array.iter
     (fun center ->
@@ -518,8 +519,8 @@ let test_grid_bound_edge () =
   Alcotest.(check (float 0.0)) "550 m apart at t = 0.25" 550.0
     (V.dist (edge_position 0 0.25) (edge_position 1 0.25));
   let g =
-    Wireless.Grid.create ~scripts:edge_scripts ~cell:275.0 ~max_speed:20.0
-      ~epoch:0.25
+    Wireless.Grid.create ~positions:(W.cache edge_scripts) ~cell:275.0
+      ~max_speed:20.0 ~epoch:0.25
   in
   Wireless.Grid.rebuild g ~now:0.0;
   let seen = ref [] in
