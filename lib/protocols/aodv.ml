@@ -1,29 +1,12 @@
+open Ondemand
+
 let span_timer = Obs.span "proto.aodv.timer"
 
 module Frame = Wireless.Frame
 
-type config = {
-  ttls : int list;
-  route_lifetime : float;
-  relay_jitter : float;
-  data_ttl : int;
-  rreq_size : int;
-  rrep_size : int;
-  rerr_size : int;
-  ip_overhead : int;
-}
+type config = { rreq_size : int; rrep_size : int }
 
-let default_config =
-  {
-    ttls = [ 1; 3; 7; 16 ];
-    route_lifetime = 10.0;
-    relay_jitter = 0.01;
-    data_ttl = 64;
-    rreq_size = 44;
-    rrep_size = 40;
-    rerr_size = 32;
-    ip_overhead = 20;
-  }
+let default_config = { rreq_size = 44; rrep_size = 40 }
 
 type rreq = {
   rq_src : int;
@@ -95,7 +78,7 @@ let valid_route t dst =
   | Some r when route_valid t r -> Some r
   | Some _ | None -> None
 
-let refresh t r = r.expiry <- Stdlib.max r.expiry (now t +. t.config.route_lifetime)
+let refresh t r = r.expiry <- Stdlib.max r.expiry (now t +. route_lifetime)
 
 (* Standard AODV update rule: accept fresher seqno, or same seqno with
    fewer hops, or anything when the current entry is invalid. *)
@@ -131,12 +114,12 @@ let control_frame t ~dst ~size ~payload =
 let send_rerr t ~entries ~to_ =
   if entries <> [] then
     t.ctx.Routing_intf.mac_send
-      (control_frame t ~dst:to_ ~size:t.config.rerr_size
+      (control_frame t ~dst:to_ ~size:rerr_size
          ~payload:(Rerr { re_unreachable = entries }))
 
 let data_frame t ~next_hop data ~size =
   Frame.make ~src:t.ctx.Routing_intf.id ~dst:(Frame.Unicast next_hop)
-    ~size:(size + t.config.ip_overhead)
+    ~size:(size + ip_overhead)
     ~payload:(Frame.Data data)
 
 let forward_data t data ~size =
@@ -144,7 +127,7 @@ let forward_data t data ~size =
   | None -> false
   | Some r ->
       data.Frame.hops <- data.Frame.hops + 1;
-      if data.Frame.hops > t.config.data_ttl then begin
+      if data.Frame.hops > data_ttl then begin
         t.ctx.Routing_intf.drop_data data ~reason:"ttl exceeded";
         true
       end
@@ -209,7 +192,7 @@ let handle_rreq t ~from rreq =
           rp_dst = me;
           rp_dst_seqno = t.self_seqno;
           rp_hops = 0;
-          rp_lifetime = t.config.route_lifetime;
+          rp_lifetime = route_lifetime;
         }
     end
     else begin
@@ -251,7 +234,7 @@ let handle_rreq t ~from rreq =
               }
             in
             let delay =
-              Des.Rng.float t.ctx.Routing_intf.rng t.config.relay_jitter
+              Des.Rng.float t.ctx.Routing_intf.rng relay_jitter
             in
             ignore
               (Des.Engine.schedule ~span:span_timer t.ctx.Routing_intf.engine ~delay
@@ -304,7 +287,7 @@ let handle_rerr t ~from rerr =
 let handle_data t ~from data ~size =
   let me = t.ctx.Routing_intf.id in
   if data.Frame.final_dst = me then t.ctx.Routing_intf.deliver data
-  else if forward_data t data ~size:(size - t.config.ip_overhead) then ()
+  else if forward_data t data ~size:(size - ip_overhead) then ()
   else begin
     let seqno =
       match Hashtbl.find_opt t.routes data.Frame.final_dst with
@@ -339,7 +322,7 @@ let unicast_failed t ~frame ~dst:next_hop =
     t.routes;
   (match frame.Frame.payload with
   | Frame.Data data ->
-      let size = frame.Frame.size - t.config.ip_overhead in
+      let size = frame.Frame.size - ip_overhead in
       let dst = data.Frame.final_dst in
       (* local repair: buffer and re-discover from here *)
       lost := List.filter (fun (d, _) -> d <> dst) !lost;
@@ -382,7 +365,7 @@ let create_full ?(config = default_config) ctx =
         routes = Hashtbl.create 32;
         seen = Seen_cache.create ctx.Routing_intf.engine ~ttl:30.0;
         discovery =
-          Discovery.create ctx.Routing_intf.engine ~ttls:config.ttls
+          Discovery.create ctx.Routing_intf.engine ~ttls
             ~capacity:Discovery.capacity ~hold:Discovery.hold
             ~send:(fun ~dst ~ttl ~attempt:_ ->
               originate_rreq (Lazy.force t) ~dst ~ttl)

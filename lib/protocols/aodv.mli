@@ -10,16 +10,7 @@
     AODV's sequence number is its only loop-freedom mechanism, which is why
     Fig. 7 shows it growing far faster than LDR's or SRP's. *)
 
-type config = {
-  ttls : int list;
-  route_lifetime : float;
-  relay_jitter : float;
-  data_ttl : int;
-  rreq_size : int;
-  rrep_size : int;
-  rerr_size : int;
-  ip_overhead : int;
-}
+type config = { rreq_size : int; rrep_size : int }
 
 val default_config : config
 

@@ -1,29 +1,12 @@
+open Ondemand
+
 let span_timer = Obs.span "proto.ldr.timer"
 
 module Frame = Wireless.Frame
 
-type config = {
-  ttls : int list;
-  route_lifetime : float;
-  relay_jitter : float;
-  data_ttl : int;
-  rreq_size : int;
-  rrep_size : int;
-  rerr_size : int;
-  ip_overhead : int;
-}
+type config = { rreq_size : int; rrep_size : int }
 
-let default_config =
-  {
-    ttls = [ 1; 3; 7; 16 ];
-    route_lifetime = 10.0;
-    relay_jitter = 0.01;
-    data_ttl = 64;
-    rreq_size = 48;
-    rrep_size = 44;
-    rerr_size = 32;
-    ip_overhead = 20;
-  }
+let default_config = { rreq_size = 48; rrep_size = 44 }
 
 type label = { sn : int; fd : int }
 
@@ -115,7 +98,7 @@ let valid_route t dst =
   | Some _ | None -> None
 
 let refresh t r =
-  r.expiry <- Stdlib.max r.expiry (now t +. t.config.route_lifetime)
+  r.expiry <- Stdlib.max r.expiry (now t +. route_lifetime)
 
 let control_frame t ~dst ~size ~payload =
   let kind =
@@ -130,7 +113,7 @@ let control_frame t ~dst ~size ~payload =
 let send_rerr t ~dsts ~to_ =
   if dsts <> [] then
     t.ctx.Routing_intf.mac_send
-      (control_frame t ~dst:to_ ~size:t.config.rerr_size
+      (control_frame t ~dst:to_ ~size:rerr_size
          ~payload:(Rerr { re_unreachable = dsts }))
 
 let forward_data t data ~size =
@@ -138,7 +121,7 @@ let forward_data t data ~size =
   | None -> false
   | Some r ->
       data.Frame.hops <- data.Frame.hops + 1;
-      if data.Frame.hops > t.config.data_ttl then begin
+      if data.Frame.hops > data_ttl then begin
         t.ctx.Routing_intf.drop_data data ~reason:"ttl exceeded";
         true
       end
@@ -149,7 +132,7 @@ let forward_data t data ~size =
         t.ctx.Routing_intf.mac_send
           (Frame.make ~src:t.ctx.Routing_intf.id
              ~dst:(Frame.Unicast r.next_hop)
-             ~size:(size + t.config.ip_overhead)
+             ~size:(size + ip_overhead)
              ~payload:(Frame.Data data));
         true
       end
@@ -223,7 +206,7 @@ let handle_rreq t ~from rreq =
           rp_dst = me;
           rp_label = { sn = t.self_seqno; fd = 0 };
           rp_dist = 0;
-          rp_lifetime = t.config.route_lifetime;
+          rp_lifetime = route_lifetime;
         }
     end
     else begin
@@ -273,7 +256,7 @@ let handle_rreq t ~from rreq =
           }
         in
         let delay =
-          Des.Rng.float t.ctx.Routing_intf.rng t.config.relay_jitter
+          Des.Rng.float t.ctx.Routing_intf.rng relay_jitter
         in
         ignore
           (Des.Engine.schedule ~span:span_timer t.ctx.Routing_intf.engine ~delay
@@ -342,7 +325,7 @@ let handle_rerr t ~from rerr =
 let handle_data t ~from data ~size =
   let me = t.ctx.Routing_intf.id in
   if data.Frame.final_dst = me then t.ctx.Routing_intf.deliver data
-  else if forward_data t data ~size:(size - t.config.ip_overhead) then ()
+  else if forward_data t data ~size:(size - ip_overhead) then ()
   else begin
     send_rerr t ~dsts:[ data.Frame.final_dst ] ~to_:(Frame.Unicast from);
     t.ctx.Routing_intf.drop_data data ~reason:"no route at relay"
@@ -365,7 +348,7 @@ let unicast_failed t ~frame ~dst:next_hop =
     t.routes;
   (match frame.Frame.payload with
   | Frame.Data data ->
-      let size = frame.Frame.size - t.config.ip_overhead in
+      let size = frame.Frame.size - ip_overhead in
       let dst = data.Frame.final_dst in
       lost := List.filter (fun d -> d <> dst) !lost;
       Discovery.park t.discovery ~dst data ~size
@@ -408,12 +391,12 @@ let create_full ?(config = default_config) ctx =
         engagements = Hashtbl.create 64;
         seen = Seen_cache.create ctx.Routing_intf.engine ~ttl:30.0;
         discovery =
-          Discovery.create ctx.Routing_intf.engine ~ttls:config.ttls
+          Discovery.create ctx.Routing_intf.engine ~ttls
             ~capacity:Discovery.capacity ~hold:Discovery.hold
             ~send:(fun ~dst ~ttl ~attempt ->
               (* the final attempt demands a destination reset: the case
                  where feasible distances cannot be put in order *)
-              let reset = attempt >= List.length config.ttls - 1 in
+              let reset = attempt >= List.length ttls - 1 in
               originate_rreq (Lazy.force t) ~dst ~ttl ~reset)
             ~give_up:(fun ~dst:_ -> ())
             ~forward:(fun data ~size -> forward_data (Lazy.force t) data ~size)

@@ -12,16 +12,7 @@
     distance {e sub-divisible}). Sequence numbers therefore grow slower
     than AODV's but are not identically zero like SRP's (Fig. 7). *)
 
-type config = {
-  ttls : int list;
-  route_lifetime : float;
-  relay_jitter : float;
-  data_ttl : int;
-  rreq_size : int;
-  rrep_size : int;
-  rerr_size : int;
-  ip_overhead : int;
-}
+type config = { rreq_size : int; rrep_size : int }
 
 val default_config : config
 

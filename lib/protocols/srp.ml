@@ -1,3 +1,5 @@
+open Ondemand
+
 let span_timer = Obs.span "proto.srp.timer"
 
 module Ordering = Slr.Ordering
@@ -8,44 +10,32 @@ module New_order = Slr.New_order
 module Frame = Wireless.Frame
 
 type config = {
-  ttls : int list;
-  route_lifetime : float;
   delete_period : float;
   max_denom : int;
   min_reply_hops : int;
   lie_k : int;
   labels : Label_set.id;
   probe_on_n : bool;
-  relay_jitter : float;
-  data_ttl : int;
   rack_timeout : float;
   rack_retries : int;
   rreq_size : int;
   rrep_size : int;
-  rerr_size : int;
   rack_size : int;
-  ip_overhead : int;
 }
 
 let default_config =
   {
-    ttls = [ 1; 3; 7; 16 ];
-    route_lifetime = 10.0;
     delete_period = 60.0;
     max_denom = 1_000_000_000;
     min_reply_hops = 0;
     lie_k = 10_000;
     labels = Label_set.default;
     probe_on_n = false;
-    relay_jitter = 0.01;
-    data_ttl = 64;
     rack_timeout = 0.1;
     rack_retries = 2;
     rreq_size = 52;
     rrep_size = 44;
-    rerr_size = 32;
     rack_size = 26;
-    ip_overhead = 20;
   }
 
 type rreq = {
@@ -230,7 +220,7 @@ let control_frame t ~dst ~size ~payload =
 let send_rerr t ~dsts ~to_ =
   if dsts <> [] then
     t.ctx.Routing_intf.mac_send
-      (control_frame t ~dst:to_ ~size:t.config.rerr_size
+      (control_frame t ~dst:to_ ~size:rerr_size
          ~payload:(Rerr { re_unreachable = dsts }))
 
 (* Remove [neighbor] as successor everywhere (the link is gone); returns
@@ -267,7 +257,7 @@ let report_lost_routes t lost =
 
 let data_frame t ~next_hop data ~size =
   Frame.make ~src:t.ctx.Routing_intf.id ~dst:(Frame.Unicast next_hop)
-    ~size:(size + t.config.ip_overhead)
+    ~size:(size + ip_overhead)
     ~payload:(Frame.Data data)
 
 let forward_data t data ~size =
@@ -276,7 +266,7 @@ let forward_data t data ~size =
   | None -> false
   | Some next_hop ->
       data.Frame.hops <- data.Frame.hops + 1;
-      if data.Frame.hops > t.config.data_ttl then begin
+      if data.Frame.hops > data_ttl then begin
         t.ctx.Routing_intf.drop_data data ~reason:"ttl exceeded";
         true
       end
@@ -287,7 +277,7 @@ let forward_data t data ~size =
             (match Hashtbl.find_opt r.succs next_hop with
             | Some s ->
                 s.s_expiry <-
-                  Stdlib.max s.s_expiry (now t +. t.config.route_lifetime)
+                  Stdlib.max s.s_expiry (now t +. route_lifetime)
             | None -> ())
         | None -> ());
         Trace.pkt_forward t.ctx.Routing_intf.trace ~node:t.ctx.Routing_intf.id
@@ -365,7 +355,7 @@ let send_probe t ~dst =
           rq_d = true;
           rq_n = false;
           rq_hops = 0;
-          rq_ttl = t.config.data_ttl;
+          rq_ttl = data_ttl;
           rq_adv = rreq_advertisement t ~src:t.ctx.Routing_intf.id;
         }
       in
@@ -512,7 +502,7 @@ let destination_reply t rreq ~last_hop =
       rp_dst = t.ctx.Routing_intf.id;
       rp_order = Ordering.destination_of t.labels ~sn:t.self_seqno;
       rp_dist = 0;
-      rp_lifetime = t.config.route_lifetime;
+      rp_lifetime = route_lifetime;
       rp_n = not (has_active_route t ~dst:rreq.rq_src);
     }
   in
@@ -526,7 +516,7 @@ let intermediate_reply t rreq ~last_hop =
       rp_dst = rreq.rq_dst;
       rp_order = own_ordering t rreq.rq_dst;
       rp_dist = route_dist t rreq.rq_dst;
-      rp_lifetime = t.config.route_lifetime;
+      rp_lifetime = route_lifetime;
       rp_n = not (has_active_route t ~dst:rreq.rq_src);
     }
   in
@@ -586,7 +576,7 @@ let handle_rreq t ~from rreq =
         ignore
           (set_route t ~dst:rreq.rq_src ~via:from ~adv_order:adv.ra_order
              ~adv_dist:adv.ra_dist ~cached:t.infinite
-             ~lifetime:t.config.route_lifetime)
+             ~lifetime:route_lifetime)
     | Some _ | None -> ());
     if rreq.rq_dst = me then destination_reply t rreq ~last_hop:from
     else if rreq.rq_d then begin
@@ -625,7 +615,7 @@ let handle_rreq t ~from rreq =
           rq_adv = adv;
         }
       in
-      broadcast_rreq t relayed ~jitter:t.config.relay_jitter
+      broadcast_rreq t relayed ~jitter:relay_jitter
     end
   end
 
@@ -746,7 +736,7 @@ let handle_rerr t ~from rerr =
 let handle_data t ~from data ~size =
   let me = t.ctx.Routing_intf.id in
   if data.Frame.final_dst = me then t.ctx.Routing_intf.deliver data
-  else if forward_data t data ~size:(size - t.config.ip_overhead) then ()
+  else if forward_data t data ~size:(size - ip_overhead) then ()
   else begin
     (* no successor: route error back to the previous hop, drop the data *)
     send_rerr t ~dsts:[ data.Frame.final_dst ] ~to_:(Frame.Unicast from);
@@ -764,7 +754,7 @@ let unicast_failed t ~frame ~dst:next_hop =
   report_lost_routes t lost;
   match frame.Frame.payload with
   | Frame.Data data ->
-      let size = frame.Frame.size - t.config.ip_overhead in
+      let size = frame.Frame.size - ip_overhead in
       if not (forward_data t data ~size) then
         (* packet cache: hold the packet and look for a new path *)
         Discovery.park t.discovery ~dst:data.Frame.final_dst data ~size
@@ -822,7 +812,7 @@ let create_full ?(config = default_config) ctx =
         seen =
           Seen_cache.create ctx.Routing_intf.engine ~ttl:config.delete_period;
         discovery =
-          Discovery.create ctx.Routing_intf.engine ~ttls:config.ttls
+          Discovery.create ctx.Routing_intf.engine ~ttls
             ~capacity:Discovery.capacity ~hold:Discovery.hold
             ~send:(fun ~dst ~ttl ~attempt:_ ->
               (* the source never demands a reset: the T bit is set only by

@@ -23,8 +23,6 @@
     from the min-hop set. *)
 
 type config = {
-  ttls : int list;  (** expanding-ring TTL schedule *)
-  route_lifetime : float;  (** successor entry lifetime, s *)
   delete_period : float;  (** DELETE_PERIOD: label retention, s *)
   max_denom : int;  (** MAX_DENOM reset threshold (paper: 1e9) *)
   min_reply_hops : int;  (** RREQs travel this far before SDC replies *)
@@ -39,15 +37,11 @@ type config = {
       (** send the D-bit probe (with an own-seqno bump) when a reply carries
           the N bit. Needed only by bidirectional workloads; off by default
           to match the paper's unidirectional CBR evaluation. *)
-  relay_jitter : float;  (** max broadcast-relay jitter, s *)
-  data_ttl : int;  (** hop guard on data packets *)
   rack_timeout : float;  (** initial RACK wait before an RREP resend, s *)
   rack_retries : int;  (** RREP retransmissions before giving up *)
   rreq_size : int;
   rrep_size : int;
-  rerr_size : int;
   rack_size : int;
-  ip_overhead : int;  (** bytes added to data payloads *)
 }
 
 val default_config : config
