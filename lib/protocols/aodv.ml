@@ -40,38 +40,29 @@ type route = {
   precursors : (int, unit) Hashtbl.t;
 }
 
-type t = {
-  ctx : Routing_intf.ctx;
-  config : config;
-  routes : (int, route) Hashtbl.t;
-  seen : Seen_cache.t;
-  discovery : Discovery.t;
-  mutable self_seqno : int;
-  mutable next_rreq_id : int;
-  mutable on_change : int -> unit;  (** fires with the destination id *)
-}
+type t = (route, config) Ondemand.t
 
-let now t = Des.Engine.now t.ctx.Routing_intf.engine
+let usable time r = r.valid && r.expiry > time
 
-let route_for t dst =
-  match Hashtbl.find_opt t.routes dst with
-  | Some r -> r
-  | None ->
-      let r =
-        {
-          seqno = 0;
-          seqno_known = false;
-          hops = 0;
-          next_hop = -1;
-          expiry = 0.0;
-          valid = false;
-          precursors = Hashtbl.create 4;
-        }
-      in
-      Hashtbl.replace t.routes dst r;
-      r
+module O = Make (struct
+  type nonrec route = route
+  type ext = config
 
-let route_valid t r = r.valid && r.expiry > now t
+  let fresh _ =
+    {
+      seqno = 0;
+      seqno_known = false;
+      hops = 0;
+      next_hop = -1;
+      expiry = 0.0;
+      valid = false;
+      precursors = Hashtbl.create 4;
+    }
+
+  let usable = usable
+end)
+
+let route_valid t r = usable (now t) r
 
 let valid_route t dst =
   match Hashtbl.find_opt t.routes dst with
@@ -83,7 +74,7 @@ let refresh t r = r.expiry <- Stdlib.max r.expiry (now t +. route_lifetime)
 (* Standard AODV update rule: accept fresher seqno, or same seqno with
    fewer hops, or anything when the current entry is invalid. *)
 let update_route t ~dst ~seqno ~hops ~next_hop =
-  let r = route_for t dst in
+  let r = O.route_for t dst in
   let better =
     (not (route_valid t r))
     || (not r.seqno_known)
@@ -97,7 +88,7 @@ let update_route t ~dst ~seqno ~hops ~next_hop =
     r.next_hop <- next_hop;
     r.valid <- true;
     refresh t r;
-    t.on_change dst
+    t.listener dst
   end;
   better
 
@@ -162,12 +153,12 @@ let originate_rreq t ~dst ~ttl =
     }
   in
   t.ctx.Routing_intf.mac_send
-    (control_frame t ~dst:Frame.Broadcast ~size:t.config.rreq_size
+    (control_frame t ~dst:Frame.Broadcast ~size:t.ext.rreq_size
        ~payload:(Rreq rreq))
 
 let send_rrep t ~to_ rrep =
   t.ctx.Routing_intf.mac_send
-    (control_frame t ~dst:(Frame.Unicast to_) ~size:t.config.rrep_size
+    (control_frame t ~dst:(Frame.Unicast to_) ~size:t.ext.rrep_size
        ~payload:(Rrep rrep))
 
 let handle_rreq t ~from rreq =
@@ -241,7 +232,7 @@ let handle_rreq t ~from rreq =
                  (fun () ->
                    t.ctx.Routing_intf.mac_send
                      (control_frame t ~dst:Frame.Broadcast
-                        ~size:t.config.rreq_size ~payload:(Rreq relayed))))
+                        ~size:t.ext.rreq_size ~payload:(Rreq relayed))))
           end
     end
   end
@@ -277,7 +268,7 @@ let handle_rerr t ~from rerr =
       | Some r when r.valid && r.next_hop = from ->
           r.valid <- false;
           r.seqno <- Stdlib.max r.seqno seqno;
-          t.on_change dst;
+          t.listener dst;
           if Hashtbl.length r.precursors > 0 then
             propagate := (dst, r.seqno) :: !propagate
       | Some _ | None -> ())
@@ -315,7 +306,7 @@ let unicast_failed t ~frame ~dst:next_hop =
       if r.valid && r.next_hop = next_hop then begin
         r.valid <- false;
         r.seqno <- r.seqno + 1;
-        t.on_change dst;
+        t.listener dst;
         if Hashtbl.length r.precursors > 0 then
           lost := (dst, r.seqno) :: !lost
       end)
@@ -339,19 +330,10 @@ let receive t ~src frame =
   | _ -> ()
 
 let gauges t =
-  let time = now t in
-  let route_entries =
-    Hashtbl.fold
-      (fun _ r acc -> if r.valid && r.expiry > time then acc + 1 else acc)
-      t.routes 0
-  in
   {
-    Routing_intf.own_seqno = t.self_seqno;
-    max_denominator = 0;
-    seqno_resets = 0;
-    label_width_bits = 0;
-    label_resets = 0;
-    route_entries;
+    Routing_intf.no_gauges with
+    own_seqno = t.self_seqno;
+    route_entries = O.route_entries t;
     pending_packets = Discovery.parked t.discovery;
   }
 
@@ -359,29 +341,17 @@ let create_full ?(config = default_config) ctx =
   (* lazy ties the knot: the request callbacks need the agent holding them *)
   let rec t =
     lazy
-      {
-        ctx;
-        config;
-        routes = Hashtbl.create 32;
-        seen = Seen_cache.create ctx.Routing_intf.engine ~ttl:30.0;
-        discovery =
-          Discovery.create ctx.Routing_intf.engine ~ttls
-            ~capacity:Discovery.capacity ~hold:Discovery.hold
-            ~send:(fun ~dst ~ttl ~attempt:_ ->
-              originate_rreq (Lazy.force t) ~dst ~ttl)
-            ~give_up:(fun ~dst ->
-              (* repair failed: notify precursors *)
-              let t = Lazy.force t in
-              match Hashtbl.find_opt t.routes dst with
-              | Some r when Hashtbl.length r.precursors > 0 ->
-                  send_rerr t ~entries:[ (dst, r.seqno) ] ~to_:Frame.Broadcast
-              | Some _ | None -> ())
-            ~forward:(fun data ~size -> forward_data (Lazy.force t) data ~size)
-            ~drop:ctx.Routing_intf.drop_data;
-        self_seqno = 0;
-        next_rreq_id = 0;
-        on_change = ignore;
-      }
+      (create ctx ~ext:config ~self_seqno:0 ~seen_ttl:30.0
+         ~send:(fun ~dst ~ttl ~attempt:_ ->
+           originate_rreq (Lazy.force t) ~dst ~ttl)
+         ~give_up:(fun ~dst ->
+           (* repair failed: notify precursors *)
+           let t = Lazy.force t in
+           match Hashtbl.find_opt t.routes dst with
+           | Some r when Hashtbl.length r.precursors > 0 ->
+               send_rerr t ~entries:[ (dst, r.seqno) ] ~to_:Frame.Broadcast
+           | Some _ | None -> ())
+         ~forward:(fun data ~size -> forward_data (Lazy.force t) data ~size))
   in
   let t = Lazy.force t in
   ( t,
@@ -405,4 +375,4 @@ let route_seqno t ~dst =
   | Some r when r.seqno_known -> Some r.seqno
   | Some _ | None -> None
 
-let on_route_change t f = t.on_change <- f
+let on_route_change t f = t.listener <- f

@@ -59,38 +59,34 @@ type engagement = {
   mutable e_replied : bool;
 }
 
-type t = {
-  ctx : Routing_intf.ctx;
+type ext = {
   config : config;
-  routes : (int, route) Hashtbl.t;
   engagements : (int * int, engagement) Hashtbl.t;
-  seen : Seen_cache.t;
-  discovery : Discovery.t;
-  mutable self_seqno : int;
-  mutable next_rreq_id : int;
   mutable resets : int;
 }
 
-let now t = Des.Engine.now t.ctx.Routing_intf.engine
+type t = (route, ext) Ondemand.t
 
-let route_for t dst =
-  match Hashtbl.find_opt t.routes dst with
-  | Some r -> r
-  | None ->
-      let r =
-        {
-          label = None;
-          next_hop = -1;
-          dist = 0;
-          expiry = 0.0;
-          valid = false;
-          precursors = Hashtbl.create 4;
-        }
-      in
-      Hashtbl.replace t.routes dst r;
-      r
+let usable time r = r.valid && r.expiry > time
 
-let route_valid t r = r.valid && r.expiry > now t
+module O = Make (struct
+  type nonrec route = route
+  type nonrec ext = ext
+
+  let fresh _ =
+    {
+      label = None;
+      next_hop = -1;
+      dist = 0;
+      expiry = 0.0;
+      valid = false;
+      precursors = Hashtbl.create 4;
+    }
+
+  let usable = usable
+end)
+
+let route_valid t r = usable (now t) r
 
 let valid_route t dst =
   match Hashtbl.find_opt t.routes dst with
@@ -139,7 +135,7 @@ let forward_data t data ~size =
 
 let originate_rreq t ~dst ~ttl ~reset =
   t.next_rreq_id <- t.next_rreq_id + 1;
-  let r = route_for t dst in
+  let r = O.route_for t dst in
   let rreq =
     {
       rq_src = t.ctx.Routing_intf.id;
@@ -152,19 +148,19 @@ let originate_rreq t ~dst ~ttl ~reset =
     }
   in
   t.ctx.Routing_intf.mac_send
-    (control_frame t ~dst:Frame.Broadcast ~size:t.config.rreq_size
+    (control_frame t ~dst:Frame.Broadcast ~size:t.ext.config.rreq_size
        ~payload:(Rreq rreq))
 
 let send_rrep t ~to_ rrep =
   t.ctx.Routing_intf.mac_send
-    (control_frame t ~dst:(Frame.Unicast to_) ~size:t.config.rrep_size
+    (control_frame t ~dst:(Frame.Unicast to_) ~size:t.ext.config.rrep_size
        ~payload:(Rrep rrep))
 
 (* Adopt an advertised route if the label is feasible; the own feasible
    distance resets to the measured distance on a fresher sequence number
    and is otherwise non-increasing (DUAL). *)
 let set_route t ~dst ~via ~adv ~dist ~lifetime =
-  let r = route_for t dst in
+  let r = O.route_for t dst in
   if not (feasible ~own:r.label ~adv) then false
   else begin
     let new_dist = dist + 1 in
@@ -187,7 +183,7 @@ let handle_rreq t ~from rreq =
   else if not (Seen_cache.witness t.seen ~origin:rreq.rq_src ~id:rreq.rq_id)
   then ()
   else begin
-    Hashtbl.replace t.engagements
+    Hashtbl.replace t.ext.engagements
       (rreq.rq_src, rreq.rq_id)
       { e_label = rreq.rq_label; e_last_hop = from; e_replied = false };
     if rreq.rq_dst = me then begin
@@ -197,7 +193,7 @@ let handle_rreq t ~from rreq =
       | Some _ | None -> ());
       if rreq.rq_reset then begin
         t.self_seqno <- t.self_seqno + 1;
-        t.resets <- t.resets + 1
+        t.ext.resets <- t.ext.resets + 1
       end;
       send_rrep t ~to_:from
         {
@@ -239,7 +235,7 @@ let handle_rreq t ~from rreq =
       end
       else if rreq.rq_ttl > 1 then begin
         (* strengthen the solicitation with our own label (path minimum) *)
-        let own = (route_for t rreq.rq_dst).label in
+        let own = (O.route_for t rreq.rq_dst).label in
         let relayed_label =
           match (rreq.rq_label, own) with
           | None, None -> None
@@ -263,7 +259,7 @@ let handle_rreq t ~from rreq =
              (fun () ->
                t.ctx.Routing_intf.mac_send
                  (control_frame t ~dst:Frame.Broadcast
-                    ~size:t.config.rreq_size ~payload:(Rreq relayed))))
+                    ~size:t.ext.config.rreq_size ~payload:(Rreq relayed))))
       end
     end
   end
@@ -277,7 +273,7 @@ let handle_rrep t ~from rrep =
     then Discovery.succeed t.discovery ~dst:rrep.rp_dst
   end
   else begin
-    match Hashtbl.find_opt t.engagements (rrep.rp_src, rrep.rp_id) with
+    match Hashtbl.find_opt t.ext.engagements (rrep.rp_src, rrep.rp_id) with
     | None -> ()
     | Some e when e.e_replied -> ()
     | Some e ->
@@ -286,7 +282,7 @@ let handle_rrep t ~from rrep =
             ~dist:rrep.rp_dist ~lifetime:rrep.rp_lifetime
         then begin
           e.e_replied <- true;
-          let r = route_for t rrep.rp_dst in
+          let r = O.route_for t rrep.rp_dst in
           Hashtbl.replace r.precursors e.e_last_hop ();
           let mine = Option.get r.label in
           send_rrep t ~to_:e.e_last_hop
@@ -364,47 +360,27 @@ let receive t ~src frame =
   | _ -> ()
 
 let gauges t =
-  let time = now t in
-  let route_entries =
-    Hashtbl.fold
-      (fun _ r acc -> if r.valid && r.expiry > time then acc + 1 else acc)
-      t.routes 0
-  in
   {
-    Routing_intf.own_seqno = t.self_seqno;
-    max_denominator = 0;
-    seqno_resets = t.resets;
-    label_width_bits = 0;
-    label_resets = 0;
-    route_entries;
+    Routing_intf.no_gauges with
+    own_seqno = t.self_seqno;
+    seqno_resets = t.ext.resets;
+    route_entries = O.route_entries t;
     pending_packets = Discovery.parked t.discovery;
   }
 
 let create_full ?(config = default_config) ctx =
+  let ext = { config; engagements = Hashtbl.create 64; resets = 0 } in
   (* lazy ties the knot: the request callbacks need the agent holding them *)
   let rec t =
     lazy
-      {
-        ctx;
-        config;
-        routes = Hashtbl.create 32;
-        engagements = Hashtbl.create 64;
-        seen = Seen_cache.create ctx.Routing_intf.engine ~ttl:30.0;
-        discovery =
-          Discovery.create ctx.Routing_intf.engine ~ttls
-            ~capacity:Discovery.capacity ~hold:Discovery.hold
-            ~send:(fun ~dst ~ttl ~attempt ->
-              (* the final attempt demands a destination reset: the case
-                 where feasible distances cannot be put in order *)
-              let reset = attempt >= List.length ttls - 1 in
-              originate_rreq (Lazy.force t) ~dst ~ttl ~reset)
-            ~give_up:(fun ~dst:_ -> ())
-            ~forward:(fun data ~size -> forward_data (Lazy.force t) data ~size)
-            ~drop:ctx.Routing_intf.drop_data;
-        self_seqno = 0;
-        next_rreq_id = 0;
-        resets = 0;
-      }
+      (create ctx ~ext ~self_seqno:0 ~seen_ttl:30.0
+         ~send:(fun ~dst ~ttl ~attempt ->
+           (* the final attempt demands a destination reset: the case
+              where feasible distances cannot be put in order *)
+           let reset = attempt >= List.length ttls - 1 in
+           originate_rreq (Lazy.force t) ~dst ~ttl ~reset)
+         ~give_up:(fun ~dst:_ -> ())
+         ~forward:(fun data ~size -> forward_data (Lazy.force t) data ~size))
   in
   let t = Lazy.force t in
   ( t,

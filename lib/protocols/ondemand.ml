@@ -4,3 +4,56 @@ let relay_jitter = 0.01
 let data_ttl = 64
 let rerr_size = 32
 let ip_overhead = 20
+
+type ('route, 'ext) t = {
+  ctx : Routing_intf.ctx;
+  routes : (int, 'route) Hashtbl.t;
+  seen : Seen_cache.t;
+  discovery : Discovery.t;
+  mutable self_seqno : int;
+  mutable next_rreq_id : int;
+  mutable listener : int -> unit;
+  ext : 'ext;
+}
+
+let now t = Des.Engine.now t.ctx.Routing_intf.engine
+
+let create ctx ~ext ~self_seqno ~seen_ttl ~send ~give_up ~forward =
+  let engine = ctx.Routing_intf.engine in
+  {
+    ctx;
+    routes = Hashtbl.create 32;
+    seen = Seen_cache.create engine ~ttl:seen_ttl;
+    discovery =
+      Discovery.create engine ~ttls ~capacity:Discovery.capacity
+        ~hold:Discovery.hold ~send ~give_up ~forward
+        ~drop:ctx.Routing_intf.drop_data;
+    self_seqno;
+    next_rreq_id = 0;
+    listener = ignore;
+    ext;
+  }
+
+module type DISCIPLINE = sig
+  type route
+  type ext
+
+  val fresh : (route, ext) t -> route
+  val usable : float -> route -> bool
+end
+
+module Make (D : DISCIPLINE) = struct
+  let route_for t dst =
+    match Hashtbl.find_opt t.routes dst with
+    | Some r -> r
+    | None ->
+        let r = D.fresh t in
+        Hashtbl.replace t.routes dst r;
+        r
+
+  let route_entries t =
+    let time = now t in
+    Hashtbl.fold
+      (fun _ r acc -> if D.usable time r then acc + 1 else acc)
+      t.routes 0
+end

@@ -21,3 +21,66 @@ val rerr_size : int
 
 (** Bytes added to a data payload on every hop (20). *)
 val ip_overhead : int
+
+(** {2 Agent state} *)
+
+(** What every on-demand agent holds: its node's capabilities, its route
+    table keyed by destination (['route] is the discipline's record,
+    precursors included), its duplicate-request cache and its route
+    requests, its own sequence number and request counter, and the
+    route-change listener. ['ext] is the rest of the agent's state. *)
+type ('route, 'ext) t = {
+  ctx : Routing_intf.ctx;
+  routes : (int, 'route) Hashtbl.t;
+  seen : Seen_cache.t;
+  discovery : Discovery.t;
+  mutable self_seqno : int;
+  mutable next_rreq_id : int;
+  mutable listener : int -> unit;
+      (** fired with the destination after a route-table mutation (the
+          online loop monitor's hook; [ignore] until one is set) *)
+  ext : 'ext;
+}
+
+val now : ('route, 'ext) t -> float
+
+(** [create ctx ~ext ~self_seqno ~seen_ttl ~send ~give_up ~forward] is an
+    agent with empty tables, a duplicate cache that forgets after
+    [seen_ttl] seconds, and a {!Discovery.t} on {!ttls} whose callbacks
+    are [send], [give_up] and [forward] and whose drops go to the node's
+    [drop_data]. The agent's [create_full] calls it inside a lazy value
+    that the callbacks force: they need the agent that holds them. *)
+val create :
+  Routing_intf.ctx ->
+  ext:'ext ->
+  self_seqno:int ->
+  seen_ttl:float ->
+  send:(dst:int -> ttl:int -> attempt:int -> unit) ->
+  give_up:(dst:int -> unit) ->
+  forward:(Wireless.Frame.data -> size:int -> bool) ->
+  ('route, 'ext) t
+
+(** {2 The discipline} *)
+
+(** What the shared plumbing needs to know of an agent's routes. *)
+module type DISCIPLINE = sig
+  type route
+  type ext
+
+  (** A destination's record before anything is known of it. *)
+  val fresh : (route, ext) t -> route
+
+  (** [usable time r]: does [r] hold a route that can carry data at
+      [time]? (counted by the [route_entries] gauge) *)
+  val usable : float -> route -> bool
+end
+
+module Make (D : DISCIPLINE) : sig
+  (** [route_for t dst] is [dst]'s record, created by [D.fresh] on first
+      use. *)
+  val route_for : (D.route, D.ext) t -> int -> D.route
+
+  (** Destinations with a usable route now. Read-only, so gauge sampling
+      cannot perturb the protocol. *)
+  val route_entries : (D.route, D.ext) t -> int
+end

@@ -96,63 +96,58 @@ type engagement = {
   mutable e_replied : bool;
 }
 
-type t = {
-  ctx : Routing_intf.ctx;
+type ext = {
   config : config;
   labels : (module Label.S);  (** resolved once from [config.labels] *)
   infinite : Ordering.t;  (** this instance's unassigned sentinel *)
-  routes : (int, route) Hashtbl.t;
   engagements : (int * int, engagement) Hashtbl.t;
-  seen : Seen_cache.t;
-  discovery : Discovery.t;
   (* RREPs awaiting a RACK, keyed by (rreq source, rreq id, next hop) *)
   racks : (int * int * int, Des.Engine.handle) Hashtbl.t;
-  mutable self_seqno : int;
-  mutable next_rreq_id : int;
   mutable max_denom_seen : int;
   mutable label_width_max : int;
   mutable label_resets : int;
   mutable resets : int;
   mutable rack_retx : int;
-  (* online-monitor hook: fired after every route-table mutation *)
-  mutable listener : int -> unit;
 }
 
-let now t = Des.Engine.now t.ctx.Routing_intf.engine
+type t = (route, ext) Ondemand.t
 
-let route_for t dst =
-  match Hashtbl.find_opt t.routes dst with
-  | Some r -> r
-  | None ->
-      let r =
-        {
-          own = t.infinite;
-          own_keep_until = 0.0;
-          succs = Hashtbl.create 4;
-          precursors = Hashtbl.create 4;
-        }
-      in
-      Hashtbl.replace t.routes dst r;
-      r
+module O = Make (struct
+  type nonrec route = route
+  type nonrec ext = ext
+
+  let fresh t =
+    {
+      own = t.ext.infinite;
+      own_keep_until = 0.0;
+      succs = Hashtbl.create 4;
+      precursors = Hashtbl.create 4;
+    }
+
+  (* non-mutating: counts live successor sets without the pruning sweeps,
+     so periodic sampling cannot perturb protocol behaviour *)
+  let usable time r =
+    Hashtbl.fold (fun _ s any -> any || s.s_expiry > time) r.succs false
+end)
 
 (* DELETE_PERIOD: once the retention horizon of an invalid route passes,
    the node may forget its label (Definition 3). *)
 let own_ordering t dst =
   if dst = t.ctx.Routing_intf.id then
-    Ordering.destination_of t.labels ~sn:t.self_seqno
+    Ordering.destination_of t.ext.labels ~sn:t.self_seqno
   else begin
     match Hashtbl.find_opt t.routes dst with
-    | None -> t.infinite
+    | None -> t.ext.infinite
     | Some r ->
         if
           Hashtbl.length r.succs = 0
           && now t > r.own_keep_until
           && not (Ordering.is_unassigned r.own)
-        then r.own <- t.infinite;
+        then r.own <- t.ext.infinite;
         r.own
   end
 
-let retain_label t r = r.own_keep_until <- now t +. t.config.delete_period
+let retain_label t r = r.own_keep_until <- now t +. t.ext.config.delete_period
 
 let prune_succs t r =
   let time = now t in
@@ -201,8 +196,8 @@ let succ_ordering_list t dst =
 (* §V heuristic: understate the solicitation ordering so only strictly
    better-ordered nodes reply. The perturbation is instance-specific. *)
 let lie_about t order =
-  let (module L : Label.S) = t.labels in
-  let label = L.understate ~k:t.config.lie_k order.Ordering.label in
+  let (module L : Label.S) = t.ext.labels in
+  let label = L.understate ~k:t.ext.config.lie_k order.Ordering.label in
   if label == order.Ordering.label then order
   else Ordering.v ~sn:order.Ordering.sn ~label
 
@@ -298,7 +293,7 @@ let fresh_rreq_id t =
 let rreq_advertisement t ~src =
   if src = t.ctx.Routing_intf.id then
     Some
-      { ra_order = Ordering.destination_of t.labels ~sn:t.self_seqno;
+      { ra_order = Ordering.destination_of t.ext.labels ~sn:t.self_seqno;
         ra_dist = 0 }
   else if has_active_route t ~dst:src then
     Some { ra_order = own_ordering t src; ra_dist = route_dist t src }
@@ -306,7 +301,7 @@ let rreq_advertisement t ~src =
 
 let broadcast_rreq t rreq ~jitter =
   let frame =
-    control_frame t ~dst:Frame.Broadcast ~size:t.config.rreq_size
+    control_frame t ~dst:Frame.Broadcast ~size:t.ext.config.rreq_size
       ~payload:(Rreq rreq)
   in
   if jitter <= 0.0 then t.ctx.Routing_intf.mac_send frame
@@ -320,7 +315,7 @@ let broadcast_rreq t rreq ~jitter =
 let originate_rreq t ~dst ~ttl ~rr =
   let own = own_ordering t dst in
   let unassigned = not (Ordering.is_finite own) in
-  let order = if unassigned then t.infinite else lie_about t own in
+  let order = if unassigned then t.ext.infinite else lie_about t own in
   let rreq =
     {
       rq_src = t.ctx.Routing_intf.id;
@@ -361,7 +356,7 @@ let send_probe t ~dst =
       in
       t.ctx.Routing_intf.mac_send
         (control_frame t ~dst:(Frame.Unicast next_hop)
-           ~size:t.config.rreq_size ~payload:(Rreq rreq))
+           ~size:t.ext.config.rreq_size ~payload:(Rreq rreq))
 
 (* ------------------------------------------------------------------ *)
 (* Procedure 3 (Set Route): adopt an advertisement if NEWORDER is finite *)
@@ -373,20 +368,21 @@ let set_route t ~dst ~via ~adv_order ~adv_dist ~cached ~lifetime =
   if not (New_order.feasible ~current ~adv:adv_order) then Rejected
   else begin
     let result =
-      New_order.compute_with ~labels:t.labels ~current ~cached ~adv:adv_order
+      New_order.compute_with ~labels:t.ext.labels ~current ~cached
+        ~adv:adv_order
     in
     if not (Ordering.is_finite result.New_order.order) then Rejected
     else begin
       let g = result.New_order.order in
-      let r = route_for t dst in
+      let r = O.route_for t dst in
       r.own <- g;
       retain_label t r;
       (match g.Ordering.label with
-      | Label.Frac f when f.Fraction.den > t.max_denom_seen ->
-          t.max_denom_seen <- f.Fraction.den
+      | Label.Frac f when f.Fraction.den > t.ext.max_denom_seen ->
+          t.ext.max_denom_seen <- f.Fraction.den
       | Label.Frac _ | Label.Big _ | Label.Lex _ -> ());
       let width = Label.width_bits g.Ordering.label in
-      if width > t.label_width_max then t.label_width_max <- width;
+      if width > t.ext.label_width_max then t.ext.label_width_max <- width;
       let trace = t.ctx.Routing_intf.trace in
       let me = t.ctx.Routing_intf.id in
       Trace.route_add trace ~node:me ~dst ~via ~dist:(adv_dist + 1);
@@ -428,14 +424,14 @@ let set_route t ~dst ~via ~adv_order ~adv_dist ~cached ~lifetime =
 (* Engagements must outlive any in-flight reply; anything older than
    DELETE_PERIOD is dead. Amortised: sweep when the table grows large. *)
 let sweep_engagements t =
-  if Hashtbl.length t.engagements > 4096 then begin
-    let horizon = now t -. t.config.delete_period in
+  if Hashtbl.length t.ext.engagements > 4096 then begin
+    let horizon = now t -. t.ext.config.delete_period in
     let dead =
       Hashtbl.fold
         (fun key e acc -> if e.e_time < horizon then key :: acc else acc)
-        t.engagements []
+        t.ext.engagements []
     in
-    List.iter (Hashtbl.remove t.engagements) dead
+    List.iter (Hashtbl.remove t.ext.engagements) dead
   end
 
 (* RACK: protocol-level acknowledged RREP delivery (paper §III). The MAC
@@ -446,34 +442,34 @@ let sweep_engagements t =
    binary exponential backoff, at most [rack_retries] times. *)
 let rec send_rrep_reliable t ~to_ ?(attempt = 0) rrep =
   t.ctx.Routing_intf.mac_send
-    (control_frame t ~dst:(Frame.Unicast to_) ~size:t.config.rrep_size
+    (control_frame t ~dst:(Frame.Unicast to_) ~size:t.ext.config.rrep_size
        ~payload:(Rrep rrep));
   let key = (rrep.rp_src, rrep.rp_id, to_) in
-  if attempt < t.config.rack_retries then begin
-    let delay = t.config.rack_timeout *. (2.0 ** float_of_int attempt) in
-    (match Hashtbl.find_opt t.racks key with
+  if attempt < t.ext.config.rack_retries then begin
+    let delay = t.ext.config.rack_timeout *. (2.0 ** float_of_int attempt) in
+    (match Hashtbl.find_opt t.ext.racks key with
     | Some old -> Des.Engine.cancel old
     | None -> ());
-    Hashtbl.replace t.racks key
+    Hashtbl.replace t.ext.racks key
       (Des.Engine.schedule ~span:span_timer t.ctx.Routing_intf.engine
          ~delay (fun () ->
-           Hashtbl.remove t.racks key;
-           t.rack_retx <- t.rack_retx + 1;
+           Hashtbl.remove t.ext.racks key;
+           t.ext.rack_retx <- t.ext.rack_retx + 1;
            send_rrep_reliable t ~to_ ~attempt:(attempt + 1) rrep))
   end
-  else Hashtbl.remove t.racks key
+  else Hashtbl.remove t.ext.racks key
 
 let send_rack t ~to_ rrep =
   t.ctx.Routing_intf.mac_send
-    (control_frame t ~dst:(Frame.Unicast to_) ~size:t.config.rack_size
+    (control_frame t ~dst:(Frame.Unicast to_) ~size:t.ext.config.rack_size
        ~payload:(Rack { k_src = rrep.rp_src; k_id = rrep.rp_id }))
 
 let handle_rack t ~from rack =
   let key = (rack.k_src, rack.k_id, from) in
-  match Hashtbl.find_opt t.racks key with
+  match Hashtbl.find_opt t.ext.racks key with
   | Some timer ->
       Des.Engine.cancel timer;
-      Hashtbl.remove t.racks key
+      Hashtbl.remove t.ext.racks key
   | None -> ()
 
 let destination_reply t rreq ~last_hop =
@@ -482,16 +478,16 @@ let destination_reply t rreq ~last_hop =
      ever performs). *)
   if rreq.rq_order.Ordering.sn > t.self_seqno then begin
     t.self_seqno <- rreq.rq_order.Ordering.sn;
-    t.resets <- t.resets + 1;
+    t.ext.resets <- t.ext.resets + 1;
     Trace.seqno_reset t.ctx.Routing_intf.trace ~node:t.ctx.Routing_intf.id
       ~seqno:t.self_seqno
   end;
   if rreq.rq_rr then begin
     t.self_seqno <- t.self_seqno + 1;
-    t.resets <- t.resets + 1;
+    t.ext.resets <- t.ext.resets + 1;
     (* the T bit / MAX_DENOM probe path: this reset was forced by label
        exhaustion, the cost the dense-set choice trades against width *)
-    t.label_resets <- t.label_resets + 1;
+    t.ext.label_resets <- t.ext.label_resets + 1;
     Trace.seqno_reset t.ctx.Routing_intf.trace ~node:t.ctx.Routing_intf.id
       ~seqno:t.self_seqno
   end;
@@ -500,7 +496,7 @@ let destination_reply t rreq ~last_hop =
       rp_src = rreq.rq_src;
       rp_id = rreq.rq_id;
       rp_dst = t.ctx.Routing_intf.id;
-      rp_order = Ordering.destination_of t.labels ~sn:t.self_seqno;
+      rp_order = Ordering.destination_of t.ext.labels ~sn:t.self_seqno;
       rp_dist = 0;
       rp_lifetime = route_lifetime;
       rp_n = not (has_active_route t ~dst:rreq.rq_src);
@@ -534,7 +530,7 @@ let sdc t rreq =
 let relay_order t rreq =
   let own = own_ordering t rreq.rq_dst in
   let own_unassigned = not (Ordering.is_finite own) in
-  if rreq.rq_u && own_unassigned then (t.infinite, true)
+  if rreq.rq_u && own_unassigned then (t.ext.infinite, true)
   else if own.Ordering.sn > rreq.rq_order.Ordering.sn then (own, false)
   else if own.Ordering.sn = rreq.rq_order.Ordering.sn then
     (Ordering.min own rreq.rq_order, false)
@@ -549,7 +545,7 @@ let relay_rr t rreq =
   else if
     (not (Ordering.precedes rreq.rq_order own))
     &&
-    let (module L : Label.S) = t.labels in
+    let (module L : Label.S) = t.ext.labels in
     L.would_overflow rreq.rq_order.Ordering.label own.Ordering.label
   then true
   else rreq.rq_rr
@@ -562,7 +558,7 @@ let handle_rreq t ~from rreq =
   else begin
     (* become engaged: cache the solicitation ordering and reverse hop *)
     sweep_engagements t;
-    Hashtbl.replace t.engagements
+    Hashtbl.replace t.ext.engagements
       (rreq.rq_src, rreq.rq_id)
       {
         e_cached = rreq.rq_order;
@@ -575,7 +571,7 @@ let handle_rreq t ~from rreq =
     | Some adv when not rreq.rq_n ->
         ignore
           (set_route t ~dst:rreq.rq_src ~via:from ~adv_order:adv.ra_order
-             ~adv_dist:adv.ra_dist ~cached:t.infinite
+             ~adv_dist:adv.ra_dist ~cached:t.ext.infinite
              ~lifetime:route_lifetime)
     | Some _ | None -> ());
     if rreq.rq_dst = me then destination_reply t rreq ~last_hop:from
@@ -594,10 +590,10 @@ let handle_rreq t ~from rreq =
           in
           t.ctx.Routing_intf.mac_send
             (control_frame t ~dst:(Frame.Unicast next_hop)
-               ~size:t.config.rreq_size ~payload:(Rreq relayed))
+               ~size:t.ext.config.rreq_size ~payload:(Rreq relayed))
       | Some _ | None -> ()
     end
-    else if rreq.rq_hops >= t.config.min_reply_hops && sdc t rreq then
+    else if rreq.rq_hops >= t.ext.config.min_reply_hops && sdc t rreq then
       intermediate_reply t rreq ~last_hop:from
     else if rreq.rq_ttl > 1 then begin
       let order, u = relay_order t rreq in
@@ -627,12 +623,12 @@ let handle_rrep t ~from rrep =
   let terminus = rrep.rp_src = me in
   let engagement =
     if terminus then None
-    else Hashtbl.find_opt t.engagements (rrep.rp_src, rrep.rp_id)
+    else Hashtbl.find_opt t.ext.engagements (rrep.rp_src, rrep.rp_id)
   in
   let cached =
     match engagement with
     | Some e -> e.e_cached
-    | None -> t.infinite
+    | None -> t.ext.infinite
   in
   let forward_ok =
     match engagement with Some e -> not e.e_replied | None -> terminus
@@ -650,17 +646,17 @@ let handle_rrep t ~from rrep =
           Discovery.succeed t.discovery ~dst:rrep.rp_dst;
           let own = own_ordering t rrep.rp_dst in
           let needs_reset =
-            let (module L : Label.S) = t.labels in
-            L.over_reset_threshold ~max_denom:t.config.max_denom
+            let (module L : Label.S) = t.ext.labels in
+            L.over_reset_threshold ~max_denom:t.ext.config.max_denom
               own.Ordering.label
           in
-          if rrep.rp_n && t.config.probe_on_n then begin
+          if rrep.rp_n && t.ext.config.probe_on_n then begin
             (* rebuild the reverse path: bump own seqno, probe forward.
                Off by default: the paper's CBR workload is unidirectional,
                so reverse paths are never exercised and SRP's sequence
                numbers stay identically zero (Fig. 7). *)
             t.self_seqno <- t.self_seqno + 1;
-            t.resets <- t.resets + 1;
+            t.ext.resets <- t.ext.resets + 1;
             Trace.seqno_reset t.ctx.Routing_intf.trace
               ~node:t.ctx.Routing_intf.id ~seqno:t.self_seqno;
             send_probe t ~dst:rrep.rp_dst
@@ -672,7 +668,7 @@ let handle_rrep t ~from rrep =
           | None -> ()
           | Some e ->
               e.e_replied <- true;
-              let r = route_for t rrep.rp_dst in
+              let r = O.route_for t rrep.rp_dst in
               Hashtbl.replace r.precursors e.e_last_hop ();
               let relayed =
                 {
@@ -693,7 +689,7 @@ let handle_rrep t ~from rrep =
           | None -> ()
           | Some e ->
               e.e_replied <- true;
-              let r = route_for t rrep.rp_dst in
+              let r = O.route_for t rrep.rp_dst in
               Hashtbl.replace r.precursors e.e_last_hop ();
               let relayed =
                 {
@@ -761,27 +757,13 @@ let unicast_failed t ~frame ~dst:next_hop =
   | _ -> ()
 
 let gauges t =
-  (* non-mutating: counts live successor sets without the pruning sweeps,
-     so periodic sampling cannot perturb protocol behaviour *)
-  let time = Des.Engine.now t.ctx.Routing_intf.engine in
-  let route_entries =
-    Hashtbl.fold
-      (fun _ r acc ->
-        let live =
-          Hashtbl.fold
-            (fun _ s any -> any || s.s_expiry > time)
-            r.succs false
-        in
-        if live then acc + 1 else acc)
-      t.routes 0
-  in
   {
     Routing_intf.own_seqno = t.self_seqno - 1;
-    max_denominator = t.max_denom_seen;
-    seqno_resets = t.resets;
-    label_width_bits = t.label_width_max;
-    label_resets = t.label_resets;
-    route_entries;
+    max_denominator = t.ext.max_denom_seen;
+    seqno_resets = t.ext.resets;
+    label_width_bits = t.ext.label_width_max;
+    label_resets = t.ext.label_resets;
+    route_entries = O.route_entries t;
     pending_packets = Discovery.parked t.discovery;
   }
 
@@ -797,48 +779,46 @@ let receive t ~src frame =
   | Rack rack -> handle_rack t ~from:src rack
   | _ -> ()
 
+(* each label set's unassigned sentinel, built once: orderings are
+   immutable, so every agent shares it and building one allocates none *)
+let sentinels =
+  List.map
+    (fun id -> (id, Ordering.unassigned_of (Label_set.instance id)))
+    Label_set.all
+
 let create_full ?(config = default_config) ctx =
-  let labels = Label_set.instance config.labels in
+  let ext =
+    {
+      config;
+      labels = Label_set.instance config.labels;
+      infinite = List.assoc config.labels sentinels;
+      engagements = Hashtbl.create 64;
+      racks = Hashtbl.create 16;
+      max_denom_seen = 1;
+      label_width_max = 0;
+      label_resets = 0;
+      resets = 0;
+      rack_retx = 0;
+    }
+  in
   (* lazy ties the knot: the request callbacks need the agent holding them *)
   let rec t =
     lazy
-      {
-        ctx;
-        config;
-        labels;
-        infinite = Ordering.unassigned_of labels;
-        routes = Hashtbl.create 32;
-        engagements = Hashtbl.create 64;
-        seen =
-          Seen_cache.create ctx.Routing_intf.engine ~ttl:config.delete_period;
-        discovery =
-          Discovery.create ctx.Routing_intf.engine ~ttls
-            ~capacity:Discovery.capacity ~hold:Discovery.hold
-            ~send:(fun ~dst ~ttl ~attempt:_ ->
-              (* the source never demands a reset: the T bit is set only by
-                 relays that detect a fraction overflow (Eq. 11) *)
-              originate_rreq (Lazy.force t) ~dst ~ttl ~rr:false)
-            ~give_up:(fun ~dst ->
-              (* graceful give-up: tell upstream nodes the destination is
-                 gone rather than silently stalling their forwarding
-                 through us *)
-              let t = Lazy.force t in
-              match Hashtbl.find_opt t.routes dst with
-              | Some r when Hashtbl.length r.precursors > 0 ->
-                  send_rerr t ~dsts:[ dst ] ~to_:Frame.Broadcast
-              | Some _ | None -> ())
-            ~forward:(fun data ~size -> forward_data (Lazy.force t) data ~size)
-            ~drop:ctx.Routing_intf.drop_data;
-        racks = Hashtbl.create 16;
-        self_seqno = 1;
-        next_rreq_id = 0;
-        max_denom_seen = 1;
-        label_width_max = 0;
-        label_resets = 0;
-        resets = 0;
-        rack_retx = 0;
-        listener = ignore;
-      }
+      (create ctx ~ext ~self_seqno:1 ~seen_ttl:config.delete_period
+         ~send:(fun ~dst ~ttl ~attempt:_ ->
+           (* the source never demands a reset: the T bit is set only by
+              relays that detect a fraction overflow (Eq. 11) *)
+           originate_rreq (Lazy.force t) ~dst ~ttl ~rr:false)
+         ~give_up:(fun ~dst ->
+           (* graceful give-up: tell upstream nodes the destination is
+              gone rather than silently stalling their forwarding
+              through us *)
+           let t = Lazy.force t in
+           match Hashtbl.find_opt t.routes dst with
+           | Some r when Hashtbl.length r.precursors > 0 ->
+               send_rerr t ~dsts:[ dst ] ~to_:Frame.Broadcast
+           | Some _ | None -> ())
+         ~forward:(fun data ~size -> forward_data (Lazy.force t) data ~size))
   in
   let t = Lazy.force t in
   ( t,
@@ -860,4 +840,4 @@ let own_seqno t = t.self_seqno
 
 let on_route_change t f = t.listener <- f
 
-let rack_retransmits t = t.rack_retx
+let rack_retransmits t = t.ext.rack_retx
