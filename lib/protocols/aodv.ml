@@ -47,6 +47,9 @@ let usable time r = r.valid && r.expiry > time
 module O = Make (struct
   type nonrec route = route
   type ext = config
+  type unreachable = int * int
+
+  let span = span_timer
 
   let fresh _ =
     {
@@ -60,6 +63,7 @@ module O = Make (struct
     }
 
   let usable = usable
+  let rerr entries = Rerr { re_unreachable = entries }
 end)
 
 let route_valid t r = usable (now t) r
@@ -91,22 +95,6 @@ let update_route t ~dst ~seqno ~hops ~next_hop =
     t.listener dst
   end;
   better
-
-let control_frame t ~dst ~size ~payload =
-  let kind =
-    match payload with
-    | Rreq _ -> "rreq"
-    | Rrep _ -> "rrep"
-    | Rerr _ -> "rerr"
-    | _ -> "ctl"
-  in
-  Frame.with_kind (Frame.make ~src:t.ctx.Routing_intf.id ~dst ~size ~payload) kind
-
-let send_rerr t ~entries ~to_ =
-  if entries <> [] then
-    t.ctx.Routing_intf.mac_send
-      (control_frame t ~dst:to_ ~size:rerr_size
-         ~payload:(Rerr { re_unreachable = entries }))
 
 let data_frame t ~next_hop data ~size =
   Frame.make ~src:t.ctx.Routing_intf.id ~dst:(Frame.Unicast next_hop)
@@ -153,20 +141,17 @@ let originate_rreq t ~dst ~ttl =
     }
   in
   t.ctx.Routing_intf.mac_send
-    (control_frame t ~dst:Frame.Broadcast ~size:t.ext.rreq_size
-       ~payload:(Rreq rreq))
+    (control_frame t ~dst:Frame.Broadcast ~size:t.ext.rreq_size ~kind:"rreq"
+       (Rreq rreq))
 
 let send_rrep t ~to_ rrep =
   t.ctx.Routing_intf.mac_send
     (control_frame t ~dst:(Frame.Unicast to_) ~size:t.ext.rrep_size
-       ~payload:(Rrep rrep))
+       ~kind:"rrep" (Rrep rrep))
 
 let handle_rreq t ~from rreq =
   let me = t.ctx.Routing_intf.id in
-  if rreq.rq_src = me then ()
-  else if not (Seen_cache.witness t.seen ~origin:rreq.rq_src ~id:rreq.rq_id)
-  then ()
-  else begin
+  if first_sight t ~src:rreq.rq_src ~id:rreq.rq_id then begin
     (* reverse route to the originator *)
     ignore
       (update_route t ~dst:rreq.rq_src ~seqno:rreq.rq_src_seqno
@@ -224,15 +209,7 @@ let handle_rreq t ~from rreq =
                 rq_dst_seqno = requested;
               }
             in
-            let delay =
-              Des.Rng.float t.ctx.Routing_intf.rng relay_jitter
-            in
-            ignore
-              (Des.Engine.schedule ~span:span_timer t.ctx.Routing_intf.engine ~delay
-                 (fun () ->
-                   t.ctx.Routing_intf.mac_send
-                     (control_frame t ~dst:Frame.Broadcast
-                        ~size:t.ext.rreq_size ~payload:(Rreq relayed))))
+            O.relay t ~size:t.ext.rreq_size ~kind:"rreq" (Rreq relayed)
           end
     end
   end
@@ -273,7 +250,7 @@ let handle_rerr t ~from rerr =
             propagate := (dst, r.seqno) :: !propagate
       | Some _ | None -> ())
     rerr.re_unreachable;
-  send_rerr t ~entries:!propagate ~to_:Frame.Broadcast
+  O.send_rerr t !propagate ~to_:Frame.Broadcast
 
 let handle_data t ~from data ~size =
   let me = t.ctx.Routing_intf.id in
@@ -285,9 +262,7 @@ let handle_data t ~from data ~size =
       | Some r -> r.seqno + 1
       | None -> 1
     in
-    send_rerr t
-      ~entries:[ (data.Frame.final_dst, seqno) ]
-      ~to_:(Frame.Unicast from);
+    O.send_rerr t [ (data.Frame.final_dst, seqno) ] ~to_:(Frame.Unicast from);
     t.ctx.Routing_intf.drop_data data ~reason:"no route at relay"
   end
 
@@ -319,7 +294,7 @@ let unicast_failed t ~frame ~dst:next_hop =
       lost := List.filter (fun (d, _) -> d <> dst) !lost;
       Discovery.park t.discovery ~dst data ~size
   | _ -> ());
-  send_rerr t ~entries:!lost ~to_:Frame.Broadcast
+  O.send_rerr t !lost ~to_:Frame.Broadcast
 
 let receive t ~src frame =
   match frame.Frame.payload with
@@ -349,7 +324,7 @@ let create_full ?(config = default_config) ctx =
            let t = Lazy.force t in
            match Hashtbl.find_opt t.routes dst with
            | Some r when Hashtbl.length r.precursors > 0 ->
-               send_rerr t ~entries:[ (dst, r.seqno) ] ~to_:Frame.Broadcast
+               O.send_rerr t [ (dst, r.seqno) ] ~to_:Frame.Broadcast
            | Some _ | None -> ())
          ~forward:(fun data ~size -> forward_data (Lazy.force t) data ~size))
   in

@@ -72,6 +72,9 @@ let usable time r = r.valid && r.expiry > time
 module O = Make (struct
   type nonrec route = route
   type nonrec ext = ext
+  type unreachable = int
+
+  let span = span_timer
 
   let fresh _ =
     {
@@ -84,6 +87,7 @@ module O = Make (struct
     }
 
   let usable = usable
+  let rerr dsts = Rerr { re_unreachable = dsts }
 end)
 
 let route_valid t r = usable (now t) r
@@ -95,22 +99,6 @@ let valid_route t dst =
 
 let refresh t r =
   r.expiry <- Stdlib.max r.expiry (now t +. route_lifetime)
-
-let control_frame t ~dst ~size ~payload =
-  let kind =
-    match payload with
-    | Rreq _ -> "rreq"
-    | Rrep _ -> "rrep"
-    | Rerr _ -> "rerr"
-    | _ -> "ctl"
-  in
-  Frame.with_kind (Frame.make ~src:t.ctx.Routing_intf.id ~dst ~size ~payload) kind
-
-let send_rerr t ~dsts ~to_ =
-  if dsts <> [] then
-    t.ctx.Routing_intf.mac_send
-      (control_frame t ~dst:to_ ~size:rerr_size
-         ~payload:(Rerr { re_unreachable = dsts }))
 
 let forward_data t data ~size =
   match valid_route t data.Frame.final_dst with
@@ -149,12 +137,12 @@ let originate_rreq t ~dst ~ttl ~reset =
   in
   t.ctx.Routing_intf.mac_send
     (control_frame t ~dst:Frame.Broadcast ~size:t.ext.config.rreq_size
-       ~payload:(Rreq rreq))
+       ~kind:"rreq" (Rreq rreq))
 
 let send_rrep t ~to_ rrep =
   t.ctx.Routing_intf.mac_send
     (control_frame t ~dst:(Frame.Unicast to_) ~size:t.ext.config.rrep_size
-       ~payload:(Rrep rrep))
+       ~kind:"rrep" (Rrep rrep))
 
 (* Adopt an advertised route if the label is feasible; the own feasible
    distance resets to the measured distance on a fresher sequence number
@@ -179,10 +167,7 @@ let set_route t ~dst ~via ~adv ~dist ~lifetime =
 
 let handle_rreq t ~from rreq =
   let me = t.ctx.Routing_intf.id in
-  if rreq.rq_src = me then ()
-  else if not (Seen_cache.witness t.seen ~origin:rreq.rq_src ~id:rreq.rq_id)
-  then ()
-  else begin
+  if first_sight t ~src:rreq.rq_src ~id:rreq.rq_id then begin
     Hashtbl.replace t.ext.engagements
       (rreq.rq_src, rreq.rq_id)
       { e_label = rreq.rq_label; e_last_hop = from; e_replied = false };
@@ -251,15 +236,7 @@ let handle_rreq t ~from rreq =
             rq_ttl = rreq.rq_ttl - 1;
           }
         in
-        let delay =
-          Des.Rng.float t.ctx.Routing_intf.rng relay_jitter
-        in
-        ignore
-          (Des.Engine.schedule ~span:span_timer t.ctx.Routing_intf.engine ~delay
-             (fun () ->
-               t.ctx.Routing_intf.mac_send
-                 (control_frame t ~dst:Frame.Broadcast
-                    ~size:t.ext.config.rreq_size ~payload:(Rreq relayed))))
+        O.relay t ~size:t.ext.config.rreq_size ~kind:"rreq" (Rreq relayed)
       end
     end
   end
@@ -316,14 +293,14 @@ let handle_rerr t ~from rerr =
           if Hashtbl.length r.precursors > 0 then propagate := dst :: !propagate
       | Some _ | None -> ())
     rerr.re_unreachable;
-  send_rerr t ~dsts:!propagate ~to_:Frame.Broadcast
+  O.send_rerr t !propagate ~to_:Frame.Broadcast
 
 let handle_data t ~from data ~size =
   let me = t.ctx.Routing_intf.id in
   if data.Frame.final_dst = me then t.ctx.Routing_intf.deliver data
   else if forward_data t data ~size:(size - ip_overhead) then ()
   else begin
-    send_rerr t ~dsts:[ data.Frame.final_dst ] ~to_:(Frame.Unicast from);
+    O.send_rerr t [ data.Frame.final_dst ] ~to_:(Frame.Unicast from);
     t.ctx.Routing_intf.drop_data data ~reason:"no route at relay"
   end
 
@@ -349,7 +326,7 @@ let unicast_failed t ~frame ~dst:next_hop =
       lost := List.filter (fun d -> d <> dst) !lost;
       Discovery.park t.discovery ~dst data ~size
   | _ -> ());
-  send_rerr t ~dsts:!lost ~to_:Frame.Broadcast
+  O.send_rerr t !lost ~to_:Frame.Broadcast
 
 let receive t ~src frame =
   match frame.Frame.payload with

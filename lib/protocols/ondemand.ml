@@ -1,3 +1,5 @@
+module Frame = Wireless.Frame
+
 let ttls = [ 1; 3; 7; 16 ]
 let route_lifetime = 10.0
 let relay_jitter = 0.01
@@ -34,12 +36,23 @@ let create ctx ~ext ~self_seqno ~seen_ttl ~send ~give_up ~forward =
     ext;
   }
 
+let control_frame t ~dst ~size ~kind payload =
+  Frame.with_kind
+    (Frame.make ~src:t.ctx.Routing_intf.id ~dst ~size ~payload)
+    kind
+
+let first_sight t ~src ~id =
+  src <> t.ctx.Routing_intf.id && Seen_cache.witness t.seen ~origin:src ~id
+
 module type DISCIPLINE = sig
   type route
   type ext
+  type unreachable
 
+  val span : Obs.span
   val fresh : (route, ext) t -> route
   val usable : float -> route -> bool
+  val rerr : unreachable list -> Frame.payload
 end
 
 module Make (D : DISCIPLINE) = struct
@@ -50,6 +63,19 @@ module Make (D : DISCIPLINE) = struct
         let r = D.fresh t in
         Hashtbl.replace t.routes dst r;
         r
+
+  let send_rerr t entries ~to_ =
+    if entries <> [] then
+      t.ctx.Routing_intf.mac_send
+        (control_frame t ~dst:to_ ~size:rerr_size ~kind:"rerr"
+           (D.rerr entries))
+
+  let relay t ~size ~kind payload =
+    let frame = control_frame t ~dst:Frame.Broadcast ~size ~kind payload in
+    let delay = Des.Rng.float t.ctx.Routing_intf.rng relay_jitter in
+    ignore
+      (Des.Engine.schedule ~span:D.span t.ctx.Routing_intf.engine ~delay
+         (fun () -> t.ctx.Routing_intf.mac_send frame))
 
   let route_entries t =
     let time = now t in

@@ -60,12 +60,37 @@ val create :
   forward:(Wireless.Frame.data -> size:int -> bool) ->
   ('route, 'ext) t
 
+(** {2 Messages} *)
+
+(** [control_frame t ~dst ~size ~kind payload] is a control frame from
+    this node, tagged [kind] (["rreq"], ["rrep"], ["rerr"], ["rack"]) for
+    the MAC's and the trace's per-kind accounting. *)
+val control_frame :
+  ('route, 'ext) t ->
+  dst:Wireless.Frame.addr ->
+  size:int ->
+  kind:string ->
+  Wireless.Frame.payload ->
+  Wireless.Frame.t
+
+(** [first_sight t ~src ~id]: is the request [(src, id)] another node's,
+    and seen here for the first time? Records it in the duplicate cache;
+    a request that fails this test is ignored. *)
+val first_sight : ('route, 'ext) t -> src:int -> id:int -> bool
+
 (** {2 The discipline} *)
 
-(** What the shared plumbing needs to know of an agent's routes. *)
+(** What the shared plumbing needs to know of an agent's routes and
+    messages. *)
 module type DISCIPLINE = sig
   type route
   type ext
+
+  (** One destination a route error reports unreachable. *)
+  type unreachable
+
+  (** The agent's timer span, [proto.<name>.timer]: relays run in it. *)
+  val span : Obs.span
 
   (** A destination's record before anything is known of it. *)
   val fresh : (route, ext) t -> route
@@ -73,12 +98,29 @@ module type DISCIPLINE = sig
   (** [usable time r]: does [r] hold a route that can carry data at
       [time]? (counted by the [route_entries] gauge) *)
   val usable : float -> route -> bool
+
+  (** The route error payload reporting these destinations. *)
+  val rerr : unreachable list -> Wireless.Frame.payload
 end
 
 module Make (D : DISCIPLINE) : sig
   (** [route_for t dst] is [dst]'s record, created by [D.fresh] on first
       use. *)
   val route_for : (D.route, D.ext) t -> int -> D.route
+
+  (** [send_rerr t entries ~to_] sends a route error for [entries] to
+      [to_]; nothing when [entries] is empty. *)
+  val send_rerr :
+    (D.route, D.ext) t ->
+    D.unreachable list ->
+    to_:Wireless.Frame.addr ->
+    unit
+
+  (** [relay t ~size ~kind payload] rebroadcasts a flooded request after
+      a uniform delay of up to {!relay_jitter}, drawn now from the node's
+      RNG. *)
+  val relay :
+    (D.route, D.ext) t -> size:int -> kind:string -> Wireless.Frame.payload -> unit
 
   (** Destinations with a usable route now. Read-only, so gauge sampling
       cannot perturb the protocol. *)

@@ -115,6 +115,9 @@ type t = (route, ext) Ondemand.t
 module O = Make (struct
   type nonrec route = route
   type nonrec ext = ext
+  type unreachable = int
+
+  let span = span_timer
 
   let fresh t =
     {
@@ -128,6 +131,8 @@ module O = Make (struct
      so periodic sampling cannot perturb protocol behaviour *)
   let usable time r =
     Hashtbl.fold (fun _ s any -> any || s.s_expiry > time) r.succs false
+
+  let rerr dsts = Rerr { re_unreachable = dsts }
 end)
 
 (* DELETE_PERIOD: once the retention horizon of an invalid route passes,
@@ -201,23 +206,6 @@ let lie_about t order =
   if label == order.Ordering.label then order
   else Ordering.v ~sn:order.Ordering.sn ~label
 
-let control_frame t ~dst ~size ~payload =
-  let kind =
-    match payload with
-    | Rreq _ -> "rreq"
-    | Rrep _ -> "rrep"
-    | Rerr _ -> "rerr"
-    | Rack _ -> "rack"
-    | _ -> "ctl"
-  in
-  Frame.with_kind (Frame.make ~src:t.ctx.Routing_intf.id ~dst ~size ~payload) kind
-
-let send_rerr t ~dsts ~to_ =
-  if dsts <> [] then
-    t.ctx.Routing_intf.mac_send
-      (control_frame t ~dst:to_ ~size:rerr_size
-         ~payload:(Rerr { re_unreachable = dsts }))
-
 (* Remove [neighbor] as successor everywhere (the link is gone); returns
    destinations that lost their last successor. *)
 let drop_link t neighbor =
@@ -245,7 +233,7 @@ let report_lost_routes t lost =
         | None -> false)
       lost
   in
-  send_rerr t ~dsts:with_precursors ~to_:Frame.Broadcast
+  O.send_rerr t with_precursors ~to_:Frame.Broadcast
 
 (* ------------------------------------------------------------------ *)
 (* Data plane                                                          *)
@@ -299,19 +287,6 @@ let rreq_advertisement t ~src =
     Some { ra_order = own_ordering t src; ra_dist = route_dist t src }
   else None
 
-let broadcast_rreq t rreq ~jitter =
-  let frame =
-    control_frame t ~dst:Frame.Broadcast ~size:t.ext.config.rreq_size
-      ~payload:(Rreq rreq)
-  in
-  if jitter <= 0.0 then t.ctx.Routing_intf.mac_send frame
-  else
-    let delay = Des.Rng.float t.ctx.Routing_intf.rng jitter in
-    ignore
-      (Des.Engine.schedule ~span:span_timer t.ctx.Routing_intf.engine
-         ~delay (fun () ->
-           t.ctx.Routing_intf.mac_send frame))
-
 let originate_rreq t ~dst ~ttl ~rr =
   let own = own_ordering t dst in
   let unassigned = not (Ordering.is_finite own) in
@@ -331,7 +306,9 @@ let originate_rreq t ~dst ~ttl ~rr =
       rq_adv = rreq_advertisement t ~src:t.ctx.Routing_intf.id;
     }
   in
-  broadcast_rreq t rreq ~jitter:0.0
+  t.ctx.Routing_intf.mac_send
+    (control_frame t ~dst:Frame.Broadcast ~size:t.ext.config.rreq_size
+       ~kind:"rreq" (Rreq rreq))
 
 (* D-bit probe: unicast along the forward path, forcing the destination
    itself to reply with a reset (paper §III, MAX_DENOM and N-bit cases). *)
@@ -356,7 +333,7 @@ let send_probe t ~dst =
       in
       t.ctx.Routing_intf.mac_send
         (control_frame t ~dst:(Frame.Unicast next_hop)
-           ~size:t.ext.config.rreq_size ~payload:(Rreq rreq))
+           ~size:t.ext.config.rreq_size ~kind:"rreq" (Rreq rreq))
 
 (* ------------------------------------------------------------------ *)
 (* Procedure 3 (Set Route): adopt an advertisement if NEWORDER is finite *)
@@ -443,7 +420,7 @@ let sweep_engagements t =
 let rec send_rrep_reliable t ~to_ ?(attempt = 0) rrep =
   t.ctx.Routing_intf.mac_send
     (control_frame t ~dst:(Frame.Unicast to_) ~size:t.ext.config.rrep_size
-       ~payload:(Rrep rrep));
+       ~kind:"rrep" (Rrep rrep));
   let key = (rrep.rp_src, rrep.rp_id, to_) in
   if attempt < t.ext.config.rack_retries then begin
     let delay = t.ext.config.rack_timeout *. (2.0 ** float_of_int attempt) in
@@ -462,7 +439,8 @@ let rec send_rrep_reliable t ~to_ ?(attempt = 0) rrep =
 let send_rack t ~to_ rrep =
   t.ctx.Routing_intf.mac_send
     (control_frame t ~dst:(Frame.Unicast to_) ~size:t.ext.config.rack_size
-       ~payload:(Rack { k_src = rrep.rp_src; k_id = rrep.rp_id }))
+       ~kind:"rack"
+       (Rack { k_src = rrep.rp_src; k_id = rrep.rp_id }))
 
 let handle_rack t ~from rack =
   let key = (rack.k_src, rack.k_id, from) in
@@ -552,10 +530,7 @@ let relay_rr t rreq =
 
 let handle_rreq t ~from rreq =
   let me = t.ctx.Routing_intf.id in
-  if rreq.rq_src = me then ()
-  else if not (Seen_cache.witness t.seen ~origin:rreq.rq_src ~id:rreq.rq_id)
-  then ()
-  else begin
+  if first_sight t ~src:rreq.rq_src ~id:rreq.rq_id then begin
     (* become engaged: cache the solicitation ordering and reverse hop *)
     sweep_engagements t;
     Hashtbl.replace t.ext.engagements
@@ -590,7 +565,7 @@ let handle_rreq t ~from rreq =
           in
           t.ctx.Routing_intf.mac_send
             (control_frame t ~dst:(Frame.Unicast next_hop)
-               ~size:t.ext.config.rreq_size ~payload:(Rreq relayed))
+               ~size:t.ext.config.rreq_size ~kind:"rreq" (Rreq relayed))
       | Some _ | None -> ()
     end
     else if rreq.rq_hops >= t.ext.config.min_reply_hops && sdc t rreq then
@@ -611,7 +586,7 @@ let handle_rreq t ~from rreq =
           rq_adv = adv;
         }
       in
-      broadcast_rreq t relayed ~jitter:relay_jitter
+      O.relay t ~size:t.ext.config.rreq_size ~kind:"rreq" (Rreq relayed)
     end
   end
 
@@ -724,7 +699,7 @@ let handle_rerr t ~from rerr =
             then lost := dst :: !lost
           end)
     rerr.re_unreachable;
-  if !lost <> [] then send_rerr t ~dsts:!lost ~to_:Frame.Broadcast
+  if !lost <> [] then O.send_rerr t !lost ~to_:Frame.Broadcast
 
 (* ------------------------------------------------------------------ *)
 (* Agent wiring                                                        *)
@@ -735,7 +710,7 @@ let handle_data t ~from data ~size =
   else if forward_data t data ~size:(size - ip_overhead) then ()
   else begin
     (* no successor: route error back to the previous hop, drop the data *)
-    send_rerr t ~dsts:[ data.Frame.final_dst ] ~to_:(Frame.Unicast from);
+    O.send_rerr t [ data.Frame.final_dst ] ~to_:(Frame.Unicast from);
     t.ctx.Routing_intf.drop_data data ~reason:"no route at relay"
   end
 
@@ -816,7 +791,7 @@ let create_full ?(config = default_config) ctx =
            let t = Lazy.force t in
            match Hashtbl.find_opt t.routes dst with
            | Some r when Hashtbl.length r.precursors > 0 ->
-               send_rerr t ~dsts:[ dst ] ~to_:Frame.Broadcast
+               O.send_rerr t [ dst ] ~to_:Frame.Broadcast
            | Some _ | None -> ())
          ~forward:(fun data ~size -> forward_data (Lazy.force t) data ~size))
   in
