@@ -44,6 +44,15 @@ type t = (route, config) Ondemand.t
 
 let usable time r = r.valid && r.expiry > time
 
+let route_valid t r = usable (now t) r
+
+let valid_route t dst =
+  match Hashtbl.find_opt t.routes dst with
+  | Some r when route_valid t r -> Some r
+  | Some _ | None -> None
+
+let refresh t r = r.expiry <- Stdlib.max r.expiry (now t +. route_lifetime)
+
 module O = Make (struct
   type nonrec route = route
   type ext = config
@@ -63,17 +72,23 @@ module O = Make (struct
     }
 
   let usable = usable
+
+  let next_hop t dst =
+    match Hashtbl.find_opt t.routes dst with
+    | Some r when route_valid t r -> r.next_hop
+    | Some _ | None -> -1
+
+  (* [next_hop] has just found the route *)
+  let refresh t dst ~next_hop:_ = refresh t (Hashtbl.find t.routes dst)
+
+  (* after a break, ask for something strictly fresher *)
+  let unreachable t dst =
+    match Hashtbl.find_opt t.routes dst with
+    | Some r -> (dst, r.seqno + 1)
+    | None -> (dst, 1)
+
   let rerr entries = Rerr { re_unreachable = entries }
 end)
-
-let route_valid t r = usable (now t) r
-
-let valid_route t dst =
-  match Hashtbl.find_opt t.routes dst with
-  | Some r when route_valid t r -> Some r
-  | Some _ | None -> None
-
-let refresh t r = r.expiry <- Stdlib.max r.expiry (now t +. route_lifetime)
 
 (* Standard AODV update rule: accept fresher seqno, or same seqno with
    fewer hops, or anything when the current entry is invalid. *)
@@ -95,28 +110,6 @@ let update_route t ~dst ~seqno ~hops ~next_hop =
     t.listener dst
   end;
   better
-
-let data_frame t ~next_hop data ~size =
-  Frame.make ~src:t.ctx.Routing_intf.id ~dst:(Frame.Unicast next_hop)
-    ~size:(size + ip_overhead)
-    ~payload:(Frame.Data data)
-
-let forward_data t data ~size =
-  match valid_route t data.Frame.final_dst with
-  | None -> false
-  | Some r ->
-      data.Frame.hops <- data.Frame.hops + 1;
-      if data.Frame.hops > data_ttl then begin
-        t.ctx.Routing_intf.drop_data data ~reason:"ttl exceeded";
-        true
-      end
-      else begin
-        refresh t r;
-        Trace.pkt_forward t.ctx.Routing_intf.trace ~node:t.ctx.Routing_intf.id
-          ~flow:data.Frame.flow ~seq:data.Frame.seq ~next:r.next_hop;
-        t.ctx.Routing_intf.mac_send (data_frame t ~next_hop:r.next_hop data ~size);
-        true
-      end
 
 let requested_seqno t dst =
   match Hashtbl.find_opt t.routes dst with
@@ -252,26 +245,6 @@ let handle_rerr t ~from rerr =
     rerr.re_unreachable;
   O.send_rerr t !propagate ~to_:Frame.Broadcast
 
-let handle_data t ~from data ~size =
-  let me = t.ctx.Routing_intf.id in
-  if data.Frame.final_dst = me then t.ctx.Routing_intf.deliver data
-  else if forward_data t data ~size:(size - ip_overhead) then ()
-  else begin
-    let seqno =
-      match Hashtbl.find_opt t.routes data.Frame.final_dst with
-      | Some r -> r.seqno + 1
-      | None -> 1
-    in
-    O.send_rerr t [ (data.Frame.final_dst, seqno) ] ~to_:(Frame.Unicast from);
-    t.ctx.Routing_intf.drop_data data ~reason:"no route at relay"
-  end
-
-let originate t data ~size =
-  let dst = data.Frame.final_dst in
-  if dst = t.ctx.Routing_intf.id then t.ctx.Routing_intf.deliver data
-  else if forward_data t data ~size then ()
-  else Discovery.park t.discovery ~dst data ~size
-
 (* Link break: invalidate every route through the dead neighbour, report
    to precursors, and attempt local repair for the data in hand. *)
 let unicast_failed t ~frame ~dst:next_hop =
@@ -286,19 +259,15 @@ let unicast_failed t ~frame ~dst:next_hop =
           lost := (dst, r.seqno) :: !lost
       end)
     t.routes;
-  (match frame.Frame.payload with
-  | Frame.Data data ->
-      let size = frame.Frame.size - ip_overhead in
-      let dst = data.Frame.final_dst in
-      (* local repair: buffer and re-discover from here *)
-      lost := List.filter (fun (d, _) -> d <> dst) !lost;
-      Discovery.park t.discovery ~dst data ~size
-  | _ -> ());
+  (* local repair: buffer the packet in hand and re-discover from here;
+     its destination is being requested again, not lost *)
+  let parked = O.salvage t frame ~retry:false in
+  if parked >= 0 then lost := List.filter (fun (d, _) -> d <> parked) !lost;
   O.send_rerr t !lost ~to_:Frame.Broadcast
 
 let receive t ~src frame =
   match frame.Frame.payload with
-  | Frame.Data data -> handle_data t ~from:src data ~size:frame.Frame.size
+  | Frame.Data data -> O.handle_data t ~from:src data ~size:frame.Frame.size
   | Rreq rreq -> handle_rreq t ~from:src rreq
   | Rrep rrep -> handle_rrep t ~from:src rrep
   | Rerr rerr -> handle_rerr t ~from:src rerr
@@ -326,12 +295,12 @@ let create_full ?(config = default_config) ctx =
            | Some r when Hashtbl.length r.precursors > 0 ->
                O.send_rerr t [ (dst, r.seqno) ] ~to_:Frame.Broadcast
            | Some _ | None -> ())
-         ~forward:(fun data ~size -> forward_data (Lazy.force t) data ~size))
+         ~forward:(fun data ~size -> O.forward (Lazy.force t) data ~size))
   in
   let t = Lazy.force t in
   ( t,
     {
-      Routing_intf.originate = originate t;
+      Routing_intf.originate = O.originate t;
       receive = receive t;
       unicast_failed = unicast_failed t;
       unicast_ok = (fun ~frame:_ ~dst:_ -> ());

@@ -69,6 +69,13 @@ type t = (route, ext) Ondemand.t
 
 let usable time r = r.valid && r.expiry > time
 
+let route_valid t r = usable (now t) r
+
+let valid_route t dst =
+  match Hashtbl.find_opt t.routes dst with
+  | Some r when route_valid t r -> Some r
+  | Some _ | None -> None
+
 module O = Make (struct
   type nonrec route = route
   type nonrec ext = ext
@@ -87,39 +94,20 @@ module O = Make (struct
     }
 
   let usable = usable
+
+  let next_hop t dst =
+    match Hashtbl.find_opt t.routes dst with
+    | Some r when route_valid t r -> r.next_hop
+    | Some _ | None -> -1
+
+  (* [next_hop] has just found the route *)
+  let refresh t dst ~next_hop:_ =
+    let r = Hashtbl.find t.routes dst in
+    r.expiry <- Stdlib.max r.expiry (now t +. route_lifetime)
+
+  let unreachable _ dst = dst
   let rerr dsts = Rerr { re_unreachable = dsts }
 end)
-
-let route_valid t r = usable (now t) r
-
-let valid_route t dst =
-  match Hashtbl.find_opt t.routes dst with
-  | Some r when route_valid t r -> Some r
-  | Some _ | None -> None
-
-let refresh t r =
-  r.expiry <- Stdlib.max r.expiry (now t +. route_lifetime)
-
-let forward_data t data ~size =
-  match valid_route t data.Frame.final_dst with
-  | None -> false
-  | Some r ->
-      data.Frame.hops <- data.Frame.hops + 1;
-      if data.Frame.hops > data_ttl then begin
-        t.ctx.Routing_intf.drop_data data ~reason:"ttl exceeded";
-        true
-      end
-      else begin
-        refresh t r;
-        Trace.pkt_forward t.ctx.Routing_intf.trace ~node:t.ctx.Routing_intf.id
-          ~flow:data.Frame.flow ~seq:data.Frame.seq ~next:r.next_hop;
-        t.ctx.Routing_intf.mac_send
-          (Frame.make ~src:t.ctx.Routing_intf.id
-             ~dst:(Frame.Unicast r.next_hop)
-             ~size:(size + ip_overhead)
-             ~payload:(Frame.Data data));
-        true
-      end
 
 let originate_rreq t ~dst ~ttl ~reset =
   t.next_rreq_id <- t.next_rreq_id + 1;
@@ -295,21 +283,6 @@ let handle_rerr t ~from rerr =
     rerr.re_unreachable;
   O.send_rerr t !propagate ~to_:Frame.Broadcast
 
-let handle_data t ~from data ~size =
-  let me = t.ctx.Routing_intf.id in
-  if data.Frame.final_dst = me then t.ctx.Routing_intf.deliver data
-  else if forward_data t data ~size:(size - ip_overhead) then ()
-  else begin
-    O.send_rerr t [ data.Frame.final_dst ] ~to_:(Frame.Unicast from);
-    t.ctx.Routing_intf.drop_data data ~reason:"no route at relay"
-  end
-
-let originate t data ~size =
-  let dst = data.Frame.final_dst in
-  if dst = t.ctx.Routing_intf.id then t.ctx.Routing_intf.deliver data
-  else if forward_data t data ~size then ()
-  else Discovery.park t.discovery ~dst data ~size
-
 let unicast_failed t ~frame ~dst:next_hop =
   let lost = ref [] in
   Hashtbl.iter
@@ -319,18 +292,13 @@ let unicast_failed t ~frame ~dst:next_hop =
         if Hashtbl.length r.precursors > 0 then lost := dst :: !lost
       end)
     t.routes;
-  (match frame.Frame.payload with
-  | Frame.Data data ->
-      let size = frame.Frame.size - ip_overhead in
-      let dst = data.Frame.final_dst in
-      lost := List.filter (fun d -> d <> dst) !lost;
-      Discovery.park t.discovery ~dst data ~size
-  | _ -> ());
+  let parked = O.salvage t frame ~retry:false in
+  if parked >= 0 then lost := List.filter (fun d -> d <> parked) !lost;
   O.send_rerr t !lost ~to_:Frame.Broadcast
 
 let receive t ~src frame =
   match frame.Frame.payload with
-  | Frame.Data data -> handle_data t ~from:src data ~size:frame.Frame.size
+  | Frame.Data data -> O.handle_data t ~from:src data ~size:frame.Frame.size
   | Rreq rreq -> handle_rreq t ~from:src rreq
   | Rrep rrep -> handle_rrep t ~from:src rrep
   | Rerr rerr -> handle_rerr t ~from:src rerr
@@ -357,12 +325,12 @@ let create_full ?(config = default_config) ctx =
            let reset = attempt >= List.length ttls - 1 in
            originate_rreq (Lazy.force t) ~dst ~ttl ~reset)
          ~give_up:(fun ~dst:_ -> ())
-         ~forward:(fun data ~size -> forward_data (Lazy.force t) data ~size))
+         ~forward:(fun data ~size -> O.forward (Lazy.force t) data ~size))
   in
   let t = Lazy.force t in
   ( t,
     {
-      Routing_intf.originate = originate t;
+      Routing_intf.originate = O.originate t;
       receive = receive t;
       unicast_failed = unicast_failed t;
       unicast_ok = (fun ~frame:_ ~dst:_ -> ());

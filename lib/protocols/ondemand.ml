@@ -52,6 +52,9 @@ module type DISCIPLINE = sig
   val span : Obs.span
   val fresh : (route, ext) t -> route
   val usable : float -> route -> bool
+  val next_hop : (route, ext) t -> int -> int
+  val refresh : (route, ext) t -> int -> next_hop:int -> unit
+  val unreachable : (route, ext) t -> int -> unreachable
   val rerr : unreachable list -> Frame.payload
 end
 
@@ -76,6 +79,50 @@ module Make (D : DISCIPLINE) = struct
     ignore
       (Des.Engine.schedule ~span:D.span t.ctx.Routing_intf.engine ~delay
          (fun () -> t.ctx.Routing_intf.mac_send frame))
+
+  let forward t data ~size =
+    let dst = data.Frame.final_dst in
+    let next_hop = D.next_hop t dst in
+    if next_hop < 0 then false
+    else begin
+      data.Frame.hops <- data.Frame.hops + 1;
+      if data.Frame.hops > data_ttl then
+        t.ctx.Routing_intf.drop_data data ~reason:"ttl exceeded"
+      else begin
+        D.refresh t dst ~next_hop;
+        Trace.pkt_forward t.ctx.Routing_intf.trace ~node:t.ctx.Routing_intf.id
+          ~flow:data.Frame.flow ~seq:data.Frame.seq ~next:next_hop;
+        t.ctx.Routing_intf.mac_send
+          (Frame.make ~src:t.ctx.Routing_intf.id
+             ~dst:(Frame.Unicast next_hop) ~size:(size + ip_overhead)
+             ~payload:(Frame.Data data))
+      end;
+      true
+    end
+
+  let originate t data ~size =
+    let dst = data.Frame.final_dst in
+    if dst = t.ctx.Routing_intf.id then t.ctx.Routing_intf.deliver data
+    else if not (forward t data ~size) then
+      Discovery.park t.discovery ~dst data ~size
+
+  let handle_data t ~from data ~size =
+    let dst = data.Frame.final_dst in
+    if dst = t.ctx.Routing_intf.id then t.ctx.Routing_intf.deliver data
+    else if not (forward t data ~size:(size - ip_overhead)) then begin
+      send_rerr t [ D.unreachable t dst ] ~to_:(Frame.Unicast from);
+      t.ctx.Routing_intf.drop_data data ~reason:"no route at relay"
+    end
+
+  let salvage t frame ~retry =
+    match frame.Frame.payload with
+    | Frame.Data data ->
+        let size = frame.Frame.size - ip_overhead in
+        let dst = data.Frame.final_dst in
+        if not (retry && forward t data ~size) then
+          Discovery.park t.discovery ~dst data ~size;
+        dst
+    | _ -> -1
 
   let route_entries t =
     let time = now t in

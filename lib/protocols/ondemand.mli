@@ -99,6 +99,18 @@ module type DISCIPLINE = sig
       [time]? (counted by the [route_entries] gauge) *)
   val usable : float -> route -> bool
 
+  (** [next_hop t dst] is the neighbour a data packet for [dst] goes to,
+      or [-1] when there is no usable route. *)
+  val next_hop : (route, ext) t -> int -> int
+
+  (** [refresh t dst ~next_hop] runs once a packet is about to leave for
+      [next_hop], the answer {!next_hop} just gave: a used route stays
+      alive. *)
+  val refresh : (route, ext) t -> int -> next_hop:int -> unit
+
+  (** How a relay with no route reports [dst] to the packet's last hop. *)
+  val unreachable : (route, ext) t -> int -> unreachable
+
   (** The route error payload reporting these destinations. *)
   val rerr : unreachable list -> Wireless.Frame.payload
 end
@@ -121,6 +133,29 @@ module Make (D : DISCIPLINE) : sig
       RNG. *)
   val relay :
     (D.route, D.ext) t -> size:int -> kind:string -> Wireless.Frame.payload -> unit
+
+  (** [forward t data ~size] sends a packet of [size] payload bytes on
+      toward its destination, [false] when there is no route. A packet
+      that would exceed {!data_ttl} hops is dropped as ["ttl exceeded"]
+      instead (it still counts as routed: [true]). *)
+  val forward : (D.route, D.ext) t -> Wireless.Frame.data -> size:int -> bool
+
+  (** The application's packet: delivered to itself, forwarded, or parked
+      while its route is requested. *)
+  val originate :
+    (D.route, D.ext) t -> Wireless.Frame.data -> size:int -> unit
+
+  (** The [Data] arm of [receive]: a packet of frame size [size] from
+      [from] is delivered, forwarded, or dropped as ["no route at relay"]
+      after a route error to [from]. *)
+  val handle_data :
+    (D.route, D.ext) t -> from:int -> Wireless.Frame.data -> size:int -> unit
+
+  (** [salvage t frame ~retry], after [frame] exhausted its MAC retries:
+      a data packet it carried is parked while a new route is requested,
+      after one more {!forward} when [retry] (SRP's other successors).
+      Returns the packet's destination, or [-1] for a control frame. *)
+  val salvage : (D.route, D.ext) t -> Wireless.Frame.t -> retry:bool -> int
 
   (** Destinations with a usable route now. Read-only, so gauge sampling
       cannot perturb the protocol. *)

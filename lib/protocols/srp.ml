@@ -112,29 +112,6 @@ type ext = {
 
 type t = (route, ext) Ondemand.t
 
-module O = Make (struct
-  type nonrec route = route
-  type nonrec ext = ext
-  type unreachable = int
-
-  let span = span_timer
-
-  let fresh t =
-    {
-      own = t.ext.infinite;
-      own_keep_until = 0.0;
-      succs = Hashtbl.create 4;
-      precursors = Hashtbl.create 4;
-    }
-
-  (* non-mutating: counts live successor sets without the pruning sweeps,
-     so periodic sampling cannot perturb protocol behaviour *)
-  let usable time r =
-    Hashtbl.fold (fun _ s any -> any || s.s_expiry > time) r.succs false
-
-  let rerr dsts = Rerr { re_unreachable = dsts }
-end)
-
 (* DELETE_PERIOD: once the retention horizon of an invalid route passes,
    the node may forget its label (Definition 3). *)
 let own_ordering t dst =
@@ -195,6 +172,40 @@ let route_dist t dst =
   | [] -> 0
   | succs -> List.fold_left (fun acc (_, s) -> Stdlib.min acc s.s_dist) max_int succs
 
+module O = Make (struct
+  type nonrec route = route
+  type nonrec ext = ext
+  type unreachable = int
+
+  let span = span_timer
+
+  let fresh t =
+    {
+      own = t.ext.infinite;
+      own_keep_until = 0.0;
+      succs = Hashtbl.create 4;
+      precursors = Hashtbl.create 4;
+    }
+
+  (* non-mutating: counts live successor sets without the pruning sweeps,
+     so periodic sampling cannot perturb protocol behaviour *)
+  let usable time r =
+    Hashtbl.fold (fun _ s any -> any || s.s_expiry > time) r.succs false
+
+  let next_hop t dst =
+    match best_successor t dst with Some next_hop -> next_hop | None -> -1
+
+  (* [next_hop] has just picked this successor from the live set *)
+  let refresh t dst ~next_hop =
+    let r = Hashtbl.find t.routes dst in
+    retain_label t r;
+    let s = Hashtbl.find r.succs next_hop in
+    s.s_expiry <- Stdlib.max s.s_expiry (now t +. route_lifetime)
+
+  let unreachable _ dst = dst
+  let rerr dsts = Rerr { re_unreachable = dsts }
+end)
+
 let succ_ordering_list t dst =
   List.map (fun (b, s) -> (b, s.s_order)) (live_succs t dst)
 
@@ -234,40 +245,6 @@ let report_lost_routes t lost =
       lost
   in
   O.send_rerr t with_precursors ~to_:Frame.Broadcast
-
-(* ------------------------------------------------------------------ *)
-(* Data plane                                                          *)
-
-let data_frame t ~next_hop data ~size =
-  Frame.make ~src:t.ctx.Routing_intf.id ~dst:(Frame.Unicast next_hop)
-    ~size:(size + ip_overhead)
-    ~payload:(Frame.Data data)
-
-let forward_data t data ~size =
-  let dst = data.Frame.final_dst in
-  match best_successor t dst with
-  | None -> false
-  | Some next_hop ->
-      data.Frame.hops <- data.Frame.hops + 1;
-      if data.Frame.hops > data_ttl then begin
-        t.ctx.Routing_intf.drop_data data ~reason:"ttl exceeded";
-        true
-      end
-      else begin
-        (match Hashtbl.find_opt t.routes dst with
-        | Some r ->
-            retain_label t r;
-            (match Hashtbl.find_opt r.succs next_hop with
-            | Some s ->
-                s.s_expiry <-
-                  Stdlib.max s.s_expiry (now t +. route_lifetime)
-            | None -> ())
-        | None -> ());
-        Trace.pkt_forward t.ctx.Routing_intf.trace ~node:t.ctx.Routing_intf.id
-          ~flow:data.Frame.flow ~seq:data.Frame.seq ~next:next_hop;
-        t.ctx.Routing_intf.mac_send (data_frame t ~next_hop data ~size);
-        true
-      end
 
 (* ------------------------------------------------------------------ *)
 (* Solicitations                                                       *)
@@ -704,32 +681,12 @@ let handle_rerr t ~from rerr =
 (* ------------------------------------------------------------------ *)
 (* Agent wiring                                                        *)
 
-let handle_data t ~from data ~size =
-  let me = t.ctx.Routing_intf.id in
-  if data.Frame.final_dst = me then t.ctx.Routing_intf.deliver data
-  else if forward_data t data ~size:(size - ip_overhead) then ()
-  else begin
-    (* no successor: route error back to the previous hop, drop the data *)
-    O.send_rerr t [ data.Frame.final_dst ] ~to_:(Frame.Unicast from);
-    t.ctx.Routing_intf.drop_data data ~reason:"no route at relay"
-  end
-
-let originate t data ~size =
-  let dst = data.Frame.final_dst in
-  if dst = t.ctx.Routing_intf.id then t.ctx.Routing_intf.deliver data
-  else if forward_data t data ~size then ()
-  else Discovery.park t.discovery ~dst data ~size
-
 let unicast_failed t ~frame ~dst:next_hop =
   let lost = drop_link t next_hop in
   report_lost_routes t lost;
-  match frame.Frame.payload with
-  | Frame.Data data ->
-      let size = frame.Frame.size - ip_overhead in
-      if not (forward_data t data ~size) then
-        (* packet cache: hold the packet and look for a new path *)
-        Discovery.park t.discovery ~dst:data.Frame.final_dst data ~size
-  | _ -> ()
+  (* packet cache: resend along another successor, or hold the packet and
+     look for a new path *)
+  ignore (O.salvage t frame ~retry:true)
 
 let gauges t =
   {
@@ -744,7 +701,7 @@ let gauges t =
 
 let receive t ~src frame =
   match frame.Frame.payload with
-  | Frame.Data data -> handle_data t ~from:src data ~size:frame.Frame.size
+  | Frame.Data data -> O.handle_data t ~from:src data ~size:frame.Frame.size
   | Rreq rreq -> handle_rreq t ~from:src rreq
   | Rrep rrep ->
       (* acknowledge first: even a reply we end up rejecting was received *)
@@ -793,12 +750,12 @@ let create_full ?(config = default_config) ctx =
            | Some r when Hashtbl.length r.precursors > 0 ->
                O.send_rerr t [ dst ] ~to_:Frame.Broadcast
            | Some _ | None -> ())
-         ~forward:(fun data ~size -> forward_data (Lazy.force t) data ~size))
+         ~forward:(fun data ~size -> O.forward (Lazy.force t) data ~size))
   in
   let t = Lazy.force t in
   ( t,
     {
-      Routing_intf.originate = originate t;
+      Routing_intf.originate = O.originate t;
       receive = receive t;
       unicast_failed = unicast_failed t;
       unicast_ok = (fun ~frame:_ ~dst:_ -> ());
