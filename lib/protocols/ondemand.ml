@@ -6,6 +6,7 @@ let relay_jitter = 0.01
 let data_ttl = 64
 let rerr_size = 32
 let ip_overhead = 20
+let delete_period = 60.0
 
 type ('route, 'ext) t = {
   ctx : Routing_intf.ctx;
@@ -43,6 +44,35 @@ let control_frame t ~dst ~size ~kind payload =
 
 let first_sight t ~src ~id =
   src <> t.ctx.Routing_intf.id && Seen_cache.witness t.seen ~origin:src ~id
+
+type 'cached engagement = {
+  e_cached : 'cached;
+  e_last_hop : int;
+  e_time : float;
+  mutable e_replied : bool;
+}
+
+type 'cached engagements = (int * int, 'cached engagement) Hashtbl.t
+
+let engagements () = Hashtbl.create 64
+
+(* Engagements must outlive any in-flight reply; anything older than
+   DELETE_PERIOD is dead. Amortised: sweep when the table grows large. *)
+let engage t table ~src ~id ~cached ~last_hop =
+  if Hashtbl.length table > 4096 then begin
+    let horizon = now t -. delete_period in
+    let dead =
+      Hashtbl.fold
+        (fun key e acc -> if e.e_time < horizon then key :: acc else acc)
+        table []
+    in
+    List.iter (Hashtbl.remove table) dead
+  end;
+  Hashtbl.replace table (src, id)
+    { e_cached = cached; e_last_hop = last_hop; e_time = now t;
+      e_replied = false }
+
+let engagement table ~src ~id = Hashtbl.find_opt table (src, id)
 
 module type DISCIPLINE = sig
   type route

@@ -22,6 +22,11 @@ val rerr_size : int
 (** Bytes added to a data payload on every hop (20). *)
 val ip_overhead : int
 
+(** DELETE_PERIOD, s (60): how long an engagement outlives its request,
+    and how long SRP keeps the label of a destination it has no successor
+    for (Definition 3). *)
+val delete_period : float
+
 (** {2 Agent state} *)
 
 (** What every on-demand agent holds: its node's capabilities, its route
@@ -77,6 +82,36 @@ val control_frame :
     and seen here for the first time? Records it in the duplicate cache;
     a request that fails this test is ignored. *)
 val first_sight : ('route, 'ext) t -> src:int -> id:int -> bool
+
+(** {2 Engagements (LDR, SRP)} *)
+
+(** A relay's reverse-path state for one request [(source, id)]: what the
+    solicitation carried ([e_cached]: SRP's ordering C, LDR's label), the
+    hop it came from, when, and whether a reply already went back. *)
+type 'cached engagement = {
+  e_cached : 'cached;
+  e_last_hop : int;
+  e_time : float;
+  mutable e_replied : bool;
+}
+
+type 'cached engagements
+
+val engagements : unit -> 'cached engagements
+
+(** [engage t table ~src ~id ~cached ~last_hop] records the request
+    [(src, id)]. Once the table holds more than 4,096 engagements, each
+    call first removes those older than {!delete_period}. *)
+val engage :
+  ('route, 'ext) t ->
+  'cached engagements ->
+  src:int ->
+  id:int ->
+  cached:'cached ->
+  last_hop:int ->
+  unit
+
+val engagement : 'cached engagements -> src:int -> id:int -> 'cached engagement option
 
 (** {2 The discipline} *)
 

@@ -10,7 +10,6 @@ module New_order = Slr.New_order
 module Frame = Wireless.Frame
 
 type config = {
-  delete_period : float;
   max_denom : int;
   min_reply_hops : int;
   lie_k : int;
@@ -25,7 +24,6 @@ type config = {
 
 let default_config =
   {
-    delete_period = 60.0;
     max_denom = 1_000_000_000;
     min_reply_hops = 0;
     lie_k = 10_000;
@@ -87,20 +85,12 @@ type route = {
   precursors : (int, unit) Hashtbl.t;
 }
 
-(* Engaged-state entry per (source, rreq_id): the cached solicitation
-   ordering C and the reverse-path last hop. *)
-type engagement = {
-  e_cached : Ordering.t;
-  e_last_hop : int;
-  e_time : float;
-  mutable e_replied : bool;
-}
-
 type ext = {
   config : config;
   labels : (module Label.S);  (** resolved once from [config.labels] *)
   infinite : Ordering.t;  (** this instance's unassigned sentinel *)
-  engagements : (int * int, engagement) Hashtbl.t;
+  engagements : Ordering.t engagements;
+      (** the cached solicitation ordering C per engaged request *)
   (* RREPs awaiting a RACK, keyed by (rreq source, rreq id, next hop) *)
   racks : (int * int * int, Des.Engine.handle) Hashtbl.t;
   mutable max_denom_seen : int;
@@ -129,7 +119,7 @@ let own_ordering t dst =
         r.own
   end
 
-let retain_label t r = r.own_keep_until <- now t +. t.ext.config.delete_period
+let retain_label t r = r.own_keep_until <- now t +. delete_period
 
 let prune_succs t r =
   let time = now t in
@@ -375,19 +365,6 @@ let set_route t ~dst ~via ~adv_order ~adv_dist ~cached ~lifetime =
 (* ------------------------------------------------------------------ *)
 (* RREQ handling (Procedure 2, SDC, Eqs. 9-11)                          *)
 
-(* Engagements must outlive any in-flight reply; anything older than
-   DELETE_PERIOD is dead. Amortised: sweep when the table grows large. *)
-let sweep_engagements t =
-  if Hashtbl.length t.ext.engagements > 4096 then begin
-    let horizon = now t -. t.ext.config.delete_period in
-    let dead =
-      Hashtbl.fold
-        (fun key e acc -> if e.e_time < horizon then key :: acc else acc)
-        t.ext.engagements []
-    in
-    List.iter (Hashtbl.remove t.ext.engagements) dead
-  end
-
 (* RACK: protocol-level acknowledged RREP delivery (paper §III). The MAC
    already retries each hop, but a receiver that crashed after the MAC ACK,
    or a reply lost to a link that died mid-exchange, would otherwise stall
@@ -509,15 +486,8 @@ let handle_rreq t ~from rreq =
   let me = t.ctx.Routing_intf.id in
   if first_sight t ~src:rreq.rq_src ~id:rreq.rq_id then begin
     (* become engaged: cache the solicitation ordering and reverse hop *)
-    sweep_engagements t;
-    Hashtbl.replace t.ext.engagements
-      (rreq.rq_src, rreq.rq_id)
-      {
-        e_cached = rreq.rq_order;
-        e_last_hop = from;
-        e_time = now t;
-        e_replied = false;
-      };
+    engage t t.ext.engagements ~src:rreq.rq_src ~id:rreq.rq_id
+      ~cached:rreq.rq_order ~last_hop:from;
     (* process the advertisement piece: a labelled route to the source *)
     (match rreq.rq_adv with
     | Some adv when not rreq.rq_n ->
@@ -575,7 +545,7 @@ let handle_rrep t ~from rrep =
   let terminus = rrep.rp_src = me in
   let engagement =
     if terminus then None
-    else Hashtbl.find_opt t.ext.engagements (rrep.rp_src, rrep.rp_id)
+    else engagement t.ext.engagements ~src:rrep.rp_src ~id:rrep.rp_id
   in
   let cached =
     match engagement with
@@ -724,7 +694,7 @@ let create_full ?(config = default_config) ctx =
       config;
       labels = Label_set.instance config.labels;
       infinite = List.assoc config.labels sentinels;
-      engagements = Hashtbl.create 64;
+      engagements = engagements ();
       racks = Hashtbl.create 16;
       max_denom_seen = 1;
       label_width_max = 0;
@@ -736,7 +706,7 @@ let create_full ?(config = default_config) ctx =
   (* lazy ties the knot: the request callbacks need the agent holding them *)
   let rec t =
     lazy
-      (create ctx ~ext ~self_seqno:1 ~seen_ttl:config.delete_period
+      (create ctx ~ext ~self_seqno:1 ~seen_ttl:delete_period
          ~send:(fun ~dst ~ttl ~attempt:_ ->
            (* the source never demands a reset: the T bit is set only by
               relays that detect a fraction overflow (Eq. 11) *)

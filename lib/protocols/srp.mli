@@ -23,7 +23,6 @@
     from the min-hop set. *)
 
 type config = {
-  delete_period : float;  (** DELETE_PERIOD: label retention, s *)
   max_denom : int;  (** MAX_DENOM reset threshold (paper: 1e9) *)
   min_reply_hops : int;  (** RREQs travel this far before SDC replies *)
   lie_k : int;  (** k of the ordering-lie heuristic (paper: 10000) *)
