@@ -52,16 +52,10 @@ type route = {
   precursors : (int, unit) Hashtbl.t;
 }
 
-(* Reverse-path state per (source, rreq_id). *)
-type engagement = {
-  e_label : label option;  (** the solicitation's label as received *)
-  e_last_hop : int;
-  mutable e_replied : bool;
-}
-
 type ext = {
   config : config;
-  engagements : (int * int, engagement) Hashtbl.t;
+  engagements : label option engagements;
+      (** the solicitation's label as received, per engaged request *)
   mutable resets : int;
 }
 
@@ -156,9 +150,8 @@ let set_route t ~dst ~via ~adv ~dist ~lifetime =
 let handle_rreq t ~from rreq =
   let me = t.ctx.Routing_intf.id in
   if first_sight t ~src:rreq.rq_src ~id:rreq.rq_id then begin
-    Hashtbl.replace t.ext.engagements
-      (rreq.rq_src, rreq.rq_id)
-      { e_label = rreq.rq_label; e_last_hop = from; e_replied = false };
+    engage t t.ext.engagements ~src:rreq.rq_src ~id:rreq.rq_id
+      ~cached:rreq.rq_label ~last_hop:from;
     if rreq.rq_dst = me then begin
       (* destination: sequence number grows only when a reset is required *)
       (match rreq.rq_label with
@@ -238,7 +231,7 @@ let handle_rrep t ~from rrep =
     then Discovery.succeed t.discovery ~dst:rrep.rp_dst
   end
   else begin
-    match Hashtbl.find_opt t.ext.engagements (rrep.rp_src, rrep.rp_id) with
+    match engagement t.ext.engagements ~src:rrep.rp_src ~id:rrep.rp_id with
     | None -> ()
     | Some e when e.e_replied -> ()
     | Some e ->
@@ -314,7 +307,7 @@ let gauges t =
   }
 
 let create_full ?(config = default_config) ctx =
-  let ext = { config; engagements = Hashtbl.create 64; resets = 0 } in
+  let ext = { config; engagements = engagements (); resets = 0 } in
   (* lazy ties the knot: the request callbacks need the agent holding them *)
   let rec t =
     lazy

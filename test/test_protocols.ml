@@ -1092,6 +1092,179 @@ let test_ldr_request_strengthening () =
 (* ------------------------------------------------------------------ *)
 (* Shared infrastructure *)
 
+(* ------------------------------------------------------------------ *)
+(* The on-demand skeleton (Protocols.Ondemand), run against each agent *)
+
+(* A relay (node 7) whose route to 5 goes via 3, learnt from a reply that
+   ends at the relay itself. *)
+let relay_with_route ~create ~rrep =
+  let h = harness ~id:7 () in
+  let agent = create h.ctx in
+  agent.RI.receive ~src:3
+    (Frame.make ~src:3 ~dst:(Frame.Unicast 7) ~size:44 ~payload:rrep);
+  run_short h;
+  ignore (take_sent h);
+  (h, agent)
+
+(* A packet that has come [hops] hops is forwarded while the count it
+   leaves with is within the data TTL (64), and dropped as "ttl exceeded",
+   with nothing sent, once it would pass it. *)
+let check_data_ttl (h, agent) =
+  let arrive hops =
+    let data = mk_data ~origin:1 ~dst:5 () in
+    data.Frame.hops <- hops;
+    agent.RI.receive ~src:2
+      (Frame.make ~src:2 ~dst:(Frame.Unicast 7) ~size:532
+         ~payload:(Frame.Data data));
+    take_sent h
+  in
+  (match arrive 63 with
+  | [ f ] ->
+      Alcotest.(check bool) "hop 64 forwarded to 3" true
+        (Frame.is_data f && f.Frame.dst = Frame.Unicast 3)
+  | l -> Alcotest.failf "expected 1 frame at hop 64, got %d" (List.length l));
+  Alcotest.(check int) "nothing dropped at hop 64" 0
+    (List.length !(h.dropped));
+  Alcotest.(check int) "nothing sent at hop 65" 0 (List.length (arrive 64));
+  Alcotest.(check (list string)) "dropped at hop 65" [ "ttl exceeded" ]
+    (List.map snd !(h.dropped))
+
+let test_aodv_data_ttl () =
+  check_data_ttl
+    (relay_with_route
+       ~create:(fun ctx -> Aodv.create ctx)
+       ~rrep:
+         (Aodv.Rrep
+            {
+              rp_src = 7;
+              rp_dst = 5;
+              rp_dst_seqno = 1;
+              rp_hops = 0;
+              rp_lifetime = 10.0;
+            }))
+
+let test_ldr_data_ttl () =
+  check_data_ttl
+    (relay_with_route
+       ~create:(fun ctx -> Ldr.create ctx)
+       ~rrep:
+         (Ldr.Rrep
+            {
+              rp_src = 7;
+              rp_id = 1;
+              rp_dst = 5;
+              rp_label = { Ldr.sn = 1; fd = 0 };
+              rp_dist = 0;
+              rp_lifetime = 10.0;
+            }))
+
+let test_srp_data_ttl () =
+  check_data_ttl
+    (relay_with_route
+       ~create:(fun ctx -> Srp.create ctx)
+       ~rrep:
+         (Srp.Rrep
+            {
+              rp_src = 7;
+              rp_id = 1;
+              rp_dst = 5;
+              rp_order = O.destination ~sn:1;
+              rp_dist = 0;
+              rp_lifetime = 10.0;
+              rp_n = false;
+            }))
+
+(* A relay engaged with more than 4,096 requests forgets those older than
+   DELETE_PERIOD (60 s): a reply to the oldest then has no reverse path
+   and the relay sends no RREP for it, while a reply to a recent one is
+   still relayed toward its requester. [rreq ~src ~id] is a flooded
+   request for 5, [rrep ~src ~id] its reply from 5. *)
+let check_engagement_sweep ~create ~rreq ~rrep ~is_rrep =
+  let h = harness ~id:7 () in
+  let agent = create h.ctx in
+  let request ~src ~id =
+    agent.RI.receive ~src:2
+      (Frame.make ~src:2 ~dst:Frame.Broadcast ~size:52
+         ~payload:(rreq ~src ~id))
+  in
+  let replies ~src ~id =
+    agent.RI.receive ~src:4
+      (Frame.make ~src:4 ~dst:(Frame.Unicast 7) ~size:44
+         ~payload:(rrep ~src ~id));
+    run_short h;
+    List.length (List.filter is_rrep (take_sent h))
+  in
+  request ~src:0 ~id:1;
+  Des.Engine.run h.engine ~until:61.0;
+  for id = 1 to 4097 do
+    request ~src:1 ~id
+  done;
+  run_short h;
+  ignore (take_sent h);
+  Alcotest.(check int) "no RREP for the request 61 s old" 0
+    (replies ~src:0 ~id:1);
+  Alcotest.(check int) "a recent request's RREP relayed" 1
+    (replies ~src:1 ~id:4097)
+
+let test_ldr_engagement_sweep () =
+  check_engagement_sweep
+    ~create:(fun ctx -> Ldr.create ctx)
+    ~rreq:(fun ~src ~id ->
+      Ldr.Rreq
+        {
+          rq_src = src;
+          rq_id = id;
+          rq_dst = 5;
+          rq_label = None;
+          rq_reset = false;
+          rq_hops = 1;
+          rq_ttl = 5;
+        })
+    ~rrep:(fun ~src ~id ->
+      Ldr.Rrep
+        {
+          rp_src = src;
+          rp_id = id;
+          rp_dst = 5;
+          rp_label = { Ldr.sn = 1; fd = 0 };
+          rp_dist = 0;
+          rp_lifetime = 10.0;
+        })
+    ~is_rrep:(fun f ->
+      match f.Frame.payload with Ldr.Rrep _ -> true | _ -> false)
+
+let test_srp_engagement_sweep () =
+  check_engagement_sweep
+    ~create:(fun ctx -> Srp.create ctx)
+    ~rreq:(fun ~src ~id ->
+      Srp.Rreq
+        {
+          rq_src = src;
+          rq_id = id;
+          rq_dst = 5;
+          rq_order = O.unassigned;
+          rq_u = true;
+          rq_rr = false;
+          rq_d = false;
+          rq_n = true;
+          rq_hops = 1;
+          rq_ttl = 5;
+          rq_adv = None;
+        })
+    ~rrep:(fun ~src ~id ->
+      Srp.Rrep
+        {
+          rp_src = src;
+          rp_id = id;
+          rp_dst = 5;
+          rp_order = O.destination ~sn:1;
+          rp_dist = 0;
+          rp_lifetime = 10.0;
+          rp_n = false;
+        })
+    ~is_rrep:(fun f ->
+      match f.Frame.payload with Srp.Rrep _ -> true | _ -> false)
+
 let test_seen_cache () =
   let e = Des.Engine.create () in
   let c = Protocols.Seen_cache.create e ~ttl:5.0 in
@@ -1324,6 +1497,16 @@ let () =
             `Quick test_olsr_next_hop_bounds;
           Alcotest.test_case "LDR request strengthening" `Quick
             test_ldr_request_strengthening;
+        ] );
+      ( "ondemand",
+        [
+          Alcotest.test_case "AODV data TTL" `Quick test_aodv_data_ttl;
+          Alcotest.test_case "LDR data TTL" `Quick test_ldr_data_ttl;
+          Alcotest.test_case "SRP data TTL" `Quick test_srp_data_ttl;
+          Alcotest.test_case "LDR engagement sweep" `Quick
+            test_ldr_engagement_sweep;
+          Alcotest.test_case "SRP engagement sweep" `Quick
+            test_srp_engagement_sweep;
         ] );
       ( "infrastructure",
         [
