@@ -133,14 +133,10 @@ let originate_rreq t ~dst ~ttl =
       rq_ttl = ttl;
     }
   in
-  t.ctx.Routing_intf.mac_send
-    (control_frame t ~dst:Frame.Broadcast ~size:t.ext.rreq_size ~kind:"rreq"
-       (Rreq rreq))
+  send t ~dst:Frame.Broadcast ~size:t.ext.rreq_size ~kind:"rreq" (Rreq rreq)
 
 let send_rrep t ~to_ rrep =
-  t.ctx.Routing_intf.mac_send
-    (control_frame t ~dst:(Frame.Unicast to_) ~size:t.ext.rrep_size
-       ~kind:"rrep" (Rrep rrep))
+  send t ~dst:(Frame.Unicast to_) ~size:t.ext.rrep_size ~kind:"rrep" (Rrep rrep)
 
 let handle_rreq t ~from rreq =
   let me = t.ctx.Routing_intf.id in
@@ -298,14 +294,7 @@ let create_full ?(config = default_config) ctx =
          ~forward:(fun data ~size -> O.forward (Lazy.force t) data ~size))
   in
   let t = Lazy.force t in
-  ( t,
-    {
-      Routing_intf.originate = O.originate t;
-      receive = receive t;
-      unicast_failed = unicast_failed t;
-      unicast_ok = (fun ~frame:_ ~dst:_ -> ());
-      gauges = (fun () -> gauges t);
-    } )
+  (t, O.agent t ~receive ~unicast_failed ~gauges)
 
 let create ?config ctx = snd (create_full ?config ctx)
 

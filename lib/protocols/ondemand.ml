@@ -1,13 +1,41 @@
+(** The on-demand skeleton of SRP, AODV and LDR: the AODV-style
+    RREQ/RREP/RERR exchange (DESIGN S7, S8, S10) that each of Fig. 7's
+    loop-freedom disciplines rides. It holds the shared state, the message
+    builders, the relay, forwarding and the engagement table; each agent
+    keeps its messages, its route record, its ordering discipline and its
+    handlers, and passes {!Make} what forwarding needs of its routes. *)
+
 module Frame = Wireless.Frame
 
+(** Expanding-ring TTL schedule of a route request. *)
 let ttls = [ 1; 3; 7; 16 ]
+
+(** Seconds a route (SRP: a successor) stays usable once learnt or used. *)
 let route_lifetime = 10.0
+
+(** Maximum delay, s, before a relay rebroadcasts a request. *)
 let relay_jitter = 0.01
+
+(** Hops a data packet may take before it is dropped as ["ttl exceeded"]. *)
 let data_ttl = 64
+
+(** Bytes of a route error. *)
 let rerr_size = 32
+
+(** Bytes added to a data payload on every hop. *)
 let ip_overhead = 20
+
+(** DELETE_PERIOD, s: how long an engagement outlives its request, and how
+    long SRP keeps the label of a destination it has no successor for
+    (Definition 3). *)
 let delete_period = 60.0
 
+(** An agent's state: its node's capabilities, its route table keyed by
+    destination (['route] is the discipline's record, precursors
+    included), its duplicate-request cache and route requests, its own
+    sequence number and request counter, the route-change listener (the
+    online loop monitor's hook, fired with the destination after a route
+    mutation) and, in [ext], the rest of the agent's state. *)
 type ('route, 'ext) t = {
   ctx : Routing_intf.ctx;
   routes : (int, 'route) Hashtbl.t;
@@ -21,6 +49,12 @@ type ('route, 'ext) t = {
 
 let now t = Des.Engine.now t.ctx.Routing_intf.engine
 
+(** An agent with empty tables, a duplicate cache that forgets after
+    [seen_ttl] s, and route requests on {!ttls} calling back [send],
+    [give_up] and [forward]. Each agent's [create_full] calls it inside a
+    lazy value that the callbacks force, since they need the agent that
+    holds them; the callbacks stay the agent's own closures, so they
+    capture nothing but that value. *)
 let create ctx ~ext ~self_seqno ~seen_ttl ~send ~give_up ~forward =
   let engine = ctx.Routing_intf.engine in
   {
@@ -37,14 +71,24 @@ let create ctx ~ext ~self_seqno ~seen_ttl ~send ~give_up ~forward =
     ext;
   }
 
+(** A control frame from this node, tagged [kind] (["rreq"], ["rrep"],
+    ["rerr"], ["rack"]) for the per-kind accounting. *)
 let control_frame t ~dst ~size ~kind payload =
   Frame.with_kind
     (Frame.make ~src:t.ctx.Routing_intf.id ~dst ~size ~payload)
     kind
 
+let send t ~dst ~size ~kind payload =
+  t.ctx.Routing_intf.mac_send (control_frame t ~dst ~size ~kind payload)
+
+(** Is the request [(src, id)] another node's, seen here for the first
+    time? Records it; a request that fails this test is ignored. *)
 let first_sight t ~src ~id =
   src <> t.ctx.Routing_intf.id && Seen_cache.witness t.seen ~origin:src ~id
 
+(** A relay's reverse-path state for one request (LDR, SRP): what the
+    solicitation carried (SRP's ordering C, LDR's label), the hop it came
+    from, when, and whether a reply already went back. *)
 type 'cached engagement = {
   e_cached : 'cached;
   e_last_hop : int;
@@ -54,10 +98,11 @@ type 'cached engagement = {
 
 type 'cached engagements = (int * int, 'cached engagement) Hashtbl.t
 
-let engagements () = Hashtbl.create 64
+let engagements () : _ engagements = Hashtbl.create 64
 
-(* Engagements must outlive any in-flight reply; anything older than
-   DELETE_PERIOD is dead. Amortised: sweep when the table grows large. *)
+(** Records the request [(src, id)]. Engagements must outlive any
+    in-flight reply; anything older than DELETE_PERIOD is dead. Amortised:
+    once the table holds more than 4,096, each call first sweeps. *)
 let engage t table ~src ~id ~cached ~last_hop =
   if Hashtbl.length table > 4096 then begin
     let horizon = now t -. delete_period in
@@ -74,21 +119,39 @@ let engage t table ~src ~id ~cached ~last_hop =
 
 let engagement table ~src ~id = Hashtbl.find_opt table (src, id)
 
+(** What the shared plumbing needs of an agent's routes and messages. *)
 module type DISCIPLINE = sig
   type route
   type ext
+
+  (** one destination a route error reports unreachable *)
   type unreachable
 
+  (** [proto.<name>.timer]: relays run in it *)
   val span : Obs.span
+
+  (** a destination's record before anything is known of it *)
   val fresh : (route, ext) t -> route
+
+  (** can the route carry data at this time? (the [route_entries] gauge) *)
   val usable : float -> route -> bool
+
+  (** the neighbour a data packet for the destination goes to, [-1] when
+      there is no usable route *)
   val next_hop : (route, ext) t -> int -> int
+
+  (** a packet is about to leave for [next_hop], the answer {!next_hop}
+      just gave: keep the route alive *)
   val refresh : (route, ext) t -> int -> next_hop:int -> unit
+
+  (** how a relay with no route reports the destination to the last hop *)
   val unreachable : (route, ext) t -> int -> unreachable
+
   val rerr : unreachable list -> Frame.payload
 end
 
 module Make (D : DISCIPLINE) = struct
+  (** The destination's record, made by [D.fresh] on first use. *)
   let route_for t dst =
     match Hashtbl.find_opt t.routes dst with
     | Some r -> r
@@ -97,12 +160,13 @@ module Make (D : DISCIPLINE) = struct
         Hashtbl.replace t.routes dst r;
         r
 
+  (** A route error for [entries]; nothing when there are none. *)
   let send_rerr t entries ~to_ =
     if entries <> [] then
-      t.ctx.Routing_intf.mac_send
-        (control_frame t ~dst:to_ ~size:rerr_size ~kind:"rerr"
-           (D.rerr entries))
+      send t ~dst:to_ ~size:rerr_size ~kind:"rerr" (D.rerr entries)
 
+  (** Rebroadcasts a flooded request after a delay of up to
+      {!relay_jitter}, drawn now. *)
   let relay t ~size ~kind payload =
     let frame = control_frame t ~dst:Frame.Broadcast ~size ~kind payload in
     let delay = Des.Rng.float t.ctx.Routing_intf.rng relay_jitter in
@@ -110,6 +174,9 @@ module Make (D : DISCIPLINE) = struct
       (Des.Engine.schedule ~span:D.span t.ctx.Routing_intf.engine ~delay
          (fun () -> t.ctx.Routing_intf.mac_send frame))
 
+  (** Sends a packet of [size] payload bytes on toward its destination;
+      [false] when there is no route. One that would pass {!data_ttl}
+      hops is dropped as ["ttl exceeded"] instead, and counts as routed. *)
   let forward t data ~size =
     let dst = data.Frame.final_dst in
     let next_hop = D.next_hop t dst in
@@ -130,12 +197,17 @@ module Make (D : DISCIPLINE) = struct
       true
     end
 
+  (** The application's packet: delivered here, forwarded, or parked
+      while its route is requested. *)
   let originate t data ~size =
     let dst = data.Frame.final_dst in
     if dst = t.ctx.Routing_intf.id then t.ctx.Routing_intf.deliver data
     else if not (forward t data ~size) then
       Discovery.park t.discovery ~dst data ~size
 
+  (** The [Data] arm of [receive] ([size] is the frame's): delivered,
+      forwarded, or dropped as ["no route at relay"] after a route error
+      back to [from]. *)
   let handle_data t ~from data ~size =
     let dst = data.Frame.final_dst in
     if dst = t.ctx.Routing_intf.id then t.ctx.Routing_intf.deliver data
@@ -144,6 +216,10 @@ module Make (D : DISCIPLINE) = struct
       t.ctx.Routing_intf.drop_data data ~reason:"no route at relay"
     end
 
+  (** After [frame] exhausted its MAC retries: parks the data packet it
+      carried while a new route is requested, after one more {!forward}
+      when [retry] (SRP's other successors). Returns the packet's
+      destination, [-1] for a control frame. *)
   let salvage t frame ~retry =
     match frame.Frame.payload with
     | Frame.Data data ->
@@ -154,9 +230,21 @@ module Make (D : DISCIPLINE) = struct
         dst
     | _ -> -1
 
+  (** Destinations with a usable route. Read-only: gauge sampling must not
+      perturb the protocol. *)
   let route_entries t =
     let time = now t in
     Hashtbl.fold
       (fun _ r acc -> if D.usable time r then acc + 1 else acc)
       t.routes 0
+
+  (** The agent's handlers; [unicast_ok] is unused by all three. *)
+  let agent t ~receive ~unicast_failed ~gauges =
+    {
+      Routing_intf.originate = originate t;
+      receive = receive t;
+      unicast_failed = unicast_failed t;
+      unicast_ok = (fun ~frame:_ ~dst:_ -> ());
+      gauges = (fun () -> gauges t);
+    }
 end

@@ -273,9 +273,8 @@ let originate_rreq t ~dst ~ttl ~rr =
       rq_adv = rreq_advertisement t ~src:t.ctx.Routing_intf.id;
     }
   in
-  t.ctx.Routing_intf.mac_send
-    (control_frame t ~dst:Frame.Broadcast ~size:t.ext.config.rreq_size
-       ~kind:"rreq" (Rreq rreq))
+  send t ~dst:Frame.Broadcast ~size:t.ext.config.rreq_size ~kind:"rreq"
+    (Rreq rreq)
 
 (* D-bit probe: unicast along the forward path, forcing the destination
    itself to reply with a reset (paper §III, MAX_DENOM and N-bit cases). *)
@@ -298,9 +297,8 @@ let send_probe t ~dst =
           rq_adv = rreq_advertisement t ~src:t.ctx.Routing_intf.id;
         }
       in
-      t.ctx.Routing_intf.mac_send
-        (control_frame t ~dst:(Frame.Unicast next_hop)
-           ~size:t.ext.config.rreq_size ~kind:"rreq" (Rreq rreq))
+      send t ~dst:(Frame.Unicast next_hop) ~size:t.ext.config.rreq_size
+        ~kind:"rreq" (Rreq rreq)
 
 (* ------------------------------------------------------------------ *)
 (* Procedure 3 (Set Route): adopt an advertisement if NEWORDER is finite *)
@@ -372,9 +370,8 @@ let set_route t ~dst ~via ~adv_order ~adv_dist ~cached ~lifetime =
    RREP therefore awaits a RACK from the next hop and is retransmitted with
    binary exponential backoff, at most [rack_retries] times. *)
 let rec send_rrep_reliable t ~to_ ?(attempt = 0) rrep =
-  t.ctx.Routing_intf.mac_send
-    (control_frame t ~dst:(Frame.Unicast to_) ~size:t.ext.config.rrep_size
-       ~kind:"rrep" (Rrep rrep));
+  send t ~dst:(Frame.Unicast to_) ~size:t.ext.config.rrep_size ~kind:"rrep"
+    (Rrep rrep);
   let key = (rrep.rp_src, rrep.rp_id, to_) in
   if attempt < t.ext.config.rack_retries then begin
     let delay = t.ext.config.rack_timeout *. (2.0 ** float_of_int attempt) in
@@ -391,10 +388,8 @@ let rec send_rrep_reliable t ~to_ ?(attempt = 0) rrep =
   else Hashtbl.remove t.ext.racks key
 
 let send_rack t ~to_ rrep =
-  t.ctx.Routing_intf.mac_send
-    (control_frame t ~dst:(Frame.Unicast to_) ~size:t.ext.config.rack_size
-       ~kind:"rack"
-       (Rack { k_src = rrep.rp_src; k_id = rrep.rp_id }))
+  send t ~dst:(Frame.Unicast to_) ~size:t.ext.config.rack_size ~kind:"rack"
+    (Rack { k_src = rrep.rp_src; k_id = rrep.rp_id })
 
 let handle_rack t ~from rack =
   let key = (rack.k_src, rack.k_id, from) in
@@ -510,9 +505,8 @@ let handle_rreq t ~from rreq =
               rq_adv = None;
             }
           in
-          t.ctx.Routing_intf.mac_send
-            (control_frame t ~dst:(Frame.Unicast next_hop)
-               ~size:t.ext.config.rreq_size ~kind:"rreq" (Rreq relayed))
+          send t ~dst:(Frame.Unicast next_hop) ~size:t.ext.config.rreq_size
+            ~kind:"rreq" (Rreq relayed)
       | Some _ | None -> ()
     end
     else if rreq.rq_hops >= t.ext.config.min_reply_hops && sdc t rreq then
@@ -723,14 +717,7 @@ let create_full ?(config = default_config) ctx =
          ~forward:(fun data ~size -> O.forward (Lazy.force t) data ~size))
   in
   let t = Lazy.force t in
-  ( t,
-    {
-      Routing_intf.originate = O.originate t;
-      receive = receive t;
-      unicast_failed = unicast_failed t;
-      unicast_ok = (fun ~frame:_ ~dst:_ -> ());
-      gauges = (fun () -> gauges t);
-    } )
+  (t, O.agent t ~receive ~unicast_failed ~gauges)
 
 let create ?config ctx = snd (create_full ?config ctx)
 
