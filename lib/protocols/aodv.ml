@@ -277,24 +277,17 @@ let gauges t =
     pending_packets = Discovery.parked t.discovery;
   }
 
+(* repair failed: notify precursors *)
+let give_up t ~dst =
+  match Hashtbl.find_opt t.routes dst with
+  | Some r when Hashtbl.length r.precursors > 0 ->
+      O.send_rerr t [ (dst, r.seqno) ] ~to_:Frame.Broadcast
+  | Some _ | None -> ()
+
 let create_full ?(config = default_config) ctx =
-  (* lazy ties the knot: the request callbacks need the agent holding them *)
-  let rec t =
-    lazy
-      (create ctx ~ext:config ~self_seqno:0 ~seen_ttl:30.0
-         ~send:(fun ~dst ~ttl ~attempt:_ ->
-           originate_rreq (Lazy.force t) ~dst ~ttl)
-         ~give_up:(fun ~dst ->
-           (* repair failed: notify precursors *)
-           let t = Lazy.force t in
-           match Hashtbl.find_opt t.routes dst with
-           | Some r when Hashtbl.length r.precursors > 0 ->
-               O.send_rerr t [ (dst, r.seqno) ] ~to_:Frame.Broadcast
-           | Some _ | None -> ())
-         ~forward:(fun data ~size -> O.forward (Lazy.force t) data ~size))
-  in
-  let t = Lazy.force t in
-  (t, O.agent t ~receive ~unicast_failed ~gauges)
+  O.create ctx ~ext:config ~self_seqno:0 ~seen_ttl:30.0
+    ~send:(fun t ~dst ~ttl ~attempt:_ -> originate_rreq t ~dst ~ttl)
+    ~give_up ~receive ~unicast_failed ~gauges
 
 let create ?config ctx = snd (create_full ?config ctx)
 

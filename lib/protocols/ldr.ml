@@ -305,21 +305,15 @@ let gauges t =
   }
 
 let create_full ?(config = default_config) ctx =
-  let ext = { config; engagements = engagements (); resets = 0 } in
-  (* lazy ties the knot: the request callbacks need the agent holding them *)
-  let rec t =
-    lazy
-      (create ctx ~ext ~self_seqno:0 ~seen_ttl:30.0
-         ~send:(fun ~dst ~ttl ~attempt ->
-           (* the final attempt demands a destination reset: the case
-              where feasible distances cannot be put in order *)
-           let reset = attempt >= List.length ttls - 1 in
-           originate_rreq (Lazy.force t) ~dst ~ttl ~reset)
-         ~give_up:(fun ~dst:_ -> ())
-         ~forward:(fun data ~size -> O.forward (Lazy.force t) data ~size))
-  in
-  let t = Lazy.force t in
-  (t, O.agent t ~receive ~unicast_failed ~gauges)
+  O.create ctx
+    ~ext:{ config; engagements = engagements (); resets = 0 }
+    ~self_seqno:0 ~seen_ttl:30.0
+    ~send:(fun t ~dst ~ttl ~attempt ->
+      (* the final attempt demands a destination reset: the case where
+         feasible distances cannot be put in order *)
+      originate_rreq t ~dst ~ttl ~reset:(attempt >= List.length ttls - 1))
+    ~give_up:(fun _ ~dst:_ -> ())
+    ~receive ~unicast_failed ~gauges
 
 let create ?config ctx = snd (create_full ?config ctx)
 

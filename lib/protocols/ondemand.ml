@@ -49,28 +49,6 @@ type ('route, 'ext) t = {
 
 let now t = Des.Engine.now t.ctx.Routing_intf.engine
 
-(** An agent with empty tables, a duplicate cache that forgets after
-    [seen_ttl] s, and route requests on {!ttls} calling back [send],
-    [give_up] and [forward]. Each agent's [create_full] calls it inside a
-    lazy value that the callbacks force, since they need the agent that
-    holds them; the callbacks stay the agent's own closures, so they
-    capture nothing but that value. *)
-let create ctx ~ext ~self_seqno ~seen_ttl ~send ~give_up ~forward =
-  let engine = ctx.Routing_intf.engine in
-  {
-    ctx;
-    routes = Hashtbl.create 32;
-    seen = Seen_cache.create engine ~ttl:seen_ttl;
-    discovery =
-      Discovery.create engine ~ttls ~capacity:Discovery.capacity
-        ~hold:Discovery.hold ~send ~give_up ~forward
-        ~drop:ctx.Routing_intf.drop_data;
-    self_seqno;
-    next_rreq_id = 0;
-    listener = ignore;
-    ext;
-  }
-
 (** A control frame from this node, tagged [kind] (["rreq"], ["rrep"],
     ["rerr"], ["rack"]) for the per-kind accounting. *)
 let control_frame t ~dst ~size ~kind payload =
@@ -238,13 +216,41 @@ module Make (D : DISCIPLINE) = struct
       (fun _ r acc -> if D.usable time r then acc + 1 else acc)
       t.routes 0
 
-  (** The agent's handlers; [unicast_ok] is unused by all three. *)
-  let agent t ~receive ~unicast_failed ~gauges =
-    {
-      Routing_intf.originate = originate t;
-      receive = receive t;
-      unicast_failed = unicast_failed t;
-      unicast_ok = (fun ~frame:_ ~dst:_ -> ());
-      gauges = (fun () -> gauges t);
-    }
+  (** An agent and its handlers: empty tables, a duplicate cache that
+      forgets after [seen_ttl] s, and route requests on {!ttls}, of which
+      [send] issues one attempt and [give_up] runs when one is abandoned.
+      None of the three uses [unicast_ok]. *)
+  let create ctx ~ext ~self_seqno ~seen_ttl ~send ~give_up ~receive
+      ~unicast_failed ~gauges =
+    let engine = ctx.Routing_intf.engine in
+    (* the request callbacks need the agent that holds them *)
+    let self = ref None in
+    let t =
+      {
+        ctx;
+        routes = Hashtbl.create 32;
+        seen = Seen_cache.create engine ~ttl:seen_ttl;
+        discovery =
+          Discovery.create engine ~ttls ~capacity:Discovery.capacity
+            ~hold:Discovery.hold
+            ~send:(fun ~dst ~ttl ~attempt ->
+              send (Option.get !self) ~dst ~ttl ~attempt)
+            ~give_up:(fun ~dst -> give_up (Option.get !self) ~dst)
+            ~forward:(fun data ~size -> forward (Option.get !self) data ~size)
+            ~drop:ctx.Routing_intf.drop_data;
+        self_seqno;
+        next_rreq_id = 0;
+        listener = ignore;
+        ext;
+      }
+    in
+    self := Some t;
+    ( t,
+      {
+        Routing_intf.originate = originate t;
+        receive = receive t;
+        unicast_failed = unicast_failed t;
+        unicast_ok = (fun ~frame:_ ~dst:_ -> ());
+        gauges = (fun () -> gauges t);
+      } )
 end

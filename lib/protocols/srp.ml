@@ -682,6 +682,14 @@ let sentinels =
     (fun id -> (id, Ordering.unassigned_of (Label_set.instance id)))
     Label_set.all
 
+(* graceful give-up: tell upstream nodes the destination is gone rather
+   than silently stalling their forwarding through us *)
+let give_up t ~dst =
+  match Hashtbl.find_opt t.routes dst with
+  | Some r when Hashtbl.length r.precursors > 0 ->
+      O.send_rerr t [ dst ] ~to_:Frame.Broadcast
+  | Some _ | None -> ()
+
 let create_full ?(config = default_config) ctx =
   let ext =
     {
@@ -697,27 +705,12 @@ let create_full ?(config = default_config) ctx =
       rack_retx = 0;
     }
   in
-  (* lazy ties the knot: the request callbacks need the agent holding them *)
-  let rec t =
-    lazy
-      (create ctx ~ext ~self_seqno:1 ~seen_ttl:delete_period
-         ~send:(fun ~dst ~ttl ~attempt:_ ->
-           (* the source never demands a reset: the T bit is set only by
-              relays that detect a fraction overflow (Eq. 11) *)
-           originate_rreq (Lazy.force t) ~dst ~ttl ~rr:false)
-         ~give_up:(fun ~dst ->
-           (* graceful give-up: tell upstream nodes the destination is
-              gone rather than silently stalling their forwarding
-              through us *)
-           let t = Lazy.force t in
-           match Hashtbl.find_opt t.routes dst with
-           | Some r when Hashtbl.length r.precursors > 0 ->
-               O.send_rerr t [ dst ] ~to_:Frame.Broadcast
-           | Some _ | None -> ())
-         ~forward:(fun data ~size -> O.forward (Lazy.force t) data ~size))
-  in
-  let t = Lazy.force t in
-  (t, O.agent t ~receive ~unicast_failed ~gauges)
+  O.create ctx ~ext ~self_seqno:1 ~seen_ttl:delete_period
+    ~send:(fun t ~dst ~ttl ~attempt:_ ->
+      (* the source never demands a reset: the T bit is set only by relays
+         that detect a fraction overflow (Eq. 11) *)
+      originate_rreq t ~dst ~ttl ~rr:false)
+    ~give_up ~receive ~unicast_failed ~gauges
 
 let create ?config ctx = snd (create_full ?config ctx)
 
