@@ -220,6 +220,14 @@ let handle_rreq t ~from rreq =
     end
   end
 
+(* Answer an engaged request with this node's own label for the
+   destination; the last hop becomes a precursor. *)
+let advertise t e r rrep =
+  e.e_replied <- true;
+  Hashtbl.replace r.precursors e.e_last_hop ();
+  send_rrep t ~to_:e.e_last_hop
+    { rrep with rp_label = Option.get r.label; rp_dist = r.dist }
+
 let handle_rrep t ~from rrep =
   let me = t.ctx.Routing_intf.id in
   if rrep.rp_src = me then begin
@@ -237,27 +245,14 @@ let handle_rrep t ~from rrep =
           set_route t ~dst:rrep.rp_dst ~via:from ~adv:rrep.rp_label
             ~dist:rrep.rp_dist ~lifetime:rrep.rp_lifetime
         then begin
-          e.e_replied <- true;
-          let r = O.route_for t rrep.rp_dst in
-          Hashtbl.replace r.precursors e.e_last_hop ();
-          let mine = Option.get r.label in
-          send_rrep t ~to_:e.e_last_hop
-            { rrep with rp_label = mine; rp_dist = r.dist };
+          advertise t e (O.route_for t rrep.rp_dst) rrep;
           Discovery.flush t.discovery ~dst:rrep.rp_dst
         end
         else begin
           (* infeasible here: if we still hold a valid route, advertise it;
              otherwise the reply dies and the source retries with reset *)
           match valid_route t rrep.rp_dst with
-          | Some r ->
-              e.e_replied <- true;
-              Hashtbl.replace r.precursors e.e_last_hop ();
-              send_rrep t ~to_:e.e_last_hop
-                {
-                  rrep with
-                  rp_label = Option.get r.label;
-                  rp_dist = r.dist;
-                }
+          | Some r -> advertise t e r rrep
           | None -> ()
         end
   end

@@ -534,31 +534,40 @@ let handle_rreq t ~from rreq =
 (* ------------------------------------------------------------------ *)
 (* RREP handling (Procedures 3-4)                                      *)
 
+(* Procedure 4: answer an engaged request with this node's own route to
+   the destination; the last hop becomes a precursor. *)
+let advertise t e rrep =
+  e.e_replied <- true;
+  let r = O.route_for t rrep.rp_dst in
+  Hashtbl.replace r.precursors e.e_last_hop ();
+  let relayed =
+    {
+      rrep with
+      rp_order = own_ordering t rrep.rp_dst;
+      rp_dist = route_dist t rrep.rp_dst;
+    }
+  in
+  send_rrep_reliable t ~to_:e.e_last_hop relayed
+
 let handle_rrep t ~from rrep =
-  let me = t.ctx.Routing_intf.id in
-  let terminus = rrep.rp_src = me in
+  let terminus = rrep.rp_src = t.ctx.Routing_intf.id in
   let engagement =
     if terminus then None
     else engagement t.ext.engagements ~src:rrep.rp_src ~id:rrep.rp_id
   in
-  let cached =
-    match engagement with
-    | Some e -> e.e_cached
-    | None -> t.ext.infinite
-  in
-  let forward_ok =
-    match engagement with Some e -> not e.e_replied | None -> terminus
-  in
-  if (not terminus) && engagement = None then ()
-  else if not forward_ok then ()
-  else begin
-    let adopted =
-      set_route t ~dst:rrep.rp_dst ~via:from ~adv_order:rrep.rp_order
-        ~adv_dist:rrep.rp_dist ~cached ~lifetime:rrep.rp_lifetime
-    in
-    match adopted with
-    | Adopted ->
-        if terminus then begin
+  match engagement with
+  | None when not terminus -> ()
+  | Some e when e.e_replied -> ()
+  | Some _ | None -> (
+      let cached =
+        match engagement with Some e -> e.e_cached | None -> t.ext.infinite
+      in
+      match
+        ( set_route t ~dst:rrep.rp_dst ~via:from ~adv_order:rrep.rp_order
+            ~adv_dist:rrep.rp_dist ~cached ~lifetime:rrep.rp_lifetime,
+          engagement )
+      with
+      | Adopted, None ->
           Discovery.succeed t.discovery ~dst:rrep.rp_dst;
           let own = own_ordering t rrep.rp_dst in
           let needs_reset =
@@ -578,45 +587,15 @@ let handle_rrep t ~from rrep =
             send_probe t ~dst:rrep.rp_dst
           end
           else if needs_reset then send_probe t ~dst:rrep.rp_dst
-        end
-        else begin
-          match engagement with
-          | None -> ()
-          | Some e ->
-              e.e_replied <- true;
-              let r = O.route_for t rrep.rp_dst in
-              Hashtbl.replace r.precursors e.e_last_hop ();
-              let relayed =
-                {
-                  rrep with
-                  rp_order = own_ordering t rrep.rp_dst;
-                  rp_dist = route_dist t rrep.rp_dst;
-                }
-              in
-              send_rrep_reliable t ~to_:e.e_last_hop relayed;
-              Discovery.flush t.discovery ~dst:rrep.rp_dst
-        end
-    | Rejected ->
-        (* infeasible or label exhausted: re-advertise our own route if we
-           still have one (the paper's "new advertisement based on its
-           current label"), otherwise drop *)
-        if (not terminus) && has_active_route t ~dst:rrep.rp_dst then begin
-          match engagement with
-          | None -> ()
-          | Some e ->
-              e.e_replied <- true;
-              let r = O.route_for t rrep.rp_dst in
-              Hashtbl.replace r.precursors e.e_last_hop ();
-              let relayed =
-                {
-                  rrep with
-                  rp_order = own_ordering t rrep.rp_dst;
-                  rp_dist = route_dist t rrep.rp_dst;
-                }
-              in
-              send_rrep_reliable t ~to_:e.e_last_hop relayed
-        end
-  end
+      | Adopted, Some e ->
+          advertise t e rrep;
+          Discovery.flush t.discovery ~dst:rrep.rp_dst
+      (* infeasible or label exhausted: re-advertise our own route if we
+         still have one (the paper's "new advertisement based on its
+         current label"), otherwise drop *)
+      | Rejected, Some e when has_active_route t ~dst:rrep.rp_dst ->
+          advertise t e rrep
+      | Rejected, (Some _ | None) -> ())
 
 (* ------------------------------------------------------------------ *)
 (* RERR handling                                                       *)
