@@ -261,9 +261,7 @@ let unicast_failed t ~frame ~dst:next_hop =
   if parked >= 0 then lost := List.filter (fun (d, _) -> d <> parked) !lost;
   O.send_rerr t !lost ~to_:Frame.Broadcast
 
-let receive t ~src frame =
-  match frame.Frame.payload with
-  | Frame.Data data -> O.handle_data t ~from:src data ~size:frame.Frame.size
+let control t ~src = function
   | Rreq rreq -> handle_rreq t ~from:src rreq
   | Rrep rrep -> handle_rrep t ~from:src rrep
   | Rerr rerr -> handle_rerr t ~from:src rerr
@@ -287,7 +285,7 @@ let give_up t ~dst =
 let create_full ?(config = default_config) ctx =
   O.create ctx ~ext:config ~self_seqno:0 ~seen_ttl:30.0
     ~send:(fun t ~dst ~ttl ~attempt:_ -> originate_rreq t ~dst ~ttl)
-    ~give_up ~receive ~unicast_failed ~gauges
+    ~give_up ~control ~unicast_failed ~gauges
 
 let create ?config ctx = snd (create_full ?config ctx)
 

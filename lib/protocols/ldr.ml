@@ -170,53 +170,43 @@ let handle_rreq t ~from rreq =
         }
     end
     else begin
-      let can_reply =
-        (not rreq.rq_reset)
-        &&
-        match valid_route t rreq.rq_dst with
-        | Some r -> (
-            match (r.label, rreq.rq_label) with
-            | Some mine, Some req -> feasible ~own:(Some req) ~adv:mine
-            | Some _, None -> true
-            | None, _ -> false)
-        | None -> false
-      in
-      if can_reply then begin
-        match valid_route t rreq.rq_dst with
-        | Some r ->
-            let mine = Option.get r.label in
-            Hashtbl.replace r.precursors from ();
-            send_rrep t ~to_:from
+      (* reply when our own label is in order for the requester's *)
+      match if rreq.rq_reset then None else valid_route t rreq.rq_dst with
+      | Some ({ label = Some mine; _ } as r)
+        when match rreq.rq_label with
+             | Some req -> feasible ~own:(Some req) ~adv:mine
+             | None -> true ->
+          Hashtbl.replace r.precursors from ();
+          send_rrep t ~to_:from
+            {
+              rp_src = rreq.rq_src;
+              rp_id = rreq.rq_id;
+              rp_dst = rreq.rq_dst;
+              rp_label = mine;
+              rp_dist = r.dist;
+              rp_lifetime = r.expiry -. now t;
+            }
+      | Some _ | None ->
+          if rreq.rq_ttl > 1 then begin
+            (* strengthen the solicitation with our own label (path minimum) *)
+            let own = (O.route_for t rreq.rq_dst).label in
+            let relayed_label =
+              match (rreq.rq_label, own) with
+              | None, None -> None
+              | Some l, None -> Some l
+              | None, Some o -> Some o
+              | Some l, Some o -> Some (lower l o)
+            in
+            let relayed =
               {
-                rp_src = rreq.rq_src;
-                rp_id = rreq.rq_id;
-                rp_dst = rreq.rq_dst;
-                rp_label = mine;
-                rp_dist = r.dist;
-                rp_lifetime = r.expiry -. now t;
+                rreq with
+                rq_label = relayed_label;
+                rq_hops = rreq.rq_hops + 1;
+                rq_ttl = rreq.rq_ttl - 1;
               }
-        | None -> ()
-      end
-      else if rreq.rq_ttl > 1 then begin
-        (* strengthen the solicitation with our own label (path minimum) *)
-        let own = (O.route_for t rreq.rq_dst).label in
-        let relayed_label =
-          match (rreq.rq_label, own) with
-          | None, None -> None
-          | Some l, None -> Some l
-          | None, Some o -> Some o
-          | Some l, Some o -> Some (lower l o)
-        in
-        let relayed =
-          {
-            rreq with
-            rq_label = relayed_label;
-            rq_hops = rreq.rq_hops + 1;
-            rq_ttl = rreq.rq_ttl - 1;
-          }
-        in
-        O.relay t ~size:t.ext.config.rreq_size ~kind:"rreq" (Rreq relayed)
-      end
+            in
+            O.relay t ~size:t.ext.config.rreq_size ~kind:"rreq" (Rreq relayed)
+          end
     end
   end
 
@@ -282,9 +272,7 @@ let unicast_failed t ~frame ~dst:next_hop =
   if parked >= 0 then lost := List.filter (fun d -> d <> parked) !lost;
   O.send_rerr t !lost ~to_:Frame.Broadcast
 
-let receive t ~src frame =
-  match frame.Frame.payload with
-  | Frame.Data data -> O.handle_data t ~from:src data ~size:frame.Frame.size
+let control t ~src = function
   | Rreq rreq -> handle_rreq t ~from:src rreq
   | Rrep rrep -> handle_rrep t ~from:src rrep
   | Rerr rerr -> handle_rerr t ~from:src rerr
@@ -308,7 +296,7 @@ let create_full ?(config = default_config) ctx =
          feasible distances cannot be put in order *)
       originate_rreq t ~dst ~ttl ~reset:(attempt >= List.length ttls - 1))
     ~give_up:(fun _ ~dst:_ -> ())
-    ~receive ~unicast_failed ~gauges
+    ~control ~unicast_failed ~gauges
 
 let create ?config ctx = snd (create_full ?config ctx)
 

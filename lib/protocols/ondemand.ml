@@ -7,27 +7,18 @@
 
 module Frame = Wireless.Frame
 
-(** Expanding-ring TTL schedule of a route request. *)
+(* The shared constants: the expanding-ring TTL schedule; how long a
+   route (SRP: a successor) stays usable once learnt or used, s; the
+   maximum relay jitter, s; the hops a data packet may take; the bytes of
+   a route error and of the IP header on every hop; and DELETE_PERIOD, s,
+   how long an engagement outlives its request and SRP keeps the label of
+   a destination it has no successor for (Definition 3). *)
 let ttls = [ 1; 3; 7; 16 ]
-
-(** Seconds a route (SRP: a successor) stays usable once learnt or used. *)
 let route_lifetime = 10.0
-
-(** Maximum delay, s, before a relay rebroadcasts a request. *)
 let relay_jitter = 0.01
-
-(** Hops a data packet may take before it is dropped as ["ttl exceeded"]. *)
 let data_ttl = 64
-
-(** Bytes of a route error. *)
 let rerr_size = 32
-
-(** Bytes added to a data payload on every hop. *)
 let ip_overhead = 20
-
-(** DELETE_PERIOD, s: how long an engagement outlives its request, and how
-    long SRP keeps the label of a destination it has no successor for
-    (Definition 3). *)
 let delete_period = 60.0
 
 (** An agent's state: its node's capabilities, its route table keyed by
@@ -208,6 +199,12 @@ module Make (D : DISCIPLINE) = struct
         dst
     | _ -> -1
 
+  (** The [Data] arm of [receive]; [control] takes every other payload. *)
+  let receive t ~control ~src frame =
+    match frame.Frame.payload with
+    | Frame.Data data -> handle_data t ~from:src data ~size:frame.Frame.size
+    | payload -> control t ~src payload
+
   (** Destinations with a usable route. Read-only: gauge sampling must not
       perturb the protocol. *)
   let route_entries t =
@@ -219,8 +216,9 @@ module Make (D : DISCIPLINE) = struct
   (** An agent and its handlers: empty tables, a duplicate cache that
       forgets after [seen_ttl] s, and route requests on {!ttls}, of which
       [send] issues one attempt and [give_up] runs when one is abandoned.
-      None of the three uses [unicast_ok]. *)
-  let create ctx ~ext ~self_seqno ~seen_ttl ~send ~give_up ~receive
+      [control] handles every frame but data. None of the three uses
+      [unicast_ok]. *)
+  let create ctx ~ext ~self_seqno ~seen_ttl ~send ~give_up ~control
       ~unicast_failed ~gauges =
     let engine = ctx.Routing_intf.engine in
     (* the request callbacks need the agent that holds them *)
@@ -248,7 +246,7 @@ module Make (D : DISCIPLINE) = struct
     ( t,
       {
         Routing_intf.originate = originate t;
-        receive = receive t;
+        receive = receive t ~control;
         unicast_failed = unicast_failed t;
         unicast_ok = (fun ~frame:_ ~dst:_ -> ());
         gauges = (fun () -> gauges t);

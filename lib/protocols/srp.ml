@@ -642,9 +642,7 @@ let gauges t =
     pending_packets = Discovery.parked t.discovery;
   }
 
-let receive t ~src frame =
-  match frame.Frame.payload with
-  | Frame.Data data -> O.handle_data t ~from:src data ~size:frame.Frame.size
+let control t ~src = function
   | Rreq rreq -> handle_rreq t ~from:src rreq
   | Rrep rrep ->
       (* acknowledge first: even a reply we end up rejecting was received *)
@@ -689,7 +687,7 @@ let create_full ?(config = default_config) ctx =
       (* the source never demands a reset: the T bit is set only by relays
          that detect a fraction overflow (Eq. 11) *)
       originate_rreq t ~dst ~ttl ~rr:false)
-    ~give_up ~receive ~unicast_failed ~gauges
+    ~give_up ~control ~unicast_failed ~gauges
 
 let create ?config ctx = snd (create_full ?config ctx)
 
