@@ -1,7 +1,5 @@
 open Ondemand
 
-let span_timer = Obs.span "proto.aodv.timer"
-
 module Frame = Wireless.Frame
 
 type config = { rreq_size : int; rrep_size : int }
@@ -46,11 +44,6 @@ let usable time r = r.valid && r.expiry > time
 
 let route_valid t r = usable (now t) r
 
-let valid_route t dst =
-  match Hashtbl.find_opt t.routes dst with
-  | Some r when route_valid t r -> Some r
-  | Some _ | None -> None
-
 let refresh t r = r.expiry <- Stdlib.max r.expiry (now t +. route_lifetime)
 
 module O = Make (struct
@@ -58,7 +51,7 @@ module O = Make (struct
   type ext = config
   type unreachable = int * int
 
-  let span = span_timer
+  let span = Obs.span "proto.aodv.timer"
 
   let fresh _ =
     {
@@ -161,7 +154,7 @@ let handle_rreq t ~from rreq =
         }
     end
     else begin
-      let entry = valid_route t rreq.rq_dst in
+      let entry = O.valid_route t rreq.rq_dst in
       let can_reply =
         match (entry, rreq.rq_dst_seqno) with
         | Some r, Some s -> r.seqno_known && r.seqno >= s
@@ -210,12 +203,12 @@ let handle_rrep t ~from rrep =
       ~hops:(rrep.rp_hops + 1) ~next_hop:from
   in
   if rrep.rp_src = me then begin
-    if accepted || valid_route t rrep.rp_dst <> None then
+    if accepted || O.valid_route t rrep.rp_dst <> None then
       Discovery.succeed t.discovery ~dst:rrep.rp_dst
   end
   else begin
     (* forward along the reverse route toward the originator *)
-    match valid_route t rrep.rp_src with
+    match O.valid_route t rrep.rp_src with
     | None -> ()
     | Some reverse ->
         (match Hashtbl.find_opt t.routes rrep.rp_dst with
@@ -292,7 +285,7 @@ let create ?config ctx = snd (create_full ?config ctx)
 let own_seqno t = t.self_seqno
 
 let next_hop t ~dst =
-  match valid_route t dst with Some r -> Some r.next_hop | None -> None
+  match O.valid_route t dst with Some r -> Some r.next_hop | None -> None
 
 let route_seqno t ~dst =
   match Hashtbl.find_opt t.routes dst with

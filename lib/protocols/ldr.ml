@@ -1,7 +1,5 @@
 open Ondemand
 
-let span_timer = Obs.span "proto.ldr.timer"
-
 module Frame = Wireless.Frame
 
 type config = { rreq_size : int; rrep_size : int }
@@ -65,17 +63,12 @@ let usable time r = r.valid && r.expiry > time
 
 let route_valid t r = usable (now t) r
 
-let valid_route t dst =
-  match Hashtbl.find_opt t.routes dst with
-  | Some r when route_valid t r -> Some r
-  | Some _ | None -> None
-
 module O = Make (struct
   type nonrec route = route
   type nonrec ext = ext
   type unreachable = int
 
-  let span = span_timer
+  let span = Obs.span "proto.ldr.timer"
 
   let fresh _ =
     {
@@ -171,7 +164,7 @@ let handle_rreq t ~from rreq =
     end
     else begin
       (* reply when our own label is in order for the requester's *)
-      match if rreq.rq_reset then None else valid_route t rreq.rq_dst with
+      match if rreq.rq_reset then None else O.valid_route t rreq.rq_dst with
       | Some ({ label = Some mine; _ } as r)
         when match rreq.rq_label with
              | Some req -> feasible ~own:(Some req) ~adv:mine
@@ -241,7 +234,7 @@ let handle_rrep t ~from rrep =
         else begin
           (* infeasible here: if we still hold a valid route, advertise it;
              otherwise the reply dies and the source retries with reset *)
-          match valid_route t rrep.rp_dst with
+          match O.valid_route t rrep.rp_dst with
           | Some r -> advertise t e r rrep
           | None -> ()
         end
@@ -306,4 +299,4 @@ let label_for t ~dst =
   match Hashtbl.find_opt t.routes dst with Some r -> r.label | None -> None
 
 let next_hop t ~dst =
-  match valid_route t dst with Some r -> Some r.next_hop | None -> None
+  match O.valid_route t dst with Some r -> Some r.next_hop | None -> None

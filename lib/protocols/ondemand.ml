@@ -129,6 +129,12 @@ module Make (D : DISCIPLINE) = struct
         Hashtbl.replace t.routes dst r;
         r
 
+  (** The destination's record while it holds a usable route. *)
+  let valid_route t dst =
+    match Hashtbl.find_opt t.routes dst with
+    | Some r when D.usable (now t) r -> Some r
+    | Some _ | None -> None
+
   (** A route error for [entries]; nothing when there are none. *)
   let send_rerr t entries ~to_ =
     if entries <> [] then

@@ -239,10 +239,6 @@ let report_lost_routes t lost =
 (* ------------------------------------------------------------------ *)
 (* Solicitations                                                       *)
 
-let fresh_rreq_id t =
-  t.next_rreq_id <- t.next_rreq_id + 1;
-  t.next_rreq_id
-
 (* The advertisement piece of a RREQ this node emits: its route to the
    RREQ source (itself at origination). *)
 let rreq_advertisement t ~src =
@@ -254,27 +250,31 @@ let rreq_advertisement t ~src =
     Some { ra_order = own_ordering t src; ra_dist = route_dist t src }
   else None
 
-let originate_rreq t ~dst ~ttl ~rr =
-  let own = own_ordering t dst in
-  let unassigned = not (Ordering.is_finite own) in
-  let order = if unassigned then t.ext.infinite else lie_about t own in
+(* A request this node originates, to [to_]. *)
+let solicit t ~to_ ~dst ~order ~u ~rr ~d ~ttl =
+  t.next_rreq_id <- t.next_rreq_id + 1;
   let rreq =
     {
       rq_src = t.ctx.Routing_intf.id;
-      rq_id = fresh_rreq_id t;
+      rq_id = t.next_rreq_id;
       rq_dst = dst;
       rq_order = order;
-      rq_u = unassigned;
+      rq_u = u;
       rq_rr = rr;
-      rq_d = false;
+      rq_d = d;
       rq_n = false;
       rq_hops = 0;
       rq_ttl = ttl;
       rq_adv = rreq_advertisement t ~src:t.ctx.Routing_intf.id;
     }
   in
-  send t ~dst:Frame.Broadcast ~size:t.ext.config.rreq_size ~kind:"rreq"
-    (Rreq rreq)
+  send t ~dst:to_ ~size:t.ext.config.rreq_size ~kind:"rreq" (Rreq rreq)
+
+let originate_rreq t ~dst ~ttl ~rr =
+  let own = own_ordering t dst in
+  let unassigned = not (Ordering.is_finite own) in
+  let order = if unassigned then t.ext.infinite else lie_about t own in
+  solicit t ~to_:Frame.Broadcast ~dst ~order ~u:unassigned ~rr ~d:false ~ttl
 
 (* D-bit probe: unicast along the forward path, forcing the destination
    itself to reply with a reset (paper §III, MAX_DENOM and N-bit cases). *)
@@ -282,23 +282,8 @@ let send_probe t ~dst =
   match best_successor t dst with
   | None -> ()
   | Some next_hop ->
-      let rreq =
-        {
-          rq_src = t.ctx.Routing_intf.id;
-          rq_id = fresh_rreq_id t;
-          rq_dst = dst;
-          rq_order = own_ordering t dst;
-          rq_u = false;
-          rq_rr = true;
-          rq_d = true;
-          rq_n = false;
-          rq_hops = 0;
-          rq_ttl = data_ttl;
-          rq_adv = rreq_advertisement t ~src:t.ctx.Routing_intf.id;
-        }
-      in
-      send t ~dst:(Frame.Unicast next_hop) ~size:t.ext.config.rreq_size
-        ~kind:"rreq" (Rreq rreq)
+      solicit t ~to_:(Frame.Unicast next_hop) ~dst
+        ~order:(own_ordering t dst) ~u:false ~rr:true ~d:true ~ttl:data_ttl
 
 (* ------------------------------------------------------------------ *)
 (* Procedure 3 (Set Route): adopt an advertisement if NEWORDER is finite *)
