@@ -42,8 +42,6 @@ type t = (route, config) Ondemand.t
 
 let usable time r = r.valid && r.expiry > time
 
-let route_valid t r = usable (now t) r
-
 let refresh t r = r.expiry <- Stdlib.max r.expiry (now t +. route_lifetime)
 
 module O = Make (struct
@@ -68,7 +66,7 @@ module O = Make (struct
 
   let next_hop t dst =
     match Hashtbl.find_opt t.routes dst with
-    | Some r when route_valid t r -> r.next_hop
+    | Some r when usable (now t) r -> r.next_hop
     | Some _ | None -> -1
 
   (* [next_hop] has just found the route *)
@@ -88,7 +86,7 @@ end)
 let update_route t ~dst ~seqno ~hops ~next_hop =
   let r = O.route_for t dst in
   let better =
-    (not (route_valid t r))
+    (not (usable (now t) r))
     || (not r.seqno_known)
     || seqno > r.seqno
     || (seqno = r.seqno && hops < r.hops)
@@ -155,14 +153,12 @@ let handle_rreq t ~from rreq =
     end
     else begin
       let entry = O.valid_route t rreq.rq_dst in
-      let can_reply =
-        match (entry, rreq.rq_dst_seqno) with
-        | Some r, Some s -> r.seqno_known && r.seqno >= s
-        | Some r, None -> r.seqno_known
-        | None, _ -> false
-      in
       match entry with
-      | Some r when can_reply ->
+      | Some r
+        when r.seqno_known
+             && (match rreq.rq_dst_seqno with
+                | Some s -> r.seqno >= s
+                | None -> true) ->
           (* intermediate reply; precursors gain the requester direction *)
           Hashtbl.replace r.precursors from ();
           send_rrep t ~to_:from
@@ -212,7 +208,7 @@ let handle_rrep t ~from rrep =
     | None -> ()
     | Some reverse ->
         (match Hashtbl.find_opt t.routes rrep.rp_dst with
-        | Some fwd when route_valid t fwd ->
+        | Some fwd when usable (now t) fwd ->
             Hashtbl.replace fwd.precursors reverse.next_hop ()
         | Some _ | None -> ());
         send_rrep t ~to_:reverse.next_hop

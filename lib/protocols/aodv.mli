@@ -8,7 +8,10 @@
     [last known seqno + 1]).
 
     AODV's sequence number is its only loop-freedom mechanism, which is why
-    Fig. 7 shows it growing far faster than LDR's or SRP's. *)
+    Fig. 7 shows it growing far faster than LDR's or SRP's. That rule, the
+    messages and their handlers are this module's; the state, frame
+    builders, relay, data forwarding and request ring it shares with LDR
+    and SRP are {!Ondemand}'s. *)
 
 type config = { rreq_size : int; rrep_size : int }
 

@@ -59,10 +59,6 @@ type ext = {
 
 type t = (route, ext) Ondemand.t
 
-let usable time r = r.valid && r.expiry > time
-
-let route_valid t r = usable (now t) r
-
 module O = Make (struct
   type nonrec route = route
   type nonrec ext = ext
@@ -80,11 +76,11 @@ module O = Make (struct
       precursors = Hashtbl.create 4;
     }
 
-  let usable = usable
+  let usable time r = r.valid && r.expiry > time
 
   let next_hop t dst =
     match Hashtbl.find_opt t.routes dst with
-    | Some r when route_valid t r -> r.next_hop
+    | Some r when usable (now t) r -> r.next_hop
     | Some _ | None -> -1
 
   (* [next_hop] has just found the route *)

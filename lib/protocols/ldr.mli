@@ -10,7 +10,10 @@
     larger sequence number that resets feasible distances along the reply
     path (the behaviour SRP §I describes and improves on by making the
     distance {e sub-divisible}). Sequence numbers therefore grow slower
-    than AODV's but are not identically zero like SRP's (Fig. 7). *)
+    than AODV's but are not identically zero like SRP's (Fig. 7). The
+    feasibility rule, the messages and their handlers are this module's;
+    the state, frame builders, relay, data forwarding, request ring and
+    engagement table it shares with AODV and SRP are {!Ondemand}'s. *)
 
 type config = { rreq_size : int; rrep_size : int }
 

@@ -1,9 +1,8 @@
-(** The on-demand skeleton of SRP, AODV and LDR: the AODV-style
-    RREQ/RREP/RERR exchange (DESIGN S7, S8, S10) that each of Fig. 7's
-    loop-freedom disciplines rides. It holds the shared state, the message
-    builders, the relay, forwarding and the engagement table; each agent
-    keeps its messages, its route record, its ordering discipline and its
-    handlers, and passes {!Make} what forwarding needs of its routes. *)
+(** The AODV-style RREQ/RREP/RERR exchange (DESIGN S7, S8, S10) that the
+    loop-freedom disciplines of SRP, AODV and LDR (Fig. 7) ride: their
+    shared state, message builders, relay, forwarding and engagement
+    table. Each agent keeps its messages, route record, ordering and
+    handlers, and gives {!Make} what forwarding needs of its routes. *)
 
 module Frame = Wireless.Frame
 
@@ -21,12 +20,11 @@ let rerr_size = 32
 let ip_overhead = 20
 let delete_period = 60.0
 
-(** An agent's state: its node's capabilities, its route table keyed by
-    destination (['route] is the discipline's record, precursors
-    included), its duplicate-request cache and route requests, its own
-    sequence number and request counter, the route-change listener (the
-    online loop monitor's hook, fired with the destination after a route
-    mutation) and, in [ext], the rest of the agent's state. *)
+(** An agent's state: its node's capabilities, route table by destination
+    (['route], precursors included), duplicate-request cache, route
+    requests, own sequence number and request counter, the route-change
+    listener (the online loop monitor's hook, fired with the destination
+    after a route mutation) and, in [ext], the rest of its state. *)
 type ('route, 'ext) t = {
   ctx : Routing_intf.ctx;
   routes : (int, 'route) Hashtbl.t;
@@ -88,34 +86,25 @@ let engage t table ~src ~id ~cached ~last_hop =
 
 let engagement table ~src ~id = Hashtbl.find_opt table (src, id)
 
-(** What the shared plumbing needs of an agent's routes and messages. *)
+(** What the shared plumbing needs of an agent's routes and messages:
+    [span] ([proto.<name>.timer]) runs its relays; [fresh] is a
+    destination's record before anything is known of it; [usable] tells
+    whether a route can carry data at a time (the [route_entries] gauge);
+    [next_hop] is where a data packet for a destination goes, [-1] with no
+    usable route, and [refresh] keeps that route alive as a packet leaves
+    on it; [unreachable] is how a relay with no route reports a
+    destination, one entry of the [rerr] payload. *)
 module type DISCIPLINE = sig
   type route
   type ext
-
-  (** one destination a route error reports unreachable *)
   type unreachable
 
-  (** [proto.<name>.timer]: relays run in it *)
   val span : Obs.span
-
-  (** a destination's record before anything is known of it *)
   val fresh : (route, ext) t -> route
-
-  (** can the route carry data at this time? (the [route_entries] gauge) *)
   val usable : float -> route -> bool
-
-  (** the neighbour a data packet for the destination goes to, [-1] when
-      there is no usable route *)
   val next_hop : (route, ext) t -> int -> int
-
-  (** a packet is about to leave for [next_hop], the answer {!next_hop}
-      just gave: keep the route alive *)
   val refresh : (route, ext) t -> int -> next_hop:int -> unit
-
-  (** how a relay with no route reports the destination to the last hop *)
   val unreachable : (route, ext) t -> int -> unreachable
-
   val rerr : unreachable list -> Frame.payload
 end
 
@@ -180,17 +169,6 @@ module Make (D : DISCIPLINE) = struct
     else if not (forward t data ~size) then
       Discovery.park t.discovery ~dst data ~size
 
-  (** The [Data] arm of [receive] ([size] is the frame's): delivered,
-      forwarded, or dropped as ["no route at relay"] after a route error
-      back to [from]. *)
-  let handle_data t ~from data ~size =
-    let dst = data.Frame.final_dst in
-    if dst = t.ctx.Routing_intf.id then t.ctx.Routing_intf.deliver data
-    else if not (forward t data ~size:(size - ip_overhead)) then begin
-      send_rerr t [ D.unreachable t dst ] ~to_:(Frame.Unicast from);
-      t.ctx.Routing_intf.drop_data data ~reason:"no route at relay"
-    end
-
   (** After [frame] exhausted its MAC retries: parks the data packet it
       carried while a new route is requested, after one more {!forward}
       when [retry] (SRP's other successors). Returns the packet's
@@ -205,10 +183,19 @@ module Make (D : DISCIPLINE) = struct
         dst
     | _ -> -1
 
-  (** The [Data] arm of [receive]; [control] takes every other payload. *)
+  (** A received frame: data is delivered, forwarded, or dropped as ["no
+      route at relay"] after a route error back to [src]; [control] takes
+      every other payload. *)
   let receive t ~control ~src frame =
     match frame.Frame.payload with
-    | Frame.Data data -> handle_data t ~from:src data ~size:frame.Frame.size
+    | Frame.Data data ->
+        let dst = data.Frame.final_dst in
+        if dst = t.ctx.Routing_intf.id then t.ctx.Routing_intf.deliver data
+        else if not (forward t data ~size:(frame.Frame.size - ip_overhead))
+        then begin
+          send_rerr t [ D.unreachable t dst ] ~to_:(Frame.Unicast src);
+          t.ctx.Routing_intf.drop_data data ~reason:"no route at relay"
+        end
     | payload -> control t ~src payload
 
   (** Destinations with a usable route. Read-only: gauge sampling must not

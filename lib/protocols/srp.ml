@@ -196,9 +196,6 @@ module O = Make (struct
   let rerr dsts = Rerr { re_unreachable = dsts }
 end)
 
-let succ_ordering_list t dst =
-  List.map (fun (b, s) -> (b, s.s_order)) (live_succs t dst)
-
 (* §V heuristic: understate the solicitation ordering so only strictly
    better-ordered nodes reply. The perturbation is instance-specific. *)
 let lie_about t order =
@@ -208,7 +205,8 @@ let lie_about t order =
   else Ordering.v ~sn:order.Ordering.sn ~label
 
 (* Remove [neighbor] as successor everywhere (the link is gone); returns
-   destinations that lost their last successor. *)
+   the destinations that lost their last successor and have precursors to
+   tell. *)
 let drop_link t neighbor =
   let lost = ref [] in
   let changed = ref [] in
@@ -219,22 +217,12 @@ let drop_link t neighbor =
         changed := dst :: !changed;
         Trace.route_del t.ctx.Routing_intf.trace ~node:t.ctx.Routing_intf.id
           ~dst ~via:neighbor ~reason:"link lost";
-        if Hashtbl.length r.succs = 0 then lost := dst :: !lost
+        if Hashtbl.length r.succs = 0 && Hashtbl.length r.precursors > 0
+        then lost := dst :: !lost
       end)
     t.routes;
   List.iter t.listener !changed;
   !lost
-
-let report_lost_routes t lost =
-  let with_precursors =
-    List.filter
-      (fun dst ->
-        match Hashtbl.find_opt t.routes dst with
-        | Some r -> Hashtbl.length r.precursors > 0
-        | None -> false)
-      lost
-  in
-  O.send_rerr t with_precursors ~to_:Frame.Broadcast
 
 (* ------------------------------------------------------------------ *)
 (* Solicitations                                                       *)
@@ -384,24 +372,23 @@ let handle_rack t ~from rack =
       Hashtbl.remove t.ext.racks key
   | None -> ()
 
+let reset_seqno t sn =
+  t.self_seqno <- sn;
+  t.ext.resets <- t.ext.resets + 1;
+  Trace.seqno_reset t.ctx.Routing_intf.trace ~node:t.ctx.Routing_intf.id
+    ~seqno:sn
+
 let destination_reply t rreq ~last_hop =
   (* The destination controls its sequence number: a reset-required
      solicitation forces a strictly larger one (the only increment SRP
      ever performs). *)
-  if rreq.rq_order.Ordering.sn > t.self_seqno then begin
-    t.self_seqno <- rreq.rq_order.Ordering.sn;
-    t.ext.resets <- t.ext.resets + 1;
-    Trace.seqno_reset t.ctx.Routing_intf.trace ~node:t.ctx.Routing_intf.id
-      ~seqno:t.self_seqno
-  end;
+  if rreq.rq_order.Ordering.sn > t.self_seqno then
+    reset_seqno t rreq.rq_order.Ordering.sn;
   if rreq.rq_rr then begin
-    t.self_seqno <- t.self_seqno + 1;
-    t.ext.resets <- t.ext.resets + 1;
     (* the T bit / MAX_DENOM probe path: this reset was forced by label
        exhaustion, the cost the dense-set choice trades against width *)
     t.ext.label_resets <- t.ext.label_resets + 1;
-    Trace.seqno_reset t.ctx.Routing_intf.trace ~node:t.ctx.Routing_intf.id
-      ~seqno:t.self_seqno
+    reset_seqno t (t.self_seqno + 1)
   end;
   let rrep =
     {
@@ -565,10 +552,7 @@ let handle_rrep t ~from rrep =
                Off by default: the paper's CBR workload is unidirectional,
                so reverse paths are never exercised and SRP's sequence
                numbers stay identically zero (Fig. 7). *)
-            t.self_seqno <- t.self_seqno + 1;
-            t.ext.resets <- t.ext.resets + 1;
-            Trace.seqno_reset t.ctx.Routing_intf.trace
-              ~node:t.ctx.Routing_intf.id ~seqno:t.self_seqno;
+            reset_seqno t (t.self_seqno + 1);
             send_probe t ~dst:rrep.rp_dst
           end
           else if needs_reset then send_probe t ~dst:rrep.rp_dst
@@ -610,8 +594,7 @@ let handle_rerr t ~from rerr =
 (* Agent wiring                                                        *)
 
 let unicast_failed t ~frame ~dst:next_hop =
-  let lost = drop_link t next_hop in
-  report_lost_routes t lost;
+  O.send_rerr t (drop_link t next_hop) ~to_:Frame.Broadcast;
   (* packet cache: resend along another successor, or hold the packet and
      look for a new path *)
   ignore (O.salvage t frame ~retry:true)
@@ -678,7 +661,8 @@ let create ?config ctx = snd (create_full ?config ctx)
 
 let ordering t ~dst = own_ordering t dst
 
-let successor_orderings t ~dst = succ_ordering_list t dst
+let successor_orderings t ~dst =
+  List.map (fun (b, s) -> (b, s.s_order)) (live_succs t dst)
 
 let own_seqno t = t.self_seqno
 

@@ -20,7 +20,10 @@
 
     SRP is inherently multi-path: the successor table keeps every feasible
     successor; uni-path forwarding (the paper's simulated variant) picks
-    from the min-hop set. *)
+    from the min-hop set. The orderings, successor set, RACK, probe and
+    handlers are this module's; the state, frame builders, relay, data
+    forwarding, request ring and engagement table it shares with AODV and
+    LDR are {!Ondemand}'s. *)
 
 type config = {
   max_denom : int;  (** MAX_DENOM reset threshold (paper: 1e9) *)
