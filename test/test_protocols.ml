@@ -1174,96 +1174,178 @@ let test_srp_data_ttl () =
               rp_n = false;
             }))
 
+(* Requests from [src] for 5 and their replies from 5, as relay 7 gets
+   them from 2 and from 3. *)
+let aodv_rreq_to5 ~src ~id =
+  Aodv.Rreq
+    {
+      rq_src = src;
+      rq_src_seqno = 1;
+      rq_id = id;
+      rq_dst = 5;
+      rq_dst_seqno = None;
+      rq_hops = 1;
+      rq_ttl = 5;
+    }
+
+let aodv_rrep_from5 ~src ~id:_ =
+  Aodv.Rrep
+    { rp_src = src; rp_dst = 5; rp_dst_seqno = 1; rp_hops = 0; rp_lifetime = 10.0 }
+
+let ldr_rreq_to5 ~src ~id =
+  Ldr.Rreq
+    {
+      rq_src = src;
+      rq_id = id;
+      rq_dst = 5;
+      rq_label = None;
+      rq_reset = false;
+      rq_hops = 1;
+      rq_ttl = 5;
+    }
+
+let ldr_rrep_from5 ~src ~id =
+  Ldr.Rrep
+    {
+      rp_src = src;
+      rp_id = id;
+      rp_dst = 5;
+      rp_label = { Ldr.sn = 1; fd = 0 };
+      rp_dist = 0;
+      rp_lifetime = 10.0;
+    }
+
+let srp_rreq_to5 ~src ~id =
+  Srp.Rreq
+    {
+      rq_src = src;
+      rq_id = id;
+      rq_dst = 5;
+      rq_order = O.unassigned;
+      rq_u = true;
+      rq_rr = false;
+      rq_d = false;
+      rq_n = true;
+      rq_hops = 1;
+      rq_ttl = 5;
+      rq_adv = None;
+    }
+
+let srp_rrep_from5 ~src ~id =
+  Srp.Rrep
+    {
+      rp_src = src;
+      rp_id = id;
+      rp_dst = 5;
+      rp_order = O.destination ~sn:1;
+      rp_dist = 0;
+      rp_lifetime = 10.0;
+      rp_n = false;
+    }
+
+let request agent ~src ~id rreq =
+  agent.RI.receive ~src:2
+    (Frame.make ~src:2 ~dst:Frame.Broadcast ~size:52 ~payload:(rreq ~src ~id))
+
+let reply h agent ~src ~id rrep =
+  agent.RI.receive ~src:3
+    (Frame.make ~src:3 ~dst:(Frame.Unicast 7) ~size:44 ~payload:(rrep ~src ~id));
+  run_short h
+
 (* A relay engaged with more than 4,096 requests forgets those older than
    DELETE_PERIOD (60 s): a reply to the oldest then has no reverse path
    and the relay sends no RREP for it, while a reply to a recent one is
-   still relayed toward its requester. [rreq ~src ~id] is a flooded
-   request for 5, [rrep ~src ~id] its reply from 5. *)
+   still relayed toward its requester. *)
 let check_engagement_sweep ~create ~rreq ~rrep ~is_rrep =
   let h = harness ~id:7 () in
   let agent = create h.ctx in
-  let request ~src ~id =
-    agent.RI.receive ~src:2
-      (Frame.make ~src:2 ~dst:Frame.Broadcast ~size:52
-         ~payload:(rreq ~src ~id))
-  in
-  let replies ~src ~id =
-    agent.RI.receive ~src:4
-      (Frame.make ~src:4 ~dst:(Frame.Unicast 7) ~size:44
-         ~payload:(rrep ~src ~id));
-    run_short h;
+  let rreps ~src ~id =
+    reply h agent ~src ~id rrep;
     List.length (List.filter is_rrep (take_sent h))
   in
-  request ~src:0 ~id:1;
+  request agent ~src:0 ~id:1 rreq;
   Des.Engine.run h.engine ~until:61.0;
   for id = 1 to 4097 do
-    request ~src:1 ~id
+    request agent ~src:1 ~id rreq
   done;
   run_short h;
   ignore (take_sent h);
   Alcotest.(check int) "no RREP for the request 61 s old" 0
-    (replies ~src:0 ~id:1);
+    (rreps ~src:0 ~id:1);
   Alcotest.(check int) "a recent request's RREP relayed" 1
-    (replies ~src:1 ~id:4097)
+    (rreps ~src:1 ~id:4097)
 
 let test_ldr_engagement_sweep () =
   check_engagement_sweep
     ~create:(fun ctx -> Ldr.create ctx)
-    ~rreq:(fun ~src ~id ->
-      Ldr.Rreq
-        {
-          rq_src = src;
-          rq_id = id;
-          rq_dst = 5;
-          rq_label = None;
-          rq_reset = false;
-          rq_hops = 1;
-          rq_ttl = 5;
-        })
-    ~rrep:(fun ~src ~id ->
-      Ldr.Rrep
-        {
-          rp_src = src;
-          rp_id = id;
-          rp_dst = 5;
-          rp_label = { Ldr.sn = 1; fd = 0 };
-          rp_dist = 0;
-          rp_lifetime = 10.0;
-        })
+    ~rreq:ldr_rreq_to5 ~rrep:ldr_rrep_from5
     ~is_rrep:(fun f ->
       match f.Frame.payload with Ldr.Rrep _ -> true | _ -> false)
 
 let test_srp_engagement_sweep () =
   check_engagement_sweep
     ~create:(fun ctx -> Srp.create ctx)
-    ~rreq:(fun ~src ~id ->
-      Srp.Rreq
-        {
-          rq_src = src;
-          rq_id = id;
-          rq_dst = 5;
-          rq_order = O.unassigned;
-          rq_u = true;
-          rq_rr = false;
-          rq_d = false;
-          rq_n = true;
-          rq_hops = 1;
-          rq_ttl = 5;
-          rq_adv = None;
-        })
-    ~rrep:(fun ~src ~id ->
-      Srp.Rrep
-        {
-          rp_src = src;
-          rp_id = id;
-          rp_dst = 5;
-          rp_order = O.destination ~sn:1;
-          rp_dist = 0;
-          rp_lifetime = 10.0;
-          rp_n = false;
-        })
+    ~rreq:srp_rreq_to5 ~rrep:srp_rrep_from5
     ~is_rrep:(fun f ->
       match f.Frame.payload with Srp.Rrep _ -> true | _ -> false)
+
+(* Relay 7 relays a request from 0 for 5 and then 5's reply, which makes
+   2, the requester's side, a precursor of its route to 5 via 3. When the
+   link to 3 breaks, the relay broadcasts one route error for 5, and does
+   so only once the route via 3 is gone. [via_3 t] reads that route;
+   [rerr_5 f] recognises the route error. *)
+let check_break_reports ~create_full ~via_3 ~rreq ~rrep ~rerr_5 =
+  let h = harness ~id:7 () in
+  let state = ref None in
+  let gone_at_rerr = ref [] in
+  let send f =
+    if rerr_5 f then
+      gone_at_rerr := (not (via_3 (Option.get !state))) :: !gone_at_rerr;
+    h.ctx.RI.mac_send f
+  in
+  let t, agent = create_full { h.ctx with RI.mac_send = send } in
+  state := Some t;
+  request agent ~src:0 ~id:1 rreq;
+  run_short h;
+  reply h agent ~src:0 ~id:1 rrep;
+  Alcotest.(check bool) "route to 5 via 3" true (via_3 t);
+  agent.RI.unicast_failed
+    ~frame:
+      (Frame.make ~src:7 ~dst:(Frame.Unicast 3) ~size:44
+         ~payload:(rrep ~src:0 ~id:1))
+    ~dst:3;
+  Alcotest.(check (list bool)) "one RERR for 5, after the route is gone"
+    [ true ] !gone_at_rerr
+
+let test_aodv_break_reports () =
+  check_break_reports
+    ~create_full:(fun ctx -> Aodv.create_full ctx)
+    ~via_3:(fun t -> Aodv.next_hop t ~dst:5 = Some 3)
+    ~rreq:aodv_rreq_to5 ~rrep:aodv_rrep_from5
+    ~rerr_5:(fun f ->
+      match f.Frame.payload with
+      | Aodv.Rerr { re_unreachable = [ (5, _) ] } -> true
+      | _ -> false)
+
+let test_ldr_break_reports () =
+  check_break_reports
+    ~create_full:(fun ctx -> Ldr.create_full ctx)
+    ~via_3:(fun t -> Ldr.next_hop t ~dst:5 = Some 3)
+    ~rreq:ldr_rreq_to5 ~rrep:ldr_rrep_from5
+    ~rerr_5:(fun f ->
+      match f.Frame.payload with
+      | Ldr.Rerr { re_unreachable = [ 5 ] } -> true
+      | _ -> false)
+
+let test_srp_break_reports () =
+  check_break_reports
+    ~create_full:(fun ctx -> Srp.create_full ctx)
+    ~via_3:(fun t -> List.mem_assoc 3 (Srp.successor_orderings t ~dst:5))
+    ~rreq:srp_rreq_to5 ~rrep:srp_rrep_from5
+    ~rerr_5:(fun f ->
+      match f.Frame.payload with
+      | Srp.Rerr { re_unreachable = [ 5 ] } -> true
+      | _ -> false)
 
 let test_seen_cache () =
   let e = Des.Engine.create () in
@@ -1507,6 +1589,12 @@ let () =
             test_ldr_engagement_sweep;
           Alcotest.test_case "SRP engagement sweep" `Quick
             test_srp_engagement_sweep;
+          Alcotest.test_case "AODV link break reports" `Quick
+            test_aodv_break_reports;
+          Alcotest.test_case "LDR link break reports" `Quick
+            test_ldr_break_reports;
+          Alcotest.test_case "SRP link break reports" `Quick
+            test_srp_break_reports;
         ] );
       ( "infrastructure",
         [
