@@ -162,9 +162,9 @@ let handle_rreq t ~from rreq =
       (* reply when our own label is in order for the requester's *)
       match if rreq.rq_reset then None else O.valid_route t rreq.rq_dst with
       | Some ({ label = Some mine; _ } as r)
-        when match rreq.rq_label with
+        when (match rreq.rq_label with
              | Some req -> feasible ~own:(Some req) ~adv:mine
-             | None -> true ->
+             | None -> true) ->
           Hashtbl.replace r.precursors from ();
           send_rrep t ~to_:from
             {
