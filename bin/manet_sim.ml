@@ -812,7 +812,7 @@ let fuzz_cmd =
     let fuzz_catalogue =
       match (scenario, labels) with
       | None, None -> fuzz_catalogue
-      | None, Some id -> Check.Props.all @ Sim.Fuzz.props_for id
+      | None, Some id -> Check.Props.all @ Sim.Fuzz.props_pinned ~labels:id ()
       | Some sc, _ ->
           (* pin the simulation-level cells to the scenario's mobility and
              traffic models (and --labels, when also given) *)

@@ -21,7 +21,6 @@ type topo_edge = { mutable t_expiry : float }
 
 type t = {
   ctx : Routing_intf.ctx;
-  config : Olsr.config;
   neighbors : (int, neighbor) Hashtbl.t;
   (* (advertising originator = last hop, destination) -> expiry *)
   topology : (int * int, topo_edge) Hashtbl.t;
@@ -31,10 +30,9 @@ type t = {
   mutable routes : (int, int) Hashtbl.t;  (** dst -> next hop *)
 }
 
-let create ?(config = Olsr.default_config) ctx =
+let create ctx =
   {
     ctx;
-    config;
     neighbors = Hashtbl.create 16;
     topology = Hashtbl.create 64;
     seen_tc = Seen_cache.create ctx.Routing_intf.engine ~ttl:30.0;
@@ -166,7 +164,7 @@ let neighbor_for t id =
 let handle_hello t (hello : Olsr.hello) =
   let me = t.ctx.Routing_intf.id in
   let n = neighbor_for t hello.h_origin in
-  n.expiry <- now t +. t.config.neighbor_hold;
+  n.expiry <- now t +. Olsr.neighbor_hold;
   let about_me =
     List.find_opt (fun (id, _, _) -> id = me) hello.h_links
   in
@@ -191,7 +189,7 @@ let handle_tc t (tc : Olsr.tc) =
     not (Seen_cache.witness t.seen_tc ~origin:tc.t_origin ~id:tc.t_ansn)
   then ()
   else begin
-    let expiry = now t +. t.config.topology_hold in
+    let expiry = now t +. Olsr.topology_hold in
     List.iter
       (fun dest ->
         if dest <> me then begin

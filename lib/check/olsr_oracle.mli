@@ -9,8 +9,7 @@ type t
 
 (** An oracle for the agent created on the same [ctx] (its [id], [engine]
     clock and [node_count] are read; nothing is scheduled). *)
-val create :
-  ?config:Protocols.Olsr.config -> Protocols.Routing_intf.ctx -> t
+val create : Protocols.Routing_intf.ctx -> t
 
 val handle_hello : t -> Protocols.Olsr.hello -> unit
 

@@ -11,16 +11,9 @@
     exact end points 0/1 and 1/1. *)
 val fraction : Slr.Fraction.t Gen.t
 
-(** Fractions whose components sit within ~2000 of the 32-bit bound, so
-    mediant overflow — the MAX_DENOM / T-bit reset path — is common. *)
-val near_bound_fraction : Slr.Fraction.t Gen.t
-
 (** Ordering with a small sequence number (collisions likely) and a
     {!fraction} feasible distance. *)
 val ordering : Slr.Ordering.t Gen.t
-
-(** Like {!ordering} but over {!near_bound_fraction}. *)
-val near_bound_ordering : Slr.Ordering.t Gen.t
 
 (** The catalogue, in stable order; names are part of the replay
     interface. *)

@@ -17,10 +17,9 @@ type t = {
   nodes : int;
   dsts : (int, dst_state) Hashtbl.t;
   mutable observations : int;
-  mutable edges : int;
 }
 
-let create ~nodes = { nodes; dsts = Hashtbl.create 16; observations = 0; edges = 0 }
+let create ~nodes = { nodes; dsts = Hashtbl.create 16; observations = 0 }
 
 let dst_state t dst =
   match Hashtbl.find_opt t.dsts dst with
@@ -31,8 +30,6 @@ let dst_state t dst =
       s
 
 let observations t = t.observations
-
-let edges_checked t = t.edges
 
 (* Eq. 3 between two finite orderings of one node: the sequence number is
    destination-controlled and only moves forward; at the same sequence
@@ -62,7 +59,6 @@ let observe t snap =
   if snap.node < 0 || snap.node >= t.nodes then
     invalid_arg "Slr_model.observe: bad node";
   t.observations <- t.observations + 1;
-  t.edges <- t.edges + List.length snap.succs;
   let state = dst_state t snap.dst in
   let prev = state.(snap.node) in
   (* record even a violating report: replays of the same trace keep

@@ -42,6 +42,3 @@ val observe : t -> snapshot -> (unit, string) result
 
 (** Total snapshots checked. *)
 val observations : t -> int
-
-(** Total successor edges inspected across all checks. *)
-val edges_checked : t -> int

@@ -14,7 +14,6 @@ type t = {
   mutable filter : src:int -> dst:int -> frame:Frame.t -> bool;
   mutable delivered : (int * Frame.data) list;
   mutable dropped : (int * Frame.data * string) list;
-  mutable frames_sent : int;
 }
 
 let create ~engine ~rng ~nodes ?(latency = 0.01) ?(jitter = 0.0) () =
@@ -29,7 +28,6 @@ let create ~engine ~rng ~nodes ?(latency = 0.01) ?(jitter = 0.0) () =
     filter = (fun ~src:_ ~dst:_ ~frame:_ -> true);
     delivered = [];
     dropped = [];
-    frames_sent = 0;
   }
 
 let agent t i =
@@ -60,7 +58,6 @@ let delay t =
    later; otherwise the sender's MAC reports retry exhaustion after the
    equivalent of a retry burst. *)
 let send t i frame =
-  t.frames_sent <- t.frames_sent + 1;
   match frame.Frame.dst with
   | Frame.Unicast j ->
       let ok = linked t i j && t.filter ~src:i ~dst:j ~frame in
@@ -80,7 +77,6 @@ let send t i frame =
   | Frame.Broadcast ->
       IntSet.iter
         (fun j ->
-          t.frames_sent <- t.frames_sent + 1;
           if t.filter ~src:i ~dst:j ~frame then begin
             let d = delay t in
             ignore
@@ -107,5 +103,3 @@ let inject t ~from ~at frame = (agent t at).Intf.receive ~src:from frame
 let delivered t = List.rev t.delivered
 
 let dropped t = List.rev t.dropped
-
-let frames_sent t = t.frames_sent

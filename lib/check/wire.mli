@@ -56,7 +56,3 @@ val delivered : t -> (int * Wireless.Frame.data) list
 
 (** Routing-layer drops: (node, packet, reason). *)
 val dropped : t -> (int * Wireless.Frame.data * string) list
-
-(** Frames transmitted so far (unicast attempts + per-neighbour broadcast
-    copies), including filtered-out ones. *)
-val frames_sent : t -> int

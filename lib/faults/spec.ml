@@ -134,17 +134,6 @@ let plan t ~rng ~nodes ~duration =
       (t.extra @ flaps @ !crashes @ !partitions @ bursts)
   end
 
-let pp_event ppf = function
-  | Link_down { la; lb } -> Format.fprintf ppf "link %d-%d down" la lb
-  | Link_up { la; lb } -> Format.fprintf ppf "link %d-%d up" la lb
-  | Crash { node } -> Format.fprintf ppf "node %d crash" node
-  | Restart { node } -> Format.fprintf ppf "node %d restart" node
-  | Partition_start { id; _ } -> Format.fprintf ppf "partition %d start" id
-  | Partition_heal { id } -> Format.fprintf ppf "partition %d heal" id
-  | Burst_start { id; drop_p } ->
-      Format.fprintf ppf "loss burst %d start (p=%.2f)" id drop_p
-  | Burst_end { id } -> Format.fprintf ppf "loss burst %d end" id
-
 let pp ppf t =
   if is_none t then Format.pp_print_string ppf "no-faults"
   else

@@ -52,7 +52,5 @@ val default : t
     emitted even when the up event lands past [duration]. *)
 val plan : t -> rng:Des.Rng.t -> nodes:int -> duration:float -> timed list
 
-val pp_event : Format.formatter -> event -> unit
-
 (** One-line summary of the spec's knobs (for counterexample reports). *)
 val pp : Format.formatter -> t -> unit

@@ -428,4 +428,3 @@ let reset () =
           l.led.major_words <- 0)
         !locals)
 
-let span_name (s : span) = s.span_name

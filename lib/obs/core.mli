@@ -26,7 +26,6 @@ type histogram
 type counter
 
 val span : string -> span
-val span_name : span -> string
 val histogram : string -> histogram
 val counter : string -> counter
 

@@ -2,9 +2,13 @@ open Ondemand
 
 module Frame = Wireless.Frame
 
-type config = { rreq_size : int; rrep_size : int }
+type config = unit
 
-let default_config = { rreq_size = 44; rrep_size = 40 }
+let default_config = ()
+
+(* message sizes, bytes *)
+let rreq_size = 44
+let rrep_size = 40
 
 type rreq = {
   rq_src : int;
@@ -38,7 +42,7 @@ type route = {
   precursors : (int, unit) Hashtbl.t;
 }
 
-type t = (route, config) Ondemand.t
+type t = (route, unit) Ondemand.t
 
 let usable time r = r.valid && r.expiry > time
 
@@ -46,7 +50,7 @@ let refresh t r = r.expiry <- Stdlib.max r.expiry (now t +. route_lifetime)
 
 module O = Make (struct
   type nonrec route = route
-  type ext = config
+  type ext = unit
   type unreachable = int * int
 
   let span = Obs.span "proto.aodv.timer"
@@ -124,10 +128,10 @@ let originate_rreq t ~dst ~ttl =
       rq_ttl = ttl;
     }
   in
-  send t ~dst:Frame.Broadcast ~size:t.ext.rreq_size ~kind:"rreq" (Rreq rreq)
+  send t ~dst:Frame.Broadcast ~size:rreq_size ~kind:"rreq" (Rreq rreq)
 
 let send_rrep t ~to_ rrep =
-  send t ~dst:(Frame.Unicast to_) ~size:t.ext.rrep_size ~kind:"rrep" (Rrep rrep)
+  send t ~dst:(Frame.Unicast to_) ~size:rrep_size ~kind:"rrep" (Rrep rrep)
 
 let handle_rreq t ~from rreq =
   let me = t.ctx.Routing_intf.id in
@@ -187,7 +191,7 @@ let handle_rreq t ~from rreq =
                 rq_dst_seqno = requested;
               }
             in
-            O.relay t ~size:t.ext.rreq_size ~kind:"rreq" (Rreq relayed)
+            O.relay t ~size:rreq_size ~kind:"rreq" (Rreq relayed)
           end
     end
   end
@@ -271,12 +275,12 @@ let give_up t ~dst =
       O.send_rerr t [ (dst, r.seqno) ] ~to_:Frame.Broadcast
   | Some _ | None -> ()
 
-let create_full ?(config = default_config) ctx =
-  O.create ctx ~ext:config ~self_seqno:0 ~seen_ttl:30.0
+let create_full ctx =
+  O.create ctx ~ext:() ~self_seqno:0 ~seen_ttl:30.0
     ~send:(fun t ~dst ~ttl ~attempt:_ -> originate_rreq t ~dst ~ttl)
     ~give_up ~control ~unicast_failed ~gauges
 
-let create ?config ctx = snd (create_full ?config ctx)
+let create ?config:(_ : config option) ctx = snd (create_full ctx)
 
 let own_seqno t = t.self_seqno
 

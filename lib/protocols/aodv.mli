@@ -11,11 +11,20 @@
     Fig. 7 shows it growing far faster than LDR's or SRP's. That rule, the
     messages and their handlers are this module's; the state, frame
     builders, relay, data forwarding and request ring it shares with LDR
-    and SRP are {!Ondemand}'s. *)
+    and SRP are {!Ondemand}'s.
 
-type config = { rreq_size : int; rrep_size : int }
+    The paper runs AODV at one parameter set, so nothing here is tunable:
+    the message sizes are constants of this module, and the ring schedule,
+    route lifetime, relay jitter and route-error size are {!Ondemand}'s.
+    [config] remains, with {!default_config} its only value, so that a
+    caller can still pass [~config] to {!create} as it does for SRP. *)
+
+type config
 
 val default_config : config
+
+(** A route reply's size, bytes. *)
+val rrep_size : int
 
 type rreq = {
   rq_src : int;
@@ -48,8 +57,7 @@ val create : ?config:config -> Routing_intf.ctx -> Routing_intf.agent
 
 type t
 
-val create_full :
-  ?config:config -> Routing_intf.ctx -> t * Routing_intf.agent
+val create_full : Routing_intf.ctx -> t * Routing_intf.agent
 
 val own_seqno : t -> int
 

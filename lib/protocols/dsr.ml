@@ -2,32 +2,24 @@ let span_timer = Obs.span "proto.dsr.timer"
 
 module Frame = Wireless.Frame
 
-type config = {
-  discovery_ttl : int;
-  discovery_attempts : int;
-  cache_capacity : int;
-  cache_lifetime : float;
-  max_salvages : int;
-  relay_jitter : float;
-  data_ttl : int;
-  base_control_size : int;
-  per_hop_bytes : int;
-  ip_overhead : int;
-}
+type config = unit
 
-let default_config =
-  {
-    discovery_ttl = 16;
-    discovery_attempts = 3;
-    cache_capacity = 64;
-    cache_lifetime = 30.0;
-    max_salvages = 2;
-    relay_jitter = 0.01;
-    data_ttl = 64;
-    base_control_size = 24;
-    per_hop_bytes = 4;
-    ip_overhead = 20;
-  }
+let default_config = ()
+
+(* A route request floods to 16 hops, up to three times ([ttls]). A node
+   caches at most [cache_capacity] paths, each for [cache_lifetime] s; a
+   packet is salvaged at most [max_salvages] times; a relayed request
+   waits up to [relay_jitter] s. A control packet is [base_control_size]
+   bytes, a data packet's source-route header [route_header], and either
+   grows by [per_hop_bytes] per listed hop. *)
+let ttls = [ 16; 16; 16 ]
+let cache_capacity = 64
+let cache_lifetime = 30.0
+let max_salvages = 2
+let relay_jitter = 0.01
+let base_control_size = 24
+let route_header = 4
+let per_hop_bytes = 4
 
 type rreq = {
   rq_src : int;
@@ -59,7 +51,6 @@ type cached = { path : int list; expiry : float }
 
 type t = {
   ctx : Routing_intf.ctx;
-  config : config;
   mutable cache : cached list;
   seen : Seen_cache.t;
   discovery : Discovery.t;
@@ -93,9 +84,9 @@ let cache_add t path =
       let live = List.filter (fun c -> c.expiry > time) t.cache in
       if List.exists (fun c -> c.path = path) live then t.cache <- live
       else begin
-        let entry = { path; expiry = time +. t.config.cache_lifetime } in
+        let entry = { path; expiry = time +. cache_lifetime } in
         let trimmed =
-          if List.length live >= t.config.cache_capacity then
+          if List.length live >= cache_capacity then
             (* evict the entry closest to expiry *)
             match
               List.sort (fun a b -> compare a.expiry b.expiry) live
@@ -159,8 +150,7 @@ let cache_size t =
 (* ------------------------------------------------------------------ *)
 (* Frame builders                                                      *)
 
-let control_size t ~hops =
-  t.config.base_control_size + (t.config.per_hop_bytes * hops)
+let control_size ~hops = base_control_size + (per_hop_bytes * hops)
 
 let send_control t ~dst ~size ~payload =
   let kind =
@@ -175,14 +165,20 @@ let send_control t ~dst ~size ~payload =
        (Frame.make ~src:t.ctx.Routing_intf.id ~dst ~size ~payload)
        kind)
 
-let data_size t ~payload_size ~route_len =
-  payload_size + t.config.ip_overhead + 4
-  + (t.config.per_hop_bytes * route_len)
+let data_size ~payload_size ~route_len =
+  payload_size + Routing_intf.ip_overhead + route_header
+  + (per_hop_bytes * route_len)
+
+(* The payload bytes of a data frame carrying [dsr]: its size less what
+   [data_size] added. *)
+let payload_size frame dsr =
+  frame.Frame.size - data_size ~payload_size:0
+    ~route_len:(List.length dsr.dd_route)
 
 let send_data t ~next_hop dsr ~payload_size =
   let frame =
     Frame.make ~src:t.ctx.Routing_intf.id ~dst:(Frame.Unicast next_hop)
-      ~size:(data_size t ~payload_size ~route_len:(List.length dsr.dd_route))
+      ~size:(data_size ~payload_size ~route_len:(List.length dsr.dd_route))
       ~payload:(Dsr_data dsr)
   in
   Trace.pkt_forward t.ctx.Routing_intf.trace ~node:t.ctx.Routing_intf.id
@@ -194,7 +190,7 @@ let route_data t data ~size ~route ~salvaged =
   match route with
   | _me :: next :: _ ->
       data.Frame.hops <- data.Frame.hops + 1;
-      if data.Frame.hops > t.config.data_ttl then
+      if data.Frame.hops > Routing_intf.data_ttl then
         t.ctx.Routing_intf.drop_data data ~reason:"ttl exceeded"
       else
         send_data t ~next_hop:next
@@ -223,7 +219,7 @@ let originate_rreq t ~dst ~ttl =
       rq_ttl = ttl;
     }
   in
-  send_control t ~dst:Frame.Broadcast ~size:(control_size t ~hops:1)
+  send_control t ~dst:Frame.Broadcast ~size:(control_size ~hops:1)
     ~payload:(Rreq rreq)
 
 let send_rrep t ~path =
@@ -231,7 +227,7 @@ let send_rrep t ~path =
   match List.rev path with
   | _me :: (next :: _ as back) ->
       send_control t ~dst:(Frame.Unicast next)
-        ~size:(control_size t ~hops:(List.length path))
+        ~size:(control_size ~hops:(List.length path))
         ~payload:(Rrep { rp_path = path; rp_back = back })
   | _ -> ()
 
@@ -255,14 +251,12 @@ let handle_rreq t ~from:_ rreq =
             let relayed =
               { rreq with rq_record = record; rq_ttl = rreq.rq_ttl - 1 }
             in
-            let delay =
-              Des.Rng.float t.ctx.Routing_intf.rng t.config.relay_jitter
-            in
+            let delay = Des.Rng.float t.ctx.Routing_intf.rng relay_jitter in
             ignore
               (Des.Engine.schedule ~span:span_timer t.ctx.Routing_intf.engine ~delay
                  (fun () ->
                    send_control t ~dst:Frame.Broadcast
-                     ~size:(control_size t ~hops:(List.length record))
+                     ~size:(control_size ~hops:(List.length record))
                      ~payload:(Rreq relayed)))
           end
     end
@@ -294,7 +288,7 @@ let handle_rrep t ~from:_ rrep =
           | _ -> ())
       | next :: _ ->
           send_control t ~dst:(Frame.Unicast next)
-            ~size:(control_size t ~hops:(List.length rrep.rp_path))
+            ~size:(control_size ~hops:(List.length rrep.rp_path))
             ~payload:(Rrep { rrep with rp_back = rest })
     end
   | _ -> ()
@@ -302,7 +296,7 @@ let handle_rrep t ~from:_ rrep =
 (* ------------------------------------------------------------------ *)
 (* Data plane and errors                                               *)
 
-let handle_dsr_data t ~from:_ dsr =
+let handle_dsr_data t frame dsr =
   let me = t.ctx.Routing_intf.id in
   let data = dsr.dd_data in
   if data.Frame.final_dst = me then t.ctx.Routing_intf.deliver data
@@ -310,12 +304,12 @@ let handle_dsr_data t ~from:_ dsr =
     match List.nth_opt dsr.dd_route (dsr.dd_idx + 1) with
     | Some next_hop ->
         data.Frame.hops <- data.Frame.hops + 1;
-        if data.Frame.hops > t.config.data_ttl then
+        if data.Frame.hops > Routing_intf.data_ttl then
           t.ctx.Routing_intf.drop_data data ~reason:"ttl exceeded"
         else
           send_data t ~next_hop
             { dsr with dd_idx = dsr.dd_idx + 1 }
-            ~payload_size:512
+            ~payload_size:(payload_size frame dsr)
     | None -> t.ctx.Routing_intf.drop_data data ~reason:"route exhausted"
   end
 
@@ -324,7 +318,7 @@ let send_rerr t ~broken ~traversed =
   match List.rev traversed with
   | _me :: (next :: _ as back) ->
       send_control t ~dst:(Frame.Unicast next)
-        ~size:(control_size t ~hops:(List.length back))
+        ~size:(control_size ~hops:(List.length back))
         ~payload:(Rerr { re_broken = broken; re_back = back })
   | _ -> ()
 
@@ -334,7 +328,7 @@ let handle_rerr t ~from:_ rerr =
   match rerr.re_back with
   | x :: (next :: _ as rest) when x = me ->
       send_control t ~dst:(Frame.Unicast next)
-        ~size:(control_size t ~hops:(List.length rest))
+        ~size:(control_size ~hops:(List.length rest))
         ~payload:(Rerr { rerr with re_back = rest })
   | _ -> ()
 
@@ -350,11 +344,12 @@ let unicast_failed t ~frame ~dst:next_hop =
   match frame.Frame.payload with
   | Dsr_data dsr ->
       let data = dsr.dd_data in
+      let size = payload_size frame dsr in
       (* salvaging: retry from our own cache a bounded number of times *)
-      if dsr.dd_salvaged < t.config.max_salvages then begin
+      if dsr.dd_salvaged < max_salvages then begin
         match cached_path_via t ~dst:data.Frame.final_dst with
         | Some route ->
-            route_data t data ~size:512 ~route ~salvaged:(dsr.dd_salvaged + 1)
+            route_data t data ~size ~route ~salvaged:(dsr.dd_salvaged + 1)
         | None ->
             let traversed =
               (* prefix of the route up to and including us *)
@@ -362,8 +357,7 @@ let unicast_failed t ~frame ~dst:next_hop =
             in
             send_rerr t ~broken:(me, next_hop) ~traversed;
             if data.Frame.origin = me then
-              Discovery.park t.discovery ~dst:data.Frame.final_dst data
-                ~size:512
+              Discovery.park t.discovery ~dst:data.Frame.final_dst data ~size
             else t.ctx.Routing_intf.drop_data data ~reason:"salvage failed"
       end
       else begin
@@ -386,7 +380,7 @@ let receive t ~src frame =
   match frame.Frame.payload with
   | Rreq rreq -> handle_rreq t ~from:src rreq
   | Rrep rrep -> handle_rrep t ~from:src rrep
-  | Dsr_data dsr -> handle_dsr_data t ~from:src dsr
+  | Dsr_data dsr -> handle_dsr_data t frame dsr
   | Rerr rerr -> handle_rerr t ~from:src rerr
   | Frame.Data data ->
       (* plain data only reaches us if we originated to ourselves *)
@@ -394,14 +388,12 @@ let receive t ~src frame =
         t.ctx.Routing_intf.deliver data
   | _ -> ()
 
-let create_full ?(config = default_config) ctx =
-  let ttls = List.init config.discovery_attempts (fun _ -> config.discovery_ttl) in
+let create_full ctx =
   (* lazy ties the knot: the request callbacks need the agent holding them *)
   let rec t =
     lazy
       {
         ctx;
-        config;
         cache = [];
         seen = Seen_cache.create ctx.Routing_intf.engine ~ttl:30.0;
         discovery =
@@ -425,4 +417,4 @@ let create_full ?(config = default_config) ctx =
       gauges = (fun () -> gauges t);
     } )
 
-let create ?config ctx = snd (create_full ?config ctx)
+let create ?config:(_ : config option) ctx = snd (create_full ctx)

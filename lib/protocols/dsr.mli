@@ -6,20 +6,17 @@
     salvaging after link-layer loss, and source-routed route errors.
 
     Under the paper's high-load, high-mobility scenarios DSR's stale cached
-    routes and salvage traffic produce the collapse seen in Figs. 3–4. *)
+    routes and salvage traffic produce the collapse seen in Figs. 3–4.
 
-type config = {
-  discovery_ttl : int;
-  discovery_attempts : int;
-  cache_capacity : int;  (** max cached paths per node *)
-  cache_lifetime : float;
-  max_salvages : int;
-  relay_jitter : float;
-  data_ttl : int;
-  base_control_size : int;  (** control packet size before per-hop bytes *)
-  per_hop_bytes : int;  (** route-record bytes per listed hop *)
-  ip_overhead : int;
-}
+    The paper runs DSR at one parameter set, so nothing here is tunable:
+    three 16-hop request floods, at most 64 cached paths per node living
+    30 s each, two salvages per packet, and a source route of 4 bytes plus
+    4 per listed hop are constants of this module; the hop limit and the
+    IP header are {!Routing_intf}'s. [config] remains, with
+    {!default_config} its only value, so that a caller can still pass
+    [~config] to {!create} as it does for SRP. *)
+
+type config
 
 val default_config : config
 
@@ -62,10 +59,7 @@ val create : ?config:config -> Routing_intf.ctx -> Routing_intf.agent
 
 type t
 
-val create_full :
-  ?config:config -> Routing_intf.ctx -> t * Routing_intf.agent
+val create_full : Routing_intf.ctx -> t * Routing_intf.agent
 
 (** Best (shortest live) cached path from this node to [dst], if any. *)
 val cached_path : t -> dst:int -> int list option
-
-val cache_size : t -> int

@@ -2,9 +2,13 @@ open Ondemand
 
 module Frame = Wireless.Frame
 
-type config = { rreq_size : int; rrep_size : int }
+type config = unit
 
-let default_config = { rreq_size = 48; rrep_size = 44 }
+let default_config = ()
+
+(* message sizes, bytes *)
+let rreq_size = 48
+let rrep_size = 44
 
 type label = { sn : int; fd : int }
 
@@ -51,9 +55,8 @@ type route = {
 }
 
 type ext = {
-  config : config;
-  engagements : label option engagements;
-      (** the solicitation's label as received, per engaged request *)
+  engagements : unit engagements;
+      (** the reverse hop per engaged request; no reply needs more *)
   mutable resets : int;
 }
 
@@ -106,12 +109,10 @@ let originate_rreq t ~dst ~ttl ~reset =
       rq_ttl = ttl;
     }
   in
-  send t ~dst:Frame.Broadcast ~size:t.ext.config.rreq_size ~kind:"rreq"
-    (Rreq rreq)
+  send t ~dst:Frame.Broadcast ~size:rreq_size ~kind:"rreq" (Rreq rreq)
 
 let send_rrep t ~to_ rrep =
-  send t ~dst:(Frame.Unicast to_) ~size:t.ext.config.rrep_size ~kind:"rrep"
-    (Rrep rrep)
+  send t ~dst:(Frame.Unicast to_) ~size:rrep_size ~kind:"rrep" (Rrep rrep)
 
 (* Adopt an advertised route if the label is feasible; the own feasible
    distance resets to the measured distance on a fresher sequence number
@@ -137,8 +138,8 @@ let set_route t ~dst ~via ~adv ~dist ~lifetime =
 let handle_rreq t ~from rreq =
   let me = t.ctx.Routing_intf.id in
   if first_sight t ~src:rreq.rq_src ~id:rreq.rq_id then begin
-    engage t t.ext.engagements ~src:rreq.rq_src ~id:rreq.rq_id
-      ~cached:rreq.rq_label ~last_hop:from;
+    engage t t.ext.engagements ~src:rreq.rq_src ~id:rreq.rq_id ~cached:()
+      ~last_hop:from;
     if rreq.rq_dst = me then begin
       (* destination: sequence number grows only when a reset is required *)
       (match rreq.rq_label with
@@ -194,7 +195,7 @@ let handle_rreq t ~from rreq =
                 rq_ttl = rreq.rq_ttl - 1;
               }
             in
-            O.relay t ~size:t.ext.config.rreq_size ~kind:"rreq" (Rreq relayed)
+            O.relay t ~size:rreq_size ~kind:"rreq" (Rreq relayed)
           end
     end
   end
@@ -276,9 +277,9 @@ let gauges t =
     pending_packets = Discovery.parked t.discovery;
   }
 
-let create_full ?(config = default_config) ctx =
+let create_full ctx =
   O.create ctx
-    ~ext:{ config; engagements = engagements (); resets = 0 }
+    ~ext:{ engagements = engagements (); resets = 0 }
     ~self_seqno:0 ~seen_ttl:30.0
     ~send:(fun t ~dst ~ttl ~attempt ->
       (* the final attempt demands a destination reset: the case where
@@ -287,7 +288,7 @@ let create_full ?(config = default_config) ctx =
     ~give_up:(fun _ ~dst:_ -> ())
     ~control ~unicast_failed ~gauges
 
-let create ?config ctx = snd (create_full ?config ctx)
+let create ?config:(_ : config option) ctx = snd (create_full ctx)
 
 let own_seqno t = t.self_seqno
 

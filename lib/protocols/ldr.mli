@@ -13,9 +13,15 @@
     than AODV's but are not identically zero like SRP's (Fig. 7). The
     feasibility rule, the messages and their handlers are this module's;
     the state, frame builders, relay, data forwarding, request ring and
-    engagement table it shares with AODV and SRP are {!Ondemand}'s. *)
+    engagement table it shares with AODV and SRP are {!Ondemand}'s.
 
-type config = { rreq_size : int; rrep_size : int }
+    The paper runs LDR at one parameter set, so nothing here is tunable:
+    the message sizes are constants of this module, and the ring schedule,
+    route lifetime, relay jitter and route-error size are {!Ondemand}'s.
+    [config] remains, with {!default_config} its only value, so that a
+    caller can still pass [~config] to {!create} as it does for SRP. *)
+
+type config
 
 val default_config : config
 
@@ -58,8 +64,7 @@ val create : ?config:config -> Routing_intf.ctx -> Routing_intf.agent
 
 type t
 
-val create_full :
-  ?config:config -> Routing_intf.ctx -> t * Routing_intf.agent
+val create_full : Routing_intf.ctx -> t * Routing_intf.agent
 
 val own_seqno : t -> int
 

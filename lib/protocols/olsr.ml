@@ -4,32 +4,22 @@ let topology_scanned = Obs.counter "olsr.topology.scanned"
 
 module Frame = Wireless.Frame
 
-type config = {
-  hello_interval : float;
-  tc_interval : float;
-  neighbor_hold : float;
-  topology_hold : float;
-  jitter : float;
-  data_ttl : int;
-  hello_base_size : int;
-  tc_base_size : int;
-  per_entry_bytes : int;
-  ip_overhead : int;
-}
+type config = unit
 
-let default_config =
-  {
-    hello_interval = 2.0;
-    tc_interval = 5.0;
-    neighbor_hold = 6.0;
-    topology_hold = 15.0;
-    jitter = 0.25;
-    data_ttl = 64;
-    hello_base_size = 16;
-    tc_base_size = 16;
-    per_entry_bytes = 4;
-    ip_overhead = 20;
-  }
+let default_config = ()
+
+(* HELLO and TC periods, s, each shortened by a random share of up to
+   [jitter]; how long a neighbour (3 x hello) and a topology entry (3 x tc)
+   stay valid, s; and the message sizes, bytes: a base plus
+   [per_entry_bytes] per listed link or advertised neighbour. *)
+let hello_interval = 2.0
+let tc_interval = 5.0
+let jitter = 0.25
+let neighbor_hold = 6.0
+let topology_hold = 15.0
+let hello_base_size = 16
+let tc_base_size = 16
+let per_entry_bytes = 4
 
 type hello = { h_origin : int; h_links : (int * bool * bool) list }
 
@@ -58,7 +48,6 @@ let no_tc = { dests = [||]; expiries = [||]; count = 0 }
 
 type t = {
   ctx : Routing_intf.ctx;
-  config : config;
   (* Never purged, unlike [topology]: expired neighbours are skipped. A
      purge would change the bucket layout, whose order seeds the BFS and so
      breaks every tie between equal-length routes (see [recompute_routes]). *)
@@ -232,7 +221,7 @@ let next_hop t ~dst =
 (* ------------------------------------------------------------------ *)
 (* Control traffic                                                     *)
 
-let period t base = base -. Des.Rng.float t.ctx.Routing_intf.rng (t.config.jitter *. base)
+let period t base = base -. Des.Rng.float t.ctx.Routing_intf.rng (jitter *. base)
 
 let send_hello t =
   select_mprs t;
@@ -244,9 +233,7 @@ let send_hello t =
         else acc)
       t.neighbors []
   in
-  let size =
-    t.config.hello_base_size + (t.config.per_entry_bytes * List.length links)
-  in
+  let size = hello_base_size + (per_entry_bytes * List.length links) in
   t.ctx.Routing_intf.mac_send
     (Frame.with_kind
        (Frame.make ~src:t.ctx.Routing_intf.id ~dst:Frame.Broadcast ~size
@@ -264,10 +251,7 @@ let send_tc t =
   let advertised = selector_set t in
   if advertised <> [] then begin
     t.ansn <- t.ansn + 1;
-    let size =
-      t.config.tc_base_size
-      + (t.config.per_entry_bytes * List.length advertised)
-    in
+    let size = tc_base_size + (per_entry_bytes * List.length advertised) in
     t.ctx.Routing_intf.mac_send
       (Frame.with_kind
          (Frame.make ~src:t.ctx.Routing_intf.id ~dst:Frame.Broadcast ~size
@@ -292,7 +276,7 @@ let neighbor_for t id =
 let handle_hello t hello =
   let me = t.ctx.Routing_intf.id in
   let n = neighbor_for t hello.h_origin in
-  n.expiry <- now t +. t.config.neighbor_hold;
+  n.expiry <- now t +. neighbor_hold;
   let about_me =
     List.find_opt (fun (id, _, _) -> id = me) hello.h_links
   in
@@ -324,7 +308,7 @@ let merge_tc t tc =
   ensure_arrays t;
   let me = t.ctx.Routing_intf.id in
   let time = now t in
-  let expiry = time +. t.config.topology_hold in
+  let expiry = time +. topology_hold in
   let entry =
     let held = t.topology.(tc.t_origin) in
     if held != no_tc then held
@@ -380,8 +364,7 @@ let handle_tc t ~from tc =
     in
     if relay then begin
       let size =
-        t.config.tc_base_size
-        + (t.config.per_entry_bytes * List.length tc.t_advertised)
+        tc_base_size + (per_entry_bytes * List.length tc.t_advertised)
       in
       let delay = Des.Rng.float t.ctx.Routing_intf.rng 0.01 in
       ignore
@@ -402,7 +385,7 @@ let forward_data t data ~size =
   | None -> false
   | Some hop ->
       data.Frame.hops <- data.Frame.hops + 1;
-      if data.Frame.hops > t.config.data_ttl then begin
+      if data.Frame.hops > Routing_intf.data_ttl then begin
         t.ctx.Routing_intf.drop_data data ~reason:"ttl exceeded";
         true
       end
@@ -411,7 +394,7 @@ let forward_data t data ~size =
           ~flow:data.Frame.flow ~seq:data.Frame.seq ~next:hop;
         t.ctx.Routing_intf.mac_send
           (Frame.make ~src:t.ctx.Routing_intf.id ~dst:(Frame.Unicast hop)
-             ~size:(size + t.config.ip_overhead)
+             ~size:(size + Routing_intf.ip_overhead)
              ~payload:(Frame.Data data));
         true
       end
@@ -419,7 +402,7 @@ let forward_data t data ~size =
 let handle_data t data ~size =
   if data.Frame.final_dst = t.ctx.Routing_intf.id then
     t.ctx.Routing_intf.deliver data
-  else if forward_data t data ~size:(size - t.config.ip_overhead) then ()
+  else if forward_data t data ~size:(size - Routing_intf.ip_overhead) then ()
   else t.ctx.Routing_intf.drop_data data ~reason:"no route (proactive)"
 
 let originate t data ~size =
@@ -438,7 +421,7 @@ let receive t ~src frame =
 let rec schedule_hello t =
   ignore
     (Des.Engine.schedule ~span:span_timer t.ctx.Routing_intf.engine
-       ~delay:(period t t.config.hello_interval)
+       ~delay:(period t hello_interval)
        (fun () ->
          send_hello t;
          schedule_hello t))
@@ -446,16 +429,15 @@ let rec schedule_hello t =
 let rec schedule_tc t =
   ignore
     (Des.Engine.schedule ~span:span_timer t.ctx.Routing_intf.engine
-       ~delay:(period t t.config.tc_interval)
+       ~delay:(period t tc_interval)
        (fun () ->
          send_tc t;
          schedule_tc t))
 
-let create_full ?(config = default_config) ctx =
+let create_full ctx =
   let t =
     {
       ctx;
-      config;
       neighbors = Hashtbl.create 16;
       seen_tc = Seen_cache.create ctx.Routing_intf.engine ~ttl:30.0;
       mpr_set = [];
@@ -471,13 +453,13 @@ let create_full ?(config = default_config) ctx =
   (* desynchronise the very first beacons across nodes *)
   ignore
     (Des.Engine.schedule ~span:span_timer ctx.Routing_intf.engine
-       ~delay:(Des.Rng.float ctx.Routing_intf.rng config.hello_interval)
+       ~delay:(Des.Rng.float ctx.Routing_intf.rng hello_interval)
        (fun () ->
          send_hello t;
          schedule_hello t));
   ignore
     (Des.Engine.schedule ~span:span_timer ctx.Routing_intf.engine
-       ~delay:(Des.Rng.float ctx.Routing_intf.rng config.tc_interval)
+       ~delay:(Des.Rng.float ctx.Routing_intf.rng tc_interval)
        (fun () ->
          send_tc t;
          schedule_tc t));
@@ -497,4 +479,4 @@ let create_full ?(config = default_config) ctx =
           });
     } )
 
-let create ?config ctx = snd (create_full ?config ctx)
+let create ?config:(_ : config option) ctx = snd (create_full ctx)

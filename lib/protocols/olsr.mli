@@ -7,22 +7,26 @@
     As in the paper, OLSR does {e not} use link-layer loss detection — links
     die only by HELLO timeout — which costs delivery under mobility while
     its always-ready routes buy the lowest latency. Its schedule-driven
-    control traffic is mobility-independent (flat line in Fig. 5). *)
+    control traffic is mobility-independent (flat line in Fig. 5).
 
-type config = {
-  hello_interval : float;
-  tc_interval : float;
-  neighbor_hold : float;  (** neighbour validity (3 × hello) *)
-  topology_hold : float;  (** topology-entry validity (3 × tc) *)
-  jitter : float;  (** max random shortening of each period *)
-  data_ttl : int;
-  hello_base_size : int;
-  tc_base_size : int;
-  per_entry_bytes : int;
-  ip_overhead : int;
-}
+    The paper runs OLSR at one parameter set, so nothing here is tunable:
+    HELLOs every 2 s and TCs every 5 s, each period shortened by up to a
+    quarter, and the message sizes are constants of this module; the hop
+    limit and the IP header are {!Routing_intf}'s. [config] remains, with
+    {!default_config} its only value, so that a caller can still pass
+    [~config] to {!create} as it does for SRP. *)
+
+type config
 
 val default_config : config
+
+(** How long a neighbour stays valid after its last HELLO, s (3 × the
+    HELLO period). *)
+val neighbor_hold : float
+
+(** How long a topology entry stays valid after the last TC that
+    advertised it, s (3 × the TC period). *)
+val topology_hold : float
 
 type hello = {
   h_origin : int;
@@ -40,8 +44,7 @@ val create : ?config:config -> Routing_intf.ctx -> Routing_intf.agent
 
 type t
 
-val create_full :
-  ?config:config -> Routing_intf.ctx -> t * Routing_intf.agent
+val create_full : Routing_intf.ctx -> t * Routing_intf.agent
 
 (** Current symmetric neighbours. *)
 val sym_neighbors : t -> int list

@@ -8,16 +8,13 @@ module Frame = Wireless.Frame
 
 (* The shared constants: the expanding-ring TTL schedule; how long a
    route (SRP: a successor) stays usable once learnt or used, s; the
-   maximum relay jitter, s; the hops a data packet may take; the bytes of
-   a route error and of the IP header on every hop; and DELETE_PERIOD, s,
-   how long an engagement outlives its request and SRP keeps the label of
-   a destination it has no successor for (Definition 3). *)
+   maximum relay jitter, s; the bytes of a route error; and DELETE_PERIOD,
+   s, how long an engagement outlives its request and SRP keeps the label
+   of a destination it has no successor for (Definition 3). *)
 let ttls = [ 1; 3; 7; 16 ]
 let route_lifetime = 10.0
 let relay_jitter = 0.01
-let data_ttl = 64
 let rerr_size = 32
-let ip_overhead = 20
 let delete_period = 60.0
 
 (** An agent's state: its node's capabilities, route table by destination
@@ -54,8 +51,9 @@ let first_sight t ~src ~id =
   src <> t.ctx.Routing_intf.id && Seen_cache.witness t.seen ~origin:src ~id
 
 (** A relay's reverse-path state for one request (LDR, SRP): what the
-    solicitation carried (SRP's ordering C, LDR's label), the hop it came
-    from, when, and whether a reply already went back. *)
+    solicitation carried that the reply will need (SRP's ordering C; LDR
+    needs nothing), the hop it came from, when, and whether a reply
+    already went back. *)
 type 'cached engagement = {
   e_cached : 'cached;
   e_last_hop : int;
@@ -139,15 +137,16 @@ module Make (D : DISCIPLINE) = struct
          (fun () -> t.ctx.Routing_intf.mac_send frame))
 
   (** Sends a packet of [size] payload bytes on toward its destination;
-      [false] when there is no route. One that would pass {!data_ttl}
-      hops is dropped as ["ttl exceeded"] instead, and counts as routed. *)
+      [false] when there is no route. One that would pass
+      {!Routing_intf.data_ttl} hops is dropped as ["ttl exceeded"]
+      instead, and counts as routed. *)
   let forward t data ~size =
     let dst = data.Frame.final_dst in
     let next_hop = D.next_hop t dst in
     if next_hop < 0 then false
     else begin
       data.Frame.hops <- data.Frame.hops + 1;
-      if data.Frame.hops > data_ttl then
+      if data.Frame.hops > Routing_intf.data_ttl then
         t.ctx.Routing_intf.drop_data data ~reason:"ttl exceeded"
       else begin
         D.refresh t dst ~next_hop;
@@ -155,7 +154,8 @@ module Make (D : DISCIPLINE) = struct
           ~flow:data.Frame.flow ~seq:data.Frame.seq ~next:next_hop;
         t.ctx.Routing_intf.mac_send
           (Frame.make ~src:t.ctx.Routing_intf.id
-             ~dst:(Frame.Unicast next_hop) ~size:(size + ip_overhead)
+             ~dst:(Frame.Unicast next_hop)
+             ~size:(size + Routing_intf.ip_overhead)
              ~payload:(Frame.Data data))
       end;
       true
@@ -176,7 +176,7 @@ module Make (D : DISCIPLINE) = struct
   let salvage t frame ~retry =
     match frame.Frame.payload with
     | Frame.Data data ->
-        let size = frame.Frame.size - ip_overhead in
+        let size = frame.Frame.size - Routing_intf.ip_overhead in
         let dst = data.Frame.final_dst in
         if not (retry && forward t data ~size) then
           Discovery.park t.discovery ~dst data ~size;
@@ -191,11 +191,12 @@ module Make (D : DISCIPLINE) = struct
     | Frame.Data data ->
         let dst = data.Frame.final_dst in
         if dst = t.ctx.Routing_intf.id then t.ctx.Routing_intf.deliver data
-        else if not (forward t data ~size:(frame.Frame.size - ip_overhead))
-        then begin
-          send_rerr t [ D.unreachable t dst ] ~to_:(Frame.Unicast src);
-          t.ctx.Routing_intf.drop_data data ~reason:"no route at relay"
-        end
+        else
+          let size = frame.Frame.size - Routing_intf.ip_overhead in
+          if not (forward t data ~size) then begin
+            send_rerr t [ D.unreachable t dst ] ~to_:(Frame.Unicast src);
+            t.ctx.Routing_intf.drop_data data ~reason:"no route at relay"
+          end
     | payload -> control t ~src payload
 
   (** Destinations with a usable route. Read-only: gauge sampling must not

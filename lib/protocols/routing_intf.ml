@@ -5,6 +5,13 @@
     handlers. Record-of-closures keeps the wireless substrate free of any
     dependency on protocol code. *)
 
+(** The hops a data packet may take; the one that would take more is
+    dropped as ["ttl exceeded"]. *)
+let data_ttl = 64
+
+(** The IP header's bytes, carried by a data frame on every hop. *)
+let ip_overhead = 20
+
 type ctx = {
   id : int;
   node_count : int;

@@ -15,11 +15,6 @@ type config = {
   lie_k : int;
   labels : Label_set.id;
   probe_on_n : bool;
-  rack_timeout : float;
-  rack_retries : int;
-  rreq_size : int;
-  rrep_size : int;
-  rack_size : int;
 }
 
 let default_config =
@@ -29,12 +24,15 @@ let default_config =
     lie_k = 10_000;
     labels = Label_set.default;
     probe_on_n = false;
-    rack_timeout = 0.1;
-    rack_retries = 2;
-    rreq_size = 52;
-    rrep_size = 44;
-    rack_size = 26;
   }
+
+(* the initial RACK wait before a route reply is resent, s; the resends
+   before giving up; and the message sizes, bytes *)
+let rack_timeout = 0.1
+let rack_retries = 2
+let rreq_size = 52
+let rrep_size = 44
+let rack_size = 26
 
 type rreq = {
   rq_src : int;
@@ -97,7 +95,6 @@ type ext = {
   mutable label_width_max : int;
   mutable label_resets : int;
   mutable resets : int;
-  mutable rack_retx : int;
 }
 
 type t = (route, ext) Ondemand.t
@@ -256,7 +253,7 @@ let solicit t ~to_ ~dst ~order ~u ~rr ~d ~ttl =
       rq_adv = rreq_advertisement t ~src:t.ctx.Routing_intf.id;
     }
   in
-  send t ~dst:to_ ~size:t.ext.config.rreq_size ~kind:"rreq" (Rreq rreq)
+  send t ~dst:to_ ~size:rreq_size ~kind:"rreq" (Rreq rreq)
 
 let originate_rreq t ~dst ~ttl ~rr =
   let own = own_ordering t dst in
@@ -271,7 +268,8 @@ let send_probe t ~dst =
   | None -> ()
   | Some next_hop ->
       solicit t ~to_:(Frame.Unicast next_hop) ~dst
-        ~order:(own_ordering t dst) ~u:false ~rr:true ~d:true ~ttl:data_ttl
+        ~order:(own_ordering t dst) ~u:false ~rr:true ~d:true
+        ~ttl:Routing_intf.data_ttl
 
 (* ------------------------------------------------------------------ *)
 (* Procedure 3 (Set Route): adopt an advertisement if NEWORDER is finite *)
@@ -343,11 +341,11 @@ let set_route t ~dst ~via ~adv_order ~adv_dist ~cached ~lifetime =
    RREP therefore awaits a RACK from the next hop and is retransmitted with
    binary exponential backoff, at most [rack_retries] times. *)
 let rec send_rrep_reliable t ~to_ ?(attempt = 0) rrep =
-  send t ~dst:(Frame.Unicast to_) ~size:t.ext.config.rrep_size ~kind:"rrep"
+  send t ~dst:(Frame.Unicast to_) ~size:rrep_size ~kind:"rrep"
     (Rrep rrep);
   let key = (rrep.rp_src, rrep.rp_id, to_) in
-  if attempt < t.ext.config.rack_retries then begin
-    let delay = t.ext.config.rack_timeout *. (2.0 ** float_of_int attempt) in
+  if attempt < rack_retries then begin
+    let delay = rack_timeout *. (2.0 ** float_of_int attempt) in
     (match Hashtbl.find_opt t.ext.racks key with
     | Some old -> Des.Engine.cancel old
     | None -> ());
@@ -355,13 +353,12 @@ let rec send_rrep_reliable t ~to_ ?(attempt = 0) rrep =
       (Des.Engine.schedule ~span:span_timer t.ctx.Routing_intf.engine
          ~delay (fun () ->
            Hashtbl.remove t.ext.racks key;
-           t.ext.rack_retx <- t.ext.rack_retx + 1;
            send_rrep_reliable t ~to_ ~attempt:(attempt + 1) rrep))
   end
   else Hashtbl.remove t.ext.racks key
 
 let send_rack t ~to_ rrep =
-  send t ~dst:(Frame.Unicast to_) ~size:t.ext.config.rack_size ~kind:"rack"
+  send t ~dst:(Frame.Unicast to_) ~size:rack_size ~kind:"rack"
     (Rack { k_src = rrep.rp_src; k_id = rrep.rp_id })
 
 let handle_rack t ~from rack =
@@ -477,7 +474,7 @@ let handle_rreq t ~from rreq =
               rq_adv = None;
             }
           in
-          send t ~dst:(Frame.Unicast next_hop) ~size:t.ext.config.rreq_size
+          send t ~dst:(Frame.Unicast next_hop) ~size:rreq_size
             ~kind:"rreq" (Rreq relayed)
       | Some _ | None -> ()
     end
@@ -499,7 +496,7 @@ let handle_rreq t ~from rreq =
           rq_adv = adv;
         }
       in
-      O.relay t ~size:t.ext.config.rreq_size ~kind:"rreq" (Rreq relayed)
+      O.relay t ~size:rreq_size ~kind:"rreq" (Rreq relayed)
     end
   end
 
@@ -647,7 +644,6 @@ let create_full ?(config = default_config) ctx =
       label_width_max = 0;
       label_resets = 0;
       resets = 0;
-      rack_retx = 0;
     }
   in
   O.create ctx ~ext ~self_seqno:1 ~seen_ttl:delete_period
@@ -667,5 +663,3 @@ let successor_orderings t ~dst =
 let own_seqno t = t.self_seqno
 
 let on_route_change t f = t.listener <- f
-
-let rack_retransmits t = t.ext.rack_retx

@@ -23,7 +23,14 @@
     from the min-hop set. The orderings, successor set, RACK, probe and
     handlers are this module's; the state, frame builders, relay, data
     forwarding, request ring and engagement table it shares with AODV and
-    LDR are {!Ondemand}'s. *)
+    LDR are {!Ondemand}'s.
+
+    Its [config] holds only what a caller sets: the label set (the CLI's
+    [--labels], the fuzzer), the three §V heuristics the E8b ablation
+    varies, and [MAX_DENOM], which the E9 label-set showdown tightens. The
+    RACK timing and the message sizes are constants of this module, and
+    the ring schedule, route lifetime, relay jitter and route-error size
+    are {!Ondemand}'s. *)
 
 type config = {
   max_denom : int;  (** MAX_DENOM reset threshold (paper: 1e9) *)
@@ -39,11 +46,6 @@ type config = {
       (** send the D-bit probe (with an own-seqno bump) when a reply carries
           the N bit. Needed only by bidirectional workloads; off by default
           to match the paper's unidirectional CBR evaluation. *)
-  rack_timeout : float;  (** initial RACK wait before an RREP resend, s *)
-  rack_retries : int;  (** RREP retransmissions before giving up *)
-  rreq_size : int;
-  rrep_size : int;
-  rack_size : int;
 }
 
 val default_config : config
@@ -78,10 +80,9 @@ type rrep = {
 type rerr = { re_unreachable : int list }
 
 (** Reply acknowledgment: unicast RREPs are retransmitted with binary
-    exponential backoff until the next hop RACKs them (at most
-    [rack_retries] resends) — §III's acknowledged-reply hardening, which
-    keeps lost replies from stalling a discovery for a whole ring
-    timeout. *)
+    exponential backoff, from 0.1 s, until the next hop RACKs them (at
+    most two resends) — §III's acknowledged-reply hardening, which keeps
+    lost replies from stalling a discovery for a whole ring timeout. *)
 type rack = { k_src : int; k_id : int }
 
 type Wireless.Frame.payload +=
@@ -117,6 +118,3 @@ val own_seqno : t -> int
     mutation for [dst] — label adoption, successor elimination, link loss,
     RERR processing. The online loop-invariant monitor hangs off this. *)
 val on_route_change : t -> (int -> unit) -> unit
-
-(** RREP retransmissions triggered by missing RACKs (diagnostic). *)
-val rack_retransmits : t -> int

@@ -173,16 +173,10 @@ let to_json (t : t) =
       ("traffic", J.String (Traffic.Model.name t.traffic));
     ]
 
-let with_protocol t protocol = { t with protocol }
-
 let labels t = t.srp.Protocols.Srp.labels
 
 let with_labels t labels =
   { t with srp = { t.srp with Protocols.Srp.labels } }
-
-let with_pause t pause = { t with pause }
-
-let with_seed t seed = { t with seed }
 
 let with_faults t faults = { t with faults }
 

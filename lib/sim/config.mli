@@ -112,18 +112,12 @@ val apply_scale : scale -> t -> t
     file is self-describing. *)
 val to_json : t -> Trace.Json.t
 
-val with_protocol : t -> protocol -> t
-
 (** The SLR label-set instance SRP mints feasible distances from — the
     campaign axis of the label-set showdown (EXPERIMENTS.md). Stored in the
     SRP tuning record; these project and update it. *)
 val labels : t -> Slr.Label_set.id
 
 val with_labels : t -> Slr.Label_set.id -> t
-
-val with_pause : t -> float -> t
-
-val with_seed : t -> int -> t
 
 val with_faults : t -> Faults.Spec.t -> t
 

@@ -443,24 +443,14 @@ let props =
          (fun id -> id <> Slr.Label_set.default)
          Slr.Label_set.all)
 
-(* `manet_sim fuzz --labels <set>`: the core catalogue with every scenario
-   pinned to one instance (names unchanged, so --prop/--replay work the
-   same whatever instance is under test). *)
-let props_for id =
-  let labels = Gen.pure id in
-  [
-    prop_sim_model_with labels;
-    prop_conservation_with labels;
-    prop_resume_equiv_with labels;
-  ]
-
-(* `manet_sim fuzz --scenario <name>`: the core catalogue with every
-   generated case pinned to the scenario's mobility and traffic models
-   (cell names unchanged, so --prop/--replay stay stable). *)
-let props_pinned ?(labels = Slr.Label_set.default) ~mobility ~traffic () =
+(* `manet_sim fuzz --labels <set>` and `--scenario <name>`: the core
+   catalogue with every generated case pinned to one label-set instance
+   and to the scenario's mobility and traffic models (cell names
+   unchanged, so --prop/--replay stay stable). *)
+let props_pinned ?(labels = Slr.Label_set.default) ?mobility ?traffic () =
   let labels = Gen.pure labels in
   [
-    prop_sim_model_with ~mobility ~traffic labels;
-    prop_conservation_with ~mobility ~traffic labels;
-    prop_resume_equiv_with ~mobility ~traffic labels;
+    prop_sim_model_with ?mobility ?traffic labels;
+    prop_conservation_with ?mobility ?traffic labels;
+    prop_resume_equiv_with ?mobility ?traffic labels;
   ]

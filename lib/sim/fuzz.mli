@@ -11,18 +11,13 @@
     dense set mints the labels. *)
 val props : Check.Runner.packed list
 
-(** The three core cells with every generated scenario pinned to the given
-    label-set instance (cell names unchanged, so [--prop]/[--replay] are
-    stable across instances). Backs [manet_sim fuzz --labels]. *)
-val props_for : Slr.Label_set.id -> Check.Runner.packed list
-
-(** The three core cells with every generated case pinned to the given
-    mobility and traffic models — and optionally a label-set instance
-    (cell names unchanged). Backs [manet_sim fuzz --scenario], composing
-    with [--labels]. *)
+(** The three core cells with every generated case pinned to a label-set
+    instance and to mobility and traffic models, each the default unless
+    given (cell names unchanged, so [--prop]/[--replay] are stable across
+    instances). Backs [manet_sim fuzz --labels] and [--scenario]. *)
 val props_pinned :
   ?labels:Slr.Label_set.id ->
-  mobility:Wireless.Mobility.id ->
-  traffic:Traffic.Model.id ->
+  ?mobility:Wireless.Mobility.id ->
+  ?traffic:Traffic.Model.id ->
   unit ->
   Check.Runner.packed list

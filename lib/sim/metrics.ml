@@ -71,7 +71,7 @@ type result = {
 }
 
 let finalize (t : t) ~control_tx ~data_tx ~drop_queue_full ~drop_retry
-    ~mac_drops ~collisions ~nodes ~gauges ~fault_events ~fault_frames_blocked
+    ~collisions ~nodes ~gauges ~fault_events ~fault_frames_blocked
     ~engine_events =
   (* one pass over the gauges with mutable accumulators instead of one
      functional fold per member; every accumulation is integral, so the
@@ -111,7 +111,8 @@ let finalize (t : t) ~control_tx ~data_tx ~drop_queue_full ~drop_retry
       (if t.delivered = 0 then float_of_int control_tx
        else float_of_int control_tx /. float_of_int t.delivered);
     latency = Stats.Summary.mean t.lat;
-    mac_drops_per_node = float_of_int mac_drops /. float_of_int nodes;
+    mac_drops_per_node =
+      float_of_int (drop_queue_full + drop_retry) /. float_of_int nodes;
     collisions;
     data_tx;
     drop_queue_full;

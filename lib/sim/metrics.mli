@@ -55,15 +55,15 @@ type result = {
   engine_events : int;  (** DES events executed over the whole run *)
 }
 
-(** [finalize t ~control_tx ~mac_drops ~collisions ~nodes ~gauges] closes
-    the books; [gauges] are the per-node protocol gauges. *)
+(** [finalize t ~control_tx ~data_tx ~drop_queue_full ~drop_retry ...]
+    closes the books; the MAC drops of Fig. 3 are [drop_queue_full +
+    drop_retry], and [gauges] are the per-node protocol gauges. *)
 val finalize :
   t ->
   control_tx:int ->
   data_tx:int ->
   drop_queue_full:int ->
   drop_retry:int ->
-  mac_drops:int ->
   collisions:int ->
   nodes:int ->
   gauges:Protocols.Routing_intf.gauges list ->

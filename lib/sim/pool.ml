@@ -6,8 +6,6 @@ let () =
         Some (Printf.sprintf "cell %s failed: %s" cell (Printexc.to_string exn))
     | _ -> None)
 
-let default_jobs () = Domain.recommended_domain_count ()
-
 let default_name i = Printf.sprintf "#%d" i
 
 let map ?(name = default_name) ~jobs f items =

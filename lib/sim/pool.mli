@@ -13,9 +13,6 @@
     not at the pool. A printer is registered with {!Printexc}. *)
 exception Cell_error of { cell : string; exn : exn }
 
-(** The runtime's recommendation for this machine (physical parallelism). *)
-val default_jobs : unit -> int
-
 (** [map ~jobs f items] applies [f] to every element, using up to [jobs]
     domains (clamped to [1 .. Array.length items]; [jobs <= 1] runs inline
     with no domains spawned). The first exception raised by any [f] is

@@ -3,34 +3,14 @@
     x-axis, one column per protocol) — the same series a plotting script
     would consume. *)
 
-val table1 : Format.formatter -> Experiment.t -> unit
-
-(** Fig. 3: average MAC-layer drops per node vs pause time. *)
-val fig3 : Format.formatter -> Experiment.t -> unit
-
-(** Fig. 4: delivery ratio vs pause time. *)
-val fig4 : Format.formatter -> Experiment.t -> unit
-
-(** Fig. 5: network load vs pause time (the paper plots this semi-log). *)
-val fig5 : Format.formatter -> Experiment.t -> unit
-
-(** Fig. 6: data latency vs pause time. *)
-val fig6 : Format.formatter -> Experiment.t -> unit
-
-(** Fig. 7: average node sequence number vs pause time (SRP, LDR, AODV),
-    plus, when the campaign includes SRP, its maximum denominator (§V's
-    "stayed under 840 million") and a line naming its label set with the
-    widest label's width and the label-driven resets. *)
-val fig7 : Format.formatter -> Experiment.t -> unit
-
-(** Quarantined-cell section: one header plus one line per failure
-    (attempts, crash-vs-timeout, error). Prints nothing on a clean
-    campaign, so clean reports are byte-identical to pre-supervisor
-    builds. *)
-val supervision : Format.formatter -> Experiment.t -> unit
-
-(** Everything, in paper order; ends with {!supervision} when any cell was
-    quarantined. *)
+(** The campaign report, in paper order: Table I (each protocol's
+    delivery ratio, network load and latency over all pause times, mean ±
+    95% CI), then Figs. 3–6 (MAC drops per node, delivery ratio, network
+    load, latency) and Fig. 7 (average sequence number of SRP, LDR and
+    AODV; with SRP, its maximum denominator against §V's "stayed under
+    840 million", its label set, widest label and label-driven resets).
+    When any cell was quarantined, a Supervision section follows: one line
+    per failure (attempts, crash or timeout, error). *)
 val all : Format.formatter -> Experiment.t -> unit
 
 (** Single-run report: the paper metrics line, per-reason routing drops,
@@ -57,12 +37,10 @@ val campaign_json : Experiment.t -> Trace.Json.t
     {!run_json} themselves, so unprofiled envelopes stay byte-identical to
     pre-observability builds. *)
 
-(** Machine-readable profile: spans and histograms with count / total /
-    p50 / p99, counter totals, and the per-worker-domain cell/GC ledger. *)
-val profile_json : Obs.snapshot -> Trace.Json.t
-
 (** [add_profile json snapshot] appends a ["perf_profile"] member to a
-    JSON object envelope (returns non-objects unchanged). *)
+    JSON object envelope (returns non-objects unchanged): spans and
+    histograms with count / total / p50 / p99, counter totals, and the
+    per-worker-domain cell/GC ledger. *)
 val add_profile : Trace.Json.t -> Obs.snapshot -> Trace.Json.t
 
 (** Human [Profile] section: spans sorted by total time, then worker-domain

@@ -197,9 +197,6 @@ let run_custom ?(on_faults = fun (_ : Faults.Injector.t) -> ())
       (fun acc mac -> acc + (Wireless.Mac80211.stats mac).Wireless.Mac80211.tx_control)
       0 macs
   in
-  let mac_drops =
-    Array.fold_left (fun acc mac -> acc + Wireless.Mac80211.drops mac) 0 macs
-  in
   let sum_stat f =
     Array.fold_left (fun acc mac -> acc + f (Wireless.Mac80211.stats mac)) 0 macs
   in
@@ -224,7 +221,6 @@ let run_custom ?(on_faults = fun (_ : Faults.Injector.t) -> ())
       ~data_tx:(sum_stat (fun s -> s.Wireless.Mac80211.tx_data))
       ~drop_queue_full:(sum_stat (fun s -> s.Wireless.Mac80211.drop_queue_full))
       ~drop_retry:(sum_stat (fun s -> s.Wireless.Mac80211.drop_retry))
-      ~mac_drops
       ~collisions:(Wireless.Channel.collisions channel)
       ~nodes:config.nodes ~gauges ~fault_events ~fault_frames_blocked
       ~engine_events:(Des.Engine.executed engine)

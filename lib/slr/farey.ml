@@ -11,13 +11,6 @@ let rec descend a b c d =
     let p, q = descend d (c - (ia * d)) b (a - (ia * b)) in
     ((ia * p) + q, p)
 
-let simplest_ints ~lo:(a, b) ~hi:(c, d) =
-  if b <= 0 || d <= 0 then invalid_arg "Farey.simplest_ints: bad denominator";
-  let cross x y = Int64.mul (Int64.of_int x) (Int64.of_int y) in
-  if Int64.compare (cross a d) (cross c b) >= 0 then
-    invalid_arg "Farey.simplest_ints: empty interval";
-  descend a b c d
-
 let simplest_between ~lo ~hi =
   if not Fraction.(lo < hi) then
     invalid_arg "Farey.simplest_between: requires lo < hi";

@@ -12,8 +12,3 @@
     possible for adjacent Farey neighbours at the bound).
     @raise Invalid_argument unless [lo < hi]. *)
 val simplest_between : lo:Fraction.t -> hi:Fraction.t -> Fraction.t option
-
-(** [simplest_ints ~lo:(a, b) ~hi:(c, d)] is the minimal-denominator pair
-    [(p, q)] with [a/b < p/q < c/d] over unbounded integers.
-    @raise Invalid_argument unless [a/b < c/d]. *)
-val simplest_ints : lo:int * int -> hi:int * int -> int * int

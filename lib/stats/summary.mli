@@ -26,9 +26,6 @@ val min : t -> float
 
 val max : t -> float
 
-(** Standard error of the mean. *)
-val std_error : t -> float
-
 (** Half-width of the 95% Student-t confidence interval for the mean
     (0.0 for fewer than two observations). *)
 val ci95 : t -> float

@@ -20,10 +20,8 @@ type t =
     non-finite values encode as [null]. *)
 val float_str : float -> string
 
-val to_buffer : Buffer.t -> t -> unit
-
 (** [member_to buf (key, value)] writes one object member, ["key":value],
-    exactly as {!to_buffer} writes it inside an [Obj]. *)
+    exactly as {!to_string} renders it inside an [Obj]. *)
 val member_to : Buffer.t -> string * t -> unit
 
 val to_string : t -> string

@@ -39,7 +39,3 @@ let with_kind t kind = { t with kind }
 let with_cls t cls = { t with cls }
 
 let is_data t = t.cls = Data_frame
-
-let pp_addr ppf = function
-  | Unicast i -> Format.fprintf ppf "->%d" i
-  | Broadcast -> Format.pp_print_string ppf "->*"

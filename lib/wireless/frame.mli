@@ -53,5 +53,3 @@ val with_cls : t -> cls -> t
 
 (** [true] exactly for frames classified as data. *)
 val is_data : t -> bool
-
-val pp_addr : Format.formatter -> addr -> unit

@@ -234,7 +234,7 @@ let test_vg_aodv_forged_reply_loops () =
   let stale =
     Frame.with_kind
       (Frame.make ~src:a ~dst:(Frame.Unicast s)
-         ~size:Protocols.Aodv.default_config.Protocols.Aodv.rrep_size
+         ~size:Protocols.Aodv.rrep_size
          ~payload:
            (Protocols.Aodv.Rrep
               {

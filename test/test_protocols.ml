@@ -774,6 +774,49 @@ let test_dsr_forwarding () =
       Alcotest.(check bool) "forwarded to 5" true (f.Frame.dst = Frame.Unicast 5)
   | l -> Alcotest.failf "expected forward, got %d" (List.length l)
 
+(* A source-routed frame of a [payload]-byte packet along [route]: IP
+   header, source-route header and 4 bytes per listed hop on top. *)
+let dsr_frame ~src ~dst ~payload ~route ~idx =
+  Frame.make ~src ~dst:(Frame.Unicast dst)
+    ~size:(payload + 20 + 4 + (4 * List.length route))
+    ~payload:
+      (Dsr.Dsr_data
+         { dd_data = mk_data (); dd_route = route; dd_idx = idx;
+           dd_salvaged = 0 })
+
+(* A relay passes a packet on at the size it was sent with, not at the
+   default 512 bytes. *)
+let test_dsr_relay_keeps_size () =
+  let h = harness ~id:3 () in
+  let _, agent = Dsr.create_full h.ctx in
+  let frame = dsr_frame ~src:0 ~dst:3 ~payload:256 ~route:[ 0; 3; 5 ] ~idx:1 in
+  agent.RI.receive ~src:0 frame;
+  run h;
+  match List.filter Frame.is_data (take_sent h) with
+  | [ f ] ->
+      Alcotest.(check int) "size received" frame.Frame.size f.Frame.size
+  | l -> Alcotest.failf "expected forward, got %d" (List.length l)
+
+(* A salvaged packet keeps its size too: re-routed over a longer cached
+   path, only the source route grows. *)
+let test_dsr_salvage_keeps_size () =
+  let h = harness ~id:3 () in
+  let _, agent = Dsr.create_full h.ctx in
+  agent.RI.receive ~src:0
+    (Frame.make ~src:0 ~dst:(Frame.Unicast 3) ~size:40
+       ~payload:(Dsr.Rrep { rp_path = [ 0; 3; 4; 6; 5 ]; rp_back = [ 3; 0 ] }));
+  ignore (take_sent h);
+  agent.RI.unicast_failed
+    ~frame:(dsr_frame ~src:3 ~dst:5 ~payload:256 ~route:[ 0; 3; 5 ] ~idx:2)
+    ~dst:5;
+  run h;
+  match List.filter Frame.is_data (take_sent h) with
+  | [ f ] ->
+      Alcotest.(check bool) "salvaged via 4" true (f.Frame.dst = Frame.Unicast 4);
+      Alcotest.(check int) "256 bytes on a 4-hop route" (256 + 20 + 4 + 16)
+        f.Frame.size
+  | l -> Alcotest.failf "expected a salvage, got %d" (List.length l)
+
 (* ------------------------------------------------------------------ *)
 (* OLSR *)
 
@@ -828,8 +871,7 @@ let test_olsr_topology_expiry () =
   agent.RI.receive ~src:1 (tc ~last_hop:4 ~ansn:1 [ 9 ]);
   Alcotest.(check (option int)) "route to 9 via 1" (Some 1)
     (Olsr.next_hop t ~dst:9);
-  Des.Engine.run h.engine
-    ~until:(Olsr.default_config.topology_hold +. 0.5);
+  Des.Engine.run h.engine ~until:(Olsr.topology_hold +. 0.5);
   agent.RI.receive ~src:1 hello_1_4;
   Alcotest.(check (option int)) "edge 4 -> 9 expired" None
     (Olsr.next_hop t ~dst:9);
@@ -1547,6 +1589,10 @@ let () =
           Alcotest.test_case "cache and source-routed send" `Quick
             test_dsr_cache_and_send;
           Alcotest.test_case "forwarding" `Quick test_dsr_forwarding;
+          Alcotest.test_case "relay keeps the packet size" `Quick
+            test_dsr_relay_keeps_size;
+          Alcotest.test_case "salvage keeps the packet size" `Quick
+            test_dsr_salvage_keeps_size;
         ] );
       ( "olsr",
         [

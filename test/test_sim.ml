@@ -95,7 +95,7 @@ let test_metrics_accounting () =
   in
   let r =
     Sim.Metrics.finalize m ~control_tx:10 ~data_tx:5 ~drop_queue_full:1
-      ~drop_retry:2 ~mac_drops:3 ~collisions:4 ~nodes:2 ~gauges ~fault_events:0
+      ~drop_retry:2 ~collisions:4 ~nodes:2 ~gauges ~fault_events:0
       ~fault_frames_blocked:0 ~engine_events:1234
   in
   Alcotest.(check int) "sent" 2 r.Sim.Metrics.sent;
