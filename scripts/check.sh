@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
-# CI gate: full build, the whole test suite (the stdout goldens are cram
-# tests under test/cram, so `dune runtest` compares them), then the smokes
-# that need a shell or are too slow for the test suite.
+# CI gate: full build, the whole test suite (the stdout goldens and the
+# exit-code contracts are cram tests under test/cram, so `dune runtest`
+# checks them), then the smokes that need a shell or are too slow for the
+# test suite.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -73,26 +74,8 @@ done
 # a non-default instance (the identical Ordering-Criteria oracle applies)
 dune exec bin/manet_sim.exe -- fuzz --max-cases 25 --seed 7 --labels bigfrac
 
-# scenario smoke: an unknown name must exit 2 with the registry listing,
-# and every workload scenario must complete a small campaign plus an SRP
-# run under the online loop-freedom monitor
-if dune exec bin/manet_sim.exe -- run --scenario no-such-scenario \
-  > /dev/null 2> "$tmp/scenario_err.txt"; then
-  echo "check.sh: unknown --scenario did not fail" >&2
-  exit 1
-fi
-grep -q "registered scenarios:" "$tmp/scenario_err.txt"
-# ... and a number outside its range must be a usage error (exit 124)
-# before any world is built
-for bad in "campaign --trials=0" "campaign --trials=-2" "run --nodes=1" \
-  "check --nodes=1" "run --duration=0" "run --rate=-1"; do
-  status=0
-  dune exec bin/manet_sim.exe -- $bad > /dev/null 2>&1 || status=$?
-  if [ "$status" -ne 124 ]; then
-    echo "check.sh: manet_sim $bad exited $status, not 124" >&2
-    exit 1
-  fi
-done
+# scenario smoke: every workload scenario must complete a small campaign
+# plus an SRP run under the online loop-freedom monitor
 for scenario in manhattan rpgm churn bursty convergecast flash-crowd \
   downtown hostile; do
   dune exec bin/manet_sim.exe -- campaign --scenario "$scenario" --nodes 16 \
@@ -145,16 +128,6 @@ fi
   2> "$tmp/campaign_resumed.log"
 cmp "$tmp/campaign_resumed.json" "$golden.json"
 cmp "$tmp/campaign_resumed.txt" "$golden.txt"
-# ... and the same journal under the previous schema's header must be
-# refused as a foreign journal (exit 2), not misread
-sed '1s/journal-v2/journal-v1/' "$tmp/ckpt.jsonl" > "$tmp/ckpt_v1.jsonl"
-status=0
-"$SIM" campaign $campaign_flags --resume "$tmp/ckpt_v1.jsonl" \
-  > /dev/null 2>&1 || status=$?
-if [ "$status" -ne 2 ]; then
-  echo "check.sh: resuming a v1 journal exited $status, not 2" >&2
-  exit 1
-fi
 
 # supervision smoke: an injected crash must quarantine one cell, annotate
 # it in the report and the JSON failures list, and still exit 0 ...
@@ -213,14 +186,8 @@ grep -q '"workers"' "$tmp/campaign_prof.json"
 grep -q '"minor_words"' "$tmp/campaign_prof.json"
 
 # scale smoke: a kilonode world on a tiny horizon must complete under the
-# default grid channel, and an unknown preset must exit 2 listing the
-# registered choices
+# default grid channel
 "$SIM" run --scale 1k --duration 17 > /dev/null 2> /dev/null
-if "$SIM" run --scale 10k > /dev/null 2> "$tmp/scale_err.txt"; then
-  echo "check.sh: unknown --scale did not fail" >&2
-  exit 1
-fi
-grep -q "scale presets:" "$tmp/scale_err.txt"
 
 # work gate: world 0 of every benchmark workload, the 5000-node world and
 # every micro case must repeat BENCH_work.json's counts exactly, keep their
