@@ -13,8 +13,8 @@
     30 s each, two salvages per packet, and a source route of 4 bytes plus
     4 per listed hop are constants of this module; the hop limit and the
     IP header are {!Routing_intf}'s. [config] remains, with
-    {!default_config} its only value, so that a caller can still pass
-    [~config] to {!create} as it does for SRP. *)
+    {!default_config} its only value: [Sim.Config.t] holds one per
+    protocol, and callers pass it to {!create} as they pass SRP's. *)
 
 type config
 

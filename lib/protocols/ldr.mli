@@ -15,11 +15,11 @@
     the state, frame builders, relay, data forwarding, request ring and
     engagement table it shares with AODV and SRP are {!Ondemand}'s.
 
-    The paper runs LDR at one parameter set, so nothing here is tunable:
-    the message sizes are constants of this module, and the ring schedule,
-    route lifetime, relay jitter and route-error size are {!Ondemand}'s.
-    [config] remains, with {!default_config} its only value, so that a
-    caller can still pass [~config] to {!create} as it does for SRP. *)
+    The paper runs LDR at one parameter set, so nothing here is tunable: the
+    message sizes are constants of this module, and the ring schedule, route
+    lifetime, relay jitter and route-error size are {!Ondemand}'s. [config]
+    remains, with {!default_config} its only value: [Sim.Config.t] holds one
+    per protocol, and callers pass it to {!create} as they pass SRP's. *)
 
 type config
 
