@@ -56,8 +56,8 @@ let channel_cases () =
         Wireless.Waypoint.stationary
           (Wireless.Terrain.random_point Wireless.Terrain.paper rng))
   in
-  let range = Wireless.Radio.default.Wireless.Radio.range in
-  let cs_range = Wireless.Radio.default.Wireless.Radio.cs_range in
+  let range = Wireless.Radio.range in
+  let cs_range = Wireless.Radio.cs_range in
   let make_channel grid =
     let engine = Des.Engine.create () in
     let ch =
@@ -107,14 +107,13 @@ let mobile_channel_cases () =
       ~pause:0.0 ~speed_min:config.Sim.Config.speed_min
       ~speed_max:config.Sim.Config.speed_max ~duration:900.0
   in
-  let radio = config.Sim.Config.radio in
   let make_channel () =
     let engine = Des.Engine.create () in
     let ch =
       Wireless.Channel.create
         ~grid:{ Wireless.Channel.max_speed = config.Sim.Config.speed_max; epoch = 0.25 }
-        engine ~scripts ~range:radio.Wireless.Radio.range
-        ~cs_range:radio.Wireless.Radio.cs_range
+        engine ~scripts ~range:Wireless.Radio.range
+        ~cs_range:Wireless.Radio.cs_range
     in
     (engine, ch)
   in

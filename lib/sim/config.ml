@@ -34,7 +34,6 @@ type t = {
   protocol : protocol;
   nodes : int;
   terrain : Wireless.Terrain.t;
-  radio : Wireless.Radio.t;
   pause : float;
   speed_min : float;
   speed_max : float;
@@ -43,7 +42,6 @@ type t = {
   flows : int;
   flow_mean_duration : float;
   packet_rate : float;
-  packet_size : int;
   seed : int;
   faults : Faults.Spec.t;
   channel : channel;
@@ -56,12 +54,13 @@ type t = {
   olsr : Protocols.Olsr.config;
 }
 
+let packet_size = 512
+
 let paper =
   {
     protocol = Srp;
     nodes = 100;
     terrain = Wireless.Terrain.paper;
-    radio = Wireless.Radio.default;
     pause = 0.0;
     speed_min = 0.5;
     speed_max = 20.0;
@@ -70,7 +69,6 @@ let paper =
     flows = 30;
     flow_mean_duration = 60.0;
     packet_rate = 4.0;
-    packet_size = 512;
     seed = 1;
     faults = Faults.Spec.none;
     channel = Grid;
@@ -154,8 +152,8 @@ let to_json (t : t) =
       ("nodes", J.Int t.nodes);
       ("terrain_width", J.Float t.terrain.Wireless.Terrain.width);
       ("terrain_height", J.Float t.terrain.Wireless.Terrain.height);
-      ("radio_range", J.Float t.radio.Wireless.Radio.range);
-      ("radio_bitrate", J.Float t.radio.Wireless.Radio.bitrate);
+      ("radio_range", J.Float Wireless.Radio.range);
+      ("radio_bitrate", J.Float Wireless.Radio.bitrate);
       ("pause", J.Float t.pause);
       ("speed_min", J.Float t.speed_min);
       ("speed_max", J.Float t.speed_max);
@@ -164,7 +162,7 @@ let to_json (t : t) =
       ("flows", J.Int t.flows);
       ("flow_mean_duration", J.Float t.flow_mean_duration);
       ("packet_rate", J.Float t.packet_rate);
-      ("packet_size", J.Int t.packet_size);
+      ("packet_size", J.Int packet_size);
       ("seed", J.Int t.seed);
       ("faults", J.Bool (not (Faults.Spec.is_none t.faults)));
       ("labels", J.String (Slr.Label_set.name t.srp.Protocols.Srp.labels));

@@ -1,6 +1,8 @@
 (** Simulation-campaign configuration. {!paper} mirrors the paper's setup:
     100 nodes on 2200 m × 600 m, 2 Mbps 802.11, random waypoint at 0–20 m/s,
-    30 concurrent 512-byte 4-packets/s CBR flows, 900 s runs. *)
+    30 concurrent 512-byte 4-packets/s CBR flows, 900 s runs. The radio and
+    MAC parameters are {!Wireless.Radio}'s constants and the packet size is
+    {!packet_size} in every world. *)
 
 type protocol = Srp | Ldr | Aodv | Dsr | Olsr
 
@@ -30,7 +32,6 @@ type t = {
   protocol : protocol;
   nodes : int;
   terrain : Wireless.Terrain.t;
-  radio : Wireless.Radio.t;
   pause : float;  (** random-waypoint pause time, s *)
   speed_min : float;
   speed_max : float;
@@ -39,7 +40,6 @@ type t = {
   flows : int;  (** concurrent CBR flows *)
   flow_mean_duration : float;
   packet_rate : float;  (** packets per second per flow *)
-  packet_size : int;  (** bytes *)
   seed : int;  (** trial seed: shared across protocols *)
   faults : Faults.Spec.t;
       (** fault-injection schedule; {!Faults.Spec.none} (the default in every
@@ -60,6 +60,9 @@ type t = {
   dsr : Protocols.Dsr.config;
   olsr : Protocols.Olsr.config;
 }
+
+(** Bytes of every CBR packet, the paper's 512. *)
+val packet_size : int
 
 (** The paper's full-scale scenario (pause and protocol to be set). *)
 val paper : t

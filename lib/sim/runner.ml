@@ -47,8 +47,7 @@ let run_custom ?(on_faults = fun (_ : Faults.Injector.t) -> ())
       | Config.Naive -> None
     in
     Wireless.Channel.create ~trace ?grid engine ~scripts
-      ~range:config.radio.Wireless.Radio.range
-      ~cs_range:config.radio.Wireless.Radio.cs_range
+      ~range:Wireless.Radio.range ~cs_range:Wireless.Radio.cs_range
   in
   let metrics = Metrics.create () in
   let agents : Protocols.Routing_intf.agent option array =
@@ -69,7 +68,7 @@ let run_custom ?(on_faults = fun (_ : Faults.Injector.t) -> ())
   in
   let macs =
     Array.init config.nodes (fun i ->
-        Wireless.Mac80211.create ~trace engine config.radio channel ~id:i
+        Wireless.Mac80211.create ~trace engine channel ~id:i
           ~rng:(Des.Rng.split root (Printf.sprintf "mac-%d" i))
           {
             Wireless.Mac80211.on_receive =
@@ -177,7 +176,7 @@ let run_custom ?(on_faults = fun (_ : Faults.Injector.t) -> ())
       ~until:config.duration ~mean_duration:config.flow_mean_duration
   in
   Traffic.Cbr.schedule engine ~flows ~rate:config.packet_rate
-    ~size:config.packet_size ~send:(fun ~src data ~size ->
+    ~size:Config.packet_size ~send:(fun ~src data ~size ->
       Trace.pkt_originate trace ~node:src ~flow:data.Frame.flow
         ~seq:data.Frame.seq ~dst:data.Frame.final_dst;
       Metrics.on_sent metrics data;

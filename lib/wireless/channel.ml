@@ -4,6 +4,14 @@ type grid = { max_speed : float; epoch : float }
    slot stays allocated until its frame-end event *)
 let unlinked = -2
 
+(* ~10 dB capture threshold at path-loss exponent 2 *)
+let capture_ratio = 3.0
+
+(* carrier sense reports busy for this long after a frame ends, so that
+   SIFS-spaced ACKs win the medium over DIFS-spaced contenders (the
+   sampling MAC has no NAV; this restores the DIFS > SIFS protection) *)
+let idle_guard = 60e-6
+
 type 'a t = {
   engine : Des.Engine.t;
   trace : Trace.t;
@@ -11,11 +19,6 @@ type 'a t = {
   positions : Waypoint.cache;
   range : float;
   cs_range : float;
-  capture_ratio : float;
-  (* carrier sense reports busy for this long after a frame ends, so that
-     SIFS-spaced ACKs win the medium over DIFS-spaced contenders (the
-     sampling MAC has no NAV; this restores the DIFS > SIFS protection) *)
-  idle_guard : float;
   receivers : (src:int -> 'a -> unit) option array;
   (* fault-injection hook: a frame reaching [dst] intact is still dropped
      when the filter vetoes the (src, dst) pair at delivery time *)
@@ -95,9 +98,6 @@ let create ?(trace = Trace.null) ?grid engine ~scripts ~range ~cs_range =
     positions;
     range;
     cs_range;
-    (* ~10 dB capture threshold at path-loss exponent 2 *)
-    capture_ratio = 3.0;
-    idle_guard = 60e-6;
     receivers = Array.make nodes None;
     filter = None;
     tx_until = Array.make nodes neg_infinity;
@@ -155,7 +155,7 @@ let prune t =
   let src = t.air_src and until = t.air_until in
   let k = ref 0 in
   for i = 0 to t.air_len - 1 do
-    if until.(i) +. t.idle_guard > time then begin
+    if until.(i) +. idle_guard > time then begin
       if !k <> i then begin
         src.(!k) <- src.(i);
         until.(!k) <- until.(i)
@@ -238,7 +238,7 @@ let busy t i =
       let src = t.air_src.(!k) in
       if
         src <> i
-        && t.air_until.(!k) +. t.idle_guard > time
+        && t.air_until.(!k) +. idle_guard > time
         && (not (apart t i src ~reach:far))
         && within t i src ~radius:t.cs_range
       then found := true;
@@ -256,7 +256,7 @@ let busy_until t i =
   let far = sense_reach t time in
   for k = 0 to t.air_len - 1 do
     let src = t.air_src.(k) in
-    let guarded = t.air_until.(k) +. t.idle_guard in
+    let guarded = t.air_until.(k) +. idle_guard in
     if
       src <> i && guarded > !horizon
       && (not (apart t i src ~reach:far))
@@ -306,15 +306,15 @@ let corrupt t s =
    non-decodable interference. *)
 let clash t a b =
   let da = t.rx_dist.(a) and db = t.rx_dist.(b) in
-  if da *. t.capture_ratio <= db then corrupt t b
-  else if db *. t.capture_ratio <= da then corrupt t a
+  if da *. capture_ratio <= db then corrupt t b
+  else if db *. capture_ratio <= da then corrupt t a
   else begin
     corrupt t a;
     corrupt t b
   end
 
 let[@inline] interfere t s ~interferer_dist =
-  if t.rx_dist.(s) *. t.capture_ratio > interferer_dist then corrupt t s
+  if t.rx_dist.(s) *. capture_ratio > interferer_dist then corrupt t s
 
 (* loops over a node's chain, from the reception [s] on, newest first *)
 let rec corrupt_all t s =

@@ -28,16 +28,12 @@ type state =
 type stats = {
   tx_data : int;
   tx_control : int;
-  tx_ack : int;
-  rx_delivered : int;
   drop_queue_full : int;
   drop_retry : int;
-  drop_duplicate : int;
 }
 
 type t = {
   engine : Des.Engine.t;
-  radio : Radio.t;
   channel : pdu Channel.t;
   id : int;
   rng : Des.Rng.t;
@@ -57,45 +53,34 @@ type t = {
   last_seen : (int, int) Hashtbl.t;
   mutable tx_data : int;
   mutable tx_control : int;
-  mutable tx_ack : int;
-  mutable rx_delivered : int;
   mutable drop_queue_full : int;
   mutable drop_retry : int;
-  mutable drop_duplicate : int;
 }
 
 let stats t =
   {
     tx_data = t.tx_data;
     tx_control = t.tx_control;
-    tx_ack = t.tx_ack;
-    rx_delivered = t.rx_delivered;
     drop_queue_full = t.drop_queue_full;
     drop_retry = t.drop_retry;
-    drop_duplicate = t.drop_duplicate;
   }
-
-let drops t = t.drop_queue_full + t.drop_retry
 
 let queue_length t =
   Queue.length t.queue + (match t.current with Some _ -> 1 | None -> 0)
 
 let now t = Des.Engine.now t.engine
 
-let data_duration t frame =
-  Radio.tx_duration t.radio ~size:frame.Frame.size
+let data_duration frame = Radio.tx_duration ~size:frame.Frame.size
 
 let uses_rts frame =
   match frame.Frame.dst with
   | Frame.Broadcast -> false
   | Frame.Unicast _ -> true
 
-let needs_rts t frame =
-  uses_rts frame && frame.Frame.size > t.radio.Radio.rts_threshold
+let needs_rts frame = uses_rts frame && frame.Frame.size > Radio.rts_threshold
 
 let backoff_delay t =
-  t.radio.Radio.difs
-  +. (float_of_int (Des.Rng.int t.rng (t.cw + 1)) *. t.radio.Radio.slot)
+  Radio.difs +. (float_of_int (Des.Rng.int t.rng (t.cw + 1)) *. Radio.slot)
 
 let count_tx t frame =
   if Frame.is_data frame then t.tx_data <- t.tx_data + 1
@@ -132,7 +117,7 @@ let rec start_contention t =
       | None ->
           if not (Queue.is_empty t.queue) then begin
             t.current <- Some (Queue.pop t.queue);
-            t.cw <- t.radio.Radio.cw_min;
+            t.cw <- Radio.cw_min;
             arm_contention t
           end
     end
@@ -163,7 +148,7 @@ and attempt t =
         in
         t.state <- Contending handle
       end
-      else if needs_rts t entry.frame then send_rts t entry
+      else if needs_rts entry.frame then send_rts t entry
       else transmit_frame t entry
 
 (* --- RTS/CTS exchange ------------------------------------------------ *)
@@ -172,17 +157,15 @@ and send_rts t entry =
   match entry.frame.Frame.dst with
   | Frame.Broadcast -> assert false
   | Frame.Unicast dst ->
-      let r = t.radio in
-      let sifs = r.Radio.sifs in
       let nav =
-        Radio.cts_duration r +. data_duration t entry.frame
-        +. Radio.ack_duration r +. (3.0 *. sifs)
+        Radio.cts_duration +. data_duration entry.frame +. Radio.ack_duration
+        +. (3.0 *. Radio.sifs)
       in
-      Channel.transmit t.channel ~src:t.id ~duration:(Radio.rts_duration r)
+      Channel.transmit t.channel ~src:t.id ~duration:Radio.rts_duration
         (Mac_rts { seq = entry.seq; to_ = dst; nav });
       let timeout =
-        Radio.rts_duration r +. sifs +. Radio.cts_duration r
-        +. (2.0 *. r.Radio.slot)
+        Radio.rts_duration +. Radio.sifs +. Radio.cts_duration
+        +. (2.0 *. Radio.slot)
       in
       let handle =
         Des.Engine.schedule ~span:span_timeout t.engine ~delay:timeout
@@ -192,7 +175,7 @@ and send_rts t entry =
 
 and transmit_frame t entry =
   let frame = entry.frame in
-  let duration = data_duration t frame in
+  let duration = data_duration frame in
   count_tx t frame;
   trace_tx t frame;
   Channel.transmit t.channel ~src:t.id ~duration
@@ -208,9 +191,7 @@ and transmit_frame t entry =
              start_contention t))
   | Frame.Unicast dst ->
       let timeout =
-        duration +. t.radio.Radio.sifs
-        +. Radio.ack_duration t.radio
-        +. (2.0 *. t.radio.Radio.slot)
+        duration +. Radio.sifs +. Radio.ack_duration +. (2.0 *. Radio.slot)
       in
       let handle =
         Des.Engine.schedule ~span:span_timeout t.engine ~delay:timeout
@@ -220,17 +201,17 @@ and transmit_frame t entry =
 
 and retry t entry dst =
   entry.retries <- entry.retries + 1;
-  if entry.retries > t.radio.Radio.retry_limit then begin
+  if entry.retries > Radio.retry_limit then begin
     t.drop_retry <- t.drop_retry + 1;
     Trace.mac_retry_drop t.trace ~node:t.id ~dst;
     t.state <- Idle;
     t.current <- None;
-    t.cw <- t.radio.Radio.cw_min;
+    t.cw <- Radio.cw_min;
     t.callbacks.on_unicast_fail ~frame:entry.frame ~dst;
     start_contention t
   end
   else begin
-    t.cw <- Stdlib.min ((2 * t.cw) + 1) t.radio.Radio.cw_max;
+    t.cw <- Stdlib.min ((2 * t.cw) + 1) Radio.cw_max;
     t.state <- Idle;
     arm_contention t
   end
@@ -239,19 +220,14 @@ and retry t entry dst =
 
 let send_ack t ~to_ ~seq =
   ignore
-    (Des.Engine.schedule ~span:span_sifs t.engine ~delay:t.radio.Radio.sifs
-       (fun () ->
-         t.tx_ack <- t.tx_ack + 1;
-         Channel.transmit t.channel ~src:t.id
-           ~duration:(Radio.ack_duration t.radio)
+    (Des.Engine.schedule ~span:span_sifs t.engine ~delay:Radio.sifs (fun () ->
+         Channel.transmit t.channel ~src:t.id ~duration:Radio.ack_duration
            (Mac_ack { seq; to_ })))
 
 let send_cts t ~to_ ~seq ~nav =
   ignore
-    (Des.Engine.schedule ~span:span_sifs t.engine ~delay:t.radio.Radio.sifs
-       (fun () ->
-         Channel.transmit t.channel ~src:t.id
-           ~duration:(Radio.cts_duration t.radio)
+    (Des.Engine.schedule ~span:span_sifs t.engine ~delay:Radio.sifs (fun () ->
+         Channel.transmit t.channel ~src:t.id ~duration:Radio.cts_duration
            (Mac_cts { seq; to_; nav })))
 
 let set_nav t until = if until > t.nav_until then t.nav_until <- until
@@ -259,7 +235,6 @@ let set_nav t until = if until > t.nav_until then t.nav_until <- until
 let deliver_data t ~src ~seq frame =
   match frame.Frame.dst with
   | Frame.Broadcast ->
-      t.rx_delivered <- t.rx_delivered + 1;
       trace_rx t ~src frame;
       t.callbacks.on_receive ~src frame
   | Frame.Unicast dst when dst = t.id ->
@@ -269,10 +244,8 @@ let deliver_data t ~src ~seq frame =
         | Some s -> s = seq
         | None -> false
       in
-      if duplicate then t.drop_duplicate <- t.drop_duplicate + 1
-      else begin
+      if not duplicate then begin
         Hashtbl.replace t.last_seen src seq;
-        t.rx_delivered <- t.rx_delivered + 1;
         trace_rx t ~src frame;
         t.callbacks.on_receive ~src frame
       end
@@ -284,7 +257,7 @@ let handle_pdu t ~src pdu =
       if to_ = t.id then
         (* grant the floor; our CTS silences our own neighbourhood *)
         send_cts t ~to_:src ~seq
-          ~nav:(nav -. Radio.cts_duration t.radio -. t.radio.Radio.sifs)
+          ~nav:(nav -. Radio.cts_duration -. Radio.sifs)
       else set_nav t (now t +. nav)
   | Mac_cts { seq; to_; nav } ->
       if to_ = t.id then begin
@@ -293,8 +266,8 @@ let handle_pdu t ~src pdu =
             Des.Engine.cancel handle;
             (* data follows one SIFS after the CTS *)
             ignore
-              (Des.Engine.schedule ~span:span_sifs t.engine
-                 ~delay:t.radio.Radio.sifs (fun () -> transmit_frame t entry));
+              (Des.Engine.schedule ~span:span_sifs t.engine ~delay:Radio.sifs
+                 (fun () -> transmit_frame t entry));
             t.state <- Transmitting
         | _ -> ()
       end
@@ -307,7 +280,7 @@ let handle_pdu t ~src pdu =
             Des.Engine.cancel handle;
             t.state <- Idle;
             t.current <- None;
-            t.cw <- t.radio.Radio.cw_min;
+            t.cw <- Radio.cw_min;
             (match entry.frame.Frame.dst with
             | Frame.Unicast dst ->
                 t.callbacks.on_unicast_success ~frame:entry.frame ~dst
@@ -316,11 +289,10 @@ let handle_pdu t ~src pdu =
         | _ -> ()
       end
 
-let create ?(trace = Trace.null) engine radio channel ~id ~rng callbacks =
+let create ?(trace = Trace.null) engine channel ~id ~rng callbacks =
   let t =
     {
       engine;
-      radio;
       channel;
       id;
       rng;
@@ -329,18 +301,15 @@ let create ?(trace = Trace.null) engine radio channel ~id ~rng callbacks =
       queue = Queue.create ();
       current = None;
       state = Idle;
-      cw = radio.Radio.cw_min;
+      cw = Radio.cw_min;
       next_seq = 0;
       nav_until = 0.0;
       backoff_fire = ignore;
       last_seen = Hashtbl.create 16;
       tx_data = 0;
       tx_control = 0;
-      tx_ack = 0;
-      rx_delivered = 0;
       drop_queue_full = 0;
       drop_retry = 0;
-      drop_duplicate = 0;
     }
   in
   t.backoff_fire <-
@@ -361,12 +330,12 @@ let reset t =
   t.state <- Idle;
   Queue.clear t.queue;
   t.current <- None;
-  t.cw <- t.radio.Radio.cw_min;
+  t.cw <- Radio.cw_min;
   t.nav_until <- 0.0;
   Hashtbl.reset t.last_seen
 
 let send t frame =
-  if queue_length t >= t.radio.Radio.queue_limit then begin
+  if queue_length t >= Radio.queue_limit then begin
     t.drop_queue_full <- t.drop_queue_full + 1;
     if Trace.enabled t.trace then begin
       match frame.Frame.payload with

@@ -6,9 +6,10 @@
     exhaustion is reported upward (the "link-layer unicast loss detection"
     all on-demand protocols in the paper rely on), unacknowledged broadcast,
     a bounded interface queue, and per-node drop counters (Fig. 3's metric).
-    A unicast frame larger than the radio's [rts_threshold] is preceded by
-    an RTS/CTS exchange — every CBR data frame is, since 532 bytes exceeds
-    the default 128 — and overheard RTS/CTS frames set the NAV (virtual
+    Its timings, window, retry limit and queue capacity are {!Radio}'s
+    constants. A unicast frame larger than {!Radio.rts_threshold} (128
+    bytes) is preceded by an RTS/CTS exchange — every CBR data frame is,
+    at 532 bytes — and overheard RTS/CTS frames set the NAV (virtual
     carrier sense). {!Channel} applies capture (a frame survives an overlap
     when its sender is 3 times closer than the interferer). Not modelled:
     rate adaptation.
@@ -34,11 +35,8 @@ type pdu
 type stats = {
   tx_data : int;  (** DATA transmissions carrying application data *)
   tx_control : int;  (** DATA transmissions carrying routing control *)
-  tx_ack : int;
-  rx_delivered : int;
   drop_queue_full : int;
   drop_retry : int;
-  drop_duplicate : int;  (** retransmitted frames already delivered *)
 }
 
 (** [trace] records per-transmission telemetry: backoffs with the live
@@ -48,7 +46,6 @@ type stats = {
 val create :
   ?trace:Trace.t ->
   Des.Engine.t ->
-  Radio.t ->
   pdu Channel.t ->
   id:int ->
   rng:Des.Rng.t ->
@@ -67,7 +64,7 @@ val reset : t -> unit
 
 val queue_length : t -> int
 
+(** Counters; [drop_queue_full + drop_retry] are the sender-side drops of
+    Fig. 3. A retransmitted unicast frame the receiver already delivered
+    is acknowledged again but not delivered twice. *)
 val stats : t -> stats
-
-(** Sender-side drops: queue overflow + retry exhaustion (Fig. 3). *)
-val drops : t -> int

@@ -1,51 +1,24 @@
-type t = {
-  bitrate : float;
-  range : float;
-  cs_range : float;
-  slot : float;
-  sifs : float;
-  difs : float;
-  cw_min : int;
-  cw_max : int;
-  retry_limit : int;
-  queue_limit : int;
-  phy_overhead : float;
-  mac_header : int;
-  ack_size : int;
-  rts_size : int;
-  cts_size : int;
-  rts_threshold : int;
-}
-
 (* 802.11 DSSS constants; PLCP long preamble is 192 us at 1 Mbit/s. *)
-let default =
-  {
-    bitrate = 2e6;
-    range = 250.0;
-    cs_range = 550.0;
-    slot = 20e-6;
-    sifs = 10e-6;
-    difs = 50e-6;
-    cw_min = 31;
-    cw_max = 1023;
-    retry_limit = 7;
-    queue_limit = 50;
-    phy_overhead = 192e-6;
-    mac_header = 28;
-    ack_size = 14;
-    rts_size = 20;
-    cts_size = 14;
-    rts_threshold = 128;
-  }
+let bitrate = 2e6
+let range = 250.0
+let cs_range = 550.0
+let slot = 20e-6
+let sifs = 10e-6
+let difs = 50e-6
+let cw_min = 31
+let cw_max = 1023
+let retry_limit = 7
+let queue_limit = 50
+let phy_overhead = 192e-6
+let mac_header = 28
+let ack_size = 14
+let rts_size = 20
+let cts_size = 14
+let rts_threshold = 128
 
-let tx_duration t ~size =
-  t.phy_overhead +. (float_of_int ((size + t.mac_header) * 8) /. t.bitrate)
+let tx_duration ~size =
+  phy_overhead +. (float_of_int ((size + mac_header) * 8) /. bitrate)
 
-let ack_duration t =
-  t.phy_overhead +. (float_of_int (t.ack_size * 8) /. t.bitrate)
-
-let rts_duration t =
-  t.phy_overhead +. (float_of_int (t.rts_size * 8) /. t.bitrate)
-
-let cts_duration t =
-  t.phy_overhead +. (float_of_int (t.cts_size * 8) /. t.bitrate)
+let ack_duration = phy_overhead +. (float_of_int (ack_size * 8) /. bitrate)
+let rts_duration = phy_overhead +. (float_of_int (rts_size * 8) /. bitrate)
+let cts_duration = phy_overhead +. (float_of_int (cts_size * 8) /. bitrate)

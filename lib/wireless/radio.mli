@@ -1,38 +1,43 @@
-(** Radio and MAC timing parameters. Defaults follow the paper's setup:
-    2 Mbps channel, ~250 m nominal range, 802.11 DSSS DCF constants. *)
+(** Radio and MAC timing constants: the paper's one parameter set, a
+    2 Mbps channel, ~250 m nominal range and the 802.11 DSSS DCF
+    constants. Every world runs at these values. *)
 
-type t = {
-  bitrate : float;  (** bit/s *)
-  range : float;  (** metres, unit-disk reception radius *)
-  cs_range : float;  (** carrier-sense / interference radius (~2.2x range) *)
-  slot : float;  (** s *)
-  sifs : float;  (** s *)
-  difs : float;  (** s *)
-  cw_min : int;  (** initial contention window (slots - 1) *)
-  cw_max : int;
-  retry_limit : int;  (** unicast retransmissions before link-loss report *)
-  queue_limit : int;  (** interface queue capacity (packets) *)
-  phy_overhead : float;  (** PLCP preamble + header airtime, s *)
-  mac_header : int;  (** bytes added to every frame *)
-  ack_size : int;  (** bytes of an ACK frame *)
-  rts_size : int;  (** bytes of an RTS frame *)
-  cts_size : int;  (** bytes of a CTS frame *)
-  rts_threshold : int;
-      (** unicast frames larger than this use RTS/CTS; the paper-era ns-2 /
-          GloMoSim comparisons ran with RTS on for data frames *)
-}
+(** The channel's bit/s, and in metres its unit-disk reception radius and
+    its carrier-sense / interference radius (~2.2x range). *)
+val bitrate : float
+val range : float
+val cs_range : float
 
-(** Airtime of an RTS. *)
-val rts_duration : t -> float
+(** DCF timings, s. *)
+val slot : float
+val sifs : float
+val difs : float
 
-(** Airtime of a CTS. *)
-val cts_duration : t -> float
+(** The contention window's bounds (slots - 1), the unicast retransmissions
+    before the link-loss report, and the interface queue's capacity
+    (packets). *)
+val cw_min : int
+val cw_max : int
+val retry_limit : int
+val queue_limit : int
 
-val default : t
+(** The PLCP preamble + header airtime, s; the bytes the MAC header adds to
+    every frame; the bytes of an ACK, an RTS and a CTS frame. *)
+val phy_overhead : float
+val mac_header : int
+val ack_size : int
+val rts_size : int
+val cts_size : int
+
+(** Unicast frames larger than this use RTS/CTS; the paper-era ns-2 /
+    GloMoSim comparisons ran with RTS on for data frames. *)
+val rts_threshold : int
 
 (** Airtime of a frame whose network-layer size is [size] bytes (adds the
     MAC header and PHY overhead). *)
-val tx_duration : t -> size:int -> float
+val tx_duration : size:int -> float
 
-(** Airtime of an ACK. *)
-val ack_duration : t -> float
+(** Airtimes of an ACK, an RTS and a CTS. *)
+val ack_duration : float
+val rts_duration : float
+val cts_duration : float

@@ -137,15 +137,13 @@ let test_waypoint_deterministic () =
 (* Radio timing *)
 
 let test_radio_durations () =
-  let r = Radio.default in
   (* 512B payload + 28B MAC header at 2 Mb/s + 192us PLCP *)
   Alcotest.(check (float 1e-9)) "data airtime"
     (192e-6 +. (float_of_int ((512 + 28) * 8) /. 2e6))
-    (Radio.tx_duration r ~size:512);
+    (Radio.tx_duration ~size:512);
   Alcotest.(check bool) "ack shorter than data" true
-    (Radio.ack_duration r < Radio.tx_duration r ~size:512);
-  Alcotest.(check bool) "rts short" true
-    (Radio.rts_duration r < 0.5e-3)
+    (Radio.ack_duration < Radio.tx_duration ~size:512);
+  Alcotest.(check bool) "rts short" true (Radio.rts_duration < 0.5e-3)
 
 (* ------------------------------------------------------------------ *)
 (* Channel *)
@@ -591,15 +589,16 @@ let test_grid_channel_equivalence () =
 
 type Frame.payload += Probe of int
 
-let mac_world n =
+let mac_world ?filter n =
   let e = Des.Engine.create () in
   let ch = line_channel e n in
+  Option.iter (Ch.set_filter ch) filter;
   let received = Array.make n [] in
   let failed = ref [] in
   let succeeded = ref [] in
   let macs =
     Array.init n (fun i ->
-        Mac.create e Radio.default ch ~id:i
+        Mac.create e ch ~id:i
           ~rng:(Des.Rng.create (Int64.of_int (100 + i)))
           {
             Mac.on_receive =
@@ -631,7 +630,20 @@ let test_mac_unicast_fail_when_unreachable () =
   Des.Engine.run e ~until:5.0;
   Alcotest.(check (list int)) "failure reported" [ 2 ] !failed;
   Alcotest.(check int) "nothing delivered" 0 (List.length received.(2));
-  Alcotest.(check int) "drop counted" 1 (Mac.drops macs.(0))
+  Alcotest.(check int) "drop counted" 1 (Mac.stats macs.(0)).Mac.drop_retry
+
+let test_mac_duplicate_suppressed () =
+  (* every frame from node 1 to node 0 is lost, so node 0 hears no ACK and
+     resends its frame (64 bytes: no RTS) until the retry limit; node 1
+     acknowledges every copy but hands the frame up once *)
+  let filter ~src ~dst = not (src = 1 && dst = 0) in
+  let e, macs, received, failed, _ = mac_world ~filter 2 in
+  Mac.send macs.(0) (probe_frame ~src:0 ~dst:(Frame.Unicast 1) ~size:64 1);
+  Des.Engine.run e ~until:5.0;
+  Alcotest.(check int) "every retry sent" (Radio.retry_limit + 1)
+    (Mac.stats macs.(0)).Mac.tx_control;
+  Alcotest.(check int) "delivered once" 1 (List.length received.(1));
+  Alcotest.(check (list int)) "failure reported" [ 1 ] !failed
 
 let test_mac_broadcast () =
   let e, macs, received, _, _ = mac_world 3 in
@@ -644,15 +656,14 @@ let test_mac_broadcast () =
 
 let test_mac_queue_overflow () =
   let e, macs, _, _, _ = mac_world 2 in
-  for k = 1 to Radio.default.Radio.queue_limit + 10 do
+  for k = 1 to Radio.queue_limit + 10 do
     Mac.send macs.(0) (probe_frame ~src:0 ~dst:(Frame.Unicast 1) ~size:512 k)
   done;
   let s = Mac.stats macs.(0) in
   Alcotest.(check int) "overflow drops" 10 s.Mac.drop_queue_full;
   Des.Engine.run e ~until:60.0;
   let s = Mac.stats macs.(0) in
-  Alcotest.(check int) "rest transmitted" Radio.default.Radio.queue_limit
-    s.Mac.tx_control
+  Alcotest.(check int) "rest transmitted" Radio.queue_limit s.Mac.tx_control
 
 let test_mac_serialises_contenders () =
   (* two senders in carrier-sense range of each other both unicast to the
@@ -773,6 +784,8 @@ let () =
         [
           Alcotest.test_case "unicast success" `Quick test_mac_unicast_success;
           Alcotest.test_case "unicast failure" `Quick test_mac_unicast_fail_when_unreachable;
+          Alcotest.test_case "duplicate delivered once" `Quick
+            test_mac_duplicate_suppressed;
           Alcotest.test_case "broadcast" `Quick test_mac_broadcast;
           Alcotest.test_case "queue overflow" `Quick test_mac_queue_overflow;
           Alcotest.test_case "contention serialisation" `Quick test_mac_serialises_contenders;
