@@ -35,7 +35,8 @@ let create ctx =
     ctx;
     neighbors = Hashtbl.create 16;
     topology = Hashtbl.create 64;
-    seen_tc = Seen_cache.create ctx.Routing_intf.engine ~ttl:30.0;
+    seen_tc =
+      Seen_cache.create ctx.Routing_intf.engine ~ttl:Routing_intf.seen_lifetime;
     mpr_set = [];
     route_dirty = true;
     routes = Hashtbl.create 32;

@@ -276,7 +276,7 @@ let give_up t ~dst =
   | Some _ | None -> ()
 
 let create_full ctx =
-  O.create ctx ~ext:() ~self_seqno:0 ~seen_ttl:30.0
+  O.create ctx ~ext:() ~self_seqno:0 ~seen_ttl:Routing_intf.seen_lifetime
     ~send:(fun t ~dst ~ttl ~attempt:_ -> originate_rreq t ~dst ~ttl)
     ~give_up ~control ~unicast_failed ~gauges
 

@@ -8,15 +8,13 @@ let default_config = ()
 
 (* A route request floods to 16 hops, up to three times ([ttls]). A node
    caches at most [cache_capacity] paths, each for [cache_lifetime] s; a
-   packet is salvaged at most [max_salvages] times; a relayed request
-   waits up to [relay_jitter] s. A control packet is [base_control_size]
-   bytes, a data packet's source-route header [route_header], and either
-   grows by [per_hop_bytes] per listed hop. *)
+   packet is salvaged at most [max_salvages] times. A control packet is
+   [base_control_size] bytes, a data packet's source-route header
+   [route_header], and either grows by [per_hop_bytes] per listed hop. *)
 let ttls = [ 16; 16; 16 ]
 let cache_capacity = 64
 let cache_lifetime = 30.0
 let max_salvages = 2
-let relay_jitter = 0.01
 let base_control_size = 24
 let route_header = 4
 let per_hop_bytes = 4
@@ -251,7 +249,9 @@ let handle_rreq t ~from:_ rreq =
             let relayed =
               { rreq with rq_record = record; rq_ttl = rreq.rq_ttl - 1 }
             in
-            let delay = Des.Rng.float t.ctx.Routing_intf.rng relay_jitter in
+            let delay =
+              Des.Rng.float t.ctx.Routing_intf.rng Routing_intf.relay_jitter
+            in
             ignore
               (Des.Engine.schedule ~span:span_timer t.ctx.Routing_intf.engine ~delay
                  (fun () ->
@@ -395,7 +395,9 @@ let create_full ctx =
       {
         ctx;
         cache = [];
-        seen = Seen_cache.create ctx.Routing_intf.engine ~ttl:30.0;
+        seen =
+          Seen_cache.create ctx.Routing_intf.engine
+            ~ttl:Routing_intf.seen_lifetime;
         discovery =
           Discovery.create ctx.Routing_intf.engine ~ttls
             ~capacity:Discovery.capacity ~hold:Discovery.hold

@@ -280,7 +280,7 @@ let gauges t =
 let create_full ctx =
   O.create ctx
     ~ext:{ engagements = engagements (); resets = 0 }
-    ~self_seqno:0 ~seen_ttl:30.0
+    ~self_seqno:0 ~seen_ttl:Routing_intf.seen_lifetime
     ~send:(fun t ~dst ~ttl ~attempt ->
       (* the final attempt demands a destination reset: the case where
          feasible distances cannot be put in order *)

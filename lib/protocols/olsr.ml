@@ -366,7 +366,9 @@ let handle_tc t ~from tc =
       let size =
         tc_base_size + (per_entry_bytes * List.length tc.t_advertised)
       in
-      let delay = Des.Rng.float t.ctx.Routing_intf.rng 0.01 in
+      let delay =
+        Des.Rng.float t.ctx.Routing_intf.rng Routing_intf.relay_jitter
+      in
       ignore
         (Des.Engine.schedule ~span:span_timer t.ctx.Routing_intf.engine ~delay (fun () ->
              t.ctx.Routing_intf.mac_send
@@ -439,7 +441,9 @@ let create_full ctx =
     {
       ctx;
       neighbors = Hashtbl.create 16;
-      seen_tc = Seen_cache.create ctx.Routing_intf.engine ~ttl:30.0;
+      seen_tc =
+        Seen_cache.create ctx.Routing_intf.engine
+          ~ttl:Routing_intf.seen_lifetime;
       mpr_set = [];
       ansn = 0;
       route_dirty = true;

@@ -7,13 +7,12 @@
 module Frame = Wireless.Frame
 
 (* The shared constants: the expanding-ring TTL schedule; how long a
-   route (SRP: a successor) stays usable once learnt or used, s; the
-   maximum relay jitter, s; the bytes of a route error; and DELETE_PERIOD,
-   s, how long an engagement outlives its request and SRP keeps the label
-   of a destination it has no successor for (Definition 3). *)
+   route (SRP: a successor) stays usable once learnt or used, s; the bytes
+   of a route error; and DELETE_PERIOD, s, how long an engagement outlives
+   its request and SRP keeps the label of a destination it has no
+   successor for (Definition 3). *)
 let ttls = [ 1; 3; 7; 16 ]
 let route_lifetime = 10.0
-let relay_jitter = 0.01
 let rerr_size = 32
 let delete_period = 60.0
 
@@ -128,10 +127,12 @@ module Make (D : DISCIPLINE) = struct
       send t ~dst:to_ ~size:rerr_size ~kind:"rerr" (D.rerr entries)
 
   (** Rebroadcasts a flooded request after a delay of up to
-      {!relay_jitter}, drawn now. *)
+      {!Routing_intf.relay_jitter}, drawn now. *)
   let relay t ~size ~kind payload =
     let frame = control_frame t ~dst:Frame.Broadcast ~size ~kind payload in
-    let delay = Des.Rng.float t.ctx.Routing_intf.rng relay_jitter in
+    let delay =
+      Des.Rng.float t.ctx.Routing_intf.rng Routing_intf.relay_jitter
+    in
     ignore
       (Des.Engine.schedule ~span:D.span t.ctx.Routing_intf.engine ~delay
          (fun () -> t.ctx.Routing_intf.mac_send frame))

@@ -12,6 +12,14 @@ let data_ttl = 64
 (** The IP header's bytes, carried by a data frame on every hop. *)
 let ip_overhead = 20
 
+(** How long a duplicate cache remembers a flooded message, s (AODV, LDR,
+    DSR and OLSR; SRP keeps its requests for its DELETE_PERIOD). *)
+let seen_lifetime = 30.0
+
+(** The longest a node holds a flooded message before relaying it, s; the
+    delay is drawn uniformly below it. *)
+let relay_jitter = 0.01
+
 type ctx = {
   id : int;
   node_count : int;
