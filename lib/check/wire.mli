@@ -36,8 +36,6 @@ val add_link : t -> int -> int -> unit
 
 val remove_link : t -> int -> int -> unit
 
-val linked : t -> int -> int -> bool
-
 (** [set_filter t f] — a frame from [src] to [dst] is delivered only when
     [f ~src ~dst frame] is [true] (and the link exists). The default filter
     accepts everything. Returning [false] on a unicast frame triggers the

@@ -37,9 +37,5 @@ val exponential : t -> mean:float -> float
 (** [bool t] is a fair coin. *)
 val bool : t -> bool
 
-(** [pick t arr] is a uniformly chosen element of [arr].
-    @raise Invalid_argument on an empty array. *)
-val pick : t -> 'a array -> 'a
-
 (** [shuffle t arr] permutes [arr] in place (Fisher–Yates). *)
 val shuffle : t -> 'a array -> unit

@@ -17,13 +17,6 @@ let name = function
   | Convergecast -> "convergecast"
   | Flash -> "flash-crowd"
 
-let of_name = function
-  | "cbr" -> Some Cbr_model
-  | "bursty" -> Some Bursty
-  | "convergecast" -> Some Convergecast
-  | "flash-crowd" -> Some Flash
-  | _ -> None
-
 (* the fixed many-to-one sink: every convergecast flow drains here *)
 let convergecast_sink = 0
 

@@ -18,8 +18,6 @@ val default : id
 
 val name : id -> string
 
-val of_name : string -> id option
-
 (** [generate id ~rng ...] — same contract as {!Cbr.generate}. The
     {!Cbr_model} instance calls it verbatim with the undivided [rng], so the
     default scenario's flow script is byte-identical to the historical

@@ -24,13 +24,6 @@ let name = function
   | Rpgm -> "rpgm"
   | Churn -> "churn"
 
-let of_name = function
-  | "waypoint" -> Some Waypoint_rw
-  | "manhattan" -> Some Manhattan
-  | "rpgm" -> Some Rpgm
-  | "churn" -> Some Churn
-  | _ -> None
-
 (* ------------------------------------------------------------------ *)
 (* Random waypoint — the paper's model, and the default instance. The
    per-node substream split mirrors the historical Sim.Runner loop

@@ -39,8 +39,6 @@ val default : id
 
 val name : id -> string
 
-val of_name : string -> id option
-
 val instance : id -> (module S)
 
 (** Dispatch through {!instance}. The {!Waypoint_rw} instance reproduces

@@ -13,5 +13,3 @@ let contains t p =
 
 let random_point t rng =
   Vec2.make ~x:(Des.Rng.float rng t.width) ~y:(Des.Rng.float rng t.height)
-
-let diagonal t = sqrt ((t.width *. t.width) +. (t.height *. t.height))

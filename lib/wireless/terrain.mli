@@ -13,5 +13,3 @@ val contains : t -> Vec2.t -> bool
 
 (** Uniformly random point inside the terrain. *)
 val random_point : t -> Des.Rng.t -> Vec2.t
-
-val diagonal : t -> float
