@@ -16,9 +16,9 @@ let rts_size = 20
 let cts_size = 14
 let rts_threshold = 128
 
-let tx_duration ~size =
-  phy_overhead +. (float_of_int ((size + mac_header) * 8) /. bitrate)
-
-let ack_duration = phy_overhead +. (float_of_int (ack_size * 8) /. bitrate)
-let rts_duration = phy_overhead +. (float_of_int (rts_size * 8) /. bitrate)
-let cts_duration = phy_overhead +. (float_of_int (cts_size * 8) /. bitrate)
+(* the PHY overhead plus [bytes] at the bitrate *)
+let airtime bytes = phy_overhead +. (float_of_int (bytes * 8) /. bitrate)
+let tx_duration ~size = airtime (size + mac_header)
+let ack_duration = airtime ack_size
+let rts_duration = airtime rts_size
+let cts_duration = airtime cts_size
