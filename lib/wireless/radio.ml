@@ -16,7 +16,6 @@ let rts_size = 20
 let cts_size = 14
 let rts_threshold = 128
 
-(* the PHY overhead plus [bytes] at the bitrate *)
 let airtime bytes = phy_overhead +. (float_of_int (bytes * 8) /. bitrate)
 let tx_duration ~size = airtime (size + mac_header)
 let ack_duration = airtime ack_size
