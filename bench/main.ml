@@ -525,6 +525,9 @@ let work ~check =
   in
   match committed with
   | Some (path, committed) -> (
+      List.iter
+        (Format.printf "work: drift: %s@.")
+        (Work_ledger.drift ~committed ~fresh);
       match Work_ledger.check ~committed ~fresh with
       | [] ->
           Format.printf "work: all %d rows match %s@."

@@ -67,17 +67,19 @@ let show w =
   if Float.is_integer w then Printf.sprintf "%.0f" w
   else Printf.sprintf "%.2f" w
 
+let words_change (c : row) (f : row) =
+  if c.words = 0.0 then if f.words = 0.0 then 0.0 else infinity
+  else (f.words -. c.words) /. c.words
+
+let words_line (c : row) (f : row) verdict =
+  Printf.sprintf "%s: minor words %s -> %s (%+.2f%%), %s" c.name
+    (show c.words) (show f.words)
+    (100.0 *. words_change c f)
+    verdict
+
 let words_moved (c : row) (f : row) =
-  let change =
-    if c.words = 0.0 then if f.words = 0.0 then 0.0 else infinity
-    else (f.words -. c.words) /. c.words
-  in
-  let moved verdict =
-    [
-      Printf.sprintf "%s: minor words %s -> %s (%+.2f%%), %s" c.name
-        (show c.words) (show f.words) (100.0 *. change) verdict;
-    ]
-  in
+  let change = words_change c f in
+  let moved verdict = [ words_line c f verdict ] in
   if change > band then
     moved
       (Printf.sprintf "above the +%g%% band: an allocation regression"
@@ -111,6 +113,22 @@ let row_moved (c : row) (f : row) =
   in
   changed @ added @ words_moved c f
 
+let find rows name = List.find_opt (fun r -> r.name = name) rows
+
+let drift ~committed ~fresh =
+  if committed.ocaml <> fresh.ocaml then []
+  else
+    List.filter_map
+      (fun c ->
+        match find fresh.rows c.name with
+        | Some f when f.words <> c.words
+                      && Float.abs (words_change c f) <= band ->
+            Some
+              (words_line c f
+                 (Printf.sprintf "inside the %g%% band" (100.0 *. band)))
+        | _ -> None)
+      committed.rows
+
 let check ~committed ~fresh =
   if committed.ocaml <> fresh.ocaml then
     [
@@ -120,7 +138,6 @@ let check ~committed ~fresh =
         committed.ocaml fresh.ocaml regenerate;
     ]
   else
-    let find rows name = List.find_opt (fun r -> r.name = name) rows in
     List.concat_map
       (fun c ->
         match find fresh.rows c.name with

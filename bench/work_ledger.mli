@@ -37,3 +37,9 @@ val of_string : string -> (t, string) result
     toolchain mismatch is the only message when it occurs, and asks for
     a regeneration: words are not comparable across compilers. *)
 val check : committed:t -> fresh:t -> string list
+
+(** [drift ~committed ~fresh] is one message per row whose words moved
+    but stayed inside {!band}, which {!check} passes: a ledger left to
+    drift that way hides a later move of the same size. [[]] across
+    toolchains. *)
+val drift : committed:t -> fresh:t -> string list

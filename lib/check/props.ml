@@ -1689,6 +1689,136 @@ let prop_jsonl_encoder =
   Runner.cell ~name:"trace-jsonl-encoder" ~print:jsonl_print jsonl_gen
     jsonl_encoder_law
 
+(* ------------------------------------------------------------------ *)
+(* Trace.Json's number writers against Printf's C formatter, which the
+   encoder no longer calls for ints or most floats: [float_str] and the
+   encoder's Float arm must print caml_format_float's "%.1f" (integral,
+   below 1e15) or "%.12g" (anything else finite), and [add_int] and the
+   Int arm string_of_int. Inputs: trace times (uniform in [0, 900));
+   finite bit patterns of both signs over every exponent, subnormals and
+   both fallback ranges included; exact ties (k/8 and k/16 with 13
+   significant digits, the 13th a 5) and such values with 12, which need
+   no rounding; ±50
+   ulps around each power of ten from 1e-12 to 1e13; integers within 1000
+   of ±1e15; ±0; ints at min_int, max_int, random and small.
+
+   Mutation drill (re-run whenever float_str or add_int changes; last run
+   with this property, --max-cases 200000 --seed 19):
+   - ties away from zero (an exact tie always rounds up) fail case 34,
+     shrunk in 2 steps to 1000000000.125: "float_str wrote
+     1000000000.13, printf 1000000000.12";
+   - rounding to 11 digits (scaling by 10^(10 - e), then appending a
+     zero) fails case 3, shrunk in 2 steps to the time 171.25789463201289:
+     171.25789463 against 171.257894632;
+   - an exponent without its leading zero fails case 95, shrunk in 4
+     steps to 1.0000000000000001e-09: 1e-9 against 1e-09;
+   - the switch to exponential notation moved past e = 12 (fixed for
+     e <= 12) fails case 529, shrunk in 6 steps to 999999999999.99988,
+     which rounds up to 1e+12: g12_str indexes ipow10 at 11 - 12 and
+     raises Invalid_argument.
+   Restore and re-run green. *)
+
+external format_float : string -> float -> string = "caml_format_float"
+
+type number = Num_float of float | Num_int of int
+
+let signed g =
+  Gen.map2 (fun neg x -> if neg then -.x else x) Gen.bool g
+
+(* a sign, a biased exponent below 2047 (0: zero or subnormal) and a
+   mantissa: every finite double *)
+let finite_bits_gen =
+  Gen.map
+    (fun ((neg, biased), mantissa) ->
+      let top = (Bool.to_int neg lsl 11) lor biased in
+      Int64.float_of_bits
+        (Int64.logor
+           (Int64.shift_left (Int64.of_int top) 52)
+           (Int64.of_int mantissa)))
+    (Gen.pair (Gen.pair Gen.bool (Gen.int_range 0 2046))
+       (Gen.int_range 0 ((1 lsl 52) - 1)))
+
+let dyadic_gen =
+  Gen.bind
+    (Gen.pair (Gen.elements [ 8; 16 ]) (Gen.elements [ 13; 12 ]))
+    (fun (den, digits) ->
+      let frac_digits = if den = 8 then 3 else 4 in
+      let lo = int_of_float (10.0 ** float (digits - frac_digits - 1)) in
+      Gen.map2
+        (fun ip r -> float ((ip * den) + r) /. float den)
+        (Gen.int_range lo ((10 * lo) - 1))
+        (Gen.map (fun r -> (2 * r) + 1) (Gen.int_range 0 ((den / 2) - 1))))
+
+let near_power_gen =
+  Gen.map2
+    (fun k d ->
+      Int64.float_of_bits
+        (Int64.add
+           (Int64.bits_of_float (float_of_string (Printf.sprintf "1e%d" k)))
+           (Int64.of_int d)))
+    (Gen.int_range (-12) 13)
+    (Gen.int_toward ~origin:0 (-50) 50)
+
+let number_gen =
+  let num_float g = Gen.map (fun f -> Num_float f) g in
+  Gen.frequency
+    [
+      (2, num_float (Gen.float_range 0.0 900.0));
+      (2, num_float finite_bits_gen);
+      (2, num_float (signed dyadic_gen));
+      (2, num_float (signed near_power_gen));
+      ( 1,
+        num_float
+          (signed
+             (Gen.map
+                (fun d -> 1e15 +. float d)
+                (Gen.int_toward ~origin:0 (-1000) 1000))) );
+      (1, num_float (Gen.elements [ 0.0; -0.0 ]));
+      ( 2,
+        Gen.map
+          (fun i -> Num_int i)
+          (Gen.oneof
+             [
+               Gen.elements [ min_int; max_int ];
+               (fun rng -> Gen.Tree.pure (Int64.to_int (Des.Rng.bits64 rng)));
+               Gen.int_toward ~origin:0 (-1000) 1000;
+             ]) );
+    ]
+
+let number_print = function
+  | Num_float f -> Printf.sprintf "float %h (%.17g)" f f
+  | Num_int i -> Printf.sprintf "int %d" i
+
+let number_law c =
+  let written, want =
+    match c with
+    | Num_float f ->
+        ( [
+            ("float_str", Trace.Json.float_str f);
+            ("encoder", Trace.Json.to_string (Trace.Json.Float f));
+          ],
+          if not (Float.is_finite f) then "null"
+          else if Float.is_integer f && Float.abs f < 1e15 then
+            format_float "%.1f" f
+          else format_float "%.12g" f )
+    | Num_int i ->
+        let buf = Buffer.create 20 in
+        Trace.Json.add_int buf i;
+        ( [
+            ("add_int", Buffer.contents buf);
+            ("encoder", Trace.Json.to_string (Trace.Json.Int i));
+          ],
+          string_of_int i )
+  in
+  match List.find_opt (fun (_, got) -> got <> want) written with
+  | Some (writer, got) ->
+      Error (Printf.sprintf "%s wrote %s, printf %s" writer got want)
+  | None -> Ok ()
+
+let prop_number_format =
+  Runner.cell ~name:"json-number-format" ~print:number_print number_gen
+    number_law
+
 let all =
   [
     prop_mediant;
@@ -1713,6 +1843,7 @@ let all =
       prop_waypoint_segment;
       prop_olsr_oracle;
       prop_jsonl_encoder;
+      prop_number_format;
     ]
   (* scenario workload models: mobility / traffic invariants *)
   @ Workload.props

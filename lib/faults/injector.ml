@@ -20,6 +20,9 @@ type t = {
   (* down-counters rather than flags: overlapping events nest correctly *)
   node_down : int array;
   blocked_links : (int * int, int) Hashtbl.t;
+  (* per node, the links down at it, counted as [blocked_links] counts
+     them: a frame with an endpoint at zero needs no look-up *)
+  links_down : int array;
   mutable active_partitions : (int * bool array) list;
   mutable active_bursts : (int * float) list;
   mutable timers : Des.Engine.handle list;
@@ -33,7 +36,11 @@ type t = {
   mutable frames_blocked : int;
 }
 
-let link_key a b = if a < b then (a, b) else (b, a)
+let link_key (a : int) b = if a < b then (a, b) else (b, a)
+
+let count_link_down t la lb d =
+  t.links_down.(la) <- t.links_down.(la) + d;
+  t.links_down.(lb) <- t.links_down.(lb) + d
 
 let trace_event t (ev : Spec.event) =
   if Trace.enabled t.trace then
@@ -57,12 +64,15 @@ let apply t (ev : Spec.event) =
       let key = link_key la lb in
       let n = Option.value ~default:0 (Hashtbl.find_opt t.blocked_links key) in
       Hashtbl.replace t.blocked_links key (n + 1);
+      count_link_down t la lb 1;
       t.link_downs <- t.link_downs + 1
   | Spec.Link_up { la; lb } ->
       let key = link_key la lb in
       (match Hashtbl.find_opt t.blocked_links key with
-      | Some n when n > 1 -> Hashtbl.replace t.blocked_links key (n - 1)
-      | Some _ -> Hashtbl.remove t.blocked_links key
+      | Some n ->
+          if n > 1 then Hashtbl.replace t.blocked_links key (n - 1)
+          else Hashtbl.remove t.blocked_links key;
+          count_link_down t la lb (-1)
       | None -> ());
       t.link_ups <- t.link_ups + 1
   | Spec.Crash { node } ->
@@ -98,6 +108,7 @@ let create ?(trace = Trace.null) engine ~nodes ~rng ~plan ~on_crash ~on_restart 
       on_restart;
       node_down = Array.make nodes 0;
       blocked_links = Hashtbl.create 16;
+      links_down = Array.make nodes 0;
       active_partitions = [];
       active_bursts = [];
       timers = [];
@@ -124,22 +135,30 @@ let create ?(trace = Trace.null) engine ~nodes ~rng ~plan ~on_crash ~on_restart 
 
 let node_up t i = t.node_down.(i) = 0
 
+let rec separated src dst = function
+  | [] -> false
+  | (_, members) :: rest ->
+      members.(src) <> members.(dst) || separated src dst rest
+
+(* draw once per burst so overlapping bursts compound *)
+let rec burst_drops rng = function
+  | [] -> false
+  | (_, p) :: rest -> Des.Rng.float rng 1.0 < p || burst_drops rng rest
+
 let blocked t ~src ~dst =
   t.node_down.(src) > 0
   || t.node_down.(dst) > 0
-  || Hashtbl.mem t.blocked_links (link_key src dst)
-  || List.exists (fun (_, members) -> members.(src) <> members.(dst))
-       t.active_partitions
+  || (t.links_down.(src) > 0
+     && t.links_down.(dst) > 0
+     && Hashtbl.mem t.blocked_links (link_key src dst))
+  || separated src dst t.active_partitions
 
 let frame_ok t ~src ~dst =
   if blocked t ~src ~dst then begin
     t.frames_blocked <- t.frames_blocked + 1;
     false
   end
-  else if
-    (* draw once per burst so overlapping bursts compound *)
-    List.exists (fun (_, p) -> Des.Rng.float t.rng 1.0 < p) t.active_bursts
-  then begin
+  else if burst_drops t.rng t.active_bursts then begin
     t.frames_blocked <- t.frames_blocked + 1;
     false
   end

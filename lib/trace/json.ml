@@ -7,22 +7,125 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-(* The C primitive that Printf's %g and %f conversions end in: the same
-   bytes, without interpreting a format string on every call. *)
+(* The C primitive that Printf's %g and %f conversions end in. It prints
+   the floats whose decimal digits [float_str] cannot scale out exactly. *)
 external format_float : string -> float -> string = "caml_format_float"
 
+(* 10^k for k = 0 .. 22, each one exact in a double *)
+let pow10 =
+  [| 1e0; 1e1; 1e2; 1e3; 1e4; 1e5; 1e6; 1e7; 1e8; 1e9; 1e10; 1e11; 1e12;
+     1e13; 1e14; 1e15; 1e16; 1e17; 1e18; 1e19; 1e20; 1e21; 1e22 |]
+
+(* 10^k for k = 0 .. 15 *)
+let ipow10 = Array.init 16 (fun k -> int_of_float pow10.(k))
+
+let rec digit_count n = if n < 10 then 1 else 1 + digit_count (n / 10)
+
+(* The [count] lowest decimal digits of [n >= 0], zero-padded, the last
+   at [b.[last]]. *)
+let rec put_digits b last n count =
+  if count > 0 then begin
+    Bytes.set b last (Char.unsafe_chr (48 + (n mod 10)));
+    put_digits b (last - 1) (n / 10) (count - 1)
+  end
+
+(* [-ip.fp] or [ip.fp]: [ni] digits of [ip], then a point and [nf] digits
+   of [fp] when [nf > 0], then [e±XX] when [exp]. *)
+let number_str ~neg ~ip ~ni ~fp ~nf ~exp ~e =
+  let s = Bool.to_int neg in
+  let len =
+    s + ni + (if nf > 0 then nf + 1 else 0) + if exp then 4 else 0
+  in
+  let b = Bytes.create len in
+  if neg then Bytes.set b 0 '-';
+  put_digits b (s + ni - 1) ip ni;
+  if nf > 0 then begin
+    Bytes.set b (s + ni) '.';
+    put_digits b (s + ni + nf) fp nf
+  end;
+  if exp then begin
+    Bytes.set b (len - 4) 'e';
+    Bytes.set b (len - 3) (if e < 0 then '-' else '+');
+    put_digits b (len - 1) (abs e) 2
+  end;
+  Bytes.unsafe_to_string b
+
+(* %.12g of [m * 10^(e - 11)], for 10^11 <= m < 10^12 and -11 <= e <= 12.
+   The first digit printed stands for 10^p: p = e in fixed notation
+   (-4 <= e < 12), p = 0 in exponential, which appends e±XX. Trailing
+   zeros are dropped, and the point with them. *)
+let g12_str ~neg m e =
+  let exp = e < -4 || e >= 12 in
+  let p = if exp then 0 else e in
+  (* [k] significant digits are left once the zeros go *)
+  let digits = ref m and k = ref 12 in
+  while !digits mod 10 = 0 do
+    digits := !digits / 10;
+    decr k
+  done;
+  let nf = Int.max 0 (!k - 1 - p) in
+  number_str ~neg
+    ~ip:(if p >= 0 then m / ipow10.(11 - p) else 0)
+    ~ni:(Int.max 1 (p + 1))
+    ~fp:(!digits mod ipow10.(nf))
+    ~nf ~exp ~e
+
 let float_str f =
-  match Float.classify_float f with
-  | FP_nan | FP_infinite -> "null"
-  | _ ->
-      if Float.is_integer f && Float.abs f < 1e15 then format_float "%.1f" f
-      else format_float "%.12g" f
+  let a = Float.abs f in
+  if not (Float.is_finite f) then "null"
+  else if Float.is_integer f && a < 1e15 then
+    let n = Float.to_int a in
+    number_str ~neg:(Float.sign_bit f) ~ip:n ~ni:(digit_count n) ~fp:0 ~nf:1
+      ~exp:false ~e:0
+  (* 10^-11 is not a double; the one nearest it lies below it *)
+  else if a > 1e-11 && a < 1e12 then begin
+    (* e = floor (log10 a), which log10 may misjudge next to a power of
+       ten, is corrected until a * 10^(11 - e) rounds into [10^11, 10^12);
+       10^(11 - e) is exact. A product just below a bound that rounds
+       onto it has the same 12-digit rounding as the bound itself. *)
+    let e = ref (int_of_float (Float.floor (log10 a))) in
+    e := Int.max (-11) (Int.min 11 !e);
+    while a *. pow10.(11 - !e) >= 1e12 do incr e done;
+    while a *. pow10.(11 - !e) < 1e11 do decr e done;
+    let p = pow10.(11 - !e) in
+    (* a * p = hi + lo exactly, with |lo| at most half an ulp of hi, and
+       hi < 2^40, so the ulp is at most 2^-13 and divides 0.5: lo only
+       breaks the tie of a fraction of exactly 0.5 *)
+    let hi = a *. p in
+    let lo = Float.fma a p (-.hi) in
+    let whole = Float.floor hi in
+    let frac = hi -. whole in
+    let n = Float.to_int whole in
+    let up =
+      frac > 0.5 || (frac = 0.5 && (lo > 0.0 || (lo = 0.0 && n land 1 = 1)))
+    in
+    let m = n + Bool.to_int up and neg = Float.sign_bit f in
+    if m = 1_000_000_000_000 then g12_str ~neg 100_000_000_000 (!e + 1)
+    else g12_str ~neg m !e
+  end
+  else format_float "%.12g" f
+
+(* the digits of -n for n <= 0, so that min_int, whose negation is no
+   int, takes the same path as every other int *)
+let rec add_neg_digits buf n =
+  if n <= -10 then add_neg_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (n mod 10)))
+
+let add_int buf i =
+  if i < 0 then begin
+    Buffer.add_char buf '-';
+    add_neg_digits buf i
+  end
+  else add_neg_digits buf (-i)
 
 let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
 
+let rec clean s i =
+  i = String.length s || ((not (needs_escape s.[i])) && clean s (i + 1))
+
 let escape_to buf s =
   Buffer.add_char buf '"';
-  if not (String.exists needs_escape s) then Buffer.add_string buf s
+  if clean s 0 then Buffer.add_string buf s
   else
     String.iter
       (fun c ->
@@ -41,7 +144,7 @@ let escape_to buf s =
 let rec to_buffer buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Int i -> add_int buf i
   | Float f -> Buffer.add_string buf (float_str f)
   | String s -> escape_to buf s
   | List items ->

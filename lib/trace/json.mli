@@ -17,8 +17,15 @@ type t =
 
 (** Canonical float rendering: integral values below 1e15 in magnitude
     as ["%.1f"], everything else as ["%.12g"] (so [1e15] is ["1e+15"]);
-    non-finite values encode as [null]. *)
+    non-finite values encode as [null]. The bytes are Printf's, made in
+    OCaml without it wherever that is exact: integral values from their
+    digits, and magnitudes in \[1e-11, 1e12) by rounding [|x| * 10^k]
+    (an exact power of ten) to 12 digits, ties to even. Other magnitudes
+    go to the C formatter. Allocates only the result. *)
 val float_str : float -> string
+
+(** [add_int buf i] appends [string_of_int i] without building it. *)
+val add_int : Buffer.t -> int -> unit
 
 (** [member_to buf (key, value)] writes one object member, ["key":value],
     exactly as {!to_string} renders it inside an [Obj]. *)

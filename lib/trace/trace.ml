@@ -159,7 +159,7 @@ let jsonl_to_scratch s { time; node; ev } =
   Buffer.add_string buf "{\"t\":";
   Buffer.add_string buf s.last_time_str;
   Buffer.add_string buf ",\"node\":";
-  Buffer.add_string buf (string_of_int node);
+  Json.add_int buf node;
   let name, fields = ev_fields ev in
   (* kind names are plain literals: nothing to escape *)
   Buffer.add_string buf ",\"ev\":\"";

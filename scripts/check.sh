@@ -18,11 +18,14 @@ SIM=_build/default/bin/manet_sim.exe
 # as TCs merge, and expiry races show only over long message streams);
 # the channel's flat frame path against the naive scan (the per-frame
 # interferer pass's reach fails case 12 of seed 13 without its `+ range`
-# term); and the mobility segment cache against Waypoint.position over
-# 200,000 query streams (~4 s)
+# term); the mobility segment cache against Waypoint.position over
+# 200,000 query streams (~4 s); and the JSON number writers against
+# Printf's C formatter over 200,000 numbers (<1 s): no other check
+# compares the trace's numbers with printf
 "$SIM" fuzz --prop olsr-routes-oracle --max-cases 2000 --seed 11
 "$SIM" fuzz --prop channel-grid-equiv --max-cases 4000 --seed 13
 "$SIM" fuzz --prop waypoint-segment-equiv --max-cases 200000 --seed 17
+"$SIM" fuzz --prop json-number-format --max-cases 200000 --seed 19
 
 # kill-and-resume smoke: the campaign fixture of test/cram/campaign_default.t,
 # journaled with one cell hung, must be SIGTERMed while its journal holds

@@ -60,6 +60,27 @@ let test_equal () =
   passes (with_row "kilo-srp" (scale_words 1.009));
   passes (with_row transmit (scale_words 0.991))
 
+(* a move inside the band passes, but is listed, so the ledger does not
+   drift from the code unseen *)
+let test_drift () =
+  Alcotest.(check (list string)) "nothing moved" []
+    (L.drift ~committed ~fresh:committed);
+  let fresh = with_row "kilo-srp" (scale_words 0.993) in
+  passes fresh;
+  (match L.drift ~committed ~fresh with
+  | [ msg ] ->
+      List.iter
+        (fun n ->
+          if not (contains msg n) then
+            Alcotest.failf "%S does not mention %S" msg n)
+        [ "kilo-srp"; "-0.70%"; "inside" ]
+  | msgs ->
+      Alcotest.failf "expected one drift line, got %d: %s" (List.length msgs)
+        (String.concat " | " msgs));
+  (* past the band it is a check failure, not drift *)
+  Alcotest.(check (list string)) "outside the band" []
+    (L.drift ~committed ~fresh:(with_row "kilo-srp" (scale_words 0.985)))
+
 let test_count_changed () =
   fails_with
     (with_row "kilo-srp" (fun r ->
@@ -151,6 +172,7 @@ let () =
       ( "work ledger",
         [
           Alcotest.test_case "equal ledger passes" `Quick test_equal;
+          Alcotest.test_case "drift inside the band listed" `Quick test_drift;
           Alcotest.test_case "changed count" `Quick test_count_changed;
           Alcotest.test_case "words above the band" `Quick test_words_up;
           Alcotest.test_case "words below the band" `Quick test_words_down;

@@ -104,6 +104,40 @@ let test_injector_semantics () =
   Alcotest.(check bool) "blocked frames counted" true
     (s.Injector.frames_blocked > 0)
 
+(* Flaps that nest on one link or share a node, and a link-up for a link
+   that is not down: an unflapped pair through a flapped node passes, and
+   each link stays blocked until its last flap heals. *)
+let test_overlapping_flaps () =
+  let engine = Des.Engine.create () in
+  let down at la lb = { Spec.at; ev = Spec.Link_down { la; lb } } in
+  let up at la lb = { Spec.at; ev = Spec.Link_up { la; lb } } in
+  let plan =
+    [ down 1.0 2 3; down 1.0 2 5; down 1.0 3 2; up 2.0 2 3; up 2.2 2 6;
+      up 3.0 5 2; up 4.0 2 3 ]
+  in
+  let inj =
+    Injector.create engine ~nodes:8 ~rng:(Des.Rng.create 1L) ~plan
+      ~on_crash:ignore ~on_restart:ignore
+  in
+  let expect time frames =
+    ignore
+      (Des.Engine.schedule_at engine ~time (fun () ->
+           List.iter
+             (fun (src, dst, ok) ->
+               Alcotest.(check bool)
+                 (Printf.sprintf "t=%g %d->%d" time src dst)
+                 ok
+                 (Injector.frame_ok inj ~src ~dst))
+             frames))
+  in
+  expect 1.5 [ (2, 3, false); (3, 2, false); (5, 2, false); (3, 5, true) ];
+  expect 2.5 [ (2, 3, false); (2, 5, false); (2, 6, true); (5, 3, true) ];
+  expect 3.5 [ (3, 2, false); (2, 5, true); (5, 2, true) ];
+  expect 4.5 [ (2, 3, true); (3, 2, true) ];
+  Des.Engine.run engine ~until:5.0;
+  Alcotest.(check int) "blocked frames counted" 6
+    (Injector.stats inj).Injector.frames_blocked
+
 (* ------------------------------------------------------------------ *)
 (* Robustness regressions *)
 
@@ -213,7 +247,10 @@ let () =
         [ Alcotest.test_case "plan deterministic + paired" `Quick
             test_plan_deterministic ] );
       ( "injector",
-        [ Alcotest.test_case "event semantics" `Quick test_injector_semantics ]
+        [
+          Alcotest.test_case "event semantics" `Quick test_injector_semantics;
+          Alcotest.test_case "overlapping flaps" `Quick test_overlapping_flaps;
+        ]
       );
       ( "robustness",
         [

@@ -56,6 +56,25 @@ let test_json_float_format () =
       (5e-324, Printf.sprintf "%.12g" 5e-324);
       (1e-7, Printf.sprintf "%.12g" 1e-7);
       (-2.5, Printf.sprintf "%.12g" (-2.5));
+      (* exact ties at the 12th digit go to even *)
+      (1000000000.125, "1000000000.12");
+      (1000000000.375, "1000000000.38");
+      (12345678901.25, "12345678901.2");
+      (12345678901.75, "12345678901.8");
+      (-123456789.0625, "-123456789.062");
+      (123456789.1875, "123456789.188");
+      (100000000000.5, "100000000000");
+      (999999999998.5, "999999999998");
+      (* where rounding or the power of ten changes the notation, and the
+         ends of the range float_str scales itself *)
+      (999999999999.5, "1e+12");
+      (Float.pred 1e12, "1e+12");
+      (Float.pred 10.0, "10");
+      (Float.pred 1e-4, "0.0001");
+      (9.5e-5, "9.5e-05");
+      (Float.pred 1e-5, "1e-05");
+      (1e-11, "1e-11");
+      (Float.succ 1e-11, "1e-11");
     ];
   Alcotest.(check string) "1e15 leaves %.1f" "1e+15" (J.float_str 1e15)
 
