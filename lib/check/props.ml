@@ -865,7 +865,7 @@ let prop_heap_fifo =
    superset of the exact in-range set, and a channel backed by it must be
    observationally identical to the full O(N) sweep — same deliveries,
    same collisions, in the same engine order, and the same carrier sense
-   ([busy], [busy_until]) at every node at each transmission's start,
+   ([busy_until]) at every node at each transmission's start,
    mid-frame and just past its 60 us idle guard. Mobile nodes exercise
    the staleness slack (max_speed since the last rebuild) that every grid
    pruning bound adds; carrier sense never rebuilds, so its probes read
@@ -934,7 +934,8 @@ let channel_print c =
 
 let channel_grid_law c =
   (* terrain grows with the population so kilonode draws keep a sparse,
-     many-cell grid instead of collapsing into the full-coverage branch *)
+     many-cell grid; on the small terrains a query disc often covers
+     every bucket, and the same gather and sort serve it *)
   let width = if c.cnodes > 100 then 3600.0 else 600.0 in
   let height = if c.cnodes > 100 then 1800.0 else 300.0 in
   let terrain = Wireless.Terrain.make ~width ~height in
@@ -977,12 +978,7 @@ let channel_grid_law c =
     let probe () =
       let now = Des.Engine.now engine in
       for i = 0 to c.cnodes - 1 do
-        sense :=
-          ( now,
-            i,
-            Wireless.Channel.busy ch i,
-            Wireless.Channel.busy_until ch i )
-          :: !sense
+        sense := (now, i, Wireless.Channel.busy_until ch i) :: !sense
       done
     in
     List.iter
@@ -1011,7 +1007,7 @@ let channel_grid_law c =
   else if per_n <> per_g then Error "per-node collision counts diverge"
   else if sense_n <> sense_g then
     (* both runs probe the same (time, node) pairs in the same order *)
-    let (now, i, _, _), _ =
+    let (now, i, _), _ =
       List.find (fun (n, g) -> n <> g) (List.combine sense_n sense_g)
     in
     Error (Printf.sprintf "carrier sense diverges at t=%.6f, node %d" now i)
@@ -1539,16 +1535,15 @@ let trace_ev_gen =
       Gen.map (fun dst -> Trace.Mac_retry_drop { dst }) i;
       Gen.map (fun (kind, a, b) -> Trace.Fault { kind; a; b }) (Gen.triple s i i);
       Gen.map2
-        (fun ((routes, pending, mac_queue), (live_events, executed, retries),
-              (quarantined, journal_lines, label_width_bits))
+        (fun ((routes, pending, mac_queue), (live_events, executed,
+              label_width_bits))
              (events_per_sec, label_resets) ->
           Trace.Gauge
             {
               routes; pending; mac_queue; live_events; executed;
-              events_per_sec; retries; quarantined; journal_lines;
-              label_width_bits; label_resets;
+              events_per_sec; label_width_bits; label_resets;
             })
-        (Gen.triple (Gen.triple i i i) (Gen.triple i i i) (Gen.triple i i i))
+        (Gen.pair (Gen.triple i i i) (Gen.triple i i i))
         (Gen.pair f i);
     ]
 
@@ -1591,11 +1586,10 @@ let emit_via_helper t { node; ev; _ } =
   | Fault { kind; a; b } -> Trace.fault t ~kind ~a ~b
   | Gauge
       { routes; pending; mac_queue; live_events; executed; events_per_sec;
-        retries; quarantined; journal_lines; label_width_bits; label_resets }
+        label_width_bits; label_resets }
     ->
       Trace.gauge t ~routes ~pending ~mac_queue ~live_events ~executed
-        ~events_per_sec ~retries ~quarantined ~journal_lines
-        ~label_width_bits ~label_resets
+        ~events_per_sec ~label_width_bits ~label_resets
 
 let jsonl_print c =
   let member_body st =

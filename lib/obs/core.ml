@@ -231,9 +231,8 @@ let cell_done ~wall ~gc =
   led.major_words <- led.major_words + gc.gc_major_words
 
 (* ------------------------------------------------------------------ *)
-(* Snapshots: plain data, deterministic ordering, exact (all-integer)
-   merge — associative and commutative, so per-worker snapshots combine in
-   any order. *)
+(* Snapshots: plain data, deterministic ordering; each one sums every
+   domain's tables. *)
 
 type dist = {
   dist_name : string;
@@ -338,47 +337,6 @@ let snapshot () =
          local_list)
   in
   { spans; hists; counters; workers }
-
-let merge_dist a b =
-  {
-    dist_name = a.dist_name;
-    dist_count = a.dist_count + b.dist_count;
-    dist_total = a.dist_total + b.dist_total;
-    dist_buckets = Array.init bucket_count (fun i ->
-        a.dist_buckets.(i) + b.dist_buckets.(i));
-  }
-
-(* union of two sorted keyed lists, combining equal keys *)
-let rec merge_sorted key combine xs ys =
-  match (xs, ys) with
-  | [], rest | rest, [] -> rest
-  | x :: xs', y :: ys' ->
-      let c = compare (key x) (key y) in
-      if c = 0 then combine x y :: merge_sorted key combine xs' ys'
-      else if c < 0 then x :: merge_sorted key combine xs' ys
-      else y :: merge_sorted key combine xs ys'
-
-let merge_worker a b =
-  {
-    w_domain = a.w_domain;
-    w_cells = a.w_cells + b.w_cells;
-    w_busy_ns = a.w_busy_ns + b.w_busy_ns;
-    w_minor_collections = a.w_minor_collections + b.w_minor_collections;
-    w_major_collections = a.w_major_collections + b.w_major_collections;
-    w_minor_words = a.w_minor_words + b.w_minor_words;
-    w_promoted_words = a.w_promoted_words + b.w_promoted_words;
-    w_major_words = a.w_major_words + b.w_major_words;
-  }
-
-let merge_snapshots a b =
-  {
-    spans = merge_sorted (fun d -> d.dist_name) merge_dist a.spans b.spans;
-    hists = merge_sorted (fun d -> d.dist_name) merge_dist a.hists b.hists;
-    counters =
-      merge_sorted fst (fun (k, x) (_, y) -> (k, x + y)) a.counters b.counters;
-    workers =
-      merge_sorted (fun w -> w.w_domain) merge_worker a.workers b.workers;
-  }
 
 (* Quantile estimate: the bucket floor at rank ceil(p * count) — within a
    factor of two below the true quantile, which is all span localisation

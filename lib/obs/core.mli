@@ -75,9 +75,8 @@ val cell_done : wall:float -> gc:gc_delta -> unit
 
 (** {1 Snapshots}
 
-    Plain data with deterministic (name-sorted) ordering. All fields are
-    integers, so [merge_snapshots] is exactly associative and commutative.
-    Empty metrics are omitted. *)
+    Plain data with deterministic (name-sorted) ordering, summed over
+    every domain's tables. Empty metrics are omitted. *)
 
 type dist = {
   dist_name : string;
@@ -105,7 +104,6 @@ type snapshot = {
 }
 
 val snapshot : unit -> snapshot
-val merge_snapshots : snapshot -> snapshot -> snapshot
 
 (** [percentile d p] for [p] in (0,1]: the bucket floor at rank
     [ceil (p * count)] — a power of two within 2x below the true

@@ -76,3 +76,20 @@ let no_gauges =
     route_entries = 0;
     pending_packets = 0;
   }
+
+(** The network's gauges: each member summed over every node's, except
+    [max_denominator] and [label_width_bits], which hold the largest. The
+    gauge time series and the end-of-run metrics both read it. *)
+let total gauges =
+  List.fold_left
+    (fun t g ->
+      {
+        own_seqno = t.own_seqno + g.own_seqno;
+        max_denominator = Stdlib.max t.max_denominator g.max_denominator;
+        seqno_resets = t.seqno_resets + g.seqno_resets;
+        label_width_bits = Stdlib.max t.label_width_bits g.label_width_bits;
+        label_resets = t.label_resets + g.label_resets;
+        route_entries = t.route_entries + g.route_entries;
+        pending_packets = t.pending_packets + g.pending_packets;
+      })
+    no_gauges gauges

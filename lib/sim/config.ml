@@ -175,11 +175,3 @@ let labels t = t.srp.Protocols.Srp.labels
 
 let with_labels t labels =
   { t with srp = { t.srp with Protocols.Srp.labels } }
-
-let with_faults t faults = { t with faults }
-
-let with_channel t channel = { t with channel }
-
-let with_mobility t mobility = { t with mobility }
-
-let with_traffic t traffic = { t with traffic }

@@ -121,11 +121,3 @@ val to_json : t -> Trace.Json.t
 val labels : t -> Slr.Label_set.id
 
 val with_labels : t -> Slr.Label_set.id -> t
-
-val with_faults : t -> Faults.Spec.t -> t
-
-val with_channel : t -> channel -> t
-
-val with_mobility : t -> Wireless.Mobility.id -> t
-
-val with_traffic : t -> Traffic.Model.id -> t

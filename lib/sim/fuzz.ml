@@ -6,9 +6,8 @@ module Slr_model = Check.Slr_model
 let asprintf = Format.asprintf
 
 (* ------------------------------------------------------------------ *)
-(* Scenario generator: a scaled-down Config built from [Config.small],
-   with the terrain sized to the node count so random placements stay
-   multi-hop but mostly connected at the default 250 m radio range. *)
+(* Scenario generator: a scaled-down Config built from [Config.small] on
+   a terrain sized to the node count. *)
 
 type sim_case = {
   protocol : Config.protocol;
@@ -23,41 +22,26 @@ type sim_case = {
   traffic : Traffic.Model.id;
 }
 
-let to_config c =
-  Config.with_labels
-    {
-      Config.small with
-      protocol = c.protocol;
-      nodes = c.nodes;
-      terrain =
-        Wireless.Terrain.make
-          ~width:(300.0 +. (30.0 *. float_of_int c.nodes))
-          ~height:300.0;
-      duration = c.duration;
-      traffic_start = 1.0;
-      flows = c.flows;
-      flow_mean_duration = c.duration;
-      pause = c.pause;
-      seed = c.sim_seed;
-      faults = c.faults;
-      mobility = c.mobility;
-      traffic = c.traffic;
-    }
-    c.labels
+(* the terrain sized to the node count so random placements stay
+   multi-hop but mostly connected at the default 250 m radio range *)
+let strip nodes =
+  Wireless.Terrain.make ~width:(300.0 +. (30.0 *. float_of_int nodes))
+    ~height:300.0
 
 (* kilonode world at the paper's density (one node per 13,200 m^2, the
    same constant the --scale presets hold): a long thin strip at 1000
-   nodes would be 30 km of corridor, so scale a square instead. The
-   horizon is cut to a couple of simulated seconds to keep one case
-   around a second of wall clock. *)
-let to_config_kilo c =
-  let side = sqrt (13_200.0 *. float_of_int c.nodes) in
+   nodes would be 30 km of corridor, so scale a square instead *)
+let square nodes =
+  let side = sqrt (13_200.0 *. float_of_int nodes) in
+  Wireless.Terrain.make ~width:side ~height:side
+
+let to_config ~terrain c =
   Config.with_labels
     {
       Config.small with
       protocol = c.protocol;
       nodes = c.nodes;
-      terrain = Wireless.Terrain.make ~width:side ~height:side;
+      terrain = terrain c.nodes;
       duration = c.duration;
       traffic_start = 1.0;
       flows = c.flows;
@@ -98,9 +82,10 @@ let case_gen ?(labels = Gen.pure Slr.Label_set.default)
                    (Gen.map float_of_int (Gen.int_range 0 5))
                    (Gen.no_shrink (Gen.int_range 0 1_000_000))))))
 
-(* scale-smoke generator paired with {!to_config_kilo}: ~1k nodes on a
-   2-3 s horizon. Shrinking still walks nodes toward the low end, which
-   keeps counterexamples as small as this world allows. *)
+(* scale-smoke generator paired with the [square] terrain: ~1k nodes on a
+   2-3 s horizon, about a second of wall clock per case. Shrinking still
+   walks nodes toward the low end, which keeps counterexamples as small as
+   this world allows. *)
 let kilo_case_gen ~protocol ~faults () =
   Gen.bind protocol (fun protocol ->
       Gen.bind faults (fun faults ->
@@ -147,8 +132,8 @@ let print_case = asprintf "%a" pp_case
 
 exception Model_violation of string
 
-let sim_model_law_in to_config c =
-  let config = to_config c in
+let sim_model_law_in terrain c =
+  let config = to_config ~terrain c in
   let nodes = config.Config.nodes in
   let model = Slr_model.create ~nodes in
   let srps : Protocols.Srp.t option array = Array.make nodes None in
@@ -179,7 +164,7 @@ let sim_model_law_in to_config c =
     Ok ()
   with Model_violation m -> Error m
 
-let sim_model_law = sim_model_law_in to_config
+let sim_model_law = sim_model_law_in strip
 
 let prop_sim_model_with ?(name = "srp-sim-model") ?mobility ?traffic labels =
   Runner_c.cell ~cost:10 ~name ~print:print_case
@@ -229,7 +214,7 @@ type ledger = {
       (** first terminal event naming a never-originated packet *)
 }
 
-let conservation_law_in to_config c =
+let conservation_law_in terrain c =
   let l =
     {
       originate_events = 0;
@@ -265,7 +250,7 @@ let conservation_law_in to_config c =
             Hashtbl.replace l.dropped (flow, seq) ()
         | _ -> ())
   in
-  let result = Runner.run ~trace (to_config c) in
+  let result = Runner.run ~trace (to_config ~terrain c) in
   let metric_drops =
     List.fold_left (fun acc (_, n) -> acc + n) 0 result.Metrics.drop_reasons
   in
@@ -314,7 +299,7 @@ let conservation_law_in to_config c =
              dropped_only)
       else Ok ()
 
-let conservation_law = conservation_law_in to_config
+let conservation_law = conservation_law_in strip
 
 let prop_conservation_with ?(name = "metrics-conservation") ?mobility ?traffic
     labels =
@@ -348,14 +333,14 @@ let kilo_faults =
 let prop_sim_model_1k =
   Runner_c.cell ~cost:100 ~name:"srp-sim-model-1k" ~print:print_case
     (kilo_case_gen ~protocol:(Gen.pure Config.Srp) ~faults:kilo_faults ())
-    (sim_model_law_in to_config_kilo)
+    (sim_model_law_in square)
 
 let prop_conservation_1k =
   Runner_c.cell ~cost:100 ~name:"metrics-conservation-1k" ~print:print_case
     (kilo_case_gen
        ~protocol:(Gen.elements Config.all_protocols)
        ~faults:kilo_faults ())
-    (conservation_law_in to_config_kilo)
+    (conservation_law_in square)
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint–resume equivalence: journal a small campaign, truncate the
@@ -383,7 +368,7 @@ let campaign_fingerprint t =
   asprintf "%a" Report.all t ^ Trace.Json.to_string (Report.campaign_json t)
 
 let resume_equiv_law c =
-  let base = to_config c.base_case in
+  let base = to_config ~terrain:strip c.base_case in
   let pauses = [ 0.0; c.base_case.pause +. 1.0 ] in
   let campaign ?checkpoint ~jobs () =
     Experiment.run ?checkpoint ~jobs ~pause_scale:1.0 ~base

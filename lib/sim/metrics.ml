@@ -73,32 +73,17 @@ type result = {
 let finalize (t : t) ~control_tx ~data_tx ~drop_queue_full ~drop_retry
     ~collisions ~nodes ~gauges ~fault_events ~fault_frames_blocked
     ~engine_events =
-  (* one pass over the gauges with mutable accumulators instead of one
-     functional fold per member; every accumulation is integral, so the
-     results are bit-identical to the old per-member folds *)
-  let gauge_count = ref 0 in
-  let seqno_sum = ref 0 in
-  let max_seqno = ref 0 in
-  let seqno_resets = ref 0 in
-  let max_denominator = ref 0 in
-  let label_width_bits = ref 0 in
-  let label_resets = ref 0 in
-  List.iter
-    (fun g ->
-      incr gauge_count;
-      seqno_sum := !seqno_sum + g.Protocols.Routing_intf.own_seqno;
-      if g.Protocols.Routing_intf.own_seqno > !max_seqno then
-        max_seqno := g.Protocols.Routing_intf.own_seqno;
-      seqno_resets := !seqno_resets + g.Protocols.Routing_intf.seqno_resets;
-      if g.Protocols.Routing_intf.max_denominator > !max_denominator then
-        max_denominator := g.Protocols.Routing_intf.max_denominator;
-      if g.Protocols.Routing_intf.label_width_bits > !label_width_bits then
-        label_width_bits := g.Protocols.Routing_intf.label_width_bits;
-      label_resets := !label_resets + g.Protocols.Routing_intf.label_resets)
-    gauges;
+  let total = Protocols.Routing_intf.total gauges in
+  let max_seqno =
+    List.fold_left
+      (fun m g -> Stdlib.max m g.Protocols.Routing_intf.own_seqno)
+      0 gauges
+  in
   let avg_seqno =
-    if !gauge_count = 0 then 0.0
-    else float_of_int !seqno_sum /. float_of_int !gauge_count
+    if nodes = 0 then 0.0
+    else
+      float_of_int total.Protocols.Routing_intf.own_seqno
+      /. float_of_int nodes
   in
   {
     sent = t.sent;
@@ -118,11 +103,11 @@ let finalize (t : t) ~control_tx ~data_tx ~drop_queue_full ~drop_retry
     drop_queue_full;
     drop_retry;
     avg_seqno;
-    max_seqno = !max_seqno;
-    seqno_resets = !seqno_resets;
-    max_denominator = !max_denominator;
-    label_width_bits = !label_width_bits;
-    label_resets = !label_resets;
+    max_seqno;
+    seqno_resets = total.seqno_resets;
+    max_denominator = total.max_denominator;
+    label_width_bits = total.label_width_bits;
+    label_resets = total.label_resets;
     drop_reasons =
       List.sort
         (fun (_, a) (_, b) -> compare b a)

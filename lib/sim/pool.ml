@@ -17,50 +17,32 @@ let map ?(name = default_name) ~jobs f items =
   let error : (int * exn * Printexc.raw_backtrace) option Atomic.t =
     Atomic.make None
   in
-  let reraise () =
-    match Atomic.get error with
-    | None -> ()
-    | Some (i, e, bt) ->
-        Printexc.raise_with_backtrace (Cell_error { cell = name i; exn = e }) bt
+  let results = Array.make n None in
+  let next = Atomic.make 0 in
+  (* work stealing over a shared counter: cell runtimes vary wildly
+     across protocols and pause times, so static slicing would leave
+     domains idle behind the slowest stripe. The calling domain is one of
+     the workers, so [jobs = 1] spawns none. *)
+  let rec worker () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < n && Atomic.get error = None then begin
+      (match f items.(i) with
+      | v -> results.(i) <- Some v
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          ignore (Atomic.compare_and_set error None (Some (i, e, bt))));
+      worker ()
+    end
   in
-  if jobs = 1 then begin
-    let results =
-      Array.mapi
-        (fun i item ->
-          try Some (f item)
-          with e ->
-            let bt = Printexc.get_raw_backtrace () in
-            if Atomic.get error = None then Atomic.set error (Some (i, e, bt));
-            reraise ();
-            None)
-        items
-    in
-    Array.map (function Some v -> v | None -> assert false) results
-  end
-  else begin
-    let results = Array.make n None in
-    let next = Atomic.make 0 in
-    (* work stealing over a shared counter: cell runtimes vary wildly
-       across protocols and pause times, so static slicing would leave
-       domains idle behind the slowest stripe *)
-    let rec worker () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n && Atomic.get error = None then begin
-        (match f items.(i) with
-        | v -> results.(i) <- Some v
-        | exception e ->
-            let bt = Printexc.get_raw_backtrace () in
-            ignore (Atomic.compare_and_set error None (Some (i, e, bt))));
-        worker ()
-      end
-    in
-    let domains = Array.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-    worker ();
-    Array.iter Domain.join domains;
-    reraise ();
-    Array.map
-      (function
-        | Some v -> v
-        | None -> invalid_arg "Pool.map: worker left a hole")
-      results
-  end
+  let domains = Array.init (jobs - 1) (fun _ -> Domain.spawn worker) in
+  worker ();
+  Array.iter Domain.join domains;
+  (match Atomic.get error with
+  | None -> ()
+  | Some (i, e, bt) ->
+      Printexc.raise_with_backtrace (Cell_error { cell = name i; exn = e }) bt);
+  Array.map
+    (function
+      | Some v -> v
+      | None -> invalid_arg "Pool.map: worker left a hole")
+    results

@@ -157,7 +157,7 @@ let run_custom ?(on_faults = fun (_ : Faults.Injector.t) -> ())
     end
   in
   on_start engine;
-  let live_gauges () =
+  let gauges () =
     Array.fold_right
       (fun a acc ->
         match a with
@@ -165,7 +165,8 @@ let run_custom ?(on_faults = fun (_ : Faults.Injector.t) -> ())
         | None -> Protocols.Routing_intf.no_gauges :: acc)
       agents []
   in
-  Sampler.start engine ~trace ~every:sample_every ~gauges:live_gauges
+  Sampler.start engine ~trace ~every:sample_every
+    ~gauges:(fun () -> Protocols.Routing_intf.total (gauges ()))
     ~mac_queue:(fun () ->
       Array.fold_left
         (fun acc mac -> acc + Wireless.Mac80211.queue_length mac)
@@ -191,22 +192,8 @@ let run_custom ?(on_faults = fun (_ : Faults.Injector.t) -> ())
   Fun.protect
     ~finally:(fun () -> Trace.close trace)
     (fun () -> Des.Engine.run ?watchdog engine ~until:config.duration);
-  let control_tx =
-    Array.fold_left
-      (fun acc mac -> acc + (Wireless.Mac80211.stats mac).Wireless.Mac80211.tx_control)
-      0 macs
-  in
   let sum_stat f =
     Array.fold_left (fun acc mac -> acc + f (Wireless.Mac80211.stats mac)) 0 macs
-  in
-  let gauges =
-    Array.to_list
-      (Array.map
-         (fun a ->
-           match a with
-           | Some agent -> agent.Protocols.Routing_intf.gauges ()
-           | None -> Protocols.Routing_intf.no_gauges)
-         agents)
   in
   let fault_events, fault_frames_blocked =
     match faults with
@@ -215,17 +202,14 @@ let run_custom ?(on_faults = fun (_ : Faults.Injector.t) -> ())
         let s = Faults.Injector.stats injector in
         (Faults.Injector.event_count s, s.Faults.Injector.frames_blocked)
   in
-  let result =
-    Metrics.finalize metrics ~control_tx
-      ~data_tx:(sum_stat (fun s -> s.Wireless.Mac80211.tx_data))
-      ~drop_queue_full:(sum_stat (fun s -> s.Wireless.Mac80211.drop_queue_full))
-      ~drop_retry:(sum_stat (fun s -> s.Wireless.Mac80211.drop_retry))
-      ~collisions:(Wireless.Channel.collisions channel)
-      ~nodes:config.nodes ~gauges ~fault_events ~fault_frames_blocked
-      ~engine_events:(Des.Engine.executed engine)
-  in
-  Trace.close trace;
-  result
+  Metrics.finalize metrics
+    ~control_tx:(sum_stat (fun s -> s.Wireless.Mac80211.tx_control))
+    ~data_tx:(sum_stat (fun s -> s.Wireless.Mac80211.tx_data))
+    ~drop_queue_full:(sum_stat (fun s -> s.Wireless.Mac80211.drop_queue_full))
+    ~drop_retry:(sum_stat (fun s -> s.Wireless.Mac80211.drop_retry))
+    ~collisions:(Wireless.Channel.collisions channel)
+    ~nodes:config.nodes ~gauges:(gauges ()) ~fault_events ~fault_frames_blocked
+    ~engine_events:(Des.Engine.executed engine)
 
 let run ?trace ?sample_every ?deadline config =
   run_custom ?trace ?sample_every ?deadline config

@@ -4,31 +4,19 @@ let start engine ~trace ~every ~gauges ~mac_queue =
   if Trace.enabled trace && every > 0.0 then begin
     let prev_executed = ref (Des.Engine.executed engine) in
     let rec tick () =
-      let totals = gauges () in
-      let routes, pending, label_width_bits, label_resets =
-        List.fold_left
-          (fun (r, p, w, lr) g ->
-            ( r + g.Protocols.Routing_intf.route_entries,
-              p + g.Protocols.Routing_intf.pending_packets,
-              Stdlib.max w g.Protocols.Routing_intf.label_width_bits,
-              lr + g.Protocols.Routing_intf.label_resets ))
-          (0, 0, 0, 0) totals
-      in
+      let g = gauges () in
       let executed = Des.Engine.executed engine in
       let events_per_sec =
         float_of_int (executed - !prev_executed) /. every
       in
       prev_executed := executed;
-      (* supervisor activity: process-wide running totals, so a traced
-         cell inside a supervised campaign shows recovery work as it
-         happens (zeros on a plain run) *)
-      Trace.gauge trace ~routes ~pending ~mac_queue:(mac_queue ())
+      Trace.gauge trace ~routes:g.Protocols.Routing_intf.route_entries
+        ~pending:g.Protocols.Routing_intf.pending_packets
+        ~mac_queue:(mac_queue ())
         ~live_events:(Des.Engine.pending engine)
         ~executed ~events_per_sec
-        ~retries:(Supervisor.retries_total ())
-        ~quarantined:(Supervisor.quarantined_total ())
-        ~journal_lines:(Trace.Journal.lines_flushed ())
-        ~label_width_bits ~label_resets;
+        ~label_width_bits:g.Protocols.Routing_intf.label_width_bits
+        ~label_resets:g.Protocols.Routing_intf.label_resets;
       ignore (Des.Engine.schedule ~span:span_sample engine ~delay:every tick)
     in
     ignore (Des.Engine.schedule ~span:span_sample engine ~delay:every tick)

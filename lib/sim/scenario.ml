@@ -73,13 +73,13 @@ let apply t config =
             workload"
            t.name)
   | Workload w ->
-      let config = Config.with_mobility config w.mobility in
-      let config = Config.with_traffic config w.traffic in
-      (* a scenario's fault plan yields to an explicitly requested one *)
-      (match w.faults with
-      | Some f when Faults.Spec.is_none config.Config.faults ->
-          Config.with_faults config f
-      | _ -> config)
+      let faults =
+        (* a scenario's fault plan yields to an explicitly requested one *)
+        match w.faults with
+        | Some f when Faults.Spec.is_none config.Config.faults -> f
+        | _ -> config.faults
+      in
+      { config with mobility = w.mobility; traffic = w.traffic; faults }
 
 (* ------------------------------------------------------------------ *)
 (* The adversarial suite: the van Glabbeek AODV counterexample topology
@@ -100,7 +100,6 @@ type verdict = {
   vprotocol : Config.protocol;
   flagged : bool;  (** the online monitor saw a routing loop mid-run *)
   final_cycle : bool;  (** the next-hop graph toward [d] ends cyclic *)
-  forged : bool;  (** a forged frame was injected for this protocol *)
   detail : string;
 }
 
@@ -135,8 +134,8 @@ let run_adversarial ~protocol =
   in
   let flagged = ref false in
   (* per protocol: the agents, a current-cycle oracle, the forged frame
-     (None when the protocol has no equivalent stale advertisement), and
-     whether mutation hooks provide online monitoring (else we poll) *)
+     (its own stale advertisement), and whether mutation hooks provide
+     online monitoring (else we poll) *)
   let agents, cycle, forge, online, describe =
     match protocol with
     | Config.Aodv ->
@@ -154,17 +153,16 @@ let run_adversarial ~protocol =
                 if cycle () then flagged := true))
           ts;
         let forge =
-          Some
-            (forged_frame
-               (Protocols.Aodv.Rrep
-                  {
-                    Protocols.Aodv.rp_src = s;
-                    rp_dst = d;
-                    rp_dst_seqno = 1;
-                    rp_hops = 1;
-                    rp_lifetime = 10.0;
-                  })
-               "rrep")
+          forged_frame
+            (Protocols.Aodv.Rrep
+               {
+                 Protocols.Aodv.rp_src = s;
+                 rp_dst = d;
+                 rp_dst_seqno = 1;
+                 rp_hops = 1;
+                 rp_lifetime = 10.0;
+               })
+            "rrep"
         in
         (Array.map snd pairs, cycle, forge, true, fun () -> "stale RREP")
     | Config.Ldr ->
@@ -177,18 +175,17 @@ let run_adversarial ~protocol =
           next_hop_cycle ~next_hop:(fun i -> Protocols.Ldr.next_hop ts.(i) ~dst:d)
         in
         let forge =
-          Some
-            (forged_frame
-               (Protocols.Ldr.Rrep
-                  {
-                    Protocols.Ldr.rp_src = s;
-                    rp_id = 7;
-                    rp_dst = d;
-                    rp_label = { Protocols.Ldr.sn = 1; fd = 1 };
-                    rp_dist = 1;
-                    rp_lifetime = 10.0;
-                  })
-               "rrep")
+          forged_frame
+            (Protocols.Ldr.Rrep
+               {
+                 Protocols.Ldr.rp_src = s;
+                 rp_id = 7;
+                 rp_dst = d;
+                 rp_label = { Protocols.Ldr.sn = 1; fd = 1 };
+                 rp_dist = 1;
+                 rp_lifetime = 10.0;
+               })
+            "rrep"
         in
         (Array.map snd pairs, cycle, forge, false, fun () -> "stale RREP")
     | Config.Dsr ->
@@ -204,11 +201,10 @@ let run_adversarial ~protocol =
               | _ -> None)
         in
         let forge =
-          Some
-            (forged_frame
-               (Protocols.Dsr.Rrep
-                  { Protocols.Dsr.rp_path = [ s; a; d ]; rp_back = [] })
-               "rrep")
+          forged_frame
+            (Protocols.Dsr.Rrep
+               { Protocols.Dsr.rp_path = [ s; a; d ]; rp_back = [] })
+            "rrep"
         in
         (Array.map snd pairs, cycle, forge, false, fun () -> "stale RREP")
     | Config.Olsr ->
@@ -221,11 +217,10 @@ let run_adversarial ~protocol =
           next_hop_cycle ~next_hop:(fun i -> Protocols.Olsr.next_hop ts.(i) ~dst:d)
         in
         let forge =
-          Some
-            (forged_frame
-               (Protocols.Olsr.Tc
-                  { Protocols.Olsr.t_origin = a; t_ansn = 42; t_advertised = [ d ] })
-               "tc")
+          forged_frame
+            (Protocols.Olsr.Tc
+               { Protocols.Olsr.t_origin = a; t_ansn = 42; t_advertised = [ d ] })
+            "tc"
         in
         (Array.map snd pairs, cycle, forge, false, fun () -> "forged TC")
     | Config.Srp ->
@@ -262,21 +257,20 @@ let run_adversarial ~protocol =
                    Some (own, Protocols.Srp.successor_orderings ts.(i) ~dst:d)))
         in
         let forge =
-          Some
-            (forged_frame
-               (Protocols.Srp.Rrep
-                  {
-                    Protocols.Srp.rp_src = s;
-                    rp_id = 7;
-                    rp_dst = d;
-                    rp_order =
-                      Slr.Ordering.make ~sn:1
-                        ~frac:(Slr.Fraction.make ~num:1 ~den:2);
-                    rp_dist = 1;
-                    rp_lifetime = 10.0;
-                    rp_n = false;
-                  })
-               "rrep")
+          forged_frame
+            (Protocols.Srp.Rrep
+               {
+                 Protocols.Srp.rp_src = s;
+                 rp_id = 7;
+                 rp_dst = d;
+                 rp_order =
+                   Slr.Ordering.make ~sn:1
+                     ~frac:(Slr.Fraction.make ~num:1 ~den:2);
+                 rp_dist = 1;
+                 rp_lifetime = 10.0;
+                 rp_n = false;
+               })
+            "rrep"
         in
         let describe () =
           match !violation with
@@ -316,13 +310,7 @@ let run_adversarial ~protocol =
            ~size:512));
   Des.Engine.run engine ~until:6.0;
   (* phase C: the adversary replays the stale advertisement *)
-  let forged =
-    match forge with
-    | Some frame ->
-        Check.Wire.inject wire ~from:a ~at:s frame;
-        true
-    | None -> false
-  in
+  Check.Wire.inject wire ~from:a ~at:s forge;
   Des.Engine.run engine ~until:30.0;
   let final_cycle = cycle () in
   if final_cycle then flagged := true;
@@ -335,7 +323,7 @@ let run_adversarial ~protocol =
            else if !flagged then "transient next-hop cycle flagged"
            else "no next-hop cycle")
   in
-  { vprotocol = protocol; flagged = !flagged; final_cycle; forged; detail }
+  { vprotocol = protocol; flagged = !flagged; final_cycle; detail }
 
 let run_adversarial_all () =
   List.map (fun protocol -> run_adversarial ~protocol) Config.all_protocols

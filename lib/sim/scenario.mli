@@ -45,7 +45,6 @@ type verdict = {
   vprotocol : Config.protocol;
   flagged : bool;  (** the online monitor saw a routing loop mid-run *)
   final_cycle : bool;  (** the next-hop graph toward the destination ends cyclic *)
-  forged : bool;  (** a forged frame was injected for this protocol *)
   detail : string;  (** human-readable outcome *)
 }
 

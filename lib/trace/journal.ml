@@ -42,16 +42,14 @@ let load path =
   if not (Sys.file_exists path) then Ok []
   else parse_prefix path (read_lines path)
 
-(* counts every journal line hitting disk (resume rewrites included), so
-   live gauges can show checkpoint activity *)
+(* counts every journal line hitting disk (resume rewrites included), for
+   --prof and the Obs exports *)
 let lines_counter = Obs.counter "journal.lines"
 
 let write_line oc json =
   output_string oc (Json.to_string json);
   output_char oc '\n';
   Obs.incr lines_counter
-
-let lines_flushed () = Obs.counter_value lines_counter
 
 let resume path =
   let lines = if Sys.file_exists path then read_lines path else [] in

@@ -26,11 +26,6 @@ val append : t -> Json.t -> unit
 (** Flush and close. Idempotent; appending after [close] raises. *)
 val close : t -> unit
 
-(** Journal lines written to disk by this process so far (appends plus
-    resume-time prefix rewrites), summed across domains. Feeds the
-    supervisor gauges in sampled traces. *)
-val lines_flushed : unit -> int
-
 (** Read-only variant of {!resume}: the valid prefix of [path], with a
     torn trailing fragment dropped. [Ok []] when the file does not exist. *)
 val load : string -> (Json.t list, string) result

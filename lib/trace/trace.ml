@@ -27,10 +27,6 @@ type ev =
       live_events : int;
       executed : int;
       events_per_sec : float;
-      (* supervisor activity, campaign-wide running totals *)
-      retries : int;
-      quarantined : int;
-      journal_lines : int;
       (* routing-label telemetry (0 off SRP) *)
       label_width_bits : int;
       label_resets : int;
@@ -127,16 +123,13 @@ let ev_fields = function
                   ("b", Json.Int b) ])
   | Gauge
       { routes; pending; mac_queue; live_events; executed; events_per_sec;
-        retries; quarantined; journal_lines; label_width_bits; label_resets }
+        label_width_bits; label_resets }
     ->
       ("gauge", [ ("routes", Json.Int routes); ("pending", Json.Int pending);
                   ("mac_queue", Json.Int mac_queue);
                   ("live_events", Json.Int live_events);
                   ("executed", Json.Int executed);
                   ("events_per_sec", Json.Float events_per_sec);
-                  ("retries", Json.Int retries);
-                  ("quarantined", Json.Int quarantined);
-                  ("journal_lines", Json.Int journal_lines);
                   ("label_width_bits", Json.Int label_width_bits);
                   ("label_resets", Json.Int label_resets) ])
 
@@ -277,12 +270,11 @@ let fault t ~kind ~a ~b =
   match t.sink with Null -> () | _ -> emit t ~node:(-1) (Fault { kind; a; b })
 
 let gauge t ~routes ~pending ~mac_queue ~live_events ~executed ~events_per_sec
-    ~retries ~quarantined ~journal_lines ~label_width_bits ~label_resets =
+    ~label_width_bits ~label_resets =
   match t.sink with
   | Null -> ()
   | _ ->
       emit t ~node:(-1)
         (Gauge
            { routes; pending; mac_queue; live_events; executed;
-             events_per_sec; retries; quarantined; journal_lines;
-             label_width_bits; label_resets })
+             events_per_sec; label_width_bits; label_resets })

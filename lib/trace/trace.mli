@@ -52,9 +52,6 @@ type ev =
       live_events : int;
       executed : int;
       events_per_sec : float;
-      retries : int;  (** supervisor retries so far, campaign-wide *)
-      quarantined : int;  (** cells quarantined so far, campaign-wide *)
-      journal_lines : int;  (** checkpoint journal lines flushed so far *)
       label_width_bits : int;
           (** widest encoded routing label seen so far (0 off SRP) *)
       label_resets : int;  (** label-driven seqno resets so far *)
@@ -132,9 +129,6 @@ val gauge :
   live_events:int ->
   executed:int ->
   events_per_sec:float ->
-  retries:int ->
-  quarantined:int ->
-  journal_lines:int ->
   label_width_bits:int ->
   label_resets:int ->
   unit

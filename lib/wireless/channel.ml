@@ -148,8 +148,8 @@ let pos t i time =
   Vec2.make ~x:t.memo.((3 * i) + 1) ~y:t.memo.((3 * i) + 2)
 
 (* compact the air arrays in place, keeping entries through the guard
-   window (busy needs them); entry order never affects results — corrupt
-   is idempotent per frame, busy_until takes a max, busy an exists *)
+   window (carrier sense needs them); entry order never affects results —
+   corrupt is idempotent per frame, busy_until takes a max *)
 let prune t =
   let time = now t in
   let src = t.air_src and until = t.air_until in
@@ -225,28 +225,6 @@ let sense_reach t time =
     match t.grid with None -> infinity | Some g -> Grid.slack g ~now:time
   in
   reach ~slack ~radius:t.cs_range ~ends:2.0
-
-let busy t i =
-  if transmitting t i then true
-  else begin
-    prune t;
-    let time = now t in
-    let far = sense_reach t time in
-    let found = ref false in
-    let k = ref 0 in
-    while (not !found) && !k < t.air_len do
-      let src = t.air_src.(!k) in
-      if
-        src <> i
-        && t.air_until.(!k) +. idle_guard > time
-        && (not (apart t i src ~reach:far))
-        && within t i src ~radius:t.cs_range
-      then found := true;
-      incr k
-    done;
-    Obs.add sense_scanned !k;
-    !found
-  end
 
 let busy_until t i =
   prune t;

@@ -95,16 +95,14 @@ val set_filter : 'a t -> (src:int -> dst:int -> bool) -> unit
     [channel.interferers.picked]. *)
 val transmit : 'a t -> src:int -> duration:float -> 'a -> unit
 
-(** Carrier sense at a node: is it transmitting, or is a frame from
-    another sender within [cs_range] in the air or inside its idle guard?
-    This and {!busy_until} add the air entries they read to the
-    [channel.sense.scanned] Obs counter, once per call. *)
-val busy : 'a t -> int -> bool
-
-(** [busy_until t i] is the absolute time when the medium around [i] goes
-    idle (including the post-frame guard); [now] when already idle. Lets a
-    MAC anchor its re-contention at the idle boundary the way DCF's frozen
-    backoff counters do. *)
+(** Carrier sense at a node: [busy_until t i] is the absolute time when
+    the medium around [i] goes idle: the end of [i]'s own transmission or
+    of the idle guard after a frame from another sender within
+    [cs_range], whichever is later; [now] when already idle, so the
+    medium is busy exactly when the result exceeds [now]. Lets a MAC
+    anchor its re-contention at the idle boundary the way DCF's frozen
+    backoff counters do. Each call adds the air entries it reads to the
+    [channel.sense.scanned] Obs counter. *)
 val busy_until : 'a t -> int -> float
 
 (** Is the node itself transmitting right now? *)

@@ -135,24 +135,6 @@ let iter ?(keep = keep_all) t ~now ~center ~radius f =
     let bx1 = clampi (int_of_float ((cx +. r -. t.ox) /. t.cell)) 0 (t.cols - 1) in
     let by0 = clampi (int_of_float ((cy -. r -. t.oy) /. t.cell)) 0 (t.rows - 1) in
     let by1 = clampi (int_of_float ((cy +. r -. t.oy) /. t.cell)) 0 (t.rows - 1) in
-    if bx0 = 0 && by0 = 0 && bx1 = t.cols - 1 && by1 = t.rows - 1 then begin
-      (* the query disc covers the whole occupied area (common when
-         cs_range rivals the terrain diagonal): skip the gather and filter
-         the nodes in order *)
-      let g = ref 0 and m = ref 0 in
-      for j = 0 to t.nodes - 1 do
-        if near j then begin
-          incr g;
-          if keep j then begin
-            incr m;
-            f j
-          end
-        end
-      done;
-      Obs.add gathered !g;
-      Obs.add sorted !m
-    end
-    else begin
     (* [keep] drops candidates before the sort, so only the kept ones are
        ordered. Its contract bars it from reading anything [f] changes
        for another node, so filtering in bucket order decides exactly
@@ -178,13 +160,7 @@ let iter ?(keep = keep_all) t ~now ~center ~radius f =
     (* buckets interleave ids; visit candidates in ascending node order so
        a grid-backed scan schedules engine events in exactly the order the
        naive 0..N-1 loop does *)
-    if !m = t.nodes then
-      (* dense query (e.g. cs_range covering the whole terrain): the
-         candidate set is every node, already in order by construction *)
-      for j = 0 to t.nodes - 1 do
-        f j
-      done
-    else if !m * !m > 4 * t.nodes then begin
+    if !m * !m > 4 * t.nodes then begin
       (* many candidates: an O(nodes + m) membership sweep beats the
          quadratic insertion sort *)
       for k = 0 to !m - 1 do
@@ -210,7 +186,6 @@ let iter ?(keep = keep_all) t ~now ~center ~radius f =
       for k = 0 to !m - 1 do
         f t.gather.(k)
       done
-    end
     end
   end
 

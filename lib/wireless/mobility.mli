@@ -1,5 +1,5 @@
-(** Pluggable mobility models behind one interface, keyed by the names the
-    scenario registry and [--scenario] accept.
+(** Pluggable mobility models, keyed by the names the scenario registry
+    and [--scenario] accept.
 
     Every model compiles to per-node {!Waypoint.t} leg scripts generated
     off-line from a dedicated RNG substream — exactly as the paper's
@@ -7,25 +7,6 @@
     byte-deterministic per seed, identical across protocols, and always
     bounded by the configured [speed_max] (which is what lets the spatial
     grid keep its candidate-superset guarantee under every model). *)
-
-module type S = sig
-  val name : string
-
-  (** Movement scripts for all [nodes] at once (group models correlate
-      nodes, so generation cannot be per-node). Node [i]'s script must
-      depend only on [(rng, i)] — never on how many other nodes exist
-      draws-wise — and must keep every position inside [terrain] and every
-      leg speed at or below [speed_max]. *)
-  val generate :
-    terrain:Terrain.t ->
-    rng:Des.Rng.t ->
-    nodes:int ->
-    pause:float ->
-    speed_min:float ->
-    speed_max:float ->
-    duration:float ->
-    Waypoint.t array
-end
 
 type id =
   | Waypoint_rw  (** random waypoint — the paper's model, the default *)
@@ -39,10 +20,12 @@ val default : id
 
 val name : id -> string
 
-val instance : id -> (module S)
-
-(** Dispatch through {!instance}. The {!Waypoint_rw} instance reproduces
-    the historical runner's per-node substream splits byte-for-byte. *)
+(** Movement scripts for all [nodes] at once from model [id] (group
+    models correlate nodes, so generation cannot be per-node). Node [i]'s
+    script depends only on [(rng, i)] — never on how many other nodes
+    exist draws-wise — and keeps every position inside [terrain] and every
+    leg speed at or below [speed_max]. {!Waypoint_rw} reproduces the
+    historical runner's per-node substream splits byte-for-byte. *)
 val generate :
   id ->
   terrain:Terrain.t ->

@@ -1,10 +1,6 @@
 (* Tests for the observability core: histogram bucket geometry, percentile
-   floors, exact snapshot merging (property-tested — associativity and
-   commutativity are what let campaign workers be merged in any order), and
-   the zero-allocation contract when profiling is disabled. *)
-
-module Gen = Check.Gen
-module Runner = Check.Runner
+   floors, the zero-allocation contract when profiling is disabled, and the
+   Prometheus exposition. *)
 
 (* Every test leaves the global registry the way it found it: disabled and
    zeroed. Handles persist (they are interned), which is fine — tests use
@@ -158,167 +154,6 @@ let test_reset () =
     ()
 
 (* -------------------------------------------------------------------- *)
-(* Merge laws, property-tested                                          *)
-
-(* Snapshots are plain data, so the laws are checked on synthetic values —
-   far denser than anything the instrumented paths would produce. Keys are
-   drawn from small fixed sets so collisions (the interesting case for a
-   union-merge) are common. *)
-
-let gen_buckets =
-  Gen.map
-    (fun cells ->
-      let a = Array.make Obs.bucket_count 0 in
-      List.iter (fun (i, v) -> a.(i) <- a.(i) + v) cells;
-      a)
-    (Gen.list_size (Gen.int_range 0 4)
-       (Gen.pair (Gen.int_range 0 (Obs.bucket_count - 1)) (Gen.int_range 0 1000)))
-
-let gen_dist name =
-  Gen.map2
-    (fun buckets total ->
-      {
-        Obs.dist_name = name;
-        dist_count = Array.fold_left ( + ) 0 buckets;
-        dist_total = total;
-        dist_buckets = buckets;
-      })
-    gen_buckets (Gen.int_range 0 100_000)
-
-(* For each name in a fixed catalogue, independently include a dist or not:
-   the result is sorted with unique keys, as [snapshot] guarantees. *)
-let gen_dists names =
-  List.fold_right
-    (fun name acc ->
-      Gen.map2
-        (fun present rest ->
-          match present with Some d -> d :: rest | None -> rest)
-        (Gen.map2
-           (fun keep d -> if keep then Some d else None)
-           Gen.bool (gen_dist name))
-        acc)
-    names (Gen.pure [])
-
-let gen_assoc names =
-  List.fold_right
-    (fun name acc ->
-      Gen.map2
-        (fun v rest ->
-          match v with Some n -> (name, n) :: rest | None -> rest)
-        (Gen.map2
-           (fun keep n -> if keep then Some n else None)
-           Gen.bool (Gen.int_range 0 10_000))
-        acc)
-    names (Gen.pure [])
-
-let gen_worker domain =
-  Gen.map2
-    (fun (cells, busy) (minor, major) ->
-      {
-        Obs.w_domain = domain;
-        w_cells = cells;
-        w_busy_ns = busy;
-        w_minor_collections = minor;
-        w_major_collections = major;
-        w_minor_words = minor * 1000;
-        w_promoted_words = major * 10;
-        w_major_words = major * 100;
-      })
-    (Gen.pair (Gen.int_range 1 50) (Gen.int_range 0 1_000_000))
-    (Gen.pair (Gen.int_range 0 100) (Gen.int_range 0 10))
-
-let gen_workers =
-  List.fold_right
-    (fun domain acc ->
-      Gen.map2
-        (fun v rest -> match v with Some w -> w :: rest | None -> rest)
-        (Gen.map2
-           (fun keep w -> if keep then Some w else None)
-           Gen.bool (gen_worker domain))
-        acc)
-    [ 0; 1; 2 ] (Gen.pure [])
-
-let gen_snapshot =
-  Gen.map2
-    (fun (spans, hists) (counters, workers) ->
-      { Obs.spans; hists; counters; workers })
-    (Gen.pair (gen_dists [ "s.a"; "s.b"; "s.c" ]) (gen_dists [ "h.x"; "h.y" ]))
-    (Gen.pair (gen_assoc [ "c.a"; "c.b" ]) gen_workers)
-
-(* Canonical rendering for equality: covers every field, including bucket
-   contents, so a merge that drops or reorders anything is caught. *)
-let render_dist d =
-  let buckets =
-    d.Obs.dist_buckets |> Array.to_list
-    |> List.mapi (fun i v -> (i, v))
-    |> List.filter (fun (_, v) -> v <> 0)
-    |> List.map (fun (i, v) -> Printf.sprintf "%d:%d" i v)
-    |> String.concat ","
-  in
-  Printf.sprintf "%s#%d/%d[%s]" d.Obs.dist_name d.Obs.dist_count
-    d.Obs.dist_total buckets
-
-let render_worker w =
-  Printf.sprintf "w%d:%d,%d,%d,%d,%d,%d,%d" w.Obs.w_domain w.Obs.w_cells
-    w.Obs.w_busy_ns w.Obs.w_minor_collections w.Obs.w_major_collections
-    w.Obs.w_minor_words w.Obs.w_promoted_words w.Obs.w_major_words
-
-let render s =
-  String.concat "|"
-    [
-      String.concat ";" (List.map render_dist s.Obs.spans);
-      String.concat ";" (List.map render_dist s.Obs.hists);
-      String.concat ";"
-        (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) s.Obs.counters);
-      String.concat ";" (List.map render_worker s.Obs.workers);
-    ]
-
-let check_prop name cell =
-  match Runner.run_cell ~seed:7 ~cases:300 cell with
-  | Runner.Pass _ -> ()
-  | Runner.Fail _ as outcome ->
-      Alcotest.fail (Runner.report outcome ~name)
-
-let test_merge_commutative () =
-  check_prop "merge-commutative"
-    (Runner.cell ~name:"merge-commutative"
-       ~print:(fun (a, b) -> render a ^ " <> " ^ render b)
-       (Gen.pair gen_snapshot gen_snapshot)
-       (fun (a, b) ->
-         let ab = render (Obs.merge_snapshots a b) in
-         let ba = render (Obs.merge_snapshots b a) in
-         if ab = ba then Ok ()
-         else Error (Printf.sprintf "a+b = %s\nb+a = %s" ab ba)))
-
-let test_merge_associative () =
-  check_prop "merge-associative"
-    (Runner.cell ~name:"merge-associative"
-       ~print:(fun (a, (b, c)) ->
-         render a ^ " <> " ^ render b ^ " <> " ^ render c)
-       (Gen.pair gen_snapshot (Gen.pair gen_snapshot gen_snapshot))
-       (fun (a, (b, c)) ->
-         let l =
-           render (Obs.merge_snapshots (Obs.merge_snapshots a b) c)
-         in
-         let r =
-           render (Obs.merge_snapshots a (Obs.merge_snapshots b c))
-         in
-         if l = r then Ok ()
-         else Error (Printf.sprintf "(a+b)+c = %s\na+(b+c) = %s" l r)))
-
-let test_merge_identity () =
-  let empty =
-    { Obs.spans = []; hists = []; counters = []; workers = [] }
-  in
-  check_prop "merge-identity"
-    (Runner.cell ~name:"merge-identity" ~print:render gen_snapshot (fun s ->
-         let l = render (Obs.merge_snapshots empty s) in
-         let r = render (Obs.merge_snapshots s empty) in
-         let orig = render s in
-         if l = orig && r = orig then Ok ()
-         else Error (Printf.sprintf "empty+s = %s\ns+empty = %s\ns = %s" l r orig)))
-
-(* -------------------------------------------------------------------- *)
 (* Prometheus exposition                                                *)
 
 let test_prometheus_shape () =
@@ -382,12 +217,6 @@ let () =
           Alcotest.test_case "counters always on" `Quick
             test_counters_always_on;
           Alcotest.test_case "reset" `Quick test_reset;
-        ] );
-      ( "merge",
-        [
-          Alcotest.test_case "commutative" `Quick test_merge_commutative;
-          Alcotest.test_case "associative" `Quick test_merge_associative;
-          Alcotest.test_case "identity" `Quick test_merge_identity;
         ] );
       ( "export",
         [ Alcotest.test_case "prometheus shape" `Quick test_prometheus_shape ] );

@@ -170,10 +170,6 @@ let test_adversarial_verdicts () =
     (verdict C.Aodv).Sc.flagged;
   Alcotest.(check bool) "SRP stays loop-free under the forgery" false
     (Sc.loop_detected (verdict C.Srp));
-  List.iter
-    (fun v ->
-      Alcotest.(check bool) "forged frame injected" true v.Sc.forged)
-    verdicts;
   let render vs = List.map (Format.asprintf "%a" Sc.pp_verdict) vs in
   Alcotest.(check (list string)) "replay is deterministic" (render verdicts)
     (render (Sc.run_adversarial_all ()))

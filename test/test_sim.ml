@@ -186,7 +186,7 @@ let test_grid_matches_naive () =
     (fun (name, config) ->
       let result channel =
         Trace.Json.to_string
-          (Sim.Metrics.result_json (Sim.Runner.run (C.with_channel config channel)))
+          (Sim.Metrics.result_json (Sim.Runner.run { config with C.channel }))
       in
       Alcotest.(check string) name (result C.Naive) (result C.Grid))
     [ ("1k-node SRP", kilo); ("hostile, 100 nodes", hostile) ]
@@ -288,14 +288,25 @@ let test_pool_map_order () =
     (Sim.Pool.map ~jobs:64 f items)
 
 let test_pool_propagates_exception () =
-  let boom x = if x = 5 then failwith "boom" else x in
-  match Sim.Pool.map ~jobs:4 boom (Array.init 20 Fun.id) with
-  | _ -> Alcotest.fail "expected the worker's exception to re-raise"
-  | exception Sim.Pool.Cell_error { cell; exn = Failure msg } ->
-      Alcotest.(check string) "failing cell identified" "#5" cell;
-      Alcotest.(check string) "original exception carried" "boom" msg
-  | exception e ->
-      Alcotest.failf "expected Cell_error, got %s" (Printexc.to_string e)
+  List.iter
+    (fun jobs ->
+      let ran = Atomic.make 0 in
+      let boom x =
+        Atomic.incr ran;
+        if x = 5 then failwith "boom" else x
+      in
+      (match Sim.Pool.map ~jobs boom (Array.init 20 Fun.id) with
+      | _ -> Alcotest.fail "expected the worker's exception to re-raise"
+      | exception Sim.Pool.Cell_error { cell; exn = Failure msg } ->
+          Alcotest.(check string) "failing cell identified" "#5" cell;
+          Alcotest.(check string) "original exception carried" "boom" msg
+      | exception e ->
+          Alcotest.failf "expected Cell_error, got %s" (Printexc.to_string e));
+      (* one worker takes the items in order and stops at the failure *)
+      if jobs = 1 then
+        Alcotest.(check int) "no item after the failing one ran" 6
+          (Atomic.get ran))
+    [ 1; 4 ]
 
 (* The tentpole gate: a same-seed campaign renders byte-identical reports
    and JSON whether it ran on one domain or four. *)

@@ -218,16 +218,17 @@ let test_channel_half_duplex () =
 let test_channel_carrier_sense () =
   let e = Des.Engine.create () in
   let ch = line_channel e 4 in
-  Alcotest.(check bool) "idle" false (Ch.busy ch 1);
+  let busy i = Ch.busy_until ch i > Des.Engine.now e in
+  Alcotest.(check bool) "idle" false (busy 1);
   Ch.transmit ch ~src:0 ~duration:1e-3 "x";
-  Alcotest.(check bool) "busy in cs range (200 m)" true (Ch.busy ch 1);
-  Alcotest.(check bool) "busy at 400 m (within 550 cs)" true (Ch.busy ch 2);
-  Alcotest.(check bool) "idle at 600 m" false (Ch.busy ch 3);
+  Alcotest.(check bool) "busy in cs range (200 m)" true (busy 1);
+  Alcotest.(check bool) "busy at 400 m (within 550 cs)" true (busy 2);
+  Alcotest.(check bool) "idle at 600 m" false (busy 3);
   Alcotest.(check bool) "busy_until covers airtime" true
     (Ch.busy_until ch 1 >= 1e-3);
   ignore
     (Des.Engine.schedule e ~delay:2e-3 (fun () ->
-         Alcotest.(check bool) "idle after" false (Ch.busy ch 1)));
+         Alcotest.(check bool) "idle after" false (busy 1)));
   Des.Engine.run_all e
 
 let test_channel_neighbors () =
@@ -537,14 +538,13 @@ let test_carrier_sense_bound_edge () =
   in
   (* node 1's frame builds the grid with both nodes 555 m apart *)
   Ch.transmit ch ~src:1 ~duration:0.3 ();
-  Alcotest.(check bool) "idle at 555 m" false (Ch.busy ch 0);
+  Alcotest.(check (float 0.0)) "idle at 555 m" 0.0 (Ch.busy_until ch 0);
   let probe time ~busy_until =
     ignore
       (Des.Engine.schedule_at e ~time (fun () ->
-           Alcotest.(check bool) (Printf.sprintf "busy at t = %g" time) true
-             (Ch.busy ch 0);
-           Alcotest.(check (float 0.0)) "busy until the guard ends" busy_until
-             (Ch.busy_until ch 0)))
+           Alcotest.(check (float 0.0))
+             (Printf.sprintf "busy at t = %g until the guard ends" time)
+             busy_until (Ch.busy_until ch 0)))
   in
   (* on the rim, then inside it with the grid past its epoch *)
   probe 0.25 ~busy_until:(0.3 +. 60e-6);
