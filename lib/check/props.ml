@@ -81,6 +81,33 @@ let prop_mediant =
                    F.pp m F.pp lo F.pp hi)
             else Ok ())
 
+(* Fraction.compare is antisymmetric and agrees with the exact order;
+   the next-element lies strictly above, and is None only at 1/1 (these
+   denominators stay far below the bound).
+
+   Mutation drill (seed 42, run in a scratch copy): Fraction.compare
+   multiplying a.num by a.den instead of b.den fails case 1, shrunk in 45
+   steps to 1/2206, 1/51: "compare disagrees with exact comparison".
+   Restore and re-run green. *)
+let prop_fraction_order =
+  Runner.cell ~name:"fraction-order"
+    ~print:(fun (a, b) -> asprintf "%a, %a" F.pp a F.pp b)
+    (Gen.pair fraction fraction)
+    (fun (a, b) ->
+      let sign c = Stdlib.compare c 0 in
+      if sign (F.compare a b) <> -sign (F.compare b a) then
+        Error "compare is not antisymmetric"
+      else if
+        sign (F.compare a b)
+        <> sign (Slr.Bigfrac.compare (big_of a) (big_of b))
+      then Error "compare disagrees with exact comparison"
+      else
+        match F.next a with
+        | Some n when big_lt a n -> Ok ()
+        | Some n -> Error (asprintf "next %a not above %a" F.pp n F.pp a)
+        | None when F.is_one a -> Ok ()
+        | None -> Error (asprintf "next of %a is None below 1/1" F.pp a))
+
 let prop_overflow =
   Runner.cell ~name:"fraction-overflow"
     ~print:(fun (a, b) -> asprintf "%a, %a" F.pp a F.pp b)
@@ -198,6 +225,77 @@ let prop_bigfrac =
                   (Printf.sprintf
                      "mediant refused but exact denominator %d fits" d)
             | _ -> Ok ()))
+
+(* ------------------------------------------------------------------ *)
+(* Lexlabel: byte-string labels *)
+
+module L = Slr.Lexlabel
+
+(* the least label, or up to six bytes closed by a non-zero one *)
+let lexlabel =
+  Gen.oneof
+    [
+      Gen.pure L.least;
+      Gen.map2
+        (fun body last ->
+          L.of_string
+            (String.of_seq (List.to_seq (List.map Char.chr (body @ [ last ])))))
+        (Gen.list_size (Gen.int_range 0 6) (Gen.int_range 0 255))
+        (Gen.int_range 1 255);
+    ]
+
+(* Between two distinct labels, and between any label and top, lies a
+   label strictly inside.
+
+   Mutation drill (seed 42, run in a scratch copy): between returning lo
+   from its digit-midpoint arm fails case 0, shrunk in 6 steps to
+   <least>, 0x0002; returning lo from its top arm fails case 0 too,
+   shrunk in 2 steps to "between <least> and <top> gave <least>". Restore
+   and re-run green. *)
+let prop_lexlabel_between =
+  Runner.cell ~name:"lexlabel-between"
+    ~print:(fun (a, b) -> asprintf "%a, %a" L.pp a L.pp b)
+    (Gen.pair lexlabel lexlabel)
+    (fun (a, b) ->
+      let inside lo hi =
+        match L.between ~lo ~hi with
+        | Some m when L.compare lo m < 0 && L.compare m hi < 0 -> Ok ()
+        | Some m ->
+            Error
+              (asprintf "between %a and %a gave %a" L.pp lo L.pp hi L.pp m)
+        | None -> Error (asprintf "nothing between %a and %a" L.pp lo L.pp hi)
+      in
+      let c = L.compare a b in
+      match
+        if c < 0 then inside a b else if c > 0 then inside b a else Ok ()
+      with
+      | Ok () -> inside a L.top
+      | e -> e)
+
+(* ------------------------------------------------------------------ *)
+(* Ordering *)
+
+(* Definition 5's relation is a strict order: asymmetric (the pair (a, a)
+   included, so irreflexive) and transitive.
+
+   Mutation drill (seed 42, run in a scratch copy): precedes made
+   reflexive (its label test [< 0] -> [<= 0]) fails case 0, shrunk in 4
+   steps to (0, 1/1), (0, 0/1), (0, 0/1): "precedes is not asymmetric".
+   Restore and re-run green. *)
+let prop_ordering_precedes =
+  Runner.cell ~name:"ordering-precedes"
+    ~print:(fun (a, b, c) -> asprintf "%a, %a, %a" O.pp a O.pp b O.pp c)
+    (Gen.triple ordering ordering ordering)
+    (fun (a, b, c) ->
+      let p = O.precedes in
+      if
+        List.exists
+          (fun (x, y) -> p x y && p y x)
+          [ (a, a); (a, b); (b, c); (a, c) ]
+      then Error "precedes is not asymmetric"
+      else if p a b && p b c && not (p a c) then
+        Error "precedes is not transitive"
+      else Ok ())
 
 (* ------------------------------------------------------------------ *)
 (* Algorithm 1 (NEWORDER) *)
@@ -772,6 +870,204 @@ let prop_wire_model =
     wire_law
 
 (* ------------------------------------------------------------------ *)
+(* One SRP agent (node 0 of 8) under arbitrary well-formed control
+   traffic, data and link failures on a stub context: it never raises,
+   never raises its label for any destination (Eq. 3), and keeps every
+   live successor strictly below its own ordering (Theorem 1 locally).
+
+   Mutation drill (seed 42, run in a scratch copy): Srp.set_route
+   recording the advertised ordering as the node's own ([r.own <- g] ->
+   [r.own <- adv_order]) fails case 0, shrunk in 19 steps to one RREQ
+   from node 1 advertising (0, 0/1): "successor 1 for 1 at (0, 0/1) not
+   below (0, 0/1)". Restore and re-run green. *)
+
+module Srp = Protocols.Srp
+
+type control =
+  | Ctl_rreq of int * Srp.rreq
+  | Ctl_rrep of int * Srp.rrep
+  | Ctl_rerr of int * Srp.rerr
+  | Ctl_data of int * int * int  (** from, destination, seq *)
+  | Ctl_fail of int * int * int  (** next hop, destination, seq *)
+
+let ctl_node = Gen.int_range 0 7
+
+(* denominators up to 50, so labels collide often; 0/1 and 1/1 included *)
+let ctl_ordering =
+  ordering_over
+    (Gen.bind (Gen.int_range 2 50) (fun den ->
+         Gen.map
+           (fun num ->
+             if num = den then F.one
+             else if num = 0 then F.zero
+             else F.make ~num ~den)
+           (Gen.int_range 0 den)))
+
+let ctl_rreq =
+  Gen.map
+    (fun ( ((from, src, dst), (id, hops, ttl)),
+           ((order, adv), ((rr, d), (n, adv_on))) ) ->
+      Ctl_rreq
+        ( from,
+          {
+            Srp.rq_src = src;
+            rq_id = id;
+            rq_dst = dst;
+            rq_order = order;
+            rq_u = O.is_unassigned order;
+            rq_rr = rr;
+            rq_d = d;
+            rq_n = n || not adv_on;
+            rq_hops = hops;
+            rq_ttl = ttl;
+            rq_adv =
+              (if adv_on then Some { Srp.ra_order = adv; ra_dist = hops }
+               else None);
+          } ))
+    (Gen.pair
+       (Gen.pair
+          (Gen.triple ctl_node ctl_node ctl_node)
+          (Gen.triple (Gen.int_range 0 5) (Gen.int_range 0 4)
+             (Gen.int_range 1 6)))
+       (Gen.pair
+          (Gen.pair ctl_ordering ctl_ordering)
+          (Gen.pair (Gen.pair Gen.bool Gen.bool) (Gen.pair Gen.bool Gen.bool))))
+
+let ctl_rrep =
+  Gen.map
+    (fun ((from, src, dst), (id, dist, n), order) ->
+      Ctl_rrep
+        ( from,
+          {
+            Srp.rp_src = src;
+            rp_id = id;
+            rp_dst = dst;
+            rp_order = order;
+            rp_dist = dist;
+            rp_lifetime = 10.0;
+            rp_n = n;
+          } ))
+    (Gen.triple
+       (Gen.triple ctl_node ctl_node ctl_node)
+       (Gen.triple (Gen.int_range 0 5) (Gen.int_range 0 4) Gen.bool)
+       ctl_ordering)
+
+let ctl_packet make =
+  Gen.map
+    (fun (a, dst, seq) -> make a dst seq)
+    (Gen.triple ctl_node ctl_node (Gen.int_range 0 100))
+
+let control_gen =
+  Gen.list_size (Gen.int_range 1 60)
+    (Gen.oneof
+       [
+         ctl_rreq;
+         ctl_rrep;
+         Gen.map2
+           (fun from dsts -> Ctl_rerr (from, { Srp.re_unreachable = dsts }))
+           ctl_node
+           (Gen.list_size (Gen.int_range 1 3) ctl_node);
+         ctl_packet (fun from dst seq -> Ctl_data (from, dst, seq));
+         ctl_packet (fun hop dst seq -> Ctl_fail (hop, dst, seq));
+       ])
+
+let pp_control ppf = function
+  | Ctl_rreq (from, r) ->
+      Format.fprintf ppf "rreq from %d: %d->%d #%d %a%s%s%s%s hops %d ttl %d"
+        from r.Srp.rq_src r.rq_dst r.rq_id O.pp r.rq_order
+        (if r.rq_u then " U" else "")
+        (if r.rq_rr then " T" else "")
+        (if r.rq_d then " D" else "")
+        (if r.rq_n then " N" else "")
+        r.rq_hops r.rq_ttl;
+      Option.iter
+        (fun a -> Format.fprintf ppf " adv %a" O.pp a.Srp.ra_order)
+        r.rq_adv
+  | Ctl_rrep (from, r) ->
+      Format.fprintf ppf "rrep from %d: %d->%d #%d %a dist %d%s" from
+        r.Srp.rp_src r.rp_dst r.rp_id O.pp r.rp_order r.rp_dist
+        (if r.rp_n then " N" else "")
+  | Ctl_rerr (from, r) ->
+      Format.fprintf ppf "rerr from %d: [%s]" from
+        (String.concat "," (List.map string_of_int r.Srp.re_unreachable))
+  | Ctl_data (from, dst, seq) ->
+      Format.fprintf ppf "data from %d to %d seq %d" from dst seq
+  | Ctl_fail (hop, dst, seq) ->
+      Format.fprintf ppf "unicast to %d failed (data to %d seq %d)" hop dst
+        seq
+
+let control_print msgs =
+  asprintf "[%a]"
+    (Format.pp_print_list
+       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
+       pp_control)
+    msgs
+
+let srp_control_law msgs =
+  let module Fr = Wireless.Frame in
+  let engine = Des.Engine.create () in
+  let t, agent =
+    Srp.create_full
+      {
+        Protocols.Routing_intf.id = 0;
+        node_count = 16;
+        engine;
+        rng = Des.Rng.create 99L;
+        trace = Trace.null;
+        mac_send = ignore;
+        deliver = ignore;
+        drop_data = (fun _ ~reason:_ -> ());
+      }
+  in
+  let receive from ?(dst = Fr.Unicast 0) size payload =
+    agent.Protocols.Routing_intf.receive ~src:from
+      (Fr.make ~src:from ~dst ~size ~payload)
+  in
+  let data origin dst seq =
+    Fr.Data { Fr.origin; final_dst = dst; flow = 0; seq; sent_at = 0.0; hops = 0 }
+  in
+  let violation fmt = Format.kasprintf (fun m -> raise (Model_violation m)) fmt in
+  let previous = Array.make 8 O.unassigned in
+  let step i msg =
+    (match msg with
+    | Ctl_rreq (from, r) when from <> 0 ->
+        receive from ~dst:Fr.Broadcast 52 (Srp.Rreq r)
+    | Ctl_rrep (from, r) when from <> 0 -> receive from 44 (Srp.Rrep r)
+    | Ctl_rerr (from, r) when from <> 0 -> receive from 32 (Srp.Rerr r)
+    | Ctl_data (from, dst, seq) when from <> 0 && dst <> 0 ->
+        receive from 532 (data from dst seq)
+    | Ctl_fail (hop, dst, seq) when hop <> 0 ->
+        agent.Protocols.Routing_intf.unicast_failed ~dst:hop
+          ~frame:
+            (Fr.make ~src:0 ~dst:(Fr.Unicast hop) ~size:532
+               ~payload:(data 0 dst seq))
+    | _ -> ());
+    (* far enough for jittered sends, short of the ring retries *)
+    Des.Engine.run engine ~until:(Des.Engine.now engine +. 0.02);
+    for dst = 1 to 7 do
+      let own = Srp.ordering t ~dst in
+      if not (O.equal previous.(dst) own || O.precedes previous.(dst) own)
+      then
+        violation "message %d raised the label for %d from %a to %a" i dst
+          O.pp previous.(dst) O.pp own;
+      previous.(dst) <- own;
+      List.iter
+        (fun (via, s) ->
+          if not (O.precedes own s) then
+            violation "after message %d, successor %d for %d at %a not below %a"
+              i via dst O.pp s O.pp own)
+        (Srp.successor_orderings t ~dst)
+    done
+  in
+  match List.iteri step msgs with
+  | () -> Ok ()
+  | exception Model_violation m -> Error m
+
+let prop_srp_control =
+  Runner.cell ~name:"srp-control-fuzz" ~print:control_print control_gen
+    srp_control_law
+
+(* ------------------------------------------------------------------ *)
 (* Des.Heap: the scheduler's priority queue. Keys are timestamps and ties
    the insertion sequence, so a drain must come out time-sorted with FIFO
    order inside equal timestamps — anything else replays events out of
@@ -859,6 +1155,48 @@ let heap_fifo_law keys =
 let prop_heap_fifo =
   Runner.cell ~name:"heap-fifo-ties" ~print:heap_print (heap_keys_gen 3)
     heap_fifo_law
+
+(* ------------------------------------------------------------------ *)
+(* Stats.Summary: merging two summaries equals summarising the pooled
+   observations, and the mean lies within [min, max].
+
+   Mutation drill (seed 42, run in a scratch copy): Summary.merge
+   dropping the other summary's count ([n_total = t.n + other.n] ->
+   [t.n]) fails case 0, shrunk in 13 steps to [0] + [0]. Restore and
+   re-run green. *)
+
+let observations = Gen.list_size (Gen.int_range 0 50) (Gen.float_range 0.0 100.0)
+
+let prop_summary_merge =
+  let print_list xs = String.concat "; " (List.map (Printf.sprintf "%.17g") xs) in
+  Runner.cell ~name:"summary-merge"
+    ~print:(fun (xs, ys) ->
+      Printf.sprintf "[%s] + [%s]" (print_list xs) (print_list ys))
+    (Gen.pair observations observations)
+    (fun (xs, ys) ->
+      let module S = Stats.Summary in
+      let of_list xs =
+        let s = S.create () in
+        List.iter (S.add s) xs;
+        s
+      in
+      let merged = of_list xs and pooled = of_list (xs @ ys) in
+      S.merge merged (of_list ys);
+      let close u v = Float.abs (u -. v) <= 1e-9 *. Float.max 1.0 (Float.abs v) in
+      if
+        S.count merged <> S.count pooled
+        || S.min merged <> S.min pooled
+        || S.max merged <> S.max pooled
+        || not (close (S.mean merged) (S.mean pooled))
+        || not (close (S.variance merged) (S.variance pooled))
+      then Error "merge differs from the pooled observations"
+      else if
+        S.count merged > 0
+        && not
+             (S.min merged -. 1e-9 <= S.mean merged
+             && S.mean merged <= S.max merged +. 1e-9)
+      then Error "mean outside [min, max]"
+      else Ok ())
 
 (* ------------------------------------------------------------------ *)
 (* Spatial grid vs naive channel scan: the grid's candidate set must be a
@@ -1816,10 +2154,13 @@ let prop_number_format =
 let all =
   [
     prop_mediant;
+    prop_fraction_order;
     prop_overflow;
     prop_farey;
     prop_bignat;
     prop_bigfrac;
+    prop_lexlabel_between;
+    prop_ordering_precedes;
     prop_neworder;
     prop_neworder_farey;
     prop_neworder_bigfrac;
@@ -1831,8 +2172,10 @@ let all =
       prop_seen_cache;
       prop_pending;
       prop_wire_model;
+      prop_srp_control;
       prop_heap_drain;
       prop_heap_fifo;
+      prop_summary_merge;
       prop_channel_grid;
       prop_waypoint_segment;
       prop_olsr_oracle;
