@@ -45,11 +45,3 @@ let exponential t ~mean =
   -.mean *. log (1.0 -. u)
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
-
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done

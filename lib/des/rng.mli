@@ -36,6 +36,3 @@ val exponential : t -> mean:float -> float
 
 (** [bool t] is a fair coin. *)
 val bool : t -> bool
-
-(** [shuffle t arr] permutes [arr] in place (Fisher–Yates). *)
-val shuffle : t -> 'a array -> unit

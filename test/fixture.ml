@@ -1,5 +1,5 @@
-(* Shared by the determinism tests: a fixture proves something only if its
-   worlds route data. *)
+(* Shared by the suites: a fixture proves something only if its worlds
+   route data, and a catalogue property runs as an alcotest case. *)
 
 (* Every cell delivers packets, and SRP adopts a split label (its maximum
    denominator starts at 1). *)
@@ -27,3 +27,17 @@ let check_routes_traffic (t : Sim.Experiment.t) =
   in
   Alcotest.(check bool) "SRP max denominator above 1" true
     (max_denominator > 1)
+
+(* The named case runs catalogue property [prop] at `manet_sim fuzz`'s
+   default seed and budget, so a failure reports the shrunk counterexample
+   and the replay line that reproduces it. Several cases may name the one
+   property that states all their laws. *)
+let catalogue_case name prop =
+  Alcotest.test_case name `Quick (fun () ->
+      match
+        Check.Runner.run_suite ~seed:42 ~max_cases:100 ~only:prop
+          Check.Props.all
+      with
+      | [ (_, Check.Runner.Pass _) ] -> ()
+      | [ (name, outcome) ] -> Alcotest.fail (Check.Runner.report outcome ~name)
+      | _ -> Alcotest.failf "no catalogue property %s" prop)

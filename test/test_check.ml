@@ -1,7 +1,8 @@
 (* The property-testing engine itself: generator determinism, integrated
    shrinking to minimal counterexamples, byte-for-byte replay of failure
-   reports, the fixed-seed catalogue gate, and the van Glabbeek AODV
-   sequence-number scenario against the loop monitor. *)
+   reports, and the van Glabbeek AODV sequence-number scenario against the
+   loop monitor. The catalogue itself runs through the CLI in
+   test/cram/fuzz.t. *)
 
 module Gen = Check.Gen
 module Runner = Check.Runner
@@ -94,25 +95,6 @@ let test_replay_byte_identical () =
       in
       Alcotest.(check string) "byte-for-byte reproduction" original
         (Runner.report replayed ~name:"meta-replay")
-
-(* ------------------------------------------------------------------ *)
-(* The fixed-seed catalogue gate (tier 1): every property in both
-   catalogues passes at a small budget. *)
-
-let test_catalogue_fixed_seed () =
-  let outcomes =
-    Runner.run_suite ~seed:42 ~max_cases:30
-      (Check.Props.all @ Sim.Fuzz.props)
-  in
-  Alcotest.(check bool) "catalogue is non-trivial" true
-    (List.length outcomes >= 12);
-  List.iter
-    (fun (name, outcome) ->
-      match outcome with
-      | Runner.Pass _ -> ()
-      | Runner.Fail _ ->
-          Alcotest.fail (Runner.report outcome ~name))
-    outcomes
 
 (* ------------------------------------------------------------------ *)
 (* The van Glabbeek AODV scenario (CONCUR/ESOP analyses of RFC 3561):
@@ -323,11 +305,6 @@ let () =
         [
           Alcotest.test_case "failure report replays byte-for-byte" `Quick
             test_replay_byte_identical;
-        ] );
-      ( "catalogue",
-        [
-          Alcotest.test_case "fixed-seed suite passes" `Quick
-            test_catalogue_fixed_seed;
         ] );
       ( "van-glabbeek",
         [

@@ -29,15 +29,6 @@ let test_heap_tie_break () =
   Alcotest.(check (list int)) "ties by insertion sequence"
     [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ] order
 
-let prop_heap_sorts =
-  QCheck2.Test.make ~name:"heap drains in sorted order" ~count:200
-    QCheck2.Gen.(list_size (int_range 0 200) (float_bound_inclusive 1000.0))
-    (fun keys ->
-      let h = H.create () in
-      List.iteri (fun i k -> H.add h ~key:k ~tie:i ()) keys;
-      let drained = List.map (fun (k, _, _) -> k) (H.to_sorted_list h) in
-      drained = List.sort compare keys)
-
 let test_engine_ordering () =
   let e = E.create () in
   let log = ref [] in
@@ -144,16 +135,6 @@ let test_rng_exponential_mean () =
     true
     (mean > 57.0 && mean < 63.0)
 
-let prop_shuffle_is_permutation =
-  QCheck2.Test.make ~name:"shuffle is a permutation" ~count:200
-    QCheck2.Gen.(list_size (int_range 0 50) int)
-    (fun xs ->
-      let arr = Array.of_list xs in
-      R.shuffle (R.create 9L) arr;
-      List.sort compare (Array.to_list arr) = List.sort compare xs)
-
-let qtest = QCheck_alcotest.to_alcotest
-
 let () =
   Alcotest.run "des"
     [
@@ -161,7 +142,8 @@ let () =
         [
           Alcotest.test_case "basic" `Quick test_heap_basic;
           Alcotest.test_case "tie break" `Quick test_heap_tie_break;
-          qtest prop_heap_sorts;
+          Fixture.catalogue_case "heap drains in sorted order"
+            "heap-drain-sorted";
         ] );
       ( "engine",
         [
@@ -177,6 +159,5 @@ let () =
           Alcotest.test_case "split independence" `Quick test_rng_split_independent;
           Alcotest.test_case "ranges" `Quick test_rng_ranges;
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
-          qtest prop_shuffle_is_permutation;
         ] );
     ]

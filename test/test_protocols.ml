@@ -362,144 +362,6 @@ let test_srp_link_failure_recovery () =
   Alcotest.(check bool) "rediscovery started" true
     (find_rreq (take_sent h) <> [])
 
-(* Fuzz / failure injection: arbitrary well-formed control traffic and
-   link failures must never crash the agent, never raise its label for any
-   destination (Eq. 3), and keep every live successor strictly in order
-   (Theorem 1 locally). *)
-
-let fuzz_frac_gen =
-  let open QCheck2.Gen in
-  let* den = int_range 2 50 in
-  let* num = int_range 0 den in
-  return
-    (if num >= den then F.one
-     else if num = 0 then F.zero
-     else F.make ~num ~den)
-
-let fuzz_ordering_gen =
-  let open QCheck2.Gen in
-  let* sn = int_range 0 3 in
-  let* f = fuzz_frac_gen in
-  return (O.make ~sn ~frac:f)
-
-let fuzz_msg_gen =
-  let open QCheck2.Gen in
-  let node = int_range 0 7 in
-  let rreq =
-    let* src = node and* dst = node and* id = int_range 0 5 in
-    let* order = fuzz_ordering_gen in
-    let* rr = bool and* d = bool and* n = bool in
-    let* hops = int_range 0 4 and* ttl = int_range 1 6 in
-    let* from = node in
-    let* adv_order = fuzz_ordering_gen in
-    let* with_adv = bool in
-    return
-      (`Rreq
-        ( from,
-          {
-            Srp.rq_src = src;
-            rq_id = id;
-            rq_dst = dst;
-            rq_order = order;
-            rq_u = O.is_unassigned order;
-            rq_rr = rr;
-            rq_d = d;
-            rq_n = n || not with_adv;
-            rq_hops = hops;
-            rq_ttl = ttl;
-            rq_adv =
-              (if with_adv then Some { Srp.ra_order = adv_order; ra_dist = hops }
-               else None);
-          } ))
-  in
-  let rrep =
-    let* src = node and* dst = node and* id = int_range 0 5 in
-    let* order = fuzz_ordering_gen in
-    let* dist = int_range 0 4 in
-    let* from = node and* nbit = bool in
-    return
-      (`Rrep
-        ( from,
-          {
-            Srp.rp_src = src;
-            rp_id = id;
-            rp_dst = dst;
-            rp_order = order;
-            rp_dist = dist;
-            rp_lifetime = 10.0;
-            rp_n = nbit;
-          } ))
-  in
-  let rerr =
-    let* from = node in
-    let* dsts = list_size (int_range 1 3) node in
-    return (`Rerr (from, { Srp.re_unreachable = dsts }))
-  in
-  let data =
-    let* from = node and* dst = node and* seq = int_range 0 100 in
-    return (`Data (from, dst, seq))
-  in
-  let fail =
-    let* hop = node and* dst = node and* seq = int_range 0 100 in
-    return (`Fail (hop, dst, seq))
-  in
-  oneof [ rreq; rrep; rerr; data; fail ]
-
-let prop_srp_fuzz =
-  QCheck2.Test.make ~name:"SRP survives arbitrary control traffic" ~count:200
-    QCheck2.Gen.(list_size (int_range 1 60) fuzz_msg_gen)
-    (fun msgs ->
-      let h = harness ~id:0 () in
-      let t, agent = Srp.create_full h.ctx in
-      let previous : (int, O.t) Hashtbl.t = Hashtbl.create 8 in
-      List.for_all
-        (fun msg ->
-          (match msg with
-          | `Rreq (from, rreq) when from <> 0 ->
-              agent.RI.receive ~src:from
-                (Frame.make ~src:from ~dst:Frame.Broadcast ~size:52
-                   ~payload:(Srp.Rreq rreq))
-          | `Rreq _ -> ()
-          | `Rrep (from, rrep) when from <> 0 ->
-              agent.RI.receive ~src:from
-                (Frame.make ~src:from ~dst:(Frame.Unicast 0) ~size:44
-                   ~payload:(Srp.Rrep rrep))
-          | `Rrep _ -> ()
-          | `Rerr (from, rerr) when from <> 0 ->
-              agent.RI.receive ~src:from
-                (Frame.make ~src:from ~dst:(Frame.Unicast 0) ~size:32
-                   ~payload:(Srp.Rerr rerr))
-          | `Rerr _ -> ()
-          | `Data (from, dst, seq) when from <> 0 && dst <> 0 ->
-              agent.RI.receive ~src:from
-                (Frame.make ~src:from ~dst:(Frame.Unicast 0) ~size:532
-                   ~payload:(Frame.Data (mk_data ~origin:from ~dst ~seq ())))
-          | `Data _ -> ()
-          | `Fail (hop, dst, seq) when hop <> 0 ->
-              agent.RI.unicast_failed
-                ~frame:
-                  (Frame.make ~src:0 ~dst:(Frame.Unicast hop) ~size:532
-                     ~payload:(Frame.Data (mk_data ~dst ~seq ())))
-                ~dst:hop
-          | `Fail _ -> ());
-          run_short h;
-          (* per-destination invariants after every event *)
-          List.for_all
-            (fun dst ->
-              let own = Srp.ordering t ~dst in
-              let monotone =
-                match Hashtbl.find_opt previous dst with
-                | None -> true
-                | Some old -> O.equal old own || O.precedes old own
-              in
-              Hashtbl.replace previous dst own;
-              monotone
-              && List.for_all
-                   (fun (_, s) -> O.precedes own s)
-                   (Srp.successor_orderings t ~dst))
-            (List.init 8 (fun i -> i) |> List.filter (fun i -> i <> 0)))
-        msgs)
-
 (* ------------------------------------------------------------------ *)
 (* AODV *)
 
@@ -1562,7 +1424,8 @@ let () =
             test_srp_rerr_removes_successor;
           Alcotest.test_case "link failure recovery" `Quick
             test_srp_link_failure_recovery;
-          QCheck_alcotest.to_alcotest prop_srp_fuzz;
+          Fixture.catalogue_case "SRP survives arbitrary control traffic"
+            "srp-control-fuzz";
         ] );
       ( "aodv",
         [

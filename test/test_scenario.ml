@@ -1,8 +1,8 @@
 (* Scenario registry: round-trip and apply semantics, per-scenario seed
-   determinism (byte-identical JSONL traces), golden equivalence of the
-   default scenario against the committed campaign output at -j 1 and
-   -j 4, the adversarial van Glabbeek replay (AODV loops, SRP
-   stays green), and catalogue presence of the per-model fuzz properties. *)
+   determinism (byte-identical JSONL traces), the adversarial van Glabbeek
+   replay (AODV loops, SRP stays green), and catalogue presence of the
+   per-model fuzz properties. test/cram/campaign_default.t holds the
+   default scenario to the committed campaign golden. *)
 
 module C = Sim.Config
 module Sc = Sim.Scenario
@@ -100,63 +100,6 @@ let test_seed_moves_trace () =
     (trace5 = trace6)
 
 (* ------------------------------------------------------------------ *)
-(* Golden gate: the default scenario reproduces the committed campaign
-   bytes (scripts/golden/) at -j 1 and -j 4. *)
-
-(* dune runtest runs from the test build directory, dune exec from the
-   workspace root — accept the golden from either vantage point *)
-let read_golden name =
-  let candidates =
-    [
-      Filename.concat "../scripts/golden" name;
-      Filename.concat "scripts/golden" name;
-    ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some path -> In_channel.with_open_bin path In_channel.input_all
-  | None -> Alcotest.failf "golden %s not found" name
-
-let golden_base () =
-  (* mirrors `manet_sim campaign --scenario default --nodes 20 --duration 40
-     --trials 1 --flows 3 --quiet`, the invocation that minted the goldens;
-     traffic starts at 15 s, so every cell routes 25 s of data *)
-  Sim.Config.with_labels
-    {
-      C.reproduction with
-      C.nodes = 20;
-      flows = 3;
-      pause = 0.0;
-      duration = 40.0;
-      seed = 1;
-      packet_rate = 4.0;
-      faults = Faults.Spec.none;
-    }
-    Slr.Label_set.default
-
-let golden_campaign ~jobs =
-  let base = Sc.apply Sc.default (golden_base ()) in
-  Sim.Experiment.run ~jobs
-    ~pause_scale:(Stdlib.min 1.0 (base.C.duration /. 900.0))
-    ~base ~protocols:C.all_protocols
-    ~pauses:C.paper_pause_times ~trials:1
-    ~progress:(fun _ -> ())
-    ()
-
-let test_default_matches_golden ~jobs () =
-  (* the CLI minted the goldens from an untouched config, which sweeps the
-     channel with the grid *)
-  Alcotest.(check string) "campaign runs on the default grid channel" "grid"
-    (C.channel_name (Sc.apply Sc.default (golden_base ())).C.channel);
-  let campaign = golden_campaign ~jobs in
-  Fixture.check_routes_traffic campaign;
-  Alcotest.(check string) "report matches committed golden"
-    (read_golden "campaign_default.txt")
-    (Format.asprintf "%a@." Sim.Report.all campaign);
-  Alcotest.(check string) "campaign JSON matches committed golden"
-    (read_golden "campaign_default.json")
-    (Trace.Json.to_string (Sim.Report.campaign_json campaign) ^ "\n")
-
-(* ------------------------------------------------------------------ *)
 (* Adversarial replay: the van Glabbeek counterexample plus a forged
    stale advertisement must catch AODV looping while SRP stays green. *)
 
@@ -239,13 +182,6 @@ let () =
                  `Slow
                  (test_scenario_determinism sc))
              workload_scenarios );
-      ( "golden",
-        [
-          Alcotest.test_case "default == pre-refactor bytes (-j 1)" `Slow
-            (test_default_matches_golden ~jobs:1);
-          Alcotest.test_case "default == pre-refactor bytes (-j 4)" `Slow
-            (test_default_matches_golden ~jobs:4);
-        ] );
       ( "adversarial",
         [
           Alcotest.test_case "AODV loops, SRP green" `Slow

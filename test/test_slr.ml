@@ -55,42 +55,6 @@ let test_fibonacci_bound () =
      to be 45 times" *)
   Alcotest.(check int) "45 worst-case splits" 45 (F.max_splits ())
 
-let frac_gen =
-  let open QCheck2.Gen in
-  let* den = int_range 2 100_000 in
-  let* num = int_range 1 (den - 1) in
-  return (F.make ~num ~den)
-
-let prop_mediant_between =
-  QCheck2.Test.make ~name:"mediant lies strictly between" ~count:500
-    QCheck2.Gen.(pair frac_gen frac_gen)
-    (fun (a, b) ->
-      let lo, hi = if F.(a < b) then (a, b) else (b, a) in
-      QCheck2.assume (not (F.equal lo hi));
-      match F.mediant lo hi with
-      | Some m -> F.(lo < m) && F.(m < hi)
-      | None -> false)
-
-let prop_compare_antisym =
-  QCheck2.Test.make ~name:"compare is antisymmetric" ~count:500
-    QCheck2.Gen.(pair frac_gen frac_gen)
-    (fun (a, b) -> compare (F.compare a b) 0 = compare 0 (F.compare b a))
-
-let prop_compare_matches_floats =
-  QCheck2.Test.make ~name:"compare agrees with float division" ~count:500
-    QCheck2.Gen.(pair frac_gen frac_gen)
-    (fun (a, b) ->
-      let fa = F.to_float a and fb = F.to_float b in
-      (* denominators <= 1e5 so doubles are exact enough *)
-      if fa < fb then F.compare a b < 0
-      else if fa > fb then F.compare a b > 0
-      else F.compare a b = 0)
-
-let prop_next_is_greater =
-  QCheck2.Test.make ~name:"next-element is strictly greater" ~count:500
-    frac_gen (fun a ->
-      match F.next a with Some n -> F.(a < n) | None -> F.is_one a)
-
 (* ------------------------------------------------------------------ *)
 (* Bignat / Bigfrac *)
 
@@ -109,29 +73,6 @@ let test_bignat_basics () =
     (Slr.Bignat.to_string sq);
   Alcotest.(check int) "compare" 1 (Slr.Bignat.compare a b);
   Alcotest.(check (option int)) "huge to_int" None (Slr.Bignat.to_int sq)
-
-let small_nat_gen = QCheck2.Gen.(map Slr.Bignat.of_int (int_range 0 1_000_000))
-
-let prop_bignat_add_matches_int =
-  QCheck2.Test.make ~name:"bignat add matches int" ~count:300
-    QCheck2.Gen.(pair (int_range 0 1_000_000_000) (int_range 0 1_000_000_000))
-    (fun (a, b) ->
-      Slr.Bignat.to_int
-        (Slr.Bignat.add (Slr.Bignat.of_int a) (Slr.Bignat.of_int b))
-      = Some (a + b))
-
-let prop_bignat_mul_matches_int =
-  QCheck2.Test.make ~name:"bignat mul matches int" ~count:300
-    QCheck2.Gen.(pair (int_range 0 1_000_000) (int_range 0 1_000_000))
-    (fun (a, b) ->
-      Slr.Bignat.to_int
-        (Slr.Bignat.mul (Slr.Bignat.of_int a) (Slr.Bignat.of_int b))
-      = Some (a * b))
-
-let prop_bignat_string_roundtrip =
-  QCheck2.Test.make ~name:"bignat decimal roundtrip" ~count:200 small_nat_gen
-    (fun n ->
-      Slr.Bignat.equal n (Slr.Bignat.of_string (Slr.Bignat.to_string n)))
 
 let test_bigfrac_dense () =
   let module B = Slr.Bigfrac in
@@ -188,34 +129,6 @@ let test_lexlabel_between_cases () =
   check_between (key "az") (key "b");
   check_between (key "\xff") L.top;
   check_between (key "abc") (key "abd")
-
-let lexkey_gen =
-  QCheck2.Gen.(
-    let byte = map Char.chr (int_range 0 255) in
-    let last = map Char.chr (int_range 1 255) in
-    let* body = string_size ~gen:byte (int_range 0 6) in
-    let* tail = last in
-    oneof [ return L.least; return (L.of_string (body ^ String.make 1 tail)) ])
-
-let prop_lexlabel_between =
-  QCheck2.Test.make ~name:"lexlabel between lies strictly inside" ~count:1000
-    QCheck2.Gen.(pair lexkey_gen lexkey_gen)
-    (fun (a, b) ->
-      let c = L.compare a b in
-      QCheck2.assume (c <> 0);
-      let lo, hi = if c < 0 then (a, b) else (b, a) in
-      match L.between ~lo ~hi with
-      | Some m -> L.compare lo m < 0 && L.compare m hi < 0
-      | None -> false)
-
-let prop_lexlabel_between_top =
-  QCheck2.Test.make ~name:"lexlabel between anything and top" ~count:500
-    lexkey_gen
-    (fun a ->
-      QCheck2.assume (L.compare a L.top < 0);
-      match L.between ~lo:a ~hi:L.top with
-      | Some m -> L.compare a m < 0 && L.compare m L.top < 0
-      | None -> false)
 
 (* the whole abstract protocol runs on string labels too *)
 module Net = Slr.Simple_net
@@ -274,24 +187,6 @@ let test_ordering_add () =
       (* Def. 6: if m/n < p/q then O + p/q ⊑ O *)
       Alcotest.(check bool) "O + p/q precedes O" true (O.precedes o' o)
   | None -> Alcotest.fail "add overflowed unexpectedly"
-
-let ordering_gen =
-  let open QCheck2.Gen in
-  let* sn = int_range 0 5 in
-  let* f = frac_gen in
-  return (O.make ~sn ~frac:f)
-
-let prop_precedes_transitive =
-  QCheck2.Test.make ~name:"OC relation is transitive" ~count:500
-    QCheck2.Gen.(triple ordering_gen ordering_gen ordering_gen)
-    (fun (a, b, c) ->
-      QCheck2.assume (O.precedes a b && O.precedes b c);
-      O.precedes a c)
-
-let prop_precedes_asymmetric =
-  QCheck2.Test.make ~name:"OC relation is asymmetric" ~count:500
-    QCheck2.Gen.(pair ordering_gen ordering_gen)
-    (fun (a, b) -> not (O.precedes a b && O.precedes b a))
 
 (* ------------------------------------------------------------------ *)
 (* Algorithm 1 (NEWORDER) *)
@@ -382,37 +277,6 @@ let test_filter_successors () =
   Alcotest.(check (list int)) "keeps in-order successors" [ 1; 3 ]
     (List.sort compare (List.map fst kept))
 
-(* Theorem 6 unconditionally: for ARBITRARY inputs — including stale and
-   reordered packets that violate Lemma 1's protocol invariants — a finite
-   result maintains Eqs. 3-5. *)
-let prop_neworder_unconditional =
-  QCheck2.Test.make ~name:"NEWORDER is safe on arbitrary inputs" ~count:3000
-    QCheck2.Gen.(triple ordering_gen ordering_gen ordering_gen)
-    (fun (current, cached, adv) ->
-      let r = compute ~current ~cached ~adv in
-      (not (O.is_finite r.NO.order))
-      || NO.maintains_order ~current ~cached ~adv r.NO.order)
-
-(* Theorem 6 as a property: under the protocol invariants (the
-   advertisement is feasible for the node and for the cached solicitation),
-   a finite result maintains Eqs. 3-5. *)
-let prop_neworder_maintains_order =
-  QCheck2.Test.make ~name:"NEWORDER maintains order (Theorem 6)" ~count:2000
-    QCheck2.Gen.(triple ordering_gen ordering_gen ordering_gen)
-    (fun (current, cached, adv) ->
-      QCheck2.assume (NO.feasible ~current ~adv);
-      QCheck2.assume (O.precedes cached adv);
-      let r = compute ~current ~cached ~adv in
-      if not (O.is_finite r.NO.order) then true
-      else
-        let g = r.NO.order in
-        (* Eq. 3: G <= current (lower or equal label) *)
-        (O.equal g current || O.precedes current g)
-        (* Eq. 4: G strictly below the cached solicitation minimum *)
-        && O.precedes cached g
-        (* Eq. 5: strictly above the advertisement *)
-        && O.precedes g adv)
-
 (* ------------------------------------------------------------------ *)
 (* Farey *)
 
@@ -427,50 +291,6 @@ let test_farey_simplest () =
   Alcotest.(check (option check_frac)) "(3/10,1/3) -> 4/13"
     (Some (frac 4 13))
     (simplest (frac 3 10) (frac 1 3))
-
-let prop_farey_inside =
-  QCheck2.Test.make ~name:"Farey result strictly inside" ~count:500
-    QCheck2.Gen.(pair frac_gen frac_gen)
-    (fun (a, b) ->
-      let lo, hi = if F.(a < b) then (a, b) else (b, a) in
-      QCheck2.assume (not (F.equal lo hi));
-      match Slr.Farey.simplest_between ~lo ~hi with
-      | Some s -> F.(lo < s) && F.(s < hi)
-      | None -> false)
-
-let prop_farey_minimal =
-  QCheck2.Test.make ~name:"Farey denominator is minimal" ~count:200
-    QCheck2.Gen.(
-      let* den = int_range 2 60 in
-      let* num = int_range 1 (den - 1) in
-      let* den2 = int_range 2 60 in
-      let* num2 = int_range 1 (den2 - 1) in
-      return (F.make ~num ~den, F.make ~num:num2 ~den:den2))
-    (fun (a, b) ->
-      let lo, hi = if F.(a < b) then (a, b) else (b, a) in
-      QCheck2.assume (not (F.equal lo hi));
-      match Slr.Farey.simplest_between ~lo ~hi with
-      | None -> false
-      | Some s ->
-          (* brute force: no fraction with a smaller denominator fits *)
-          let fits q =
-            let rec try_num p = p < q && ((F.(lo < frac p q) && F.(frac p q < hi)) || try_num (p + 1)) in
-            try_num 1
-          in
-          let rec smaller q = q < s.F.den && (fits q || smaller (q + 1)) in
-          not (smaller 1))
-
-let prop_farey_never_wider_than_mediant =
-  QCheck2.Test.make ~name:"Farey denominator <= mediant denominator"
-    ~count:500
-    QCheck2.Gen.(pair frac_gen frac_gen)
-    (fun (a, b) ->
-      let lo, hi = if F.(a < b) then (a, b) else (b, a) in
-      QCheck2.assume (not (F.equal lo hi));
-      match (Slr.Farey.simplest_between ~lo ~hi, F.mediant lo hi) with
-      | Some s, Some m -> s.F.den <= m.F.den
-      | Some _, None -> true
-      | None, _ -> false)
 
 (* ------------------------------------------------------------------ *)
 (* Simple_net (the paper's worked examples) *)
@@ -619,64 +439,6 @@ let test_examples_every_label_set () =
       verified net)
     Slr.Label_set.all
 
-(* Theorem 3 on the abstract machine: arbitrary graphs and random
-   request/break schedules never violate topological order or create a
-   cycle. *)
-let prop_simple_net_loop_free =
-  QCheck2.Test.make ~name:"abstract SLR is loop-free under random schedules"
-    ~count:100
-    QCheck2.Gen.(
-      let* nodes = int_range 4 12 in
-      let* edges =
-        list_size (int_range nodes (3 * nodes))
-          (pair (int_range 0 (nodes - 1)) (int_range 0 (nodes - 1)))
-      in
-      let* ops =
-        list_size (int_range 5 40)
-          (oneof
-             [
-               map (fun s -> `Request s) (int_range 0 (nodes - 1));
-               map (fun (a, b) -> `Break (a, b))
-                 (pair (int_range 0 (nodes - 1)) (int_range 0 (nodes - 1)));
-             ])
-      in
-      return (nodes, edges, ops))
-    (fun (nodes, edges, ops) ->
-      let net = Net.create ~labels:mediant ~nodes ~dest:0 in
-      List.iter (fun (a, b) -> if a <> b then Net.add_link net a b) edges;
-      List.for_all
-        (fun op ->
-          (match op with
-          | `Request src -> ignore (Net.request net ~src)
-          | `Break (a, b) -> if a <> b then Net.break_link net a b);
-          match Net.check_invariants net with Ok () -> true | Error _ -> false)
-        ops)
-
-(* Same property on the unbounded label set. *)
-let prop_unbounded_net_loop_free =
-  QCheck2.Test.make ~name:"unbounded SLR is loop-free under random schedules"
-    ~count:50
-    QCheck2.Gen.(
-      let* nodes = int_range 4 10 in
-      let* requests = list_size (int_range 5 30) (int_range 0 (nodes - 1)) in
-      return (nodes, requests))
-    (fun (nodes, requests) ->
-      let net =
-        Net.create ~labels:(module Slr.Label.Bigfrac_set) ~nodes ~dest:0
-      in
-      (* ring plus chords *)
-      for i = 0 to nodes - 1 do
-        Net.add_link net i ((i + 1) mod nodes)
-      done;
-      Net.add_link net 0 (nodes / 2);
-      List.for_all
-        (fun src ->
-          ignore (Net.request net ~src);
-          match Net.check_invariants net with
-          | Ok () -> true
-          | Error _ -> false)
-        requests)
-
 (* ------------------------------------------------------------------ *)
 (* Dag *)
 
@@ -724,7 +486,7 @@ let test_loop_verdict () =
   | Error m ->
       Alcotest.(check string) "cycle witness" "successor cycle 1->2->1" m
 
-let qtest = QCheck_alcotest.to_alcotest
+let prop = Fixture.catalogue_case
 
 let () =
   Alcotest.run "slr"
@@ -735,18 +497,18 @@ let () =
           Alcotest.test_case "order" `Quick test_fraction_order;
           Alcotest.test_case "mediant and next" `Quick test_fraction_mediant;
           Alcotest.test_case "Fibonacci 45-split bound" `Quick test_fibonacci_bound;
-          qtest prop_mediant_between;
-          qtest prop_compare_antisym;
-          qtest prop_compare_matches_floats;
-          qtest prop_next_is_greater;
+          prop "mediant lies strictly between" "fraction-mediant";
+          prop "compare is antisymmetric" "fraction-order";
+          prop "compare agrees with exact comparison" "fraction-order";
+          prop "next-element is strictly greater" "fraction-order";
         ] );
       ( "bignat",
         [
           Alcotest.test_case "basics" `Quick test_bignat_basics;
           Alcotest.test_case "bigfrac density" `Quick test_bigfrac_dense;
-          qtest prop_bignat_add_matches_int;
-          qtest prop_bignat_mul_matches_int;
-          qtest prop_bignat_string_roundtrip;
+          prop "bignat add matches int" "bignat-arith";
+          prop "bignat mul matches int" "bignat-arith";
+          prop "bignat decimal roundtrip" "bignat-arith";
         ] );
       ( "lexlabel",
         [
@@ -754,16 +516,16 @@ let () =
           Alcotest.test_case "next" `Quick test_lexlabel_next;
           Alcotest.test_case "between cases" `Quick test_lexlabel_between_cases;
           Alcotest.test_case "abstract SLR on strings" `Quick test_lexlabel_network;
-          qtest prop_lexlabel_between;
-          qtest prop_lexlabel_between_top;
+          prop "lexlabel between lies strictly inside" "lexlabel-between";
+          prop "lexlabel between anything and top" "lexlabel-between";
         ] );
       ( "ordering",
         [
           Alcotest.test_case "criteria (Def. 5)" `Quick test_ordering_criteria;
           Alcotest.test_case "min" `Quick test_ordering_min;
           Alcotest.test_case "addition (Def. 6)" `Quick test_ordering_add;
-          qtest prop_precedes_transitive;
-          qtest prop_precedes_asymmetric;
+          prop "OC relation is transitive" "ordering-precedes";
+          prop "OC relation is asymmetric" "ordering-precedes";
         ] );
       ( "neworder",
         [
@@ -774,15 +536,15 @@ let () =
           Alcotest.test_case "degenerate interval" `Quick
             test_neworder_degenerate_interval;
           Alcotest.test_case "successor elimination" `Quick test_filter_successors;
-          qtest prop_neworder_maintains_order;
-          qtest prop_neworder_unconditional;
+          prop "NEWORDER maintains order (Theorem 6)" "neworder-maintains";
+          prop "NEWORDER is safe on arbitrary inputs" "neworder-maintains";
         ] );
       ( "farey",
         [
           Alcotest.test_case "simplest fractions" `Quick test_farey_simplest;
-          qtest prop_farey_inside;
-          qtest prop_farey_minimal;
-          qtest prop_farey_never_wider_than_mediant;
+          prop "Farey result strictly inside" "farey-simplest";
+          prop "Farey denominator is minimal" "farey-simplest";
+          prop "Farey denominator <= mediant denominator" "farey-simplest";
         ] );
       ( "simple-net",
         [
@@ -790,8 +552,10 @@ let () =
           Alcotest.test_case "paper Example 2 (Fig. 2)" `Quick test_example2;
           Alcotest.test_case "partitioned request" `Quick test_simple_net_no_route;
           Alcotest.test_case "break and repair" `Quick test_simple_net_break_and_repair;
-          qtest prop_simple_net_loop_free;
-          qtest prop_unbounded_net_loop_free;
+          prop "abstract SLR is loop-free under random schedules"
+            "abstract-loop-freedom";
+          prop "unbounded SLR is loop-free under random schedules"
+            "abstract-loop-freedom-unbounded";
         ] );
       ( "label-split",
         [

@@ -50,33 +50,6 @@ let test_overlap () =
   Alcotest.(check bool) "close distributions overlap" true (S.overlap a b);
   Alcotest.(check bool) "distant ones do not" false (S.overlap a c)
 
-let prop_merge_equals_pooled =
-  QCheck2.Test.make ~name:"merge equals pooled observations" ~count:300
-    QCheck2.Gen.(
-      pair
-        (list_size (int_range 0 50) (float_bound_inclusive 100.0))
-        (list_size (int_range 0 50) (float_bound_inclusive 100.0)))
-    (fun (xs, ys) ->
-      let a = S.create () and b = S.create () and pooled = S.create () in
-      add_all a xs;
-      add_all b ys;
-      add_all pooled (xs @ ys);
-      S.merge a b;
-      let close u v = abs_float (u -. v) < 1e-6 in
-      S.count a = S.count pooled
-      && close (S.mean a) (S.mean pooled)
-      && close (S.variance a) (S.variance pooled))
-
-let prop_mean_within_bounds =
-  QCheck2.Test.make ~name:"mean lies within [min, max]" ~count:300
-    QCheck2.Gen.(list_size (int_range 1 100) (float_bound_inclusive 1000.0))
-    (fun xs ->
-      let s = S.create () in
-      add_all s xs;
-      S.mean s >= S.min s -. 1e-9 && S.mean s <= S.max s +. 1e-9)
-
-let qtest = QCheck_alcotest.to_alcotest
-
 let () =
   Alcotest.run "stats"
     [
@@ -87,7 +60,8 @@ let () =
           Alcotest.test_case "t table" `Quick test_t_table;
           Alcotest.test_case "ci95" `Quick test_ci95;
           Alcotest.test_case "overlap" `Quick test_overlap;
-          qtest prop_merge_equals_pooled;
-          qtest prop_mean_within_bounds;
+          Fixture.catalogue_case "merge equals pooled observations"
+            "summary-merge";
+          Fixture.catalogue_case "mean lies within [min, max]" "summary-merge";
         ] );
     ]
