@@ -1,18 +1,6 @@
 let span_fault = Obs.span "event.fault"
 
-type stats = {
-  link_downs : int;
-  link_ups : int;
-  crashes : int;
-  restarts : int;
-  partitions : int;
-  heals : int;
-  bursts : int;
-  frames_blocked : int;
-}
-
 type t = {
-  engine : Des.Engine.t;
   rng : Des.Rng.t;
   trace : Trace.t;
   on_crash : int -> unit;
@@ -25,14 +13,7 @@ type t = {
   links_down : int array;
   mutable active_partitions : (int * bool array) list;
   mutable active_bursts : (int * float) list;
-  mutable timers : Des.Engine.handle list;
-  mutable link_downs : int;
-  mutable link_ups : int;
-  mutable crashes : int;
-  mutable restarts : int;
-  mutable partitions : int;
-  mutable heals : int;
-  mutable bursts : int;
+  mutable events : int;
   mutable frames_blocked : int;
 }
 
@@ -65,7 +46,7 @@ let apply t (ev : Spec.event) =
       let n = Option.value ~default:0 (Hashtbl.find_opt t.blocked_links key) in
       Hashtbl.replace t.blocked_links key (n + 1);
       count_link_down t la lb 1;
-      t.link_downs <- t.link_downs + 1
+      t.events <- t.events + 1
   | Spec.Link_up { la; lb } ->
       let key = link_key la lb in
       (match Hashtbl.find_opt t.blocked_links key with
@@ -74,34 +55,33 @@ let apply t (ev : Spec.event) =
           else Hashtbl.remove t.blocked_links key;
           count_link_down t la lb (-1)
       | None -> ());
-      t.link_ups <- t.link_ups + 1
+      t.events <- t.events + 1
   | Spec.Crash { node } ->
       t.node_down.(node) <- t.node_down.(node) + 1;
-      t.crashes <- t.crashes + 1;
+      t.events <- t.events + 1;
       if t.node_down.(node) = 1 then t.on_crash node
   | Spec.Restart { node } ->
       if t.node_down.(node) > 0 then begin
         t.node_down.(node) <- t.node_down.(node) - 1;
-        t.restarts <- t.restarts + 1;
+        t.events <- t.events + 1;
         if t.node_down.(node) = 0 then t.on_restart node
       end
   | Spec.Partition_start { id; members } ->
       t.active_partitions <- (id, members) :: t.active_partitions;
-      t.partitions <- t.partitions + 1
+      t.events <- t.events + 1
   | Spec.Partition_heal { id } ->
       t.active_partitions <-
         List.filter (fun (i, _) -> i <> id) t.active_partitions;
-      t.heals <- t.heals + 1
+      t.events <- t.events + 1
   | Spec.Burst_start { id; drop_p } ->
       t.active_bursts <- (id, drop_p) :: t.active_bursts;
-      t.bursts <- t.bursts + 1
+      t.events <- t.events + 1
   | Spec.Burst_end { id } ->
       t.active_bursts <- List.filter (fun (i, _) -> i <> id) t.active_bursts
 
 let create ?(trace = Trace.null) engine ~nodes ~rng ~plan ~on_crash ~on_restart =
   let t =
     {
-      engine;
       rng;
       trace;
       on_crash;
@@ -111,14 +91,7 @@ let create ?(trace = Trace.null) engine ~nodes ~rng ~plan ~on_crash ~on_restart 
       links_down = Array.make nodes 0;
       active_partitions = [];
       active_bursts = [];
-      timers = [];
-      link_downs = 0;
-      link_ups = 0;
-      crashes = 0;
-      restarts = 0;
-      partitions = 0;
-      heals = 0;
-      bursts = 0;
+      events = 0;
       frames_blocked = 0;
     }
   in
@@ -126,10 +99,9 @@ let create ?(trace = Trace.null) engine ~nodes ~rng ~plan ~on_crash ~on_restart 
   List.iter
     (fun { Spec.at; ev } ->
       if at >= now then
-        t.timers <-
-          Des.Engine.schedule_at ~span:span_fault engine ~time:at (fun () ->
-              apply t ev)
-          :: t.timers)
+        ignore
+          (Des.Engine.schedule_at ~span:span_fault engine ~time:at (fun () ->
+               apply t ev)))
     plan;
   t
 
@@ -164,22 +136,6 @@ let frame_ok t ~src ~dst =
   end
   else true
 
-let stop t =
-  List.iter Des.Engine.cancel t.timers;
-  t.timers <- []
+let event_count t = t.events
 
-let stats t =
-  {
-    link_downs = t.link_downs;
-    link_ups = t.link_ups;
-    crashes = t.crashes;
-    restarts = t.restarts;
-    partitions = t.partitions;
-    heals = t.heals;
-    bursts = t.bursts;
-    frames_blocked = t.frames_blocked;
-  }
-
-let event_count (s : stats) =
-  s.link_downs + s.link_ups + s.crashes + s.restarts + s.partitions + s.heals
-  + s.bursts
+let frames_blocked t = t.frames_blocked

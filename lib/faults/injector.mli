@@ -1,24 +1,13 @@
 (** Executes a {!Spec} plan against a running simulation.
 
-    The injector owns one {!Des.Engine} timer per planned event (cancellable
-    via {!stop}) and exposes the *current* fault state as cheap queries: the
+    The injector schedules one {!Des.Engine} timer per planned event and
+    exposes the *current* fault state as cheap queries: the
     channel consults {!frame_ok} on every frame delivery, instrumentation
     consults {!node_up}. Crash/restart side effects (clearing a node's MAC
     and swapping its agent) are delegated to the host via callbacks so this
     library stays free of any protocol or MAC dependency. *)
 
 type t
-
-type stats = {
-  link_downs : int;
-  link_ups : int;
-  crashes : int;
-  restarts : int;
-  partitions : int;
-  heals : int;
-  bursts : int;
-  frames_blocked : int;  (** frames suppressed by {!frame_ok} *)
-}
 
 (** [create engine ~nodes ~rng ~plan ~on_crash ~on_restart] schedules every
     event of [plan] that is not already in the past. [rng] drives only the
@@ -42,10 +31,10 @@ val frame_ok : t -> src:int -> dst:int -> bool
 
 val node_up : t -> int -> bool
 
-(** Cancel all not-yet-fired fault timers. *)
-val stop : t -> unit
+(** Fault events applied so far: every link-down, link-up, crash,
+    partition start and heal, and burst start, and each restart of a node
+    that was down. *)
+val event_count : t -> int
 
-val stats : t -> stats
-
-(** Total fault events applied so far. *)
-val event_count : stats -> int
+(** Frames suppressed by {!frame_ok} so far. *)
+val frames_blocked : t -> int

@@ -199,8 +199,8 @@ let run_custom ?(on_faults = fun (_ : Faults.Injector.t) -> ())
     match faults with
     | None -> (0, 0)
     | Some injector ->
-        let s = Faults.Injector.stats injector in
-        (Faults.Injector.event_count s, s.Faults.Injector.frames_blocked)
+        ( Faults.Injector.event_count injector,
+          Faults.Injector.frames_blocked injector )
   in
   Metrics.finalize metrics
     ~control_tx:(sum_stat (fun s -> s.Wireless.Mac80211.tx_control))
