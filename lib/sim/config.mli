@@ -93,11 +93,8 @@ type scale = {
   scale_flows : int;
 }
 
-(** Registered presets, in size order: ["100"] (the paper's world),
-    ["1k"] and ["5k"] (city-scale square terrains). *)
-val scales : scale list
-
-(** Preset names, in registry order (for usage listings). *)
+(** Preset names, in size order (for usage listings): ["100"] (the
+    paper's world), ["1k"] and ["5k"] (city-scale square terrains). *)
 val scale_names : string list
 
 val scale_of_name : string -> scale option

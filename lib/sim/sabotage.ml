@@ -36,13 +36,6 @@ let of_string s =
   | _ ->
       err "bad sabotage spec %S (expected MODE:PROTOCOL:PAUSE:TRIAL[@FAILS])" s
 
-let to_string t =
-  Printf.sprintf "%s:%s:%g:%d%s"
-    (match t.mode with Crash -> "crash" | Hang -> "hang")
-    (Config.protocol_name t.protocol)
-    t.pause t.trial
-    (if t.fails = max_int then "" else Printf.sprintf "@%d" t.fails)
-
 let arm spec ~protocol ~pause ~trial ~attempt ~deadline =
   match spec with
   | Some t

@@ -22,8 +22,6 @@ type t = {
 
 val of_string : string -> (t, string) result
 
-val to_string : t -> string
-
 (** [arm spec ~protocol ~pause ~trial ~attempt ~deadline] does nothing
     unless [spec] targets this cell and [attempt <= fails]; then it raises
     [Failure] (crash) or loops on {!Supervisor.check_deadline} (hang —

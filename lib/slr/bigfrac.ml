@@ -32,15 +32,4 @@ let next a = if is_one a then None else Some (mediant a one)
 
 let width_bits t = Bignat.bits t.num + Bignat.bits t.den
 
-let to_float t =
-  match (Bignat.to_int t.num, Bignat.to_int t.den) with
-  | Some n, Some d -> float_of_int n /. float_of_int d
-  | _ ->
-      (* fall back to a decimal-string approximation for huge labels *)
-      let approx s =
-        float_of_string (if String.length s > 15 then String.sub s 0 15 else s)
-        *. (10.0 ** float_of_int (max 0 (String.length s - 15)))
-      in
-      approx (Bignat.to_string t.num) /. approx (Bignat.to_string t.den)
-
 let pp ppf t = Format.fprintf ppf "%a/%a" Bignat.pp t.num Bignat.pp t.den

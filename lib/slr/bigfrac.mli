@@ -37,6 +37,4 @@ val next : t -> t option
     the paper trades against path resets. *)
 val width_bits : t -> int
 
-val to_float : t -> float
-
 val pp : Format.formatter -> t -> unit

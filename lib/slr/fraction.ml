@@ -42,11 +42,7 @@ let next a = if is_one a then None else mediant a one
 
 let would_overflow a b = a.num + b.num > bound || a.den + b.den > bound
 
-let to_float t = float_of_int t.num /. float_of_int t.den
-
 let pp ppf t = Format.fprintf ppf "%d/%d" t.num t.den
-
-let to_string t = Format.asprintf "%a" pp t
 
 (* Worst case: always split the mediant against the endpoint with the larger
    denominator, so denominators follow the Fibonacci sequence (the paper's

@@ -54,11 +54,7 @@ val next : t -> t option
     Eq. 11 and Algorithm 1 apply to denominator sums. *)
 val would_overflow : t -> t -> bool
 
-val to_float : t -> float
-
 val pp : Format.formatter -> t -> unit
-
-val to_string : t -> string
 
 (** Number of mediant splits of the worst-case chain starting from
     [(0/1, 1/1)] before overflow; the paper derives 45 from the Fibonacci

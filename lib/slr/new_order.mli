@@ -8,7 +8,12 @@
 
     The result either maintains order (Theorem 6) or is the infinite
     ordering [(0, (1,1))], which the caller must treat as "drop the
-    advertisement" (Procedure 3). *)
+    advertisement" (Procedure 3). Every finite result is checked against
+    Eqs. 3–5 of Definition 1 ([g <= current], [g] strictly below the
+    cached solicitation minimum, strictly above the advertisement) before
+    it is returned, so Theorem 6 holds for {e arbitrary} inputs, not just
+    ones satisfying Lemma 1's protocol invariants (stale or reordered
+    packets violate them). *)
 
 (** Outcome of NEWORDER, plus which line of Algorithm 1 produced it
     (exposed so tests can pin the case analysis of Theorem 6). *)
@@ -44,16 +49,6 @@ val compute_with :
     advertisement's label must be a feasible in-order successor label for
     the node ([current ⊑ adv], Theorem 2 / Eq. 5). *)
 val feasible : current:Ordering.t -> adv:Ordering.t -> bool
-
-(** [maintains_order ~current ~cached ~adv g] checks Eqs. 3–5 of
-    Definition 1 for a candidate label: [g <= current] (labels
-    non-increasing), [g] strictly below the cached solicitation minimum,
-    and strictly above the advertisement. {!compute} validates its own
-    result with this, so Theorem 6 holds for {e arbitrary} inputs, not just
-    ones satisfying Lemma 1's protocol invariants (stale or reordered
-    packets violate them). *)
-val maintains_order :
-  current:Ordering.t -> cached:Ordering.t -> adv:Ordering.t -> Ordering.t -> bool
 
 (** Prints the constructor name, for counterexample reports. *)
 val pp_case : Format.formatter -> case -> unit

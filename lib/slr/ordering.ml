@@ -49,5 +49,3 @@ let add t f =
 let split_would_overflow a b = Fraction.would_overflow (frac a) (frac b)
 
 let pp ppf t = Format.fprintf ppf "(%d, %a)" t.sn Label.pp t.label
-
-let to_string t = Format.asprintf "%a" pp t

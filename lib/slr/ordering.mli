@@ -70,5 +70,3 @@ val add : t -> Fraction.t -> t option
 val split_would_overflow : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit
-
-val to_string : t -> string

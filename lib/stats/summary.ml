@@ -83,6 +83,3 @@ let overlap a b =
   let lo_a = mean a -. ci95 a and hi_a = mean a +. ci95 a in
   let lo_b = mean b -. ci95 b and hi_b = mean b +. ci95 b in
   lo_a <= hi_b && lo_b <= hi_a
-
-let pp ppf t =
-  Format.fprintf ppf "%.3f ± %.3f (n=%d)" (mean t) (ci95 t) t.n

@@ -20,8 +20,6 @@ val mean : t -> float
 (** Unbiased sample variance; 0.0 for fewer than two observations. *)
 val variance : t -> float
 
-val stddev : t -> float
-
 val min : t -> float
 
 val max : t -> float
@@ -37,5 +35,3 @@ val t_critical_95 : int -> float
 (** [overlap a b] is [true] when the 95% CIs of [a] and [b] intersect —
     the paper's criterion for "statistically identical". *)
 val overlap : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

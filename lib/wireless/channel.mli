@@ -105,9 +105,6 @@ val transmit : 'a t -> src:int -> duration:float -> 'a -> unit
     [channel.sense.scanned] Obs counter. *)
 val busy_until : 'a t -> int -> float
 
-(** Is the node itself transmitting right now? *)
-val transmitting : 'a t -> int -> bool
-
 (** Nodes currently within range of [node] (excluding itself). *)
 val neighbors : 'a t -> int -> int list
 

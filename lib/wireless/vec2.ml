@@ -24,5 +24,3 @@ let lerp a b ~frac =
   { x = a.x +. (frac *. (b.x -. a.x)); y = a.y +. (frac *. (b.y -. a.y)) }
 
 let equal a b = a.x = b.x && a.y = b.y
-
-let pp ppf v = Format.fprintf ppf "(%.1f, %.1f)" v.x v.y

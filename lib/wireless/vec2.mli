@@ -23,5 +23,3 @@ val norm : t -> float
 val lerp : t -> t -> frac:float -> t
 
 val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit
