@@ -1,10 +1,10 @@
 (** Executes a {!Spec} plan against a running simulation.
 
     The injector schedules one {!Des.Engine} timer per planned event and
-    exposes the *current* fault state as cheap queries: the
-    channel consults {!frame_ok} on every frame delivery, instrumentation
-    consults {!node_up}. Crash/restart side effects (clearing a node's MAC
-    and swapping its agent) are delegated to the host via callbacks so this
+    exposes the *current* fault state as cheap queries: the channel
+    consults {!frame_ok} on every frame delivery, instrumentation consults
+    {!node_up}. Crash/restart side effects (clearing a node's MAC and
+    swapping its agent) are delegated to the host via callbacks so this
     library stays free of any protocol or MAC dependency. *)
 
 type t
