@@ -85,10 +85,10 @@ let prop_mediant =
    the next-element lies strictly above, and is None only at 1/1 (these
    denominators stay far below the bound).
 
-   Mutation drill (seed 42, run in a scratch copy): Fraction.compare
-   multiplying a.num by a.den instead of b.den fails case 1, shrunk in 45
-   steps to 1/2206, 1/51: "compare disagrees with exact comparison".
-   Restore and re-run green. *)
+   Mutation drill (re-run whenever Fraction.compare or next changes; seed
+   42): Fraction.compare multiplying a.num by a.den instead of b.den fails
+   case 1, shrunk in 45 steps to 1/2206, 1/51: "compare disagrees with
+   exact comparison". Restore and re-run green. *)
 let prop_fraction_order =
   Runner.cell ~name:"fraction-order"
     ~print:(fun (a, b) -> asprintf "%a, %a" F.pp a F.pp b)
@@ -247,11 +247,11 @@ let lexlabel =
 (* Between two distinct labels, and between any label and top, lies a
    label strictly inside.
 
-   Mutation drill (seed 42, run in a scratch copy): between returning lo
-   from its digit-midpoint arm fails case 0, shrunk in 6 steps to
-   <least>, 0x0002; returning lo from its top arm fails case 0 too,
-   shrunk in 2 steps to "between <least> and <top> gave <least>". Restore
-   and re-run green. *)
+   Mutation drill (re-run whenever Lexlabel.between changes; seed 42):
+   between returning lo from its digit-midpoint arm fails case 0, shrunk in
+   6 steps to <least>, 0x0002; returning lo from its top arm fails case 0
+   too, shrunk in 2 steps to "between <least> and <top> gave <least>".
+   Restore and re-run green. *)
 let prop_lexlabel_between =
   Runner.cell ~name:"lexlabel-between"
     ~print:(fun (a, b) -> asprintf "%a, %a" L.pp a L.pp b)
@@ -278,10 +278,10 @@ let prop_lexlabel_between =
 (* Definition 5's relation is a strict order: asymmetric (the pair (a, a)
    included, so irreflexive) and transitive.
 
-   Mutation drill (seed 42, run in a scratch copy): precedes made
-   reflexive (its label test [< 0] -> [<= 0]) fails case 0, shrunk in 4
-   steps to (0, 1/1), (0, 0/1), (0, 0/1): "precedes is not asymmetric".
-   Restore and re-run green. *)
+   Mutation drill (re-run whenever Ordering.precedes changes; seed 42):
+   precedes made reflexive (its label test [< 0] -> [<= 0]) fails case 0,
+   shrunk in 4 steps to (0, 1/1), (0, 0/1), (0, 0/1): "precedes is not
+   asymmetric". Restore and re-run green. *)
 let prop_ordering_precedes =
   Runner.cell ~name:"ordering-precedes"
     ~print:(fun (a, b, c) -> asprintf "%a, %a, %a" O.pp a O.pp b O.pp c)
@@ -875,11 +875,11 @@ let prop_wire_model =
    never raises its label for any destination (Eq. 3), and keeps every
    live successor strictly below its own ordering (Theorem 1 locally).
 
-   Mutation drill (seed 42, run in a scratch copy): Srp.set_route
-   recording the advertised ordering as the node's own ([r.own <- g] ->
-   [r.own <- adv_order]) fails case 0, shrunk in 19 steps to one RREQ
-   from node 1 advertising (0, 0/1): "successor 1 for 1 at (0, 0/1) not
-   below (0, 0/1)". Restore and re-run green. *)
+   Mutation drill (re-run whenever SRP's route adoption changes; seed 42):
+   Srp.set_route recording the advertised ordering as the node's own
+   ([r.own <- g] -> [r.own <- adv_order]) fails case 0, shrunk in 19 steps
+   to one RREQ from node 1 advertising (0, 0/1): "successor 1 for 1 at (0,
+   0/1) not below (0, 0/1)". Restore and re-run green. *)
 
 module Srp = Protocols.Srp
 
@@ -1024,9 +1024,12 @@ let srp_control_law msgs =
       (Fr.make ~src:from ~dst ~size ~payload)
   in
   let data origin dst seq =
-    Fr.Data { Fr.origin; final_dst = dst; flow = 0; seq; sent_at = 0.0; hops = 0 }
+    Fr.Data
+      { Fr.origin; final_dst = dst; flow = 0; seq; sent_at = 0.0; hops = 0 }
   in
-  let violation fmt = Format.kasprintf (fun m -> raise (Model_violation m)) fmt in
+  let violation fmt =
+    Format.kasprintf (fun m -> raise (Model_violation m)) fmt
+  in
   let previous = Array.make 8 O.unassigned in
   let step i msg =
     (match msg with
@@ -1160,15 +1163,18 @@ let prop_heap_fifo =
 (* Stats.Summary: merging two summaries equals summarising the pooled
    observations, and the mean lies within [min, max].
 
-   Mutation drill (seed 42, run in a scratch copy): Summary.merge
-   dropping the other summary's count ([n_total = t.n + other.n] ->
-   [t.n]) fails case 0, shrunk in 13 steps to [0] + [0]. Restore and
-   re-run green. *)
+   Mutation drill (re-run whenever Summary.merge changes; seed 42):
+   Summary.merge dropping the other summary's count ([n_total = t.n +
+   other.n] -> [t.n]) fails case 0, shrunk in 13 steps to [0] + [0].
+   Restore and re-run green. *)
 
-let observations = Gen.list_size (Gen.int_range 0 50) (Gen.float_range 0.0 100.0)
+let observations =
+  Gen.list_size (Gen.int_range 0 50) (Gen.float_range 0.0 100.0)
 
 let prop_summary_merge =
-  let print_list xs = String.concat "; " (List.map (Printf.sprintf "%.17g") xs) in
+  let print_list xs =
+    String.concat "; " (List.map (Printf.sprintf "%.17g") xs)
+  in
   Runner.cell ~name:"summary-merge"
     ~print:(fun (xs, ys) ->
       Printf.sprintf "[%s] + [%s]" (print_list xs) (print_list ys))
@@ -1182,7 +1188,9 @@ let prop_summary_merge =
       in
       let merged = of_list xs and pooled = of_list (xs @ ys) in
       S.merge merged (of_list ys);
-      let close u v = Float.abs (u -. v) <= 1e-9 *. Float.max 1.0 (Float.abs v) in
+      let close u v =
+        Float.abs (u -. v) <= 1e-9 *. Float.max 1.0 (Float.abs v)
+      in
       if
         S.count merged <> S.count pooled
         || S.min merged <> S.min pooled
